@@ -1,9 +1,8 @@
-"""Pure Python per-slot allocation kernels.
+"""Per-slot allocation kernels, in pure Python.
 
-These are the reference semantics; cscshare.kernels._speedups mirrors
-them in C and must produce bit-identical results. All three kernels take
-production in Wh plus consumption amounts in a fixed canonical order and
-return (self_consumed list, surplus), conserving energy exactly:
+All three kernels take production in Wh plus consumption amounts in a
+fixed canonical order and return (self_consumed list, surplus),
+conserving energy exactly, with Python's unbounded integers:
 
     sum(self_consumed) + surplus == production
 
@@ -17,6 +16,9 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
+
+# Implementation name, read by run provenance.
+BACKEND = "python"
 
 
 def static_shares(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from decimal import Decimal
 from enum import Enum
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 SLOT_MINUTES = 30
@@ -436,10 +437,19 @@ def validate_community(
         if s.kind is not Kind.CONSUMPTION:
             findings.append(f"participant {pid} series is not consumption kind")
         if production is not None:
+            # one finding per run of consecutive production slots missing here
             have = set(s.slot_starts())
-            for ts in production.slot_starts():
-                if ts not in have:
-                    findings.append(f"participant {pid}: gap at {ts.isoformat()}")
+            for missing, run in groupby(production.slot_starts(), key=lambda ts: ts not in have):
+                if not missing:
+                    continue
+                run = list(run)
+                if len(run) == 1:
+                    findings.append(f"participant {pid}: gap at {run[0].isoformat()}")
+                else:
+                    findings.append(
+                        f"participant {pid}: gap of {len(run)} slots "
+                        f"from {run[0].isoformat()} to {run[-1].isoformat()}"
+                    )
 
     if kors is not None:
         roster = set(community.participant_ids())

@@ -21,7 +21,12 @@ from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from pathlib import Path
 
-from cscshare.ingestion import derive_static_kors, normalize_to_slots, ingest_csv
+from cscshare.ingestion import (
+    _round_half_even,
+    derive_static_kors,
+    ingest_csv,
+    normalize_to_slots,
+)
 from cscshare.model import DAY_SLOTS, DateRange, Kind, SLOT_MINUTES
 
 PROFILES = ("low_radiation", "high_radiation")
@@ -63,16 +68,6 @@ def _office_shape(k: int, night: int, peak: int, start: int, end: int) -> float:
 def _gained(raw_wh: int) -> int:
     scaled = Decimal(raw_wh) * DEMO_PV_GAIN
     return int(scaled.to_integral_value(rounding=ROUND_HALF_EVEN))
-
-
-def _round_half_even(x: Fraction) -> int:
-    q, r = divmod(x.numerator, x.denominator)
-    frac = Fraction(r, x.denominator)
-    if frac > Fraction(1, 2):
-        return q + 1
-    if frac < Fraction(1, 2):
-        return q
-    return q if q % 2 == 0 else q + 1
 
 
 def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[str, Path]:

@@ -3,7 +3,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cscshare.allocation import (
     allocate_custom_dynamic,
@@ -171,8 +171,18 @@ def every_policy(production, consumption, kors):
     }
 
 
+# Energies far beyond any 30-minute meter reading: the kernels must stay
+# exact on unbounded integers.
+HUGE_CASE = (
+    2**40,
+    {"a": 2**39, "b": 2**39, "c": 7},
+    KorVector({"a": 0.5, "b": 0.25, "c": 0.25}),
+)
+
+
 class TestInvariants:
     @given(case=slot_case_with_kors())
+    @example(case=HUGE_CASE)
     @settings(max_examples=300)
     def test_conservation_and_caps_all_policies(self, case):
         production, consumption, kors = case

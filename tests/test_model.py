@@ -187,6 +187,23 @@ class TestValidateCommunity:
         report = validate_community(community, series)
         assert any("b4" in f and "gap at" in f and "12:00" in f for f in report.findings)
 
+    def test_missing_day_reported_as_one_gap(self, community):
+        days = [DAY + timedelta(days=d) for d in range(3)]
+
+        def day_series(meter, kind, ds):
+            slots = tuple((slot_ts(k, d), 100) for d in ds for k in range(48))
+            return SlotSeries(meter, kind, slots)
+
+        series = [day_series("pv1", Kind.PRODUCTION, days)]
+        series += [day_series(p, Kind.CONSUMPTION, days) for p in ("b1", "b2")]
+        # b4 misses the whole middle day
+        series.append(day_series("b4", Kind.CONSUMPTION, [days[0], days[2]]))
+        report = validate_community(community, series)
+        assert report.findings == (
+            f"participant b4: gap of 48 slots from {slot_ts(0, days[1]).isoformat()} "
+            f"to {slot_ts(47, days[1]).isoformat()}",
+        )
+
     def test_missing_series_reported(self, community):
         series = [self._series("pv1", Kind.PRODUCTION, range(2))]
         report = validate_community(community, series)
