@@ -5,12 +5,16 @@ participant cannot absorb. Default dynamic follows the grid operator's
 rule of splitting proportionally to consumption. Custom dynamic is a
 priority waterfall serving the most valuable participant first. All
 three conserve energy exactly in integer Wh.
+
+A policy is checked against its participant set once: once per call of
+a per-slot function, once per series in ``allocate_series``. The kernel
+then runs once per slot.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from cscshare import kernels
 from cscshare.model import (
@@ -26,10 +30,46 @@ from cscshare.model import (
     TariffBook,
 )
 
+_Split = Callable[[int, list[int]], tuple[list[int], int]]
 
-def _canonical(consumption: Mapping[str, int]) -> tuple[list[str], list[int]]:
-    ids = sorted(consumption)
-    return ids, [consumption[i] for i in ids]
+
+def _splitter(policy: AllocationPolicy, ids: Iterable[str]) -> tuple[list[str], _Split]:
+    """Check a policy against a participant set.
+
+    Returns the order in which the kernel reads consumption (sorted ids,
+    or the priority order) and a function splitting one slot's production
+    over consumption values given in that order.
+    """
+    ids = sorted(ids)
+    if isinstance(policy, StaticPolicy):
+        if policy.kors.participant_ids() != set(ids):
+            raise ValueError("repartition vector does not cover the consumption keys")
+        kors = [policy.kors.coefficient(i) for i in ids]
+        return ids, lambda p, values: kernels.static_shares(p, kors, values)
+    if isinstance(policy, DefaultDynamicPolicy):
+        return ids, lambda p, values: kernels.proportional_shares(p, values)
+    if isinstance(policy, CustomDynamicPolicy):
+        if sorted(policy.order) != ids:
+            raise ValueError("priority order is not a permutation of the consumption keys")
+        return list(policy.order), lambda p, values: kernels.waterfall_shares(p, values)
+    raise TypeError(f"unknown policy {policy!r}")
+
+
+def _allocate(
+    order: Sequence[str],
+    split: _Split,
+    production: int,
+    consumption: Mapping[str, int],
+    slot_start: datetime | None,
+) -> SlotAllocation:
+    shares, surplus = split(production, [consumption[i] for i in order])
+    return SlotAllocation(
+        production=production,
+        consumption=consumption,
+        self_consumed=dict(zip(order, shares)),
+        surplus_to_grid=surplus,
+        slot_start=slot_start,
+    )
 
 
 def allocate_static(
@@ -44,18 +84,8 @@ def allocate_static(
     production before capping; the capped-off excess is not reallocated
     and ends up as surplus.
     """
-    if kors.participant_ids() != set(consumption):
-        raise ValueError("repartition vector does not cover the consumption keys")
-    ids, values = _canonical(consumption)
-    shares, surplus = kernels.static_shares(
-        production, [kors.coefficient(i) for i in ids], values
-    )
-    return SlotAllocation(
-        production=production,
-        consumption=consumption,
-        self_consumed=dict(zip(ids, shares)),
-        surplus_to_grid=surplus,
-        slot_start=slot_start,
+    return _allocate(
+        *_splitter(StaticPolicy(kors), consumption), production, consumption, slot_start
     )
 
 
@@ -69,14 +99,8 @@ def allocate_default_dynamic(
     With zero total consumption there is nothing to allocate and the full
     production goes to the grid.
     """
-    ids, values = _canonical(consumption)
-    shares, surplus = kernels.proportional_shares(production, values)
-    return SlotAllocation(
-        production=production,
-        consumption=consumption,
-        self_consumed=dict(zip(ids, shares)),
-        surplus_to_grid=surplus,
-        slot_start=slot_start,
+    return _allocate(
+        *_splitter(DefaultDynamicPolicy(), consumption), production, consumption, slot_start
     )
 
 
@@ -87,16 +111,8 @@ def allocate_custom_dynamic(
     slot_start: datetime | None = None,
 ) -> SlotAllocation:
     """Serve participants in priority order, each up to its consumption."""
-    order = list(order)
-    if sorted(order) != sorted(consumption):
-        raise ValueError("priority order is not a permutation of the consumption keys")
-    shares, surplus = kernels.waterfall_shares(production, [consumption[i] for i in order])
-    return SlotAllocation(
-        production=production,
-        consumption=consumption,
-        self_consumed=dict(zip(order, shares)),
-        surplus_to_grid=surplus,
-        slot_start=slot_start,
+    return _allocate(
+        *_splitter(CustomDynamicPolicy(order), consumption), production, consumption, slot_start
     )
 
 
@@ -119,54 +135,34 @@ def allocate_series(
     production: SlotSeries,
     consumptions: Sequence[SlotSeries],
 ) -> list[SlotAllocation]:
-    """Run one policy over a whole series, slot by slot.
+    """Run one policy over a whole series: one kernel call per slot.
 
+    The policy is checked against the consumption meters once per series.
     Every consumption series must cover exactly the production slot set;
     a missing or extra slot would silently shift energy between buildings,
-    so the first mismatch is a hard error.
+    so a mismatch is a hard error naming the earliest slot that only one
+    of the two series has.
     """
     if production.kind is not Kind.PRODUCTION:
         raise ValueError(f"series {production.meter_id} is not a production series")
     prod_slots = production.slot_starts()
-    maps: dict[str, dict[datetime, int]] = {}
+    columns: dict[str, tuple[int, ...]] = {}
     for s in consumptions:
         if s.kind is not Kind.CONSUMPTION:
             raise ValueError(f"series {s.meter_id} is not a consumption series")
-        if s.meter_id in maps:
+        if s.meter_id in columns:
             raise ValueError(f"duplicate consumption series for {s.meter_id}")
         theirs = s.slot_starts()
         if theirs != prod_slots:
-            mismatch = _first_mismatch(prod_slots, theirs)
+            mismatch = min(set(prod_slots) ^ set(theirs))
             raise ValueError(
                 f"slot set of {s.meter_id} does not match production: "
-                f"first mismatch at {mismatch.isoformat()}"
+                f"earliest slot in only one of them is {mismatch.isoformat()}"
             )
-        maps[s.meter_id] = s.as_map()
+        columns[s.meter_id] = s.values()
 
-    if isinstance(policy, StaticPolicy):
-        per_slot = lambda p, c, ts: allocate_static(p, c, policy.kors, ts)
-    elif isinstance(policy, DefaultDynamicPolicy):
-        per_slot = allocate_default_dynamic
-    elif isinstance(policy, CustomDynamicPolicy):
-        per_slot = lambda p, c, ts: allocate_custom_dynamic(p, c, policy.order, ts)
-    else:
-        raise TypeError(f"unknown policy {policy!r}")
-
-    out = []
-    for ts, prod in production.slots:
-        consumption = {mid: m[ts] for mid, m in maps.items()}
-        out.append(per_slot(prod, consumption, ts))
-    return out
-
-
-def _first_mismatch(expected: Sequence[datetime], got: Sequence[datetime]) -> datetime:
-    have = set(got)
-    for ts in expected:
-        if ts not in have:
-            return ts
-    want = set(expected)
-    for ts in got:
-        if ts not in want:
-            return ts
-    # same sets, different order; SlotSeries ordering makes this unreachable
-    return expected[0]
+    order, split = _splitter(policy, columns)
+    return [
+        _allocate(order, split, prod, {mid: col[k] for mid, col in columns.items()}, ts)
+        for k, (ts, prod) in enumerate(production.slots)
+    ]

@@ -16,7 +16,6 @@ zero-filled consumption slot would change every allocation downstream.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
@@ -104,10 +103,6 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _ingest_stream(fh)
     return _ingest_stream(source)
-
-
-def ingest_csv_text(text: str) -> IngestResult:
-    return _ingest_stream(io.StringIO(text))
 
 
 def _ingest_stream(stream: TextIO) -> IngestResult:

@@ -135,9 +135,6 @@ class SlotSeries:
     def values(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.slots)
 
-    def as_map(self) -> dict[datetime, int]:
-        return {ts: e for ts, e in self.slots}
-
     def total_wh(self, window: DateRange | None = None) -> int:
         if window is None:
             return sum(e for _, e in self.slots)
@@ -226,12 +223,6 @@ class Community:
 
     def participant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.participants)
-
-    def by_id(self, participant_id: str) -> Participant:
-        for p in self.participants:
-            if p.id == participant_id:
-                return p
-        raise KeyError(participant_id)
 
     def rank_order(self) -> tuple[str, ...]:
         """Participant ids sorted by explicit priority rank."""

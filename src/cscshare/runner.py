@@ -202,44 +202,45 @@ def _build_policies(
 
 def _build_ledger(
     production: SlotSeries,
-    consumptions: Mapping[str, SlotSeries],
     allocations_by_policy: Mapping[str, Sequence[SlotAllocation]],
     static_coefficients: Mapping[str, Mapping[str, float]],
 ) -> Ledger:
-    """Appends are ordered by slot, then meters, then policy name."""
+    """Appends are ordered by slot, then meters, then policy name.
+
+    Every allocation list must hold one allocation per production slot,
+    in slot order; consumption records are read from the first policy's.
+    """
     ledger = Ledger()
-    cons_maps = {pid: s.as_map() for pid, s in consumptions.items()}
     policy_names = sorted(allocations_by_policy)
-    by_policy_slot = {
-        name: {a.slot_start: a for a in allocs}
-        for name, allocs in allocations_by_policy.items()
+    coefficients = {
+        name: {pid: str(c) for pid, c in kors.items()}
+        for name, kors in static_coefficients.items()
     }
-    for ts, produced in production.slots:
+    slot_rows = zip(
+        production.slots,
+        *(allocations_by_policy[name] for name in policy_names),
+        strict=True,
+    )
+    for (ts, produced), *allocations in slot_rows:
         ledger.append(
             {"kind": "production", "energy_wh": produced},
             counting_point_key=production.meter_id,
             timestamp=ts,
         )
-        for pid in sorted(cons_maps):
+        for pid, energy in sorted(allocations[0].consumption.items()):
             ledger.append(
-                {"kind": "consumption", "energy_wh": cons_maps[pid][ts]},
+                {"kind": "consumption", "energy_wh": energy},
                 counting_point_key=pid,
                 timestamp=ts,
             )
-        for name in policy_names:
-            allocation = by_policy_slot[name][ts]
+        for name, allocation in zip(policy_names, allocations):
             payload = {
                 "policy": name,
-                "self_consumed_wh": {
-                    pid: allocation.self_consumed[pid]
-                    for pid in sorted(allocation.self_consumed)
-                },
+                "self_consumed_wh": allocation.self_consumed,
                 "surplus_wh": allocation.surplus_to_grid,
             }
-            if name in static_coefficients:
-                payload["coefficients"] = {
-                    pid: str(c) for pid, c in sorted(static_coefficients[name].items())
-                }
+            if name in coefficients:
+                payload["coefficients"] = coefficients[name]
             ledger.append(payload, counting_point_key=KOR_COUNTING_POINT, timestamp=ts)
     return ledger
 
@@ -342,9 +343,7 @@ def run(config: RunConfig) -> RunResult:
             static_coefficients[policy.name] = dict(policy.kors.entries)
 
     comparison = compare_policies(reports)
-    ledger = _build_ledger(
-        production, consumptions, allocations_by_policy, static_coefficients
-    )
+    ledger = _build_ledger(production, allocations_by_policy, static_coefficients)
 
     # Stage everything, then move into place.
     config.out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -381,6 +380,11 @@ def run(config: RunConfig) -> RunResult:
             target = config.out_dir / name
             (staging / name).replace(target)
             files.append(target)
+        # a narrower rerun must not leave another policy's outputs behind
+        for name in POLICY_NAMES:
+            if name not in reports:
+                for stale in (f"{name}_report.json", f"{name}_allocations.csv"):
+                    (config.out_dir / stale).unlink(missing_ok=True)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

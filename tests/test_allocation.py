@@ -278,3 +278,49 @@ class TestAllocateSeries:
             CustomDynamicPolicy(("b1", "b2", "b4")), production, cons
         )
         assert custom[0].self_consumed == CONS
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_series_equals_per_slot_functions(self, data):
+        n_slots = data.draw(st.integers(1, 6))
+        ids = IDS[: data.draw(st.integers(1, 5))]
+        energy = st.lists(st.integers(0, 10_000), min_size=n_slots, max_size=n_slots)
+        production = self._series("pv1", Kind.PRODUCTION, data.draw(energy))
+        cons = [self._series(i, Kind.CONSUMPTION, data.draw(energy)) for i in ids]
+        shuffled = data.draw(st.permutations(cons))
+        kors = data.draw(kor_for(ids))
+        order = tuple(data.draw(st.permutations(ids)))
+        per_slot = [
+            (StaticPolicy(kors), lambda p, c, ts: allocate_static(p, c, kors, ts)),
+            (DefaultDynamicPolicy(), allocate_default_dynamic),
+            (
+                CustomDynamicPolicy(order),
+                lambda p, c, ts: allocate_custom_dynamic(p, c, order, ts),
+            ),
+        ]
+        for policy, allocate_slot in per_slot:
+            out = allocate_series(policy, production, shuffled)
+            assert len(out) == n_slots
+            for k, (ts, prod) in enumerate(production.slots):
+                want = allocate_slot(prod, {s.meter_id: s.slots[k][1] for s in cons}, ts)
+                got = out[k]
+                assert got.consumption == want.consumption, policy
+                assert got.self_consumed == want.self_consumed, policy
+                assert got.surplus_to_grid == want.surplus_to_grid, policy
+                assert got.slot_start == want.slot_start == ts, policy
+
+    @pytest.mark.parametrize(
+        "policy", [DefaultDynamicPolicy(), CustomDynamicPolicy(())], ids=lambda p: p.name
+    )
+    def test_no_consumption_series_is_all_surplus(self, policy):
+        production = self._series("pv1", Kind.PRODUCTION, [0, 250, 900])
+        out = allocate_series(policy, production, [])
+        assert [(a.slot_start, a.surplus_to_grid) for a in out] == list(production.slots)
+        assert all(a.consumption == {} and a.self_consumed == {} for a in out)
+
+    def test_slot_mismatch_names_earliest_differing_slot(self):
+        # b1 has an extra slot before production starts and lacks the last one
+        production = self._series("pv1", Kind.PRODUCTION, [100] * 4, start=20)
+        shifted = [self._series("b1", Kind.CONSUMPTION, [60] * 4, start=19)]
+        with pytest.raises(ValueError, match="09:30"):
+            allocate_series(DefaultDynamicPolicy(), production, shifted)

@@ -1,5 +1,6 @@
 """End-to-end runs, output contract, exit codes, determinism."""
 
+import hashlib
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -90,6 +91,23 @@ class TestRun:
             "audit.log", "comparison.csv", "comparison.json",
             "default-dynamic_allocations.csv", "default-dynamic_report.json",
         ]
+
+    def test_narrower_rerun_removes_other_policies_outputs(self, demo):
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+        (out / "notes.txt").write_text("kept by the user\n")
+        run(load_run_config(demo / "run_config.json", policy_filter=["static"]))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "audit.log", "comparison.csv", "comparison.json", "notes.txt",
+            "static_allocations.csv", "static_report.json",
+        ]
+        assert (out / "notes.txt").read_text() == "kept by the user\n"
+
+    def test_demo_audit_log_bytes_pinned(self, demo):
+        # catches a refactor that changes output bytes, which comparing two
+        # runs of the same code cannot
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+        digest = hashlib.sha256((out / "audit.log").read_bytes()).hexdigest()
+        assert digest == "46bbba44ade33731324752d1e1e86da185f74af93a39833d9dfd0cc980e54a38"
 
     def test_validation_failure_leaves_no_outputs(self, demo):
         raw = json.loads((demo / "run_config.json").read_text())
