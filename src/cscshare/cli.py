@@ -120,8 +120,10 @@ def derive_kors(config_path, out_path):
             parse_timestamp(raw["kor_window"]["end"] + "T00:00:00+00:00").date(),
         )
     else:
-        starts = [ts for s in history for ts in s.slot_starts()]
-        window = DateRange(min(starts).date(), max(starts).date() + timedelta(days=1))
+        # each series is strictly increasing: its first slot is its earliest
+        first = min(s.slots[0][0] for s in history)
+        last = max(s.slots[-1][0] for s in history)
+        window = DateRange(first.date(), last.date() + timedelta(days=1))
 
     kors = derive_static_kors(history, window)
     Path(out_path).write_text(

@@ -21,6 +21,7 @@ from datetime import datetime, timedelta
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -54,8 +55,15 @@ _CLASS_KINDS = {
     MeterClass.SME_SMI: {QuantityKind.ENERGY_KWH_INDEX, QuantityKind.POWER_KW_10MIN},
 }
 
+# The (meter_class, quantity_kind) texts of every valid pair, to their members.
+_VALID_PAIRS = {
+    (klass.value, kind.value): (klass, kind)
+    for klass, kinds in _CLASS_KINDS.items()
+    for kind in kinds
+}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RawMeterRecord:
     """One reading as it came off the meter, before normalization."""
 
@@ -105,6 +113,26 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
     return _ingest_stream(source)
 
 
+class _Timestamps(dict):
+    """Timestamp text -> parsed timestamp, parsing each distinct text once.
+
+    Timestamps with equal UTC offsets share one tzinfo object, so sorting
+    and comparing them takes CPython's same-tzinfo path.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._zones: dict = {}
+
+    def __missing__(self, text: str) -> datetime:
+        ts = parse_timestamp(text)
+        zone = self._zones.setdefault(ts.tzinfo, ts.tzinfo)
+        if zone is not ts.tzinfo:
+            ts = ts.replace(tzinfo=zone)
+        self[text] = ts
+        return ts
+
+
 def _ingest_stream(stream: TextIO) -> IngestResult:
     reader = csv.reader(stream)
     try:
@@ -115,22 +143,54 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         raise ValueError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
     result = IngestResult()
+    records, errors = result.records, result.errors
+    timestamps = _Timestamps()
     for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         try:
-            result.records.append(_parse_row(row))
+            records.append(_parse_row(row, timestamps))
         except ValueError as exc:
-            result.errors.append(RowError(line, str(exc)))
+            errors.append(RowError(line, str(exc)))
     return result
 
 
-def _parse_row(row: Sequence[str]) -> RawMeterRecord:
+def _parse_row(row: Sequence[str], timestamps: _Timestamps) -> RawMeterRecord:
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
-    meter_id, klass, ts_text, kind_text, value_text = (cell.strip() for cell in row)
+    meter_id, klass, ts_text, kind_text, value_text = map(str.strip, row)
     if not meter_id:
         raise ValueError("empty meter_id")
+    meter_class, kind = _VALID_PAIRS.get((klass, kind_text)) or _members(klass, kind_text)
+    ts = timestamps[ts_text]
+
+    value: int | Decimal
+    if kind is QuantityKind.POWER_KW_10MIN:
+        try:
+            value = Decimal(value_text)
+        except ArithmeticError:
+            raise ValueError(f"bad power value {value_text!r}") from None
+        if not value.is_finite():
+            raise ValueError(f"bad power value {value_text!r}")
+        if value < 0:
+            raise ValueError("negative power")
+    else:
+        try:
+            value = int(value_text)
+        except ValueError:
+            unit = "Wh" if kind is QuantityKind.ENERGY_WH else "kWh"
+            raise ValueError(f"energy must be an integer {unit} count, got {value_text!r}") from None
+        if value < 0:
+            raise ValueError("negative energy")
+    return RawMeterRecord(meter_id, meter_class, ts, kind, value)
+
+
+def _members(klass: str, kind_text: str) -> tuple[MeterClass, QuantityKind]:
+    """Look up a pair outside _VALID_PAIRS, raising the row error of an unknown text.
+
+    A known but mismatched pair is returned; RawMeterRecord rejects it once
+    the rest of the row has parsed.
+    """
     try:
         meter_class = MeterClass(klass)
     except ValueError:
@@ -139,40 +199,23 @@ def _parse_row(row: Sequence[str]) -> RawMeterRecord:
         kind = QuantityKind(kind_text)
     except ValueError:
         raise ValueError(f"unknown quantity_kind {kind_text!r}") from None
-    ts = parse_timestamp(ts_text)
-
-    value: int | Decimal
-    if kind in (QuantityKind.ENERGY_WH, QuantityKind.ENERGY_KWH_INDEX):
-        try:
-            value = int(value_text)
-        except ValueError:
-            unit = "Wh" if kind is QuantityKind.ENERGY_WH else "kWh"
-            raise ValueError(f"energy must be an integer {unit} count, got {value_text!r}") from None
-        if value < 0:
-            raise ValueError("negative energy")
-    else:
-        try:
-            value = Decimal(value_text)
-        except ArithmeticError:
-            raise ValueError(f"bad power value {value_text!r}") from None
-        if value < 0:
-            raise ValueError("negative power")
-    return RawMeterRecord(meter_id, meter_class, ts, kind, value)
+    return meter_class, kind
 
 
 def _slot_floor(ts: datetime) -> datetime:
-    return ts.replace(minute=(ts.minute // SLOT_MINUTES) * SLOT_MINUTES, second=0, microsecond=0)
+    into_slot = ts.minute % SLOT_MINUTES
+    if not (into_slot or ts.second or ts.microsecond):
+        return ts
+    return ts - timedelta(minutes=into_slot, seconds=ts.second, microseconds=ts.microsecond)
 
 
-def _round_half_even(x: Fraction) -> int:
-    q, r = divmod(x.numerator, x.denominator)
-    half = Fraction(1, 2)
-    frac = Fraction(r, x.denominator)
-    if frac > half:
+def _round_half_even(numerator: int, denominator: int) -> int:
+    """numerator / denominator rounded half to even; denominator > 0."""
+    q, r = divmod(numerator, denominator)
+    twice = 2 * r
+    if twice > denominator or (twice == denominator and q % 2):
         return q + 1
-    if frac < half:
-        return q
-    return q if q % 2 == 0 else q + 1
+    return q
 
 
 def normalize_to_slots(
@@ -189,7 +232,7 @@ def normalize_to_slots(
     A slot with fewer samples than its class expects is a gap error; a
     mix of meter ids, classes or quantity kinds is a hard error.
     """
-    records = sorted(records, key=lambda r: r.timestamp)
+    records = sorted(records, key=attrgetter("timestamp"))
     if not records:
         raise ValueError("no records to normalize")
     meter_ids = {r.meter_id for r in records}
@@ -245,7 +288,7 @@ def _slots_from_power(meter_id, records) -> list[tuple[datetime, int]]:
             raise ValueError(
                 f"{meter_id}: power sample at {ts.isoformat()} is not on a 10-minute boundary"
             )
-        per_slot.setdefault(_slot_floor(ts), []).append(Decimal(r.value))
+        per_slot.setdefault(_slot_floor(ts), []).append(r.value)
     grid = _grid(min(per_slot), max(per_slot))
     out = []
     for slot in grid:
@@ -255,9 +298,10 @@ def _slots_from_power(meter_id, records) -> list[tuple[datetime, int]]:
                 f"{meter_id}: gap at {slot.isoformat()} "
                 f"({len(samples)}/3 ten-minute power samples)"
             )
-        # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3
-        energy = _round_half_even(Fraction(sum(samples)) * 500 / 3)
-        out.append((slot, energy))
+        # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3, the sum taken
+        # in Decimal arithmetic even when a record holds an int
+        n, d = sum(samples, Decimal(0)).as_integer_ratio()
+        out.append((slot, _round_half_even(n * 500, d * 3)))
     return out
 
 
@@ -392,9 +436,15 @@ def derive_static_kors(
         series_list = list(history)
     totals: dict[str, int] = {}
     covered: dict[str, bool] = {}
+    contains = window.contains
     for s in series_list:
-        totals[s.meter_id] = totals.get(s.meter_id, 0) + s.total_wh(window)
-        has_data = any(window.contains(ts) for ts in s.slot_starts())
+        total = 0
+        has_data = False
+        for ts, energy in s.slots:
+            if contains(ts):
+                total += energy
+                has_data = True
+        totals[s.meter_id] = totals.get(s.meter_id, 0) + total
         covered[s.meter_id] = covered.get(s.meter_id, False) or has_data
     if not totals:
         raise ValueError("no history series given")

@@ -119,7 +119,9 @@ class SlotSeries:
         prev = None
         for ts, energy in self.slots:
             check_slot_aligned(ts)
-            check_energy_wh(energy, f"slot {ts.isoformat()} of meter {self.meter_id}")
+            # the label is built only for the check that raises
+            if type(energy) is not int or energy < 0:
+                check_energy_wh(energy, f"slot {ts.isoformat()} of meter {self.meter_id}")
             if prev is not None and ts <= prev:
                 raise ValueError(
                     f"meter {self.meter_id}: slots not strictly increasing at {ts.isoformat()}"
@@ -317,9 +319,12 @@ class SlotAllocation:
         if set(self.consumption) != set(self.self_consumed):
             raise ValueError("self_consumed keys differ from consumption keys")
         for pid, c in self.consumption.items():
-            check_energy_wh(c, f"consumption[{pid}]")
+            # labels are built only for the check that raises
+            if type(c) is not int or c < 0:
+                check_energy_wh(c, f"consumption[{pid}]")
             sc = self.self_consumed[pid]
-            check_energy_wh(sc, f"self_consumed[{pid}]")
+            if type(sc) is not int or sc < 0:
+                check_energy_wh(sc, f"self_consumed[{pid}]")
             if sc > c:
                 raise ValueError(f"self_consumed[{pid}] = {sc} exceeds consumption {c}")
         if sum(self.self_consumed.values()) + self.surplus_to_grid != self.production:

@@ -124,7 +124,7 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
         slot_ts = _slot_ts(day, k)
         for i, kw in enumerate(parts):
             b1_powers.append((slot_ts + timedelta(minutes=10 * i), kw))
-        b1_energy.append(_round_half_even(Fraction(sum(parts) * 500, 3)))
+        b1_energy.append(_round_half_even(sum(parts) * 500, 3))
     consumption["b1"] = b1_energy
 
     rows = [",".join(["meter_id", "meter_class", "timestamp", "quantity_kind", "value"])]

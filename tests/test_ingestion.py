@@ -1,23 +1,27 @@
 """CSV ingestion, grid normalization and scenario transformations."""
 
+import csv
 import io
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cscshare.ingestion import (
     MeterClass,
     QuantityKind,
     RawMeterRecord,
     ScenarioConfig,
+    _round_half_even,
     add_constant_load,
     apply_pv_gain,
     derive_static_kors,
     ingest_csv,
     normalize_to_slots,
 )
-from cscshare.model import DateRange, Kind, SlotSeries
+from cscshare.model import DateRange, Kind, SLOT_MINUTES, SlotSeries, parse_timestamp
 
 from conftest import DAY, slot_ts
 
@@ -75,6 +79,16 @@ class TestIngestCsv:
         ))
         assert len(result.records) == 1
         assert [e.line for e in result.errors] == [3, 4]
+
+    @pytest.mark.parametrize("text", ["NaN", "sNaN", "Infinity", "-Infinity", "inf", "-nan"])
+    def test_non_finite_power_is_row_error(self, text):
+        result = ingest_csv(io.StringIO(
+            HEADER
+            + "m1,sme_smi,2022-05-04T10:00:00+02:00,power_kw_10min,6\n"
+            + f"m1,sme_smi,2022-05-04T10:10:00+02:00,power_kw_10min,{text}\n"
+        ))
+        assert len(result.records) == 1
+        assert [str(e) for e in result.errors] == [f"line 3: bad power value {text!r}"]
 
 
 class TestNormalize:
@@ -178,6 +192,18 @@ class TestNormalize:
         ]
         series = normalize_to_slots(records)
         assert sum(series.values()) == sum(values)
+
+
+class TestRoundHalfEven:
+    @given(n=st.integers(-(10**40), 10**40), d=st.integers(1, 10**20))
+    @example(n=5, d=2)
+    @example(n=7, d=2)
+    @example(n=-5, d=2)
+    @example(n=-7, d=2)
+    @example(n=2500, d=3)
+    def test_matches_fraction_round(self, n, d):
+        # round() on a Fraction rounds half to even
+        assert _round_half_even(n, d) == round(Fraction(n, d))
 
 
 class TestPvGain:
@@ -309,3 +335,235 @@ class TestDeriveStaticKors:
         history = self._history({f"p{i}": t for i, t in enumerate(totals)})
         kors = derive_static_kors(history, DateRange.single_day(DAY))
         assert abs(sum(kors.entries.values()) - 1) <= 1e-9
+
+
+# Reference for the differential test below: the original row parser and
+# normalizer (Enum lookups and a timestamp parse per row, Fraction rounding,
+# datetime.replace slot floors). The optimized code must agree with it on
+# every record, slot, isoformat() and message.
+
+
+def _reference_ingest(text):
+    rows = csv.reader(io.StringIO(text))
+    next(rows)
+    records, errors = [], []
+    for line, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            records.append(_reference_row(row))
+        except ValueError as exc:
+            errors.append(f"line {line}: {exc}")
+    return records, errors
+
+
+def _reference_row(row):
+    if len(row) != 5:
+        raise ValueError(f"expected 5 fields, got {len(row)}")
+    meter_id, klass, ts_text, kind_text, value_text = (cell.strip() for cell in row)
+    if not meter_id:
+        raise ValueError("empty meter_id")
+    try:
+        meter_class = MeterClass(klass)
+    except ValueError:
+        raise ValueError(f"unknown meter_class {klass!r}") from None
+    try:
+        kind = QuantityKind(kind_text)
+    except ValueError:
+        raise ValueError(f"unknown quantity_kind {kind_text!r}") from None
+    ts = parse_timestamp(ts_text)
+    if kind in (QuantityKind.ENERGY_WH, QuantityKind.ENERGY_KWH_INDEX):
+        try:
+            value = int(value_text)
+        except ValueError:
+            unit = "Wh" if kind is QuantityKind.ENERGY_WH else "kWh"
+            raise ValueError(f"energy must be an integer {unit} count, got {value_text!r}") from None
+        if value < 0:
+            raise ValueError("negative energy")
+    else:
+        try:
+            value = Decimal(value_text)
+        except ArithmeticError:
+            raise ValueError(f"bad power value {value_text!r}") from None
+        if value < 0:
+            raise ValueError("negative power")
+    return RawMeterRecord(meter_id, meter_class, ts, kind, value)
+
+
+def _reference_floor(ts):
+    return ts.replace(minute=(ts.minute // SLOT_MINUTES) * SLOT_MINUTES, second=0, microsecond=0)
+
+
+def _reference_round(x):
+    q, r = divmod(x.numerator, x.denominator)
+    frac = Fraction(r, x.denominator)
+    if frac > Fraction(1, 2):
+        return q + 1
+    if frac < Fraction(1, 2):
+        return q
+    return q if q % 2 == 0 else q + 1
+
+
+def _reference_grid(first, last):
+    out = [first]
+    while out[-1] < last:
+        out.append(out[-1] + timedelta(minutes=SLOT_MINUTES))
+    return out
+
+
+def _reference_normalize(records):
+    records = sorted(records, key=lambda r: r.timestamp)
+    if not records:
+        raise ValueError("no records to normalize")
+    meter_ids = {r.meter_id for r in records}
+    if len(meter_ids) > 1:
+        raise ValueError(f"records mix meter ids: {sorted(meter_ids)}")
+    if len({r.meter_class for r in records}) > 1:
+        raise ValueError("records mix meter classes")
+    if len({r.quantity_kind for r in records}) > 1:
+        raise ValueError("records mix quantity kinds; normalize one basis at a time")
+    meter_id = records[0].meter_id
+    quantity = records[0].quantity_kind
+    for prev, cur in zip(records, records[1:]):
+        if cur.timestamp == prev.timestamp:
+            raise ValueError(f"{meter_id}: duplicate reading at {cur.timestamp.isoformat()}")
+
+    slots = []
+    if quantity is QuantityKind.ENERGY_WH:
+        per_slot = {}
+        for r in records:
+            slot = _reference_floor(r.timestamp)
+            per_slot[slot] = per_slot.get(slot, 0) + int(r.value)
+        grid = _reference_grid(min(per_slot), max(per_slot))
+        for slot in grid:
+            if slot not in per_slot:
+                raise ValueError(f"{meter_id}: gap at {slot.isoformat()}")
+        slots = [(slot, per_slot[slot]) for slot in grid]
+    elif quantity is QuantityKind.POWER_KW_10MIN:
+        per_slot = {}
+        for r in records:
+            ts = r.timestamp
+            if ts.minute % 10 or ts.second or ts.microsecond:
+                raise ValueError(
+                    f"{meter_id}: power sample at {ts.isoformat()} is not on a 10-minute boundary"
+                )
+            per_slot.setdefault(_reference_floor(ts), []).append(Decimal(r.value))
+        for slot in _reference_grid(min(per_slot), max(per_slot)):
+            samples = per_slot.get(slot, [])
+            if len(samples) < 3:
+                raise ValueError(
+                    f"{meter_id}: gap at {slot.isoformat()} "
+                    f"({len(samples)}/3 ten-minute power samples)"
+                )
+            slots.append((slot, _reference_round(Fraction(sum(samples)) * 500 / 3)))
+    else:
+        if len(records) < 2:
+            raise ValueError(f"{meter_id}: index series needs at least two readings")
+        for r in records:
+            ts = r.timestamp
+            if ts.minute % SLOT_MINUTES or ts.second or ts.microsecond:
+                raise ValueError(
+                    f"{meter_id}: index reading at {ts.isoformat()} is not on a slot boundary"
+                )
+        for prev, cur in zip(records, records[1:]):
+            expected = prev.timestamp + timedelta(minutes=SLOT_MINUTES)
+            if cur.timestamp != expected:
+                raise ValueError(f"{meter_id}: gap at {expected.isoformat()}")
+            delta = int(cur.value) - int(prev.value)
+            if delta < 0:
+                raise ValueError(f"{meter_id}: index decreases at {cur.timestamp.isoformat()}")
+            slots.append((prev.timestamp, delta * 1000))
+    return SlotSeries(meter_id=meter_id, kind=Kind.CONSUMPTION, slots=tuple(slots))
+
+
+_OFFSETS = {"+01:00": timedelta(hours=1), "+02:00": timedelta(hours=2), "Z": timedelta(0)}
+_BASE = datetime(2024, 3, 30, 22, 0, tzinfo=timezone.utc)
+_BAD_ROWS = [
+    "m9,linky,not-a-time,energy_wh,1",
+    "m9,linky,2024-03-31T01:00:00,energy_wh,1",
+    "m9,linky,2024-03-31T01:00:00+01:00,power_kw_10min,x",
+    "m9,linky,bad,power_kw_10min,6",
+    "m9,sme_smi,2024-03-31T01:00:00+01:00,energy_wh,1",
+    "m9,meter,2024-03-31T01:00:00+01:00,volts,1",
+    "m9,linky,2024-03-31T01:00:00+01:00,volts,1",
+    ",linky,2024-03-31T01:00:00+01:00,energy_wh,1",
+    "m9,linky,2024-03-31T01:00:00+01:00,energy_wh,abc",
+    "m9,sme_smi,2024-03-31T01:00:00+01:00,energy_kwh_index,1.5",
+    "m9,linky,2024-03-31T01:00:00+01:00,energy_wh,-3",
+    "m9,sme_smi,2024-03-31T01:00:00+01:00,power_kw_10min,-0.5",
+    "m9,linky,2024-03-31T01:00:00+01:00",
+    " , , ",
+    "",
+]
+
+
+@st.composite
+def _meter_csv(draw):
+    def stamp(instant):
+        name = draw(st.sampled_from(sorted(_OFFSETS)))
+        text = instant.astimezone(timezone(_OFFSETS[name])).isoformat()
+        return text.replace("+00:00", "Z") if name == "Z" else text
+
+    rows = []
+    for meter_id in ("m1", "m2", "m3")[: draw(st.integers(1, 3))]:
+        kind = draw(st.sampled_from([k.value for k in QuantityKind]))
+        first = draw(st.integers(0, 8))
+        # a slot is left out about one time in eight: gaps
+        kept = [k for k in range(first, first + draw(st.integers(1, 6)))
+                if draw(st.integers(0, 7))]
+        slot = timedelta(minutes=SLOT_MINUTES)
+        if kind == "energy_wh":
+            for k in kept:
+                for _ in range(draw(st.integers(1, 3))):
+                    into = timedelta(seconds=draw(st.integers(0, SLOT_MINUTES * 60 - 1)))
+                    wh = draw(st.integers(0, 10**6))
+                    rows.append(f"{meter_id},linky,{stamp(_BASE + k * slot + into)},{kind},{wh}")
+        elif kind == "power_kw_10min":
+            for k in kept:
+                for j in range(3):
+                    if not draw(st.integers(0, 15)):
+                        continue  # a missing sample
+                    minutes = 10 * j + (5 if not draw(st.integers(0, 30)) else 0)
+                    kw = draw(st.decimals(min_value=0, max_value=1000, places=draw(st.integers(0, 3))))
+                    ts = stamp(_BASE + k * slot + timedelta(minutes=minutes))
+                    rows.append(f"{meter_id},sme_smi,{ts},{kind},{kw}")
+        else:
+            index = draw(st.integers(0, 10**6))
+            for k in (kept + [kept[-1] + 1]) if kept else []:
+                rows.append(f"{meter_id},sme_smi,{stamp(_BASE + k * slot)},{kind},{index}")
+                index = max(0, index + draw(st.integers(-1, 40)))
+    rows += draw(st.lists(st.sampled_from(_BAD_ROWS), max_size=3))
+    rows = draw(st.permutations(rows))
+    return HEADER + "".join(row + "\n" for row in rows)
+
+
+def _outcome(normalize, records):
+    try:
+        series = normalize(records)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "slots", [(ts.isoformat(), energy) for ts, energy in series.slots]
+
+
+class TestAgainstReferenceNormalizer:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_meter_csv())
+    def test_same_records_slots_and_messages(self, text):
+        result = ingest_csv(io.StringIO(text))
+        records, errors = _reference_ingest(text)
+        assert [str(e) for e in result.errors] == errors
+
+        def view(r):
+            return (r.meter_id, r.meter_class, r.timestamp.isoformat(), r.quantity_kind,
+                    type(r.value), str(r.value))
+
+        assert [view(r) for r in result.records] == [view(r) for r in records]
+        by_meter, reference_by_meter = {}, {}
+        for r in result.records:
+            by_meter.setdefault(r.meter_id, []).append(r)
+        for r in records:
+            reference_by_meter.setdefault(r.meter_id, []).append(r)
+        for meter_id, reference in reference_by_meter.items():
+            assert _outcome(normalize_to_slots, by_meter[meter_id]) == _outcome(
+                _reference_normalize, reference
+            )

@@ -22,6 +22,13 @@ from cscshare.model import (
 
 from conftest import DAY, TZ, slot_ts
 
+# Energy values every energy check rejects, with the end of its message.
+BAD_ENERGY = [
+    (True, "must be an integer Wh amount, got True"),
+    (-1, "must be >= 0 Wh, got -1"),
+    (1.0, "must be an integer Wh amount, got 1.0"),
+]
+
 
 class TestTimeGrid:
     def test_alignment_accepts_slot_boundaries(self):
@@ -58,6 +65,13 @@ class TestSlotSeries:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), -1),))
+
+    @pytest.mark.parametrize("energy,problem", BAD_ENERGY)
+    def test_bad_energy_message_names_slot_and_meter(self, energy, problem):
+        slots = ((slot_ts(0), 5), (slot_ts(1), energy))
+        with pytest.raises(ValueError) as excinfo:
+            SlotSeries("m7", Kind.CONSUMPTION, slots)
+        assert str(excinfo.value) == f"slot 2022-05-04T00:30:00+02:00 of meter m7 {problem}"
 
     def test_non_integer_energy_rejected(self):
         with pytest.raises(ValueError, match="integer"):
@@ -144,6 +158,15 @@ class TestSlotAllocation:
                 self_consumed={"a": 50},
                 surplus_to_grid=50,
             )
+
+    @pytest.mark.parametrize("energy,problem", BAD_ENERGY)
+    @pytest.mark.parametrize("field", ["consumption", "self_consumed"])
+    def test_bad_energy_message_names_field_and_participant(self, field, energy, problem):
+        entries = {"consumption": {"a": 60, "b": 20}, "self_consumed": {"a": 10, "b": 0}}
+        entries[field]["b"] = energy
+        with pytest.raises(ValueError) as excinfo:
+            SlotAllocation(production=100, surplus_to_grid=90, **entries)
+        assert str(excinfo.value) == f"{field}[b] {problem}"
 
     def test_valid_allocation(self):
         a = SlotAllocation(

@@ -222,6 +222,17 @@ class TestCli:
         assert r.exit_code == 1
         assert "negative energy" in r.output
 
+    def test_ingest_reports_nan_power_as_row_error(self, tmp_path):
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_text(
+            "meter_id,meter_class,timestamp,quantity_kind,value\n"
+            "b1,sme_smi,2022-05-04T10:00:00+02:00,power_kw_10min,NaN\n"
+        )
+        r = CliRunner().invoke(main, ["ingest", str(csv_path)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert f"{csv_path}: line 2: bad power value 'NaN'" in r.output
+
     def test_ingest_normalizes_and_writes_slots(self, tmp_path):
         csv_path = tmp_path / "meters.csv"
         csv_path.write_text(
