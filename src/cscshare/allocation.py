@@ -44,8 +44,8 @@ def _splitter(policy: AllocationPolicy, ids: Iterable[str]) -> tuple[list[str], 
     if isinstance(policy, StaticPolicy):
         if policy.kors.participant_ids() != set(ids):
             raise ValueError("repartition vector does not cover the consumption keys")
-        kors = [policy.kors.coefficient(i) for i in ids]
-        return ids, lambda p, values: kernels.static_shares(p, kors, values)
+        weights = [policy.kors.weights[i] for i in ids]
+        return ids, lambda p, values: kernels.static_shares(p, weights, values)
     if isinstance(policy, DefaultDynamicPolicy):
         return ids, lambda p, values: kernels.proportional_shares(p, values)
     if isinstance(policy, CustomDynamicPolicy):
@@ -80,9 +80,10 @@ def allocate_static(
 ) -> SlotAllocation:
     """Split one slot along fixed coefficients, capped at consumption.
 
-    Shares are rounded by largest remainder so they sum exactly to
-    production before capping; the capped-off excess is not reallocated
-    and ends up as surplus.
+    Production is apportioned by largest remainder over the coefficients'
+    decimal texts (``KorVector.weights``), ties to the smaller id, so the
+    shares sum exactly to production before capping; the capped-off
+    excess is not reallocated and ends up as surplus.
     """
     return _allocate(
         *_splitter(StaticPolicy(kors), consumption), production, consumption, slot_start

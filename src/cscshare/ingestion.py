@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
-from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
+from cscshare.kernels import apportion
 from cscshare.model import (
     DateRange,
     Kind,
@@ -36,6 +36,9 @@ from cscshare.model import (
 )
 
 CSV_HEADER = ["meter_id", "meter_class", "timestamp", "quantity_kind", "value"]
+
+# Derived static coefficients are whole parts per KOR_SCALE (4 decimals).
+KOR_SCALE = 10**4
 
 
 class MeterClass(str, Enum):
@@ -399,11 +402,8 @@ class ScenarioConfig:
             if key not in ("pv_gain", "datacentre_load_kw", "include_datacentre"):
                 raise ValueError(f"scenario config: unknown key {key!r}")
             values[key] = value.strip()
-        kwargs = {}
-        if "pv_gain" in values:
-            kwargs["pv_gain"] = Decimal(values["pv_gain"])
-        if "datacentre_load_kw" in values:
-            kwargs["datacentre_load_kw"] = Decimal(values["datacentre_load_kw"])
+        # the decimal texts are checked by as_decimal in __post_init__
+        kwargs: dict = dict(values)
         if "include_datacentre" in values:
             kwargs["include_datacentre"] = _parse_bool(values["include_datacentre"])
         return cls(**kwargs)
@@ -421,14 +421,13 @@ def _parse_bool(text: str) -> bool:
 def derive_static_kors(
     history: Iterable[SlotSeries] | Mapping[str, SlotSeries],
     window: DateRange,
-    decimals: int = 4,
 ) -> KorVector:
     """Derive static coefficients from consumption history over a window.
 
-    Each participant's share of the total consumption is rounded to the
-    given number of decimals and the vector is renormalized by largest
-    remainder, so the coefficients sum to exactly 1 even when the rounded
-    shares alone would not.
+    Each participant's share of the total consumption is apportioned in
+    parts per KOR_SCALE by largest remainder (ties to the smaller id), so
+    the coefficients sum to exactly 1 even when the rounded shares alone
+    would not.
     """
     if isinstance(history, Mapping):
         series_list = list(history.values())
@@ -451,19 +450,9 @@ def derive_static_kors(
     for pid, has_data in sorted(covered.items()):
         if not has_data:
             raise ValueError(f"participant {pid} has no data in window {window}")
-    grand = sum(totals.values())
-    if grand == 0:
+    if sum(totals.values()) == 0:
         raise ValueError(f"no consumption in window {window}")
 
-    scale = 10**decimals
     ids = sorted(totals)
-    base = {}
-    rem = {}
-    for pid in ids:
-        exact = Fraction(totals[pid] * scale, grand)
-        base[pid] = int(exact)  # floor, exact is non-negative
-        rem[pid] = exact - base[pid]
-    deficit = scale - sum(base.values())
-    for pid in sorted(ids, key=lambda p: (-rem[p], p))[:deficit]:
-        base[pid] += 1
-    return KorVector({pid: base[pid] / scale for pid in ids})
+    parts = apportion(KOR_SCALE, [totals[pid] for pid in ids])
+    return KorVector({pid: part / KOR_SCALE for pid, part in zip(ids, parts)})

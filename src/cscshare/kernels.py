@@ -6,60 +6,54 @@ conserving energy exactly, with Python's unbounded integers:
 
     sum(self_consumed) + surplus == production
 
-Integer shares are produced with the largest-remainder method so that
-rounding never creates or destroys a single Wh. Remainder ties break on
-the lower index, which is what makes results independent of the caller's
-map ordering once inputs are in canonical order.
+Every split is one integer routine, ``apportion``: Hamilton's
+largest-remainder method over integer weights, with no floating point.
+Remainder ties break on the lower index, which is what makes results
+independent of the caller's map ordering once inputs are in canonical
+order (sorted participant ids).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 # Implementation name, read by run provenance.
 BACKEND = "python"
 
 
+def apportion(amount: int, weights: Sequence[int]) -> list[int]:
+    """Split amount along non-negative integer weights by largest remainder.
+
+    Each part is floor(w * amount / total); the units left over go one
+    each to the largest remainders, lower index first, so the parts sum
+    exactly to amount. A non-empty weight list needs a positive total.
+    """
+    total = sum(weights)
+    parts = []
+    remainders = []
+    for w in weights:
+        q, r = divmod(w * amount, total)
+        parts.append(q)
+        remainders.append(r)
+    deficit = amount - sum(parts)  # in [0, len(weights) - 1]
+    if deficit:
+        # a stable sort, reversed, keeps equal remainders in index order
+        by_remainder = sorted(range(len(parts)), key=remainders.__getitem__, reverse=True)
+        for i in by_remainder[:deficit]:
+            parts[i] += 1
+    return parts
+
+
 def static_shares(
-    production: int, kors: Sequence[float], consumption: Sequence[int]
+    production: int, weights: Sequence[int], consumption: Sequence[int]
 ) -> tuple[list[int], int]:
     """Fixed-coefficient split, truncated at each participant's consumption.
 
-    Shares are floor(kor * production) corrected by largest remainder to
-    sum exactly to production, then capped at consumption. The truncated
-    excess is NOT redistributed; it joins the surplus fed to the grid.
+    Production is apportioned along the coefficient weights, then capped
+    at consumption. The truncated excess is NOT redistributed; it joins
+    the surplus fed to the grid.
     """
-    n = len(kors)
-    if n == 0:
-        return [], production
-    base = [0] * n
-    rem = [0.0] * n
-    for i in range(n):
-        raw = kors[i] * production
-        b = math.floor(raw)
-        base[i] = int(b)
-        rem[i] = raw - b
-    deficit = production - sum(base)
-    if deficit > 0:
-        order = sorted(range(n), key=lambda i: (-rem[i], i))
-        j = 0
-        while deficit > 0:
-            base[order[j % n]] += 1
-            deficit -= 1
-            j += 1
-    elif deficit < 0:
-        # Float error on a coefficient sum near the tolerance edge can
-        # overshoot; take the extra units back from the smallest remainders.
-        order = sorted(range(n), key=lambda i: (rem[i], -i))
-        j = 0
-        while deficit < 0:
-            k = order[j % n]
-            if base[k] > 0:
-                base[k] -= 1
-                deficit += 1
-            j += 1
-    shares = [min(base[i], consumption[i]) for i in range(n)]
+    shares = [min(s, c) for s, c in zip(apportion(production, weights), consumption)]
     return shares, production - sum(shares)
 
 
@@ -69,27 +63,15 @@ def proportional_shares(
     """Consumption-proportional split, the grid operator's default rule.
 
     Below total consumption, everyone gets their full consumption and the
-    rest is surplus. Otherwise shares are exact rationals c_i * P / total
-    rounded by largest remainder, which keeps the split surplus-free and
-    never exceeds any individual consumption.
+    rest is surplus. Otherwise production is apportioned along
+    consumption, which is surplus-free and never exceeds any consumption.
     """
-    n = len(consumption)
     total = sum(consumption)
     if total == 0:
-        return [0] * n, production
+        return [0] * len(consumption), production
     if total <= production:
         return list(consumption), production - total
-    base = [0] * n
-    rem = [0] * n
-    for i in range(n):
-        num = consumption[i] * production
-        base[i] = num // total
-        rem[i] = num % total
-    deficit = production - sum(base)  # always in [0, n-1]
-    order = sorted(range(n), key=lambda i: (-rem[i], i))
-    for j in range(deficit):
-        base[order[j]] += 1
-    return base, 0
+    return apportion(production, consumption), 0
 
 
 def waterfall_shares(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
@@ -19,8 +19,10 @@ SLOT_MINUTES = 30
 DAY_SLOTS = 48
 SLOT_DURATION = timedelta(minutes=SLOT_MINUTES)
 
-# Admits coefficient vectors rounded to a few decimals, but only after an
-# explicit renormalization (see ingestion.derive_static_kors).
+# Input gate for float coefficient vectors such as w / total, whose sum
+# may miss 1 by a rounding error. It plays no part in a split: slots are
+# apportioned by largest remainder over the recorded decimal texts of the
+# coefficients (KorVector.weights), which need not sum to exactly 1.
 KOR_SUM_TOLERANCE = 1e-9
 
 
@@ -71,17 +73,23 @@ def check_energy_wh(value: int, what: str = "energy") -> int:
 
 
 def as_decimal(value, what: str = "value") -> Decimal:
-    """Coerce a rate or percentage to Decimal without float contamination."""
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, str):
-        return Decimal(value)
+    """Coerce a rate or percentage to a finite Decimal without float contamination.
+
+    Text must parse as a decimal number; booleans, NaN and infinities are
+    rejected with ValueError.
+    """
+    number = None
     if isinstance(value, float):
         # str() gives the shortest round-trip form, e.g. 25.48 -> "25.48"
-        return Decimal(str(value))
-    raise ValueError(f"{what} is not a decimal-compatible number: {value!r}")
+        number = Decimal(str(value))
+    elif isinstance(value, (Decimal, int, str)) and not isinstance(value, bool):
+        try:
+            number = Decimal(value)
+        except InvalidOperation:
+            pass
+    if number is None or not number.is_finite():
+        raise ValueError(f"{what} is not a decimal-compatible number: {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -233,9 +241,16 @@ class Community:
 
 @dataclass(frozen=True)
 class KorVector:
-    """Static repartition coefficients, one per participant, summing to 1."""
+    """Static repartition coefficients, one per participant, summing to 1.
+
+    ``weights`` holds each coefficient's decimal text (``texts()``, the
+    form the audit ledger records) as an integer over one power-of-ten
+    denominator, e.g. 0.5 and 0.25 -> 50 and 25. Static splits apportion
+    along these weights, so each one can be recomputed from the ledger.
+    """
 
     entries: Mapping[str, float]
+    weights: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = dict(self.entries)
@@ -250,6 +265,10 @@ class KorVector:
         total = sum(entries.values())
         if abs(total - 1.0) > KOR_SUM_TOLERANCE:
             raise ValueError(f"coefficients must sum to 1 ± {KOR_SUM_TOLERANCE}, got {total!r}")
+        # a float's text has at most 17 significant digits: scaleb is exact
+        exact = {pid: as_decimal(text) for pid, text in self.texts().items()}
+        places = max(0, *(-d.as_tuple().exponent for d in exact.values()))
+        object.__setattr__(self, "weights", {p: int(d.scaleb(places)) for p, d in exact.items()})
 
     @classmethod
     def equal(cls, participant_ids: Iterable[str]) -> "KorVector":
@@ -259,6 +278,10 @@ class KorVector:
 
     def coefficient(self, participant_id: str) -> float:
         return self.entries[participant_id]
+
+    def texts(self) -> dict[str, str]:
+        """Each coefficient as the shortest decimal text that round-trips."""
+        return {pid: str(c) for pid, c in self.entries.items()}
 
     def participant_ids(self) -> set[str]:
         return set(self.entries)

@@ -117,11 +117,17 @@ def load_run_config(
         with open(_resolve(kors), "r", encoding="utf-8") as fh:
             kors = json.load(fh)
     if kors is not None:
-        kors = {str(k): float(v) for k, v in kors.items()}
+        if not isinstance(kors, dict):
+            raise ValueError("run config: kors must be an object of participant coefficients")
+        kors = {k: float(as_decimal(v, f"run config: kors[{k!r}]")) for k, v in kors.items()}
 
     priority_order = raw.get("priority_order")
     if priority_order is not None:
-        priority_order = tuple(str(p) for p in priority_order)
+        if not isinstance(priority_order, list) or not all(
+            isinstance(p, str) for p in priority_order
+        ):
+            raise ValueError("run config: priority_order must be a list of participant ids")
+        priority_order = tuple(priority_order)
 
     scenario = raw.get("scenario")
     return RunConfig(
@@ -203,7 +209,7 @@ def _build_policies(
 def _build_ledger(
     production: SlotSeries,
     allocations_by_policy: Mapping[str, Sequence[SlotAllocation]],
-    static_coefficients: Mapping[str, Mapping[str, float]],
+    static_kors: Mapping[str, KorVector],
 ) -> Ledger:
     """Appends are ordered by slot, then meters, then policy name.
 
@@ -212,10 +218,7 @@ def _build_ledger(
     """
     ledger = Ledger()
     policy_names = sorted(allocations_by_policy)
-    coefficients = {
-        name: {pid: str(c) for pid, c in kors.items()}
-        for name, kors in static_coefficients.items()
-    }
+    coefficients = {name: kors.texts() for name, kors in static_kors.items()}
     slot_rows = zip(
         production.slots,
         *(allocations_by_policy[name] for name in policy_names),
@@ -331,7 +334,7 @@ def run(config: RunConfig) -> RunResult:
 
     allocations_by_policy: dict[str, list[SlotAllocation]] = {}
     reports: dict[str, tuple[ScrReport, SavingsReport]] = {}
-    static_coefficients: dict[str, dict[str, float]] = {}
+    static_kors: dict[str, KorVector] = {}
     for policy in policies:
         allocations = allocate_series(policy, production, consumption_list)
         allocations_by_policy[policy.name] = allocations
@@ -340,10 +343,10 @@ def run(config: RunConfig) -> RunResult:
             compute_savings(allocations, community.participants, community, window),
         )
         if isinstance(policy, StaticPolicy):
-            static_coefficients[policy.name] = dict(policy.kors.entries)
+            static_kors[policy.name] = policy.kors
 
     comparison = compare_policies(reports)
-    ledger = _build_ledger(production, allocations_by_policy, static_coefficients)
+    ledger = _build_ledger(production, allocations_by_policy, static_kors)
 
     # Stage everything, then move into place.
     config.out_dir.parent.mkdir(parents=True, exist_ok=True)

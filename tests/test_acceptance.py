@@ -6,6 +6,7 @@ else. Every expected value is either an exact published constant or the
 output of an independent oracle computed in this file.
 """
 
+import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -212,6 +213,44 @@ def test_criterion_4_small_instance_oracles():
                             default_mismatches += 1
         assert custom_mismatches == 0
         assert default_mismatches == 0
+
+        def rational_static(production, coefficients, consumption):
+            # Hamilton over the exact decimal coefficients: quota e_i x P / sum(e),
+            # floors, leftover units to the largest remainders, ties to the
+            # lower (sorted) index, then each share capped at consumption
+            exact = [Fraction(str(c)) for c in coefficients]
+            quotas = [e * production / sum(exact) for e in exact]
+            base = [int(q) for q in quotas]
+            for i in sorted(range(len(base)), key=lambda i: (base[i] - quotas[i], i))[
+                : production - sum(base)
+            ]:
+                base[i] += 1
+            return [min(b, c) for b, c in zip(base, consumption)]
+
+        vectors = [
+            (0.5, 0.25, 0.25),
+            (0.86, 0.14),
+            (0.02, 0.09, 0.89),  # 0.45 and 4.45 at 5 Wh tie exactly
+            tuple(KorVector.equal(range(3)).entries.values()),
+            tuple(KorVector.equal(range(7)).entries.values()),
+        ]
+        static_mismatches = 0
+        for coefficients in vectors:
+            n = len(coefficients)
+            ids = [f"p{i}" for i in range(n)]
+            kors = KorVector(dict(zip(ids, coefficients)))
+            if n <= 3:
+                patterns = list(itertools.product(range(0, 21, 4), repeat=n))
+            else:
+                patterns = [(c,) * n for c in range(21)]
+                patterns += [tuple((c + 3 * i) % 21 for i in range(n)) for c in range(21)]
+            for production in range(21):
+                for cons in patterns:
+                    a = allocate_static(production, dict(zip(ids, cons)), kors)
+                    got = [a.self_consumed[i] for i in ids]
+                    if got != rational_static(production, coefficients, cons):
+                        static_mismatches += 1
+        assert static_mismatches == 0
 
         # tie the kernels to the public per-slot surface on a sub-grid
         for production in range(9):

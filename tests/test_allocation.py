@@ -1,10 +1,12 @@
 """Per-slot policies: worked examples and the conservation/dominance laws."""
 
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cscshare import kernels
 from cscshare.allocation import (
     allocate_custom_dynamic,
     allocate_default_dynamic,
@@ -48,6 +50,13 @@ class TestStatic:
         assert a.surplus_to_grid == 0
         # raw 424.5 / 503.9 / 71.6; the two largest remainders get the +1s
         assert a.self_consumed == {"b1": 424, "b2": 504, "b4": 72}
+
+    def test_exact_tie_goes_to_smaller_id(self):
+        # 0.86 x 25 = 21.5 and 0.14 x 25 = 3.5 tie exactly; the float
+        # products 21.499999999999996 and 3.5000000000000004 used to give b the unit
+        a = allocate_static(25, {"a": 10**6, "b": 10**6}, KorVector({"a": 0.86, "b": 0.14}))
+        assert a.self_consumed == {"a": 22, "b": 3}
+        assert a.surplus_to_grid == 0
 
     def test_kor_keys_must_match(self):
         with pytest.raises(ValueError, match="cover"):
@@ -237,6 +246,35 @@ class TestInvariants:
         a = allocate_static(production, huge, kors)
         assert a.total_self_consumed == production
         assert a.surplus_to_grid == 0
+
+
+def hamilton(amount, weights):
+    """Largest remainder on exact rationals, ties to the lower index."""
+    quotas = [Fraction(w * amount, sum(weights)) for w in weights]
+    parts = [q.numerator // q.denominator for q in quotas]
+    by_remainder = sorted(range(len(parts)), key=lambda i: (parts[i] - quotas[i], i))
+    for i in by_remainder[: amount - sum(parts)]:
+        parts[i] += 1
+    return parts
+
+
+class TestApportion:
+    @given(
+        amount=st.integers(0, 10**6),
+        weights=st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 10**17)), min_size=1, max_size=10
+        ).filter(any),
+    )
+    @example(amount=25, weights=[86, 14])
+    @example(amount=5, weights=[2, 9, 89])
+    @example(amount=2, weights=[3333333333333333] * 3)
+    @example(amount=10**6, weights=[0, 0, 7])
+    @settings(max_examples=500)
+    def test_matches_fraction_reference(self, amount, weights):
+        assert kernels.apportion(amount, weights) == hamilton(amount, weights)
+
+    def test_no_weights_no_parts(self):
+        assert kernels.apportion(7, []) == []
 
 
 class TestAllocateSeries:

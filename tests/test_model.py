@@ -2,6 +2,7 @@
 
 from datetime import datetime, timedelta
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +132,43 @@ class TestKorVector:
     def test_equal_vector_sums_to_one(self):
         for n in (1, 2, 3, 7, 11):
             KorVector.equal([f"p{i}" for i in range(n)])  # must not raise
+
+    def test_weights_of_a_tiny_coefficient(self):
+        kors = KorVector({"a": 1e-05, "b": 0.99999})
+        assert kors.texts() == {"a": "1e-05", "b": "0.99999"}
+        assert kors.weights == {"a": 1, "b": 99999}
+
+    @pytest.mark.parametrize(
+        "n, text, weight",
+        [(3, "0.3333333333333333", 3333333333333333), (7, "0.14285714285714285", 14285714285714285)],
+    )
+    def test_weights_of_an_equal_vector(self, n, text, weight):
+        kors = KorVector.equal([f"p{i}" for i in range(n)])
+        assert set(kors.texts().values()) == {text}
+        assert set(kors.weights.values()) == {weight}
+
+    def test_weights_share_one_power_of_ten(self):
+        # the longest text (1/7, 17 decimals) sets the denominator 10**17
+        kors = KorVector({"a": 1e-05, "b": 1 / 3, "c": 1 / 7, "d": 1 - 1e-05 - 1 / 3 - 1 / 7})
+        assert kors.texts() == {
+            "a": "1e-05", "b": "0.3333333333333333",
+            "c": "0.14285714285714285", "d": "0.5237995238095239",
+        }
+        assert kors.weights == {
+            "a": 10**12, "b": 33333333333333330,
+            "c": 14285714285714285, "d": 52379952380952390,
+        }
+
+    @given(weights=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+    def test_texts_and_weights_are_the_same_decimals(self, weights):
+        total = sum(weights)
+        if total == 0:
+            return
+        kors = KorVector({f"p{i}": w / total for i, w in enumerate(weights)})
+        scale = 10 ** max(-Decimal(t).as_tuple().exponent for t in kors.texts().values())
+        for pid, text in kors.texts().items():
+            assert text == str(kors.coefficient(pid))
+            assert Fraction(kors.weights[pid], scale) == Fraction(text)
 
     @given(weights=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
     def test_normalized_weights_always_accepted(self, weights):

@@ -176,6 +176,88 @@ class TestRun:
         assert Decimal(report["savings"]["per_participant_eur"]["b4"]) > 0
 
 
+def _edit_json(path: Path, edit) -> None:
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+
+
+def _set_tariff(value):
+    def edit(raw):
+        raw["participants"][0]["tariff_eur_per_kwh"] = value
+
+    return edit
+
+
+def _set_run_key(key, value):
+    def edit(raw):
+        raw[key] = value
+
+    return edit
+
+
+def _set_kor(value):
+    def edit(raw):
+        raw["kors"] = {"b1": value, "b2": 0, "b4": 0}
+
+    return edit
+
+
+class TestConfigValidation:
+    """Malformed config values end in exit 1 and a message, never a traceback."""
+
+    def _run(self, demo):
+        r = CliRunner().invoke(main, ["run", "--config", str(demo / "run_config.json")])
+        assert r.exit_code == 1, r.output
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "validation error:" in r.output
+        return r.output
+
+    @pytest.mark.parametrize("text", ["abc", "NaN", "Infinity", "-inf", "sNaN"])
+    def test_bad_pv_gain(self, demo, text):
+        (demo / "scenario.cfg").write_text(f"pv_gain = {text}\n")
+        assert f"pv_gain is not a decimal-compatible number: '{text}'" in self._run(demo)
+
+    def test_bad_datacentre_load(self, demo):
+        (demo / "scenario.cfg").write_text("datacentre_load_kw = 1,5\n")
+        assert "datacentre_load_kw is not a decimal-compatible number" in self._run(demo)
+
+    @pytest.mark.parametrize("value", ["abc", "Infinity", "NaN", True])
+    def test_bad_tariff(self, demo, value):
+        _edit_json(demo / "community.json", _set_tariff(value))
+        assert f"tariff is not a decimal-compatible number: {value!r}" in self._run(demo)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set_kor(None), "run config: kors['b1'] is not a decimal-compatible number: None"),
+            (_set_kor(True), "run config: kors['b1'] is not a decimal-compatible number: True"),
+            (_set_kor("half"), "run config: kors['b1'] is not a decimal-compatible number: 'half'"),
+            (_set_kor([0.25]), "run config: kors['b1'] is not a decimal-compatible number: [0.25]"),
+            (_set_run_key("kors", [0.25, 0.5, 0.25]), "run config: kors must be an object"),
+            (_set_run_key("priority_order", 5), "run config: priority_order must be a list"),
+            (_set_run_key("priority_order", "b1"), "run config: priority_order must be a list"),
+            (_set_run_key("priority_order", ["b1", 2, "b4"]), "run config: priority_order must be a list"),
+        ],
+        ids=[
+            "kor-null", "kor-bool", "kor-text", "kor-list", "kors-list",
+            "order-int", "order-str", "order-non-str-entry",
+        ],
+    )
+    def test_bad_run_config_shape(self, demo, edit, message):
+        _edit_json(demo / "run_config.json", edit)
+        assert message in self._run(demo)
+
+    def test_kors_file_must_hold_an_object(self, demo):
+        (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
+        assert "run config: kors must be an object" in self._run(demo)
+
+    def test_numeric_kor_text_accepted(self, demo):
+        _edit_json(demo / "run_config.json", _set_kor("1.0"))
+        config = load_run_config(demo / "run_config.json")
+        assert config.kors == {"b1": 1.0, "b2": 0.0, "b4": 0.0}
+
+
 class TestCli:
     def test_full_cli_round_trip(self, tmp_path):
         runner = CliRunner()
