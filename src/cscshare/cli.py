@@ -115,9 +115,17 @@ def derive_kors(config_path, out_path):
     with open(config_path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if "kor_window" in raw:
+        bounds = raw["kor_window"]
+        if not isinstance(bounds, dict) or not all(
+            isinstance(bounds.get(k), str) for k in ("start", "end")
+        ):
+            raise ValueError(
+                'run config: kor_window must be an object of "start" and "end" '
+                f"dates (YYYY-MM-DD), got {bounds!r}"
+            )
         window = DateRange(
-            parse_timestamp(raw["kor_window"]["start"] + "T00:00:00+00:00").date(),
-            parse_timestamp(raw["kor_window"]["end"] + "T00:00:00+00:00").date(),
+            parse_timestamp(bounds["start"] + "T00:00:00+00:00").date(),
+            parse_timestamp(bounds["end"] + "T00:00:00+00:00").date(),
         )
     else:
         # each series is strictly increasing: its first slot is its earliest

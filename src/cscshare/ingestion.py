@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -343,12 +343,15 @@ def apply_pv_gain(series: SlotSeries, gain) -> SlotSeries:
     gain = as_decimal(gain, "gain")
     if gain <= 0:
         raise ValueError(f"gain must be > 0, got {gain}")
-    with localcontext() as ctx:
-        ctx.prec = 60  # keep the products exact before rounding
-        values = [
-            int((Decimal(e) * gain).to_integral_value(rounding=ROUND_HALF_EVEN))
-            for e in series.values()
-        ]
+    try:
+        with localcontext() as ctx:
+            ctx.prec = 60  # keep the products exact before rounding
+            values = [
+                int((Decimal(e) * gain).to_integral_value(rounding=ROUND_HALF_EVEN))
+                for e in series.values()
+            ]
+    except Overflow:
+        raise ValueError(f"gain {gain} overflows the slot energies") from None
     return series.replace_values(values)
 
 
@@ -363,7 +366,10 @@ def add_constant_load(series: SlotSeries, power_kw) -> SlotSeries:
     power_kw = as_decimal(power_kw, "power")
     if power_kw < 0:
         raise ValueError(f"power must be >= 0 kW, got {power_kw}")
-    extra = int((power_kw * 500).to_integral_value(rounding=ROUND_HALF_EVEN))
+    try:
+        extra = int((power_kw * 500).to_integral_value(rounding=ROUND_HALF_EVEN))
+    except Overflow:
+        raise ValueError(f"power {power_kw} kW overflows the slot energies") from None
     return series.replace_values([e + extra for e in series.values()])
 
 

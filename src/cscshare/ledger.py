@@ -14,7 +14,8 @@ form is not canonical across writers. Render decimals as strings.
 
 Each payload is encoded once; the hash material and the line are spliced
 from that encoding. Reading rejects any line that is not its record's
-canonical serialization.
+canonical serialization, and decodes and checks each distinct payload
+text once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, TextIO
 
 from cscshare.model import parse_timestamp
 
@@ -263,58 +264,171 @@ def write_ledger(ledger: Ledger | Iterable[AuditRecord], target: str | Path | Te
         target.writelines(lines)
 
 
-def _parse_record(line: str, timestamps: dict[str, datetime]) -> AuditRecord:
+# The fixed layout of a line (README "Audit ledger"): the text before,
+# between and after its four string fields and its payload.
+_HEAD = '{"counting_point_key":"'
+_AT_HASH = '","hash":"'
+_AT_PAYLOAD = '","payload":'
+_AT_PREV_HASH = ',"prev_hash":"'
+_AT_TIMESTAMP = '","timestamp":"'
+_TAIL = '"}'
+
+
+def _string(text: str) -> str | None:
+    """The string whose canonical JSON form is ``"text"``, else None."""
+    quoted = f'"{text}"'
+    try:
+        value = _decode(quoted)
+    except ValueError:
+        return None
+    return value if _quote(value) == quoted else None
+
+
+def _split(
+    line: str,
+    last_hash_text: str,
+    last_hash: str,
+    keys: dict[str, str],
+    timestamps: dict[str, datetime],
+    payloads: dict[str, tuple[dict, str]],
+) -> tuple[AuditRecord, str] | None:
+    """The record of a canonical line and the text of its hash, or None
+    for any other line.
+
+    The line is cut at the separators of the fixed layout: forwards past
+    the key and the hash, backwards past the timestamp and the previous
+    hash, so the payload is what lies between. A canonical JSON string
+    holds no quote that is not escaped, so in a canonical line no
+    separator occurs inside the field it is searched across, and the cuts
+    fall where the layout puts them. The line is accepted iff each piece
+    is the canonical form of its value, which is iff the line is ``_line``
+    of those values.
+
+    Keys, timestamps and payloads repeat: each distinct text is checked
+    once and its value kept in the caller's dicts, so the records that
+    hold it share one object. A previous hash whose text is the last
+    line's hash text is that line's hash.
+    """
+    if not (line.startswith(_HEAD) and line.endswith(_TAIL)):
+        return None
+    at_hash = line.find(_AT_HASH, len(_HEAD))
+    if at_hash < 0:
+        return None
+    at_payload = line.find(_AT_PAYLOAD, at_hash + len(_AT_HASH))
+    if at_payload < 0:
+        return None
+    payload_start = at_payload + len(_AT_PAYLOAD)
+    end = len(line) - len(_TAIL)
+    at_timestamp = line.rfind(_AT_TIMESTAMP, payload_start, end)
+    if at_timestamp < 0:
+        return None
+    at_prev_hash = line.rfind(_AT_PREV_HASH, payload_start, at_timestamp)
+    if at_prev_hash < 0:
+        return None
+
+    key_text = line[len(_HEAD):at_hash]
+    key = keys.get(key_text)
+    if key is None:
+        key = _string(key_text)
+        if key is None:
+            return None
+        keys[key_text] = key
+
+    hash_text = line[at_hash + len(_AT_HASH):at_payload]
+    # a hash needing no escape is its own text
+    hash_ = hash_text if _quote(hash_text)[1:-1] == hash_text else _string(hash_text)
+    if hash_ is None:
+        return None
+
+    prev_text = line[at_prev_hash + len(_AT_PREV_HASH):at_timestamp]
+    prev_hash = last_hash if prev_text == last_hash_text else _string(prev_text)
+    if prev_hash is None:
+        return None
+
+    timestamp_text = line[at_timestamp + len(_AT_TIMESTAMP):end]
+    timestamp = timestamps.get(timestamp_text)
+    if timestamp is None:
+        try:
+            timestamp = parse_timestamp(timestamp_text)
+        except ValueError:
+            return None
+        # datetime parsing is more lenient than the canonical form (e.g.
+        # any date/time separator); isoformat() needs no JSON escape
+        if timestamp.isoformat() != timestamp_text:
+            return None
+        timestamps[timestamp_text] = timestamp
+
+    payload_text = line[payload_start:at_prev_hash]
+    cached = payloads.get(payload_text)
+    if cached is None:
+        try:
+            payload = _decode(payload_text)
+        except ValueError:
+            return None
+        if not isinstance(payload, dict) or _encode(payload) != payload_text:
+            return None
+        cached = payloads[payload_text] = (payload, payload_text)
+    payload, payload_json = cached
+
+    record = AuditRecord(
+        key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
+    )
+    return record, hash_text
+
+
+def _reject(line: str) -> NoReturn:
+    """Raise the error that says why ``_split`` refused a line.
+
+    The line is rejected either way; the full decode only words the error.
+    """
     obj = _decode(line)
     payload = obj["payload"]
     if not isinstance(payload, dict):
         raise ValueError("non-canonical payload: not a JSON object")
-    payload_json = _encode(payload)
     timestamp_text = obj["timestamp"]
     # whitespace, key order, duplicate or extra keys and escapes all
     # change a line's bytes without changing what json.loads returns
     canonical = _line(
-        obj["counting_point_key"], obj["hash"], payload_json, obj["prev_hash"],
+        obj["counting_point_key"], obj["hash"], _encode(payload), obj["prev_hash"],
         timestamp_text,
     )
-    if canonical != line:
-        raise ValueError("non-canonical line: its bytes differ from the record's")
-    timestamp = timestamps.get(timestamp_text)
-    if timestamp is None:
-        timestamp = parse_timestamp(timestamp_text)
-        # datetime parsing is more lenient than the canonical form
-        # (e.g. any date/time separator); a record whose stored text
-        # does not round-trip has been altered
-        if timestamp.isoformat() != timestamp_text:
-            raise ValueError(f"non-canonical timestamp {timestamp_text!r}")
-        timestamps[timestamp_text] = timestamp
-    return AuditRecord(
-        counting_point_key=obj["counting_point_key"],
-        timestamp=timestamp,
-        payload=payload,
-        prev_hash=obj["prev_hash"],
-        hash=obj["hash"],
-        payload_json=payload_json,
-    )
+    if canonical == line and parse_timestamp(timestamp_text).isoformat() != timestamp_text:
+        raise ValueError(f"non-canonical timestamp {timestamp_text!r}")
+    raise ValueError("non-canonical line: its bytes differ from the record's")
 
 
-def _parse_lines(lines: Iterable[str]) -> Iterator[AuditRecord]:
+def _parse_lines(lines: Iterable[str] | Iterable[bytes]) -> Iterator[AuditRecord]:
+    """The record of each line; the first line that is not canonical, or
+    not UTF-8, raises ValueError with its number."""
+    keys: dict[str, str] = {}
     # records of one slot share one datetime, as they do when appended
     timestamps: dict[str, datetime] = {}
+    payloads: dict[str, tuple[dict, str]] = {}
+    last_hash_text = last_hash = ""
     for lineno, line in enumerate(lines, start=1):
         try:
-            record = _parse_record(
-                line[:-1] if line.endswith("\n") else line, timestamps
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if line.endswith("\n"):
+                line = line[:-1]
+            split = _split(line, last_hash_text, last_hash, keys, timestamps, payloads)
+            if split is None:
+                _reject(line)
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # RecursionError: a payload nested too deep for the decoder
             raise ValueError(f"ledger line {lineno}: malformed record ({exc})") from None
+        record, last_hash_text = split
+        last_hash = record.hash
         yield record
 
 
 def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
-    canonical serialization. Chain integrity is checked by verify_chain,
-    not here; reading a tampered file must succeed so it can be reported."""
+    canonical serialization; records with equal payload text share one
+    payload. Chain integrity is checked by verify_chain, not here; reading
+    a tampered file must succeed so it can be reported."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="\n") as stream:
+        # as bytes, so that invalid UTF-8 is reported with its line number
+        with open(source, "rb") as stream:
             return Ledger(_parse_lines(stream))
     return Ledger(_parse_lines(source))

@@ -91,14 +91,24 @@ def load_run_config(
         p = Path(p)
         return p if p.is_absolute() else base / p
 
+    if not isinstance(raw, dict):
+        raise ValueError("run config: must be a JSON object")
+    for name in ("community", "scenario", "out_dir"):
+        if raw.get(name) is not None and not isinstance(raw[name], str):
+            raise ValueError(f"run config: {name} must be a file path")
     meter_csvs = raw.get("meter_csvs")
     if not meter_csvs:
         raise ValueError("run config: meter_csvs is required")
+    if not _is_str_list(meter_csvs):
+        raise ValueError("run config: meter_csvs must be a list of file paths")
     community = raw.get("community")
     if not community:
         raise ValueError("run config: community is required")
 
-    policies = tuple(raw.get("policies", POLICY_NAMES))
+    policies = raw.get("policies", list(POLICY_NAMES))
+    if not _is_str_list(policies):
+        raise ValueError("run config: policies must be a list of policy names")
+    policies = tuple(policies)
     if policy_filter:
         missing = [p for p in policy_filter if p not in policies]
         if missing:
@@ -123,9 +133,7 @@ def load_run_config(
 
     priority_order = raw.get("priority_order")
     if priority_order is not None:
-        if not isinstance(priority_order, list) or not all(
-            isinstance(p, str) for p in priority_order
-        ):
+        if not _is_str_list(priority_order):
             raise ValueError("run config: priority_order must be a list of participant ids")
         priority_order = tuple(priority_order)
 
@@ -141,14 +149,34 @@ def load_run_config(
     )
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _priority_rank(entry: dict, path) -> int:
+    rank = entry["priority_rank"]
+    # JSON numbers with a fraction or exponent arrive as Decimal
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(
+            f"community file {path}: priority_rank of {entry['id']} must be a JSON integer"
+        )
+    return rank
+
+
 def load_community(path: str | Path) -> tuple[Community, str | None]:
     """Load the community and tariff file.
 
     Returns the community plus the optional meter the data-centre load
     attaches to. Rates may be JSON numbers or strings; both parse exactly.
+    Priority ranks must be JSON integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh, parse_float=Decimal)
+    if not isinstance(raw, dict):
+        raise ValueError(f"community file {path}: must be a JSON object")
+    entries = raw.get("participants")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"community file {path}: participants must be a list of objects")
     try:
         participants = tuple(
             Participant(
@@ -156,9 +184,9 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
                 tariff_eur_per_kwh=as_decimal(entry["tariff_eur_per_kwh"], "tariff"),
                 grid_uplift_pct=as_decimal(entry.get("grid_uplift_pct", 0), "grid uplift"),
                 tax_uplift_pct=as_decimal(entry.get("tax_uplift_pct", 0), "tax uplift"),
-                priority_rank=int(entry["priority_rank"]),
+                priority_rank=_priority_rank(entry, path),
             )
-            for entry in raw["participants"]
+            for entry in entries
         )
         community = Community(
             participants=participants,

@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cscshare import ledger as ledger_mod
 from cscshare.ledger import (
     GENESIS_HASH,
     AuditRecord,
@@ -17,7 +18,9 @@ from cscshare.ledger import (
     write_ledger,
 )
 
-from datetime import timedelta
+from cscshare.model import parse_timestamp
+
+from datetime import timedelta, timezone
 
 from conftest import DAY, slot_ts
 
@@ -215,6 +218,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 2: malformed record"):
             read_ledger(path)
 
+    def test_invalid_utf8_reported_with_number(self, tmp_path):
+        path = tmp_path / "audit.log"
+        write_ledger(build_ledger(3), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(
+            ValueError,
+            match=r"^ledger line 2: malformed record \('utf-8' codec can't decode byte 0xff in position 0",
+        ):
+            read_ledger(path)
+
+    def test_payload_nested_too_deep_reported_with_number(self, tmp_path):
+        path = tmp_path / "audit.log"
+        write_ledger(build_ledger(2), path)
+        lines = path.read_text().splitlines()
+        deep = "[" * 100_000 + "]" * 100_000
+        lines[1] = lines[1].replace('"energy_wh":101', f'"energy_wh":{deep}')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"^ledger line 2: malformed record \(maximum recursion"):
+            read_ledger(path)
+
     def test_last_line_without_newline_accepted(self, tmp_path):
         path = tmp_path / "audit.log"
         write_ledger(build_ledger(3), path)
@@ -328,3 +353,206 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     reread = read_ledger(buf)
     assert [r.to_line() for r in reread] == [r.to_line() for r in ledger]
     assert verify_chain(reread).intact
+
+
+# Reference reader: the line checker before each distinct payload was
+# checked once, kept verbatim. It decodes every line in full and compares
+# it with its record's canonical serialization.
+def _reference_parse_record(line, timestamps):
+    obj = ledger_mod._decode(line)
+    payload = obj["payload"]
+    if not isinstance(payload, dict):
+        raise ValueError("non-canonical payload: not a JSON object")
+    payload_json = ledger_mod._encode(payload)
+    timestamp_text = obj["timestamp"]
+    canonical = ledger_mod._line(
+        obj["counting_point_key"], obj["hash"], payload_json, obj["prev_hash"],
+        timestamp_text,
+    )
+    if canonical != line:
+        raise ValueError("non-canonical line: its bytes differ from the record's")
+    timestamp = timestamps.get(timestamp_text)
+    if timestamp is None:
+        timestamp = parse_timestamp(timestamp_text)
+        if timestamp.isoformat() != timestamp_text:
+            raise ValueError(f"non-canonical timestamp {timestamp_text!r}")
+        timestamps[timestamp_text] = timestamp
+    return AuditRecord(
+        counting_point_key=obj["counting_point_key"],
+        timestamp=timestamp,
+        payload=payload,
+        prev_hash=obj["prev_hash"],
+        hash=obj["hash"],
+        payload_json=payload_json,
+    )
+
+
+def _reference_parse_lines(lines):
+    timestamps = {}
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            record = _reference_parse_record(
+                line[:-1] if line.endswith("\n") else line, timestamps
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"ledger line {lineno}: malformed record ({exc})") from None
+        yield record
+
+
+def _outcome(read):
+    """('ok', per-record fields) or ('error', message) of one read."""
+    try:
+        ledger = read()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [
+        (
+            r.counting_point_key, r.timestamp, r.timestamp.utcoffset(),
+            r.timestamp_iso(), r.payload, r.payload_json, r.prev_hash, r.hash,
+        )
+        for r in ledger
+    ]
+
+
+# Field texts that sit next to, or look like, the separators of the line
+# layout, plus escapes and non-ASCII.
+_tricky_text = st.sampled_from(
+    [
+        "pv1", "b1", "", ',"prev_hash":"', ',"timestamp":"', '","hash":"',
+        '","payload":', '"}', "\\", '"', "é", "\U0001f600", "\n", "a b",
+        "KOR",
+    ]
+) | _awkward_text
+_hash_text = st.sampled_from(["0" * 64, "f" * 64, "abc", "", "G" * 64]) | st.text(
+    alphabet="0123456789abcdefABCDEF", min_size=63, max_size=65
+) | _tricky_text
+_timestamps = st.builds(
+    lambda k, minutes, micro: (slot_ts(k) + timedelta(microseconds=micro)).replace(
+        tzinfo=timezone(timedelta(minutes=minutes))
+    ),
+    st.integers(0, 47),
+    st.sampled_from([0, 60, 120, -300, 330]),
+    st.sampled_from([0, 0, 1, 500000]),
+)
+_records = st.builds(
+    lambda key, ts, payload, prev, hash_: AuditRecord(key, ts, payload, prev, hash_),
+    _tricky_text,
+    _timestamps,
+    st.dictionaries(_tricky_text, _tricky_text | _json_trees, max_size=3),
+    _hash_text,
+    _hash_text,
+)
+
+_INSERTS = [
+    " ", "\t", "\r", '"', "\\", ",", ":", "{", "}", "[", "]", "0", "x", "é",
+    "\\u0061", '\\"', ',"prev_hash":"', ',"timestamp":"', '","hash":"', '","payload":',
+    '"}', ".0", "e2",
+]
+
+
+@st.composite
+def _mutated_logs(draw):
+    """A written log, its records drawn from a small pool so that payloads,
+    keys and timestamps repeat, then edited at one or two places."""
+    pool = draw(st.lists(_records, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8))
+    records = []
+    for i, pick in enumerate(picks):
+        record = pool[pick]
+        if records and draw(st.booleans()):
+            # most logs chain: the previous hash is the last record's hash
+            record = AuditRecord(
+                record.counting_point_key, record.timestamp, record.payload,
+                records[-1].hash, record.hash,
+            )
+        records.append(record)
+    buf = io.StringIO()
+    write_ledger(records, buf)
+    written = buf.getvalue().split("\n")[:-1]
+    lines = list(written)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(
+            ["insert", "delete", "replace", "flip", "pad-payload", "reorder",
+             "duplicate-key", "escape", "timestamp", "crlf", "cut", "copy-earlier"]
+        ))
+        if kind == "insert":
+            line = line[:at] + draw(st.sampled_from(_INSERTS)) + line[at:]
+        elif kind == "delete":
+            line = line[:at] + line[at + draw(st.integers(1, 3)):]
+        elif kind == "replace":
+            line = line[:at] + draw(st.sampled_from(_INSERTS)) + line[at + 1:]
+        elif kind == "flip" and at < len(line):
+            line = line[:at] + chr(ord(line[at]) ^ (1 << draw(st.integers(0, 6)))) + line[at + 1:]
+        elif kind == "pad-payload":
+            # a copy of an earlier line, whose payload text the reader has
+            # then checked already, with whitespace around the payload
+            j = draw(st.integers(0, max(i - 1, 0)))
+            payload = records[j].payload_json
+            pad = draw(st.sampled_from([" ", "\t", "\r"]))
+            line = written[j].replace(
+                f'"payload":{payload}',
+                f'"payload":{draw(st.sampled_from([pad + payload, payload + pad]))}',
+            )
+        elif kind in ("reorder", "duplicate-key") and line == written[i]:
+            items = list(json.loads(line).items())
+            items = items[::-1] if kind == "reorder" else items + items[1:2]
+            line = "{" + ",".join(
+                json.dumps(k) + ":" + json.dumps(v, sort_keys=True, separators=(",", ":"))
+                for k, v in items
+            ) + "}"
+        elif kind == "escape":
+            # the same character, written as a \\u escape
+            j = draw(st.integers(0, len(line) - 1))
+            line = line[:j] + "\\u%04x" % ord(line[j]) + line[j + 1:]
+        elif kind == "timestamp":
+            text = records[i].timestamp_iso()
+            other = draw(st.sampled_from([
+                text.replace("T", " "), text.replace("T", "D"), text[:19],
+                text[:19] + "Z", text + " ", text.replace("+", "-"), "2024-13-01T00:00:00+00:00",
+            ]))
+            line = line.replace(f'"timestamp":"{text}"', f'"timestamp":"{other}"')
+        elif kind == "crlf":
+            line += "\r"
+        elif kind == "cut":
+            line = line[:at]
+        else:
+            line = lines[draw(st.integers(0, i))]
+        lines[i] = line
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    return text
+
+
+@given(text=_mutated_logs())
+@settings(max_examples=400, deadline=None)
+def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
+    """read_ledger accepts exactly the lines the reference accepts, reads
+    equal records from them and rejects the others with the same line
+    number and message, reading from a file or from a text stream."""
+    path = tmp_path_factory.getbasetemp() / "differential.log"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return  # a lone surrogate: not UTF-8, the reference cannot read it
+    expected = _outcome(lambda: Ledger(_reference_parse_lines(io.StringIO(text, newline="\n"))))
+    assert _outcome(lambda: read_ledger(path)) == expected
+    assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
+
+
+def test_equal_payload_texts_share_one_payload(tmp_path):
+    path = tmp_path / "audit.log"
+    ledger = Ledger()
+    for k in range(4):
+        ledger.append({"kind": "production", "energy_wh": 7}, "pv1", slot_ts(k))
+    write_ledger(ledger, path)
+    first, *rest = read_ledger(path)
+    assert all(r.payload is first.payload for r in rest)
+    assert all(r.payload_json is first.payload_json for r in rest)
+    # each previous hash is the record before it's hash object
+    records = [first, *rest]
+    assert all(b.prev_hash is a.hash for a, b in zip(records, records[1:]))

@@ -252,6 +252,61 @@ class TestConfigValidation:
         (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
         assert "run config: kors must be an object" in self._run(demo)
 
+    @pytest.mark.parametrize("rank", [None, "1", 1.5, True], ids=["null", "text", "fraction", "true"])
+    def test_bad_priority_rank(self, demo, rank):
+        _edit_json(demo / "community.json", lambda raw: raw["participants"][0].update(priority_rank=rank))
+        assert "community.json: priority_rank of b1 must be a JSON integer" in self._run(demo)
+
+    @pytest.mark.parametrize("participants", [{"b1": {}}, "b1", [1]], ids=["object", "text", "list-of-int"])
+    def test_participants_must_be_a_list_of_objects(self, demo, participants):
+        _edit_json(demo / "community.json", _set_run_key("participants", participants))
+        assert "community.json: participants must be a list of objects" in self._run(demo)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("meter_csvs", "meters.csv", "run config: meter_csvs must be a list of file paths"),
+            ("meter_csvs", ["meters.csv", 1], "run config: meter_csvs must be a list of file paths"),
+            ("policies", "static", "run config: policies must be a list of policy names"),
+            ("policies", None, "run config: policies must be a list of policy names"),
+            ("community", 5, "run config: community must be a file path"),
+        ],
+        ids=["meters-str", "meters-int-entry", "policies-str", "policies-null", "community-int"],
+    )
+    def test_run_config_lists_and_paths(self, demo, key, value, message):
+        _edit_json(demo / "run_config.json", _set_run_key(key, value))
+        assert message in self._run(demo)
+
+    @pytest.mark.parametrize(
+        "window",
+        [5, None, "2024-06-12", {"start": "2024-06-12"}, {"start": 1, "end": 2}],
+        ids=["int", "null", "text", "no-end", "int-dates"],
+    )
+    def test_bad_kor_window(self, demo, window):
+        _edit_json(demo / "run_config.json", _set_run_key("kor_window", window))
+        r = CliRunner().invoke(
+            main,
+            ["derive-kors", "--config", str(demo / "run_config.json"), "--out", str(demo / "k.json")],
+        )
+        assert r.exit_code == 1, r.output
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "validation error: run config: kor_window must be an object" in r.output
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ("pv_gain = 1e999999999\n", "gain 1E+999999999 overflows the slot energies"),
+            (
+                "datacentre_load_kw = 1e999999999\ninclude_datacentre = true\n",
+                "power 1E+999999999 kW overflows the slot energies",
+            ),
+        ],
+        ids=["pv-gain", "datacentre-load"],
+    )
+    def test_overflowing_scale(self, demo, scenario, message):
+        (demo / "scenario.cfg").write_text(scenario)
+        assert message in self._run(demo)
+
     def test_numeric_kor_text_accepted(self, demo):
         _edit_json(demo / "run_config.json", _set_kor("1.0"))
         config = load_run_config(demo / "run_config.json")
@@ -283,6 +338,23 @@ class TestCli:
         log.write_text("\n".join(lines) + "\n")
         r = runner.invoke(main, ["audit-verify", str(log)])
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data[:-40], "ledger line 384: malformed record"),
+            (lambda data: data.replace(b"\n", b"\n\xff", 1), "ledger line 2: malformed record ('utf-8' codec"),
+        ],
+        ids=["cut-mid-line", "invalid-utf8"],
+    )
+    def test_audit_verify_reports_the_bad_line(self, demo, edit, message):
+        run(load_run_config(demo / "run_config.json"))
+        log = demo / "reports" / "audit.log"
+        log.write_bytes(edit(log.read_bytes()))
+        r = CliRunner().invoke(main, ["audit-verify", str(log)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert f"validation error: {message}" in r.output
 
     def test_missing_config_is_io_failure(self):
         r = CliRunner().invoke(main, ["run", "--config", "/nonexistent/config.json"])
