@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from decimal import Decimal, Overflow, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -30,6 +31,7 @@ from cscshare.model import (
     Kind,
     KorVector,
     SlotSeries,
+    SLOT_DURATION,
     SLOT_MINUTES,
     as_decimal,
     parse_timestamp,
@@ -226,11 +228,16 @@ def normalize_to_slots(
 ) -> SlotSeries:
     """Convert one meter's raw readings to a 30-minute Wh series.
 
-    Linky Wh readings within a slot are summed. SME/SMI 10-minute powers
-    need all three samples of a slot, at the 0/10/20-minute marks, and
-    convert as mean kW x 0.5 h x 1000. SME/SMI kWh index readings must sit
-    on consecutive slot boundaries; each index delta x 1000 becomes the
-    energy of the slot it opens.
+    One walk over the time-sorted readings groups them by the slot they
+    fall in; consecutive slots must be exactly 30 minutes apart in UTC.
+    Each slot keeps the instant and UTC offset of its own readings, so a
+    day across a DST switch has 46 or 50 slots, each in its local offset;
+    readings of one slot that carry two offsets are an error. Linky Wh
+    readings within a slot are summed. SME/SMI 10-minute powers need all
+    three samples of a slot, at the 0/10/20-minute marks, and convert as
+    mean kW x 0.5 h x 1000. SME/SMI kWh index readings must sit on
+    consecutive slot boundaries; each index delta x 1000 becomes the
+    energy of the slot the earlier reading opens.
 
     A slot with fewer samples than its class expects is a gap error; a
     mix of meter ids, classes or quantity kinds is a hard error.
@@ -254,82 +261,67 @@ def normalize_to_slots(
         if cur.timestamp == prev.timestamp:
             raise ValueError(f"{meter_id}: duplicate reading at {cur.timestamp.isoformat()}")
 
-    if quantity is QuantityKind.ENERGY_WH:
-        slots = _slots_from_wh(meter_id, records)
-    elif quantity is QuantityKind.POWER_KW_10MIN:
-        slots = _slots_from_power(meter_id, records)
-    else:
-        slots = _slots_from_index(meter_id, records)
+    power = quantity is QuantityKind.POWER_KW_10MIN
+    index = quantity is QuantityKind.ENERGY_KWH_INDEX
+    if index and len(records) < 2:
+        raise ValueError(f"{meter_id}: index series needs at least two readings")
+    if power or index:
+        mark, what, where = (
+            (10, "power sample", "a 10-minute boundary")
+            if power
+            else (SLOT_MINUTES, "index reading", "a slot boundary")
+        )
+        for r in records:
+            ts = r.timestamp
+            if ts.minute % mark or ts.second or ts.microsecond:
+                raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
+
+    slots: list[tuple[datetime, int]] = []
+    opened = opener = None  # start and first reading of the slot before
+    for start, group in groupby(records, key=lambda r: _slot_floor(r.timestamp)):
+        readings = list(group)
+        if opened is not None and start - opened != SLOT_DURATION:
+            missing = (opened + SLOT_DURATION).isoformat()
+            samples = " (0/3 ten-minute power samples)" if power else ""
+            raise ValueError(f"{meter_id}: gap at {missing}{samples}")
+        zone = start.tzinfo
+        for r in readings:
+            ts = r.timestamp
+            if ts.tzinfo is not zone and ts.utcoffset() != start.utcoffset():
+                raise ValueError(
+                    f"{meter_id}: readings of slot {start.isoformat()} carry two UTC offsets"
+                )
+        if power:
+            if len(readings) < 3:
+                raise ValueError(
+                    f"{meter_id}: gap at {start.isoformat()} "
+                    f"({len(readings)}/3 ten-minute power samples)"
+                )
+            # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3, the sum taken
+            # in Decimal arithmetic even when a record holds an int
+            n, d = sum([r.value for r in readings], Decimal(0)).as_integer_ratio()
+            slots.append((start, _round_half_even(n * 500, d * 3)))
+        elif index:
+            # boundary readings are distinct instants: one reading per slot,
+            # whose delta to the next one is the energy of the slot it opens
+            reading = readings[0]
+            if opener is not None:
+                delta = int(reading.value) - int(opener.value)
+                if delta < 0:
+                    raise ValueError(
+                        f"{meter_id}: index decreases at {reading.timestamp.isoformat()}"
+                    )
+                slots.append((opened, delta * 1000))
+            opener = reading
+        else:
+            slots.append((start, sum([int(r.value) for r in readings])))
+        opened = start
     return SlotSeries(meter_id=meter_id, kind=kind, slots=tuple(slots))
 
 
-def _grid(first: datetime, last: datetime) -> list[datetime]:
-    step = timedelta(minutes=SLOT_MINUTES)
-    out = [first]
-    while out[-1] < last:
-        out.append(out[-1] + step)
-    return out
-
-
-def _slots_from_wh(meter_id, records) -> list[tuple[datetime, int]]:
-    per_slot: dict[datetime, int] = {}
-    for r in records:
-        slot = _slot_floor(r.timestamp)
-        per_slot[slot] = per_slot.get(slot, 0) + int(r.value)
-    grid = _grid(min(per_slot), max(per_slot))
-    for slot in grid:
-        if slot not in per_slot:
-            raise ValueError(f"{meter_id}: gap at {slot.isoformat()}")
-    return [(slot, per_slot[slot]) for slot in grid]
-
-
-def _slots_from_power(meter_id, records) -> list[tuple[datetime, int]]:
-    per_slot: dict[datetime, list[Decimal]] = {}
-    for r in records:
-        ts = r.timestamp
-        if ts.minute % 10 or ts.second or ts.microsecond:
-            raise ValueError(
-                f"{meter_id}: power sample at {ts.isoformat()} is not on a 10-minute boundary"
-            )
-        per_slot.setdefault(_slot_floor(ts), []).append(r.value)
-    grid = _grid(min(per_slot), max(per_slot))
-    out = []
-    for slot in grid:
-        samples = per_slot.get(slot, [])
-        if len(samples) < 3:
-            raise ValueError(
-                f"{meter_id}: gap at {slot.isoformat()} "
-                f"({len(samples)}/3 ten-minute power samples)"
-            )
-        # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3, the sum taken
-        # in Decimal arithmetic even when a record holds an int
-        n, d = sum(samples, Decimal(0)).as_integer_ratio()
-        out.append((slot, _round_half_even(n * 500, d * 3)))
-    return out
-
-
-def _slots_from_index(meter_id, records) -> list[tuple[datetime, int]]:
-    if len(records) < 2:
-        raise ValueError(f"{meter_id}: index series needs at least two readings")
-    step = timedelta(minutes=SLOT_MINUTES)
-    for r in records:
-        ts = r.timestamp
-        if ts.minute % SLOT_MINUTES or ts.second or ts.microsecond:
-            raise ValueError(
-                f"{meter_id}: index reading at {ts.isoformat()} is not on a slot boundary"
-            )
-    out = []
-    for prev, cur in zip(records, records[1:]):
-        expected = prev.timestamp + step
-        if cur.timestamp != expected:
-            raise ValueError(f"{meter_id}: gap at {expected.isoformat()}")
-        delta = int(cur.value) - int(prev.value)
-        if delta < 0:
-            raise ValueError(
-                f"{meter_id}: index decreases at {cur.timestamp.isoformat()}"
-            )
-        out.append((prev.timestamp, delta * 1000))
-    return out
+# Scaled slot energies are computed exactly in 60 digits; one that needs
+# more overflows here instead of becoming a huge integer downstream.
+_SCALED = Context(prec=60, Emax=59)
 
 
 def apply_pv_gain(series: SlotSeries, gain) -> SlotSeries:
@@ -344,8 +336,7 @@ def apply_pv_gain(series: SlotSeries, gain) -> SlotSeries:
     if gain <= 0:
         raise ValueError(f"gain must be > 0, got {gain}")
     try:
-        with localcontext() as ctx:
-            ctx.prec = 60  # keep the products exact before rounding
+        with localcontext(_SCALED):
             values = [
                 int((Decimal(e) * gain).to_integral_value(rounding=ROUND_HALF_EVEN))
                 for e in series.values()
@@ -367,7 +358,8 @@ def add_constant_load(series: SlotSeries, power_kw) -> SlotSeries:
     if power_kw < 0:
         raise ValueError(f"power must be >= 0 kW, got {power_kw}")
     try:
-        extra = int((power_kw * 500).to_integral_value(rounding=ROUND_HALF_EVEN))
+        with localcontext(_SCALED):
+            extra = int((power_kw * 500).to_integral_value(rounding=ROUND_HALF_EVEN))
     except Overflow:
         raise ValueError(f"power {power_kw} kW overflows the slot energies") from None
     return series.replace_values([e + extra for e in series.values()])

@@ -19,6 +19,20 @@ def slot_ts(k: int, day: date = DAY) -> datetime:
     return datetime.combine(day, time(minutes // 60, minutes % 60), tzinfo=TZ)
 
 
+# Europe/Paris is on +02:00 from 01:00Z on 31 March to 01:00Z on 27 October
+# 2024, and on +01:00 otherwise.
+SUMMER_2024 = (
+    datetime(2024, 3, 31, 1, tzinfo=timezone.utc),
+    datetime(2024, 10, 27, 1, tzinfo=timezone.utc),
+)
+
+
+def paris_2024(utc: datetime) -> datetime:
+    """The Paris local time of an instant in 2024."""
+    summer = SUMMER_2024[0] <= utc < SUMMER_2024[1]
+    return utc.astimezone(timezone(timedelta(hours=2 if summer else 1)))
+
+
 def make_buildings() -> tuple[Participant, Participant, Participant]:
     """The demo community: host building, neighbour, business centre."""
     return (

@@ -23,7 +23,7 @@ from cscshare.ingestion import (
 )
 from cscshare.model import DateRange, Kind, SLOT_MINUTES, SlotSeries, parse_timestamp
 
-from conftest import DAY, slot_ts
+from conftest import DAY, paris_2024, slot_ts
 
 HEADER = "meter_id,meter_class,timestamp,quantity_kind,value\n"
 
@@ -194,6 +194,61 @@ class TestNormalize:
         assert sum(series.values()) == sum(values)
 
 
+class TestDstDays:
+    def _records(self, quantity, first, n):
+        """One meter's readings for n slots from the UTC instant first, and their energy in Wh."""
+        step = timedelta(minutes=SLOT_MINUTES)
+        records, total = [], 0
+        if quantity is QuantityKind.ENERGY_WH:
+            for k in range(n):
+                for minutes, wh in ((0, 10 + k), (20, 5 * k)):
+                    ts = paris_2024(first + k * step + timedelta(minutes=minutes))
+                    records.append(RawMeterRecord("m1", MeterClass.LINKY, ts, quantity, wh))
+                    total += wh
+        elif quantity is QuantityKind.POWER_KW_10MIN:
+            for k in range(n):
+                for j in range(3):
+                    ts = paris_2024(first + k * step + timedelta(minutes=10 * j))
+                    records.append(RawMeterRecord("m1", MeterClass.SME_SMI, ts, quantity, Decimal(k + j)))
+                    total += Fraction(1000 * (k + j), 6)  # kW x 10 min in Wh
+        else:
+            for k in range(n + 1):
+                index = k * (k + 1) // 2
+                records.append(RawMeterRecord("m1", MeterClass.SME_SMI, paris_2024(first + k * step), quantity, index))
+            total = index * 1000
+        return records, total
+
+    @pytest.mark.parametrize("quantity", list(QuantityKind), ids=lambda q: q.value)
+    @pytest.mark.parametrize(
+        "first, n, first_text, last_text",
+        [
+            ("2024-03-30T23:00:00Z", 46, "2024-03-31T00:00:00+01:00", "2024-03-31T23:30:00+02:00"),
+            ("2024-10-26T22:00:00Z", 50, "2024-10-27T00:00:00+02:00", "2024-10-27T23:30:00+01:00"),
+        ],
+        ids=["spring-forward", "fall-back"],
+    )
+    def test_switch_day_keeps_each_slots_offset(self, quantity, first, n, first_text, last_text):
+        first = parse_timestamp(first)
+        records, total = self._records(quantity, first, n)
+        series = normalize_to_slots(reversed(records))
+        starts = [ts.isoformat() for ts in series.slot_starts()]
+        assert len(series) == n
+        assert starts[0] == first_text and starts[-1] == last_text
+        step = timedelta(minutes=SLOT_MINUTES)
+        assert starts == [paris_2024(first + k * step).isoformat() for k in range(n)]
+        assert sum(series.values()) == total
+
+    def test_two_offsets_in_one_slot_rejected(self):
+        records = [
+            RawMeterRecord("m1", MeterClass.LINKY, parse_timestamp(text), QuantityKind.ENERGY_WH, 100)
+            for text in ("2024-03-30T10:00:00+01:00", "2024-03-30T09:10:00Z")
+        ]
+        with pytest.raises(
+            ValueError, match=r"^m1: readings of slot 2024-03-30T10:00:00\+01:00 carry two UTC offsets$"
+        ):
+            normalize_to_slots(records)
+
+
 class TestRoundHalfEven:
     @given(n=st.integers(-(10**40), 10**40), d=st.integers(1, 10**20))
     @example(n=5, d=2)
@@ -337,10 +392,11 @@ class TestDeriveStaticKors:
         assert abs(sum(kors.entries.values()) - 1) <= 1e-9
 
 
-# Reference for the differential test below: the original row parser and
-# normalizer (Enum lookups and a timestamp parse per row, Fraction rounding,
-# datetime.replace slot floors). The optimized code must agree with it on
-# every record, slot, isoformat() and message.
+# Reference for the differential test below: the original row parser (Enum
+# lookups and a timestamp parse per row) and a normalizer that steps a UTC
+# grid over a dict of slots (Fraction rounding, datetime.replace slot
+# floors), labelling each slot with its own readings' offset. The optimized
+# code must agree with it on every record, slot, isoformat() and message.
 
 
 def _reference_ingest(text):
@@ -404,13 +460,6 @@ def _reference_round(x):
     return q if q % 2 == 0 else q + 1
 
 
-def _reference_grid(first, last):
-    out = [first]
-    while out[-1] < last:
-        out.append(out[-1] + timedelta(minutes=SLOT_MINUTES))
-    return out
-
-
 def _reference_normalize(records):
     records = sorted(records, key=lambda r: r.timestamp)
     if not records:
@@ -427,36 +476,14 @@ def _reference_normalize(records):
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp == prev.timestamp:
             raise ValueError(f"{meter_id}: duplicate reading at {cur.timestamp.isoformat()}")
-
-    slots = []
-    if quantity is QuantityKind.ENERGY_WH:
-        per_slot = {}
-        for r in records:
-            slot = _reference_floor(r.timestamp)
-            per_slot[slot] = per_slot.get(slot, 0) + int(r.value)
-        grid = _reference_grid(min(per_slot), max(per_slot))
-        for slot in grid:
-            if slot not in per_slot:
-                raise ValueError(f"{meter_id}: gap at {slot.isoformat()}")
-        slots = [(slot, per_slot[slot]) for slot in grid]
-    elif quantity is QuantityKind.POWER_KW_10MIN:
-        per_slot = {}
+    if quantity is QuantityKind.POWER_KW_10MIN:
         for r in records:
             ts = r.timestamp
             if ts.minute % 10 or ts.second or ts.microsecond:
                 raise ValueError(
                     f"{meter_id}: power sample at {ts.isoformat()} is not on a 10-minute boundary"
                 )
-            per_slot.setdefault(_reference_floor(ts), []).append(Decimal(r.value))
-        for slot in _reference_grid(min(per_slot), max(per_slot)):
-            samples = per_slot.get(slot, [])
-            if len(samples) < 3:
-                raise ValueError(
-                    f"{meter_id}: gap at {slot.isoformat()} "
-                    f"({len(samples)}/3 ten-minute power samples)"
-                )
-            slots.append((slot, _reference_round(Fraction(sum(samples)) * 500 / 3)))
-    else:
+    elif quantity is QuantityKind.ENERGY_KWH_INDEX:
         if len(records) < 2:
             raise ValueError(f"{meter_id}: index series needs at least two readings")
         for r in records:
@@ -465,14 +492,42 @@ def _reference_normalize(records):
                 raise ValueError(
                     f"{meter_id}: index reading at {ts.isoformat()} is not on a slot boundary"
                 )
-        for prev, cur in zip(records, records[1:]):
-            expected = prev.timestamp + timedelta(minutes=SLOT_MINUTES)
-            if cur.timestamp != expected:
-                raise ValueError(f"{meter_id}: gap at {expected.isoformat()}")
-            delta = int(cur.value) - int(prev.value)
-            if delta < 0:
-                raise ValueError(f"{meter_id}: index decreases at {cur.timestamp.isoformat()}")
-            slots.append((prev.timestamp, delta * 1000))
+
+    # readings by the UTC start of their slot; the grid steps in UTC, and a
+    # slot is labelled with the offset of its own readings
+    step = timedelta(minutes=SLOT_MINUTES)
+    per_slot = {}
+    for r in records:
+        per_slot.setdefault(_reference_floor(r.timestamp).astimezone(timezone.utc), []).append(r)
+    utc, last = min(per_slot), max(per_slot)
+    slots, start, opener = [], None, None
+    while utc <= last:
+        readings = per_slot.get(utc)
+        if readings is None:
+            suffix = " (0/3 ten-minute power samples)" if quantity is QuantityKind.POWER_KW_10MIN else ""
+            raise ValueError(f"{meter_id}: gap at {(start + step).isoformat()}{suffix}")
+        start = _reference_floor(readings[0].timestamp)
+        if len({r.timestamp.utcoffset() for r in readings}) > 1:
+            raise ValueError(f"{meter_id}: readings of slot {start.isoformat()} carry two UTC offsets")
+        if quantity is QuantityKind.ENERGY_WH:
+            slots.append((start, sum(int(r.value) for r in readings)))
+        elif quantity is QuantityKind.POWER_KW_10MIN:
+            if len(readings) < 3:
+                raise ValueError(
+                    f"{meter_id}: gap at {start.isoformat()} "
+                    f"({len(readings)}/3 ten-minute power samples)"
+                )
+            samples = [Decimal(r.value) for r in readings]
+            slots.append((start, _reference_round(Fraction(sum(samples)) * 500 / 3)))
+        else:
+            (reading,) = readings
+            if opener is not None:
+                delta = int(reading.value) - int(opener.value)
+                if delta < 0:
+                    raise ValueError(f"{meter_id}: index decreases at {reading.timestamp.isoformat()}")
+                slots.append((opener.timestamp, delta * 1000))
+            opener = reading
+        utc += step
     return SlotSeries(meter_id=meter_id, kind=Kind.CONSUMPTION, slots=tuple(slots))
 
 
@@ -499,8 +554,16 @@ _BAD_ROWS = [
 
 @st.composite
 def _meter_csv(draw):
+    offsets = {}
+
     def stamp(instant):
-        name = draw(st.sampled_from(sorted(_OFFSETS)))
+        # one offset per slot, as across a DST switch; about one slot in ten
+        # mixes offsets, which is an error
+        slot = (instant - _BASE) // timedelta(minutes=SLOT_MINUTES)
+        if slot not in offsets:
+            names = sorted(_OFFSETS)
+            offsets[slot] = names if not draw(st.integers(0, 9)) else [draw(st.sampled_from(names))]
+        name = draw(st.sampled_from(offsets[slot]))
         text = instant.astimezone(timezone(_OFFSETS[name])).isoformat()
         return text.replace("+00:00", "Z") if name == "Z" else text
 

@@ -1,17 +1,23 @@
 """End-to-end runs, output contract, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from cscshare.billing import compute_scr
 from cscshare.cli import main
 from cscshare.ledger import read_ledger, verify_chain
+from cscshare.model import DateRange, SlotAllocation, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
+
+from conftest import paris_2024
 
 
 @pytest.fixture
@@ -176,6 +182,58 @@ class TestRun:
         assert Decimal(report["savings"]["per_participant_eur"]["b4"]) > 0
 
 
+def _read_allocations(path: Path) -> list[SlotAllocation]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ids = [key[len("consumption_"):-len("_wh")] for key in rows[0] if key.startswith("consumption_")]
+    return [
+        SlotAllocation(
+            production=int(row["production_wh"]),
+            consumption={pid: int(row[f"consumption_{pid}_wh"]) for pid in ids},
+            self_consumed={pid: int(row[f"self_consumed_{pid}_wh"]) for pid in ids},
+            surplus_to_grid=int(row["surplus_wh"]),
+            slot_start=parse_timestamp(row["slot_start"]),
+        )
+        for row in rows
+    ]
+
+
+class TestDstRun:
+    def test_run_across_spring_forward(self, demo):
+        # 2024-03-30 to 2024-04-01 in Paris: 48 + 46 + 48 slots, each with
+        # its own production so a one-hour shift changes a day's total
+        first = datetime(2024, 3, 29, 23, tzinfo=timezone.utc)
+        step = timedelta(minutes=30)
+        rows = ["meter_id,meter_class,timestamp,quantity_kind,value"]
+        production = {}
+        for k in range(142):
+            ts = paris_2024(first + k * step)
+            production[ts] = 1000 + k
+            rows.append(f"pv1,linky,{ts.isoformat()},energy_wh,{1000 + k}")
+            rows += [f"{pid},linky,{ts.isoformat()},energy_wh,{300 + 7 * k + j}"
+                     for j, pid in enumerate(("b1", "b2", "b4"))]
+        (demo / "meters.csv").write_text("\n".join(rows) + "\n")
+        (demo / "scenario.cfg").write_text("pv_gain = 1\n")
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+
+        april_1 = [e for ts, e in production.items() if ts >= parse_timestamp("2024-04-01T00:00:00+02:00")]
+        assert len(april_1) == 48
+        for policy in POLICY_NAMES:
+            allocations = _read_allocations(out / f"{policy}_allocations.csv")
+            starts = [a.slot_start.isoformat() for a in allocations]
+            assert starts == [ts.isoformat() for ts in production]
+            assert "2024-03-31T03:00:00+02:00" in starts
+            assert "2024-03-31T02:00:00+01:00" not in starts
+            report = compute_scr(allocations, DateRange.single_day(date(2024, 4, 1)))
+            assert report.production_total == sum(april_1)
+
+        ledger = read_ledger(out / "audit.log")
+        assert {r.timestamp.isoformat() for r in ledger} == {ts.isoformat() for ts in production}
+        r = CliRunner().invoke(main, ["audit-verify", str(out / "audit.log")])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith("intact (")
+
+
 def _edit_json(path: Path, edit) -> None:
     raw = json.loads(path.read_text())
     edit(raw)
@@ -300,8 +358,14 @@ class TestConfigValidation:
                 "datacentre_load_kw = 1e999999999\ninclude_datacentre = true\n",
                 "power 1E+999999999 kW overflows the slot energies",
             ),
+            # these fit the decimal context but not a 60-digit slot energy
+            ("pv_gain = 1e5000\n", "gain 1E+5000 overflows the slot energies"),
+            (
+                "datacentre_load_kw = 1e5000\ninclude_datacentre = true\n",
+                "power 1E+5000 kW overflows the slot energies",
+            ),
         ],
-        ids=["pv-gain", "datacentre-load"],
+        ids=["pv-gain", "datacentre-load", "pv-gain-1e5000", "datacentre-load-1e5000"],
     )
     def test_overflowing_scale(self, demo, scenario, message):
         (demo / "scenario.cfg").write_text(scenario)
