@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from cscshare.model import (
     AllocationPolicy,
+    AllocationTable,
     Community,
     CustomDynamicPolicy,
     DateRange,
@@ -50,6 +51,7 @@ from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
 
 __all__ = [
     "AllocationPolicy",
+    "AllocationTable",
     "Community",
     "CustomDynamicPolicy",
     "DateRange",

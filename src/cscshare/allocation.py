@@ -8,7 +8,7 @@ three conserve energy exactly in integer Wh.
 
 A policy is checked against its participant set once: once per call of
 a per-slot function, once per series in ``allocate_series``. The kernel
-then runs once per slot.
+then runs once per slot, into the columns of one ``AllocationTable``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from cscshare import kernels
 from cscshare.model import (
     AllocationPolicy,
+    AllocationTable,
     CustomDynamicPolicy,
     DefaultDynamicPolicy,
     Kind,
@@ -56,20 +57,11 @@ def _splitter(policy: AllocationPolicy, ids: Iterable[str]) -> tuple[list[str], 
 
 
 def _allocate(
-    order: Sequence[str],
-    split: _Split,
-    production: int,
-    consumption: Mapping[str, int],
+    order: Sequence[str], split: _Split, production: int, consumption: Mapping[str, int],
     slot_start: datetime | None,
 ) -> SlotAllocation:
     shares, surplus = split(production, [consumption[i] for i in order])
-    return SlotAllocation(
-        production=production,
-        consumption=consumption,
-        self_consumed=dict(zip(order, shares)),
-        surplus_to_grid=surplus,
-        slot_start=slot_start,
-    )
+    return SlotAllocation(production, consumption, dict(zip(order, shares)), surplus, slot_start)
 
 
 def allocate_static(
@@ -135,14 +127,14 @@ def allocate_series(
     policy: AllocationPolicy,
     production: SlotSeries,
     consumptions: Sequence[SlotSeries],
-) -> list[SlotAllocation]:
+) -> AllocationTable:
     """Run one policy over a whole series: one kernel call per slot.
 
     The policy is checked against the consumption meters once per series.
     Every consumption series must cover exactly the production slot set;
     a missing or extra slot would silently shift energy between buildings,
     so a mismatch is a hard error naming the earliest slot that only one
-    of the two series has.
+    of the two series has. The series' value tuples are the table's columns.
     """
     if production.kind is not Kind.PRODUCTION:
         raise ValueError(f"series {production.meter_id} is not a production series")
@@ -163,7 +155,11 @@ def allocate_series(
         columns[s.meter_id] = s.values()
 
     order, split = _splitter(policy, columns)
-    return [
-        _allocate(order, split, prod, {mid: col[k] for mid, col in columns.items()}, ts)
-        for k, (ts, prod) in enumerate(production.slots)
-    ]
+    shares, surplus = [[] for _ in order], []
+    for p, *cs in zip(production.values(), *(columns[i] for i in order)):
+        parts, rest = split(p, cs)
+        for column, x in zip(shares, parts):
+            column.append(x)
+        surplus.append(rest)
+    self_consumed = dict(zip(order, map(tuple, shares)))
+    return AllocationTable(prod_slots, production.values(), columns, self_consumed, tuple(surplus))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from itertools import compress
 from typing import Mapping, Sequence
 
-from cscshare.model import Community, DateRange, Participant, SlotAllocation
+from cscshare.model import AllocationTable, Community, DateRange, Participant, SlotAllocation
 
 CENT = Decimal("0.01")
 _PCT_PLACES = Decimal("0.01")
@@ -97,16 +98,20 @@ class SavingsReport:
 
 def _in_window(
     allocations: Sequence[SlotAllocation], window: DateRange | None
-) -> list[SlotAllocation]:
-    if window is None:
-        return list(allocations)
-    out = []
-    for a in allocations:
-        if a.slot_start is None:
+) -> AllocationTable:
+    """The window's slots as one table. A participant counts only where a
+    row in the window holds it: rows are windowed before they become one."""
+    if window is not None:
+        is_table = isinstance(allocations, AllocationTable)
+        starts = allocations.slot_starts if is_table else [a.slot_start for a in allocations]
+        if None in starts:
             raise ValueError("allocation without slot_start cannot be windowed")
-        if window.contains(a.slot_start):
-            out.append(a)
-    return out
+        keep = [window.contains(ts) for ts in starts]
+        if not all(keep):
+            allocations = compress(allocations, keep)
+    if isinstance(allocations, AllocationTable):
+        return allocations
+    return AllocationTable.from_rows(allocations)
 
 
 def compute_scr(
@@ -116,10 +121,10 @@ def compute_scr(
 
     SCR is undefined (not 0 or 1) when the window holds no production.
     """
-    selected = _in_window(allocations, window)
+    table = _in_window(allocations, window)
     return ScrReport(
-        self_consumed_total=sum(a.total_self_consumed for a in selected),
-        production_total=sum(a.production for a in selected),
+        self_consumed_total=sum(map(sum, table.self_consumed.values())),
+        production_total=sum(table.production),
         window=window,
     )
 
@@ -137,14 +142,8 @@ def compute_savings(
     rate. Investment costs are out of scope.
     """
     by_id = {p.id: p for p in participants}
-    selected = _in_window(allocations, window)
-
-    wh_per_participant: dict[str, int] = {}
-    surplus_wh = 0
-    for a in selected:
-        surplus_wh += a.surplus_to_grid
-        for pid, wh in a.self_consumed.items():
-            wh_per_participant[pid] = wh_per_participant.get(pid, 0) + wh
+    table = _in_window(allocations, window)
+    wh_per_participant = {pid: sum(col) for pid, col in table.self_consumed.items() if col}
 
     with localcontext() as ctx:
         ctx.prec = 60  # plenty for exact Wh x rate products
@@ -155,7 +154,7 @@ def compute_savings(
                 raise ValueError(f"unknown participant id {pid!r} in allocations")
             kwh = Decimal(wh) / 1000
             per_participant[pid] = kwh * p.effective_value_eur_per_kwh
-        feed_in = (Decimal(surplus_wh) / 1000) * community.feed_in_eur_per_kwh
+        feed_in = (Decimal(sum(table.surplus)) / 1000) * community.feed_in_eur_per_kwh
         total = sum(per_participant.values(), Decimal(0)) + feed_in
     return SavingsReport(
         per_participant=per_participant, feed_in=feed_in, total=total, window=window

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NoReturn, TextIO
 
@@ -35,12 +35,17 @@ GENESIS_HASH = "0" * 64
 # Reserved counting-point key for repartition coefficient records.
 KOR_COUNTING_POINT = "KOR"
 
-# The one canonical encoder: sorted keys, no whitespace, ASCII only.
-# Payloads are trees (append checks them, the decoder builds them), so the
-# cycle check is skipped.
-_encode = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
-).encode
+# The one canonical encoder: sorted keys, no whitespace, ASCII only, and no
+# cycle check, as payloads are trees (append checks them, the decoder
+# builds them). JSONEncoder.encode would build it anew on every call.
+_chunks = c_make_encoder(
+    markers=None, default=json.JSONEncoder().default, encoder=_quote, indent=None,
+    key_separator=":", item_separator=",", sort_keys=True, skipkeys=False, allow_nan=True,
+)
+
+
+def _encode(payload: Mapping[str, Any]) -> str:
+    return "".join(_chunks(payload, 0))
 
 
 def _reject_number(text: str) -> Any:
@@ -54,6 +59,7 @@ _decode = json.JSONDecoder(
 ).decode
 
 _FLAT = (str, int, type(None))  # bool is an int
+_SCALARS = frozenset((*_FLAT, bool))
 
 
 def _check_payload(value: Any, path: str = "payload") -> None:
@@ -63,12 +69,10 @@ def _check_payload(value: Any, path: str = "payload") -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ValueError(f"{path}: non-string key {key!r}")
-            if not isinstance(item, _FLAT):
-                _check_payload(item, f"{path}.{key}")
+            _check_payload(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            if not isinstance(item, _FLAT):
-                _check_payload(item, f"{path}[{i}]")
+            _check_payload(item, f"{path}[{i}]")
     elif not isinstance(value, _FLAT):
         raise ValueError(
             f"{path}: {type(value).__name__} is not canonically serializable; "
@@ -76,14 +80,22 @@ def _check_payload(value: Any, path: str = "payload") -> None:
         )
 
 
-def _record_hash(
-    counting_point_key: str, timestamp_iso: str, payload_json: str, prev_hash: str
-) -> str:
-    """SHA-256 of the canonical JSON array [key, timestamp, payload, prev]."""
-    material = (
-        f"[{_quote(counting_point_key)},{_quote(timestamp_iso)},"
-        f"{payload_json},{_quote(prev_hash)}]"
-    )
+def _check_shallow(payload: dict) -> None:
+    """``_check_payload``, in one pass over a flat payload or one of flat objects."""
+    for key, value in payload.items():
+        if type(key) is str and type(value) in _SCALARS:
+            continue
+        if type(key) is str and type(value) is dict:
+            for k, v in value.items():
+                if type(k) is not str or type(v) not in _SCALARS:
+                    return _check_payload(payload)
+            continue
+        return _check_payload(payload)
+
+
+def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_hash: str) -> str:
+    """SHA-256 of the JSON array [key, timestamp, payload, prev]; key and timestamp come quoted."""
+    material = f"[{key_json},{timestamp_json},{payload_json},{_quote(prev_hash)}]"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -139,8 +151,8 @@ class AuditRecord:
 
     def recompute_hash(self) -> str:
         return _record_hash(
-            self.counting_point_key,
-            self.timestamp_iso(),
+            _quote(self.counting_point_key),
+            _quote(self.timestamp_iso()),
             self.payload_json,
             self.prev_hash,
         )
@@ -161,10 +173,11 @@ class Ledger:
         self._last_ts: dict[str, datetime] = {}
         for r in self._records:
             self._last_ts[r.counting_point_key] = r.timestamp
-        # the last timestamp object checked and its ISO text; the records
-        # of one slot are appended with the same object
+        # the last timestamp object checked and its quoted ISO text; the
+        # records of one slot are appended with the same object
         self._stamp: datetime | None = None
-        self._stamp_iso = ""
+        self._stamp_json = ""
+        self._key_json: dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -195,26 +208,23 @@ class Ledger:
             if timestamp.tzinfo is None or timestamp.utcoffset() is None:
                 raise ValueError("record timestamp has no UTC offset")
             self._stamp = timestamp
-            self._stamp_iso = timestamp.isoformat()
+            self._stamp_json = _quote(timestamp.isoformat())
         payload = dict(payload)
-        _check_payload(payload)
+        _check_shallow(payload)
         last = self._last_ts.get(counting_point_key)
-        if last is not None and timestamp < last:
+        if last is not None and last is not timestamp and timestamp < last:
             raise ValueError(
                 f"timestamp regression for {counting_point_key}: "
                 f"{timestamp.isoformat()} < {last.isoformat()}"
             )
+        key_json = self._key_json.get(counting_point_key)
+        if key_json is None:
+            key_json = self._key_json[counting_point_key] = _quote(counting_point_key)
         prev_hash = self.head_hash
         payload_json = _encode(payload)
+        hash_ = _record_hash(key_json, self._stamp_json, payload_json, prev_hash)
         record = AuditRecord(
-            counting_point_key=counting_point_key,
-            timestamp=timestamp,
-            payload=payload,
-            prev_hash=prev_hash,
-            hash=_record_hash(
-                counting_point_key, self._stamp_iso, payload_json, prev_hash
-            ),
-            payload_json=payload_json,
+            counting_point_key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
         )
         self._records.append(record)
         self._last_ts[counting_point_key] = timestamp
@@ -242,9 +252,8 @@ def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
     for i, (record, iso) in enumerate(_with_iso(ledger)):
         if record.prev_hash != prev_hash:
             return ChainReport(False, i, f"broken link at record {i}")
-        recomputed = _record_hash(
-            record.counting_point_key, iso, record.payload_json, record.prev_hash
-        )
+        key_json, timestamp_json = _quote(record.counting_point_key), _quote(iso)
+        recomputed = _record_hash(key_json, timestamp_json, record.payload_json, record.prev_hash)
         if recomputed != record.hash:
             return ChainReport(False, i, f"hash mismatch at record {i}")
         prev_hash = record.hash

@@ -13,6 +13,7 @@ from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import groupby
+from operator import gt
 from typing import Iterable, Mapping, Sequence
 
 SLOT_MINUTES = 30
@@ -342,24 +343,72 @@ class SlotAllocation:
         if set(self.consumption) != set(self.self_consumed):
             raise ValueError("self_consumed keys differ from consumption keys")
         for pid, c in self.consumption.items():
-            # labels are built only for the check that raises
-            if type(c) is not int or c < 0:
-                check_energy_wh(c, f"consumption[{pid}]")
-            sc = self.self_consumed[pid]
-            if type(sc) is not int or sc < 0:
-                check_energy_wh(sc, f"self_consumed[{pid}]")
+            check_energy_wh(c, f"consumption[{pid}]")
+            sc = check_energy_wh(self.self_consumed[pid], f"self_consumed[{pid}]")
             if sc > c:
                 raise ValueError(f"self_consumed[{pid}] = {sc} exceeds consumption {c}")
-        if sum(self.self_consumed.values()) + self.surplus_to_grid != self.production:
+        if self.total_self_consumed + self.surplus_to_grid != self.production:
             raise ValueError(
                 "conservation violated: self_consumed + surplus != production "
-                f"({sum(self.self_consumed.values())} + {self.surplus_to_grid} "
-                f"!= {self.production})"
+                f"({self.total_self_consumed} + {self.surplus_to_grid} != {self.production})"
             )
 
     @property
     def total_self_consumed(self) -> int:
         return sum(self.self_consumed.values())
+
+
+@dataclass(frozen=True, eq=False)
+class AllocationTable(Sequence[SlotAllocation]):
+    """One policy's allocations over a slot series, one column per quantity
+    and participant, checked once as a whole for what SlotAllocation checks
+    per slot but alignment. ``table[k]`` is slot k as a SlotAllocation, and
+    a table equals every sequence of the same rows."""
+
+    slot_starts: Sequence[datetime | None]
+    production: Sequence[int]
+    consumption: Mapping[str, Sequence[int]]
+    self_consumed: Mapping[str, Sequence[int]]
+    surplus: Sequence[int]
+
+    def __post_init__(self):
+        n, shares = len(self.production), self.self_consumed.values()
+        columns = (self.production, self.surplus, *self.consumption.values(), *shares)
+        if not (
+            set(self.consumption) == set(self.self_consumed)
+            and len(self.slot_starts) == n
+            and all(len(c) == n and set(map(type, c)) <= {int} and min(c, default=0) >= 0 for c in columns)
+            and not any(any(map(gt, self.self_consumed[p], c)) for p, c in self.consumption.items())
+            and list(map(sum, zip(*shares, self.surplus))) == list(self.production)
+        ):
+            list(self)  # the first bad slot raises its error
+            raise ValueError("allocation columns must be equally long and hold plain ints")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[SlotAllocation]) -> "AllocationTable":
+        """The table of some rows; a participant a row lacks has 0 Wh there."""
+        rows = list(rows)
+        ids = dict.fromkeys(pid for a in rows for pid in a.consumption)
+        return cls(
+            tuple(a.slot_start for a in rows), tuple(a.production for a in rows),
+            {p: tuple(a.consumption.get(p, 0) for a in rows) for p in ids},
+            {p: tuple(a.self_consumed.get(p, 0) for a in rows) for p in ids},
+            tuple(a.surplus_to_grid for a in rows),
+        )
+
+    def __len__(self) -> int:
+        return len(self.production)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return SlotAllocation(
+            self.production[k], {p: c[k] for p, c in self.consumption.items()},
+            {p: c[k] for p, c in self.self_consumed.items()}, self.surplus[k], self.slot_starts[k],
+        )
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 @dataclass(frozen=True)

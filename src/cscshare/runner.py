@@ -31,6 +31,7 @@ from cscshare.billing import (
 from cscshare.ingestion import ScenarioConfig, add_constant_load, apply_pv_gain, ingest_csv, normalize_to_slots
 from cscshare.ledger import KOR_COUNTING_POINT, Ledger, write_ledger
 from cscshare.model import (
+    AllocationTable,
     Community,
     CustomDynamicPolicy,
     DateRange,
@@ -38,7 +39,6 @@ from cscshare.model import (
     Kind,
     KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     StaticPolicy,
     TariffBook,
@@ -234,63 +234,48 @@ def _build_policies(
     return policies
 
 
+def _kor_payloads(name: str, table: AllocationTable, kors: KorVector | None):
+    """The payload of each slot's coefficient record for one policy."""
+    ids, columns = table.self_consumed.keys(), table.self_consumed.values()
+    extra = {} if kors is None else {"coefficients": kors.texts()}
+    for shares, surplus in zip(zip(*columns), table.surplus, strict=True):
+        yield {"policy": name, "self_consumed_wh": dict(zip(ids, shares)), "surplus_wh": surplus, **extra}
+
+
 def _build_ledger(
     production: SlotSeries,
-    allocations_by_policy: Mapping[str, Sequence[SlotAllocation]],
+    tables: Mapping[str, AllocationTable],
     static_kors: Mapping[str, KorVector],
 ) -> Ledger:
     """Appends are ordered by slot, then meters, then policy name.
 
-    Every allocation list must hold one allocation per production slot,
-    in slot order; consumption records are read from the first policy's.
+    Every table must hold one row per production slot, in slot order;
+    consumption records are read from the first policy's.
     """
     ledger = Ledger()
-    policy_names = sorted(allocations_by_policy)
-    coefficients = {name: kors.texts() for name, kors in static_kors.items()}
-    slot_rows = zip(
-        production.slots,
-        *(allocations_by_policy[name] for name in policy_names),
-        strict=True,
-    )
-    for (ts, produced), *allocations in slot_rows:
-        ledger.append(
-            {"kind": "production", "energy_wh": produced},
-            counting_point_key=production.meter_id,
-            timestamp=ts,
-        )
-        for pid, energy in sorted(allocations[0].consumption.items()):
-            ledger.append(
-                {"kind": "consumption", "energy_wh": energy},
-                counting_point_key=pid,
-                timestamp=ts,
-            )
-        for name, allocation in zip(policy_names, allocations):
-            payload = {
-                "policy": name,
-                "self_consumed_wh": allocation.self_consumed,
-                "surplus_wh": allocation.surplus_to_grid,
-            }
-            if name in coefficients:
-                payload["coefficients"] = coefficients[name]
-            ledger.append(payload, counting_point_key=KOR_COUNTING_POINT, timestamp=ts)
+    names = sorted(tables)
+    consumption = sorted(tables[names[0]].consumption.items())
+    payloads = [_kor_payloads(name, tables[name], static_kors.get(name)) for name in names]
+    for k, ((ts, produced), *kor) in enumerate(zip(production.slots, *payloads, strict=True)):
+        ledger.append({"kind": "production", "energy_wh": produced}, production.meter_id, ts)
+        for pid, column in consumption:
+            ledger.append({"kind": "consumption", "energy_wh": column[k]}, pid, ts)
+        for payload in kor:
+            ledger.append(payload, KOR_COUNTING_POINT, ts)
     return ledger
 
 
 def _allocation_csv_rows(
-    allocations: Sequence[SlotAllocation], participant_ids: Sequence[str]
-) -> list[list]:
+    table: AllocationTable, participant_ids: Sequence[str], stamps: Sequence[str]
+) -> list[Sequence]:
+    """The CSV rows of a table; ``stamps`` holds each slot's ISO text."""
     header = ["slot_start", "production_wh"]
     header += [f"consumption_{pid}_wh" for pid in participant_ids]
     header += [f"self_consumed_{pid}_wh" for pid in participant_ids]
     header += ["surplus_wh"]
-    rows = [header]
-    for a in allocations:
-        row = [a.slot_start.isoformat(), a.production]
-        row += [a.consumption[pid] for pid in participant_ids]
-        row += [a.self_consumed[pid] for pid in participant_ids]
-        row += [a.surplus_to_grid]
-        rows.append(row)
-    return rows
+    columns = [table.consumption[pid] for pid in participant_ids]
+    columns += [table.self_consumed[pid] for pid in participant_ids]
+    return [header, *zip(stamps, table.production, *columns, table.surplus, strict=True)]
 
 
 def _write_csv(path: Path, rows: Sequence[Sequence]) -> None:
@@ -360,21 +345,21 @@ def run(config: RunConfig) -> RunResult:
     policies = _build_policies(config, community, book)
     consumption_list = [consumptions[pid] for pid in ids]
 
-    allocations_by_policy: dict[str, list[SlotAllocation]] = {}
+    tables: dict[str, AllocationTable] = {}
     reports: dict[str, tuple[ScrReport, SavingsReport]] = {}
     static_kors: dict[str, KorVector] = {}
     for policy in policies:
-        allocations = allocate_series(policy, production, consumption_list)
-        allocations_by_policy[policy.name] = allocations
+        tables[policy.name] = table = allocate_series(policy, production, consumption_list)
         reports[policy.name] = (
-            compute_scr(allocations, window),
-            compute_savings(allocations, community.participants, community, window),
+            compute_scr(table, window),
+            compute_savings(table, community.participants, community, window),
         )
         if isinstance(policy, StaticPolicy):
             static_kors[policy.name] = policy.kors
 
     comparison = compare_policies(reports)
-    ledger = _build_ledger(production, allocations_by_policy, static_kors)
+    ledger = _build_ledger(production, tables, static_kors)
+    stamps = [ts.isoformat() for ts in production.slot_starts()]
 
     # Stage everything, then move into place.
     config.out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -395,7 +380,7 @@ def run(config: RunConfig) -> RunResult:
             emitted.append(f"{name}_report.json")
             _write_csv(
                 staging / f"{name}_allocations.csv",
-                _allocation_csv_rows(allocations_by_policy[name], ordered_ids),
+                _allocation_csv_rows(tables[name], ordered_ids, stamps),
             )
             emitted.append(f"{name}_allocations.csv")
         _write_csv(staging / "comparison.csv", comparison.to_csv_rows())

@@ -287,3 +287,59 @@ class TestComparePolicies:
 def test_eur_str_rounds_half_even():
     assert eur_str(Decimal("0.125")) == "0.12"
     assert eur_str(Decimal("0.135")) == "0.14"
+
+
+# Reference: the window and sums as they were when billing walked one
+# SlotAllocation per slot.
+def _reference_reports(allocations, participants, community, window):
+    if window is not None and any(a.slot_start is None for a in allocations):
+        raise ValueError("allocation without slot_start cannot be windowed")
+    selected = [a for a in allocations if window is None or window.contains(a.slot_start)]
+    scr = ScrReport(
+        self_consumed_total=sum(a.total_self_consumed for a in selected),
+        production_total=sum(a.production for a in selected),
+        window=window,
+    )
+    by_id = {p.id: p for p in participants}
+    wh, surplus = {}, 0
+    for a in selected:
+        surplus += a.surplus_to_grid
+        for pid, e in a.self_consumed.items():
+            wh[pid] = wh.get(pid, 0) + e
+    per = {pid: Decimal(e) / 1000 * by_id[pid].effective_value_eur_per_kwh for pid, e in sorted(wh.items())}
+    feed_in = Decimal(surplus) / 1000 * community.feed_in_eur_per_kwh
+    return scr, SavingsReport(per, feed_in, sum(per.values(), Decimal(0)) + feed_in, window)
+
+
+@st.composite
+def _rows(draw):
+    """Rows over some of b1, b2 and b4 each, on two days, some without a start."""
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        ids = draw(st.lists(st.sampled_from(["b1", "b2", "b4"]), unique=True))
+        consumption = {pid: draw(st.integers(0, 5000)) for pid in ids}
+        shares = {pid: draw(st.integers(0, c)) for pid, c in consumption.items()}
+        surplus = draw(st.integers(0, 5000))
+        start = draw(st.sampled_from([None, slot_ts(k), slot_ts(k, DAY + timedelta(days=1))]))
+        rows.append(SlotAllocation(sum(shares.values()) + surplus, consumption, shares, surplus, start))
+    return rows
+
+
+@given(rows=_rows(), windowed=st.booleans())
+@settings(max_examples=300)
+def test_row_lists_report_as_before(rows, windowed):
+    """A list of rows, which may lack slot starts or hold different
+    participants, reports what the per-row sums reported."""
+    buildings = make_buildings()
+    community = Community(buildings, "pv1", Decimal("0.06"))
+    window = DateRange.single_day(DAY) if windowed else None
+    try:
+        expected = _reference_reports(rows, buildings, community, window)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            compute_scr(rows, window)
+        with pytest.raises(ValueError, match=str(exc)):
+            compute_savings(rows, buildings, community, window)
+        return
+    assert compute_scr(rows, window) == expected[0]
+    assert compute_savings(rows, buildings, community, window) == expected[1]

@@ -88,14 +88,46 @@ class TestAppend:
                 r"^payload\.coefficients: non-string key 2$",
             ),
             ({"meta": {"ids": {"b1"}}}, r"^payload\.meta\.ids: set "),
+            # flat and one-level payloads take a one-pass type test first;
+            # what it refuses is still worded by the full walk
+            ({"x": 1.5}, r"^payload\.x: float is not canonically serializable; use strings for decimals$"),
+            ({"x": float("nan")}, r"^payload\.x: float is not canonically serializable; use strings for decimals$"),
+            ({"m": {"x": float("nan")}}, r"^payload\.m\.x: float is not canonically serializable; use strings"),
+            ({1: "a"}, r"^payload: non-string key 1$"),
         ],
-        ids=["float-in-coefficients", "float-in-list", "decimal", "int-key", "set"],
+        ids=[
+            "float-in-coefficients", "float-in-list", "decimal", "int-key", "set",
+            "top-level-float", "top-level-nan", "nested-nan", "top-level-int-key",
+        ],
     )
     def test_non_canonical_value_rejected_with_its_path(self, payload, message):
         ledger = Ledger()
         with pytest.raises(ValueError, match=message):
             ledger.append(payload, "KOR", slot_ts(0))
         assert len(ledger) == 0
+
+    def test_append_after_a_head_hash_that_needs_escaping(self, tmp_path):
+        """A ledger seeded from a read log may end in any hash text; the
+        next record's hash material quotes it as JSON does."""
+        forged = AuditRecord("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\\u00e9\n')
+        path = tmp_path / "seed.log"
+        write_ledger([forged], path)
+        ledger = Ledger(read_ledger(path))
+        record = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
+        assert record.prev_hash == forged.hash
+        iso = slot_ts(1).isoformat()
+        assert record.hash == _reference_hash("pv1", iso, {"energy_wh": 6}, forged.hash)
+        assert record.to_line() == _reference_line("pv1", iso, {"energy_wh": 6}, forged.hash, record.hash)
+        # verify_chain stops at the forged head, so the new record's link
+        # and hash are checked as it would check them
+        report = verify_chain(ledger)
+        assert (report.first_break, report.message) == (0, "hash mismatch at record 0")
+        assert record.recompute_hash() == record.hash
+        out = tmp_path / "audit.log"
+        write_ledger(ledger, out)
+        reread = read_ledger(out)
+        assert [r.to_line() for r in reread] == [r.to_line() for r in ledger]
+        assert list(reread)[-1].prev_hash == forged.hash
 
 
 class TestVerify:

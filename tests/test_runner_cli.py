@@ -115,6 +115,23 @@ class TestRun:
         digest = hashlib.sha256((out / "audit.log").read_bytes()).hexdigest()
         assert digest == "46bbba44ade33731324752d1e1e86da185f74af93a39833d9dfd0cc980e54a38"
 
+    def test_demo_output_tree_bytes_pinned(self, demo):
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "audit.log": "46bbba44ade33731324752d1e1e86da185f74af93a39833d9dfd0cc980e54a38",
+            "comparison.csv": "2172214aa844e9c1a810879a21b4e2113da65a093ba88d5bbaa516c31bc8a15e",
+            "comparison.json": "ce53e7587e1e3bca4f54ca9d00e60d4f952bede8e3d370b80c45258700eb56a0",
+            "custom-dynamic_allocations.csv": "deac7dc8952dbdc1983c751b0e44313917739d1ecb3ebb88e7585e4978cffa4a",
+            "custom-dynamic_report.json": "512763c4c9e229a60cf98e86c968bc1a6ed3e427e7a9040934088f35e4804390",
+            "default-dynamic_allocations.csv": "52c1a9b7645858e75da1f3926fb915e3467ab186309c5d840b46d550d655708b",
+            "default-dynamic_report.json": "ce33173287f570e6daa8b1d331e67d1d61d280f1dd400f38d17537405a28d92d",
+            "static33_allocations.csv": "2c35fa7dcf07766d053708504cca1e8d81cc795176e26b357849501c472aa60c",
+            "static33_report.json": "6079c8874417b483ec74a3745179da809c527715ca49266b348598907f193199",
+            "static_allocations.csv": "1a06ae3f556accef7017c1df1b27cade746f7efa9f53c8d86d314a2f99e07529",
+            "static_report.json": "1421534dabf2d1ea31d890036434efe1baf735dfb7fd09d79702f1511a10983e",
+        }
+
     def test_validation_failure_leaves_no_outputs(self, demo):
         raw = json.loads((demo / "run_config.json").read_text())
         raw["kors"] = {"b1": 0.5, "b2": 0.2, "b4": 0.2}  # sums to 0.9
@@ -229,6 +246,38 @@ class TestDstRun:
 
         ledger = read_ledger(out / "audit.log")
         assert {r.timestamp.isoformat() for r in ledger} == {ts.isoformat() for ts in production}
+        r = CliRunner().invoke(main, ["audit-verify", str(out / "audit.log")])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith("intact (")
+
+    def test_run_across_fall_back(self, demo):
+        # 2024-10-26 to 2024-10-28 in Paris: 48 + 50 + 48 slots; 02:00-02:30
+        # comes twice on the 27th, first at +02:00, then at +01:00
+        first = datetime(2024, 10, 25, 22, tzinfo=timezone.utc)
+        step = timedelta(minutes=30)
+        rows = ["meter_id,meter_class,timestamp,quantity_kind,value"]
+        production = {}
+        for k in range(146):
+            ts = paris_2024(first + k * step)
+            production[ts] = 1000 + k
+            rows.append(f"pv1,linky,{ts.isoformat()},energy_wh,{1000 + k}")
+            rows += [f"{pid},linky,{ts.isoformat()},energy_wh,{300 + 7 * k + j}"
+                     for j, pid in enumerate(("b1", "b2", "b4"))]
+        (demo / "meters.csv").write_text("\n".join(rows) + "\n")
+        (demo / "scenario.cfg").write_text("pv_gain = 1\n")
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+
+        october_27 = [e for ts, e in production.items() if ts.date() == date(2024, 10, 27)]
+        assert len(october_27) == 50
+        for policy in POLICY_NAMES:
+            allocations = _read_allocations(out / f"{policy}_allocations.csv")
+            starts = [a.slot_start.isoformat() for a in allocations]
+            assert starts == [ts.isoformat() for ts in production]
+            assert "2024-10-27T02:00:00+02:00" in starts
+            assert "2024-10-27T02:00:00+01:00" in starts
+            report = compute_scr(allocations, DateRange.single_day(date(2024, 10, 27)))
+            assert report.production_total == sum(october_27)
+
         r = CliRunner().invoke(main, ["audit-verify", str(out / "audit.log")])
         assert r.exit_code == 0, r.output
         assert r.output.startswith("intact (")
