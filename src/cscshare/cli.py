@@ -167,7 +167,7 @@ def audit_verify(ledger_path):
     ledger = ledger_mod.read_ledger(ledger_path)
     report = ledger_mod.verify_chain(ledger)
     if report.intact:
-        click.echo(f"intact ({len(ledger)} records)")
+        click.echo(f"intact ({len(ledger)} records), head {ledger.head_hash}")
         return
     click.echo(report.message, err=True)
     sys.exit(1)

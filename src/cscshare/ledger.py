@@ -12,10 +12,14 @@ and hashes. Payloads are therefore restricted to JSON trees of strings,
 integers, booleans and null; floats are rejected because their textual
 form is not canonical across writers. Render decimals as strings.
 
-Each payload is encoded once; the hash material and the line are spliced
-from that encoding. Reading rejects any line that is not its record's
-canonical serialization, and decodes and checks each distinct payload
-text once.
+A ``Ledger`` is its canonical lines, exactly as the log file holds them.
+``append`` encodes each payload once and splices the hash material and
+the line from that encoding; writing copies the lines out. Reading
+rejects any line that is not its record's canonical serialization, and
+decodes and checks each distinct payload text once. Records are views:
+iterating a ``Ledger`` parses them from its lines with the reader's
+checker, and ``verify_chain`` re-hashes the material it splices from
+each line's own slices.
 """
 
 from __future__ import annotations
@@ -93,9 +97,10 @@ def _check_shallow(payload: dict) -> None:
         return _check_payload(payload)
 
 
-def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_hash: str) -> str:
-    """SHA-256 of the JSON array [key, timestamp, payload, prev]; key and timestamp come quoted."""
-    material = f"[{key_json},{timestamp_json},{payload_json},{_quote(prev_hash)}]"
+def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_json: str) -> str:
+    """SHA-256 of the JSON array [key, timestamp, payload, prev], spliced
+    from the JSON texts of its four members."""
+    material = f"[{key_json},{timestamp_json},{payload_json},{prev_json}]"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -116,7 +121,7 @@ def _line(
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
-    """One chained record.
+    """One chained record: what iterating a ``Ledger`` parses from a line.
 
     ``payload_json`` is the canonical encoding of ``payload``; the hash and
     the line are built from it. It is computed from ``payload`` when not
@@ -154,7 +159,7 @@ class AuditRecord:
             _quote(self.counting_point_key),
             _quote(self.timestamp_iso()),
             self.payload_json,
-            self.prev_hash,
+            _quote(self.prev_hash),
         )
 
 
@@ -166,40 +171,61 @@ class ChainReport:
 
 
 class Ledger:
-    """Append-only hash chain. Single writer; snapshots are safe to share."""
+    """Append-only hash chain, held as its canonical lines. Single writer.
+
+    ``Ledger(records)`` renders each record with ``to_line()`` and checks
+    the lines as ``read_ledger`` does; a ledger built either way takes its
+    head hash and the last timestamp of each counting point from the
+    checked lines, so it can be appended to.
+    """
 
     def __init__(self, records: Iterable[AuditRecord] = ()):
-        self._records: list[AuditRecord] = list(records)
+        # each line ends in "\n"
+        self._lines: list[str] = []
+        self._head = GENESIS_HASH
+        self._head_json = f'"{GENESIS_HASH}"'
         self._last_ts: dict[str, datetime] = {}
-        for r in self._records:
-            self._last_ts[r.counting_point_key] = r.timestamp
         # the last timestamp object checked and its quoted ISO text; the
         # records of one slot are appended with the same object
         self._stamp: datetime | None = None
         self._stamp_json = ""
         self._key_json: dict[str, str] = {}
+        self._load(f"{r.to_line()}\n" for r in records)
+
+    def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
+        """Keep each line that ``_parse_lines`` accepts, ending it in a newline."""
+        kept, last_ts = self._lines, self._last_ts
+        fields = None
+        for line, fields in _parse_lines(lines, keep_payloads=False):
+            kept.append(line if line.endswith("\n") else f"{line}\n")
+            last_ts[fields[0]] = fields[1]
+        if fields is not None:
+            self._head, self._head_json = fields[5], f'"{fields[6]}"'
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
-    def __iter__(self):
-        return iter(self._records)
+    def __iter__(self) -> Iterator[AuditRecord]:
+        for _, (key, timestamp, payload, payload_json, prev_hash, hash_, _) in _parse_lines(
+            self._lines
+        ):
+            yield AuditRecord(key, timestamp, payload, prev_hash, hash_, payload_json=payload_json)
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
+        return tuple(self)
 
     @property
     def head_hash(self) -> str:
-        return self._records[-1].hash if self._records else GENESIS_HASH
+        return self._head
 
     def append(
         self,
         payload: Mapping[str, Any],
         counting_point_key: str,
         timestamp: datetime,
-    ) -> AuditRecord:
-        """Chain a new record to the head.
+    ) -> str:
+        """Chain a new record to the head and return its hash.
 
         Timestamps must not regress within one counting point; equal
         timestamps are allowed (several policies may log the same slot).
@@ -209,7 +235,8 @@ class Ledger:
                 raise ValueError("record timestamp has no UTC offset")
             self._stamp = timestamp
             self._stamp_json = _quote(timestamp.isoformat())
-        payload = dict(payload)
+        if not isinstance(payload, dict):
+            payload = dict(payload)
         _check_shallow(payload)
         last = self._last_ts.get(counting_point_key)
         if last is not None and last is not timestamp and timestamp < last:
@@ -220,57 +247,24 @@ class Ledger:
         key_json = self._key_json.get(counting_point_key)
         if key_json is None:
             key_json = self._key_json[counting_point_key] = _quote(counting_point_key)
-        prev_hash = self.head_hash
+        stamp_json, prev_json = self._stamp_json, self._head_json
         payload_json = _encode(payload)
-        hash_ = _record_hash(key_json, self._stamp_json, payload_json, prev_hash)
-        record = AuditRecord(
-            counting_point_key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
+        hash_ = _record_hash(key_json, stamp_json, payload_json, prev_json)
+        # _line of the same values; a hex digest is its own JSON text
+        self._lines.append(
+            f'{{"counting_point_key":{key_json},"hash":"{hash_}","payload":{payload_json},'
+            f'"prev_hash":{prev_json},"timestamp":{stamp_json}}}\n'
         )
-        self._records.append(record)
+        self._head, self._head_json = hash_, f'"{hash_}"'
         self._last_ts[counting_point_key] = timestamp
-        return record
+        return hash_
 
 
-def _with_iso(records: Iterable[AuditRecord]) -> Iterator[tuple[AuditRecord, str]]:
-    """Pair each record with its timestamp's ISO text, formatting each run
-    of one timestamp object once: the records of a slot share it."""
-    timestamp = iso = None
-    for record in records:
-        if record.timestamp is not timestamp:
-            timestamp = record.timestamp
-            iso = timestamp.isoformat()
-        yield record, iso
-
-
-def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
-    """Recompute every hash and link; report the first break, if any.
-
-    Truncating records off the tail is not detectable without an external
-    anchor for the head hash; persist the head out of band if that matters.
-    """
-    prev_hash = GENESIS_HASH
-    for i, (record, iso) in enumerate(_with_iso(ledger)):
-        if record.prev_hash != prev_hash:
-            return ChainReport(False, i, f"broken link at record {i}")
-        key_json, timestamp_json = _quote(record.counting_point_key), _quote(iso)
-        recomputed = _record_hash(key_json, timestamp_json, record.payload_json, record.prev_hash)
-        if recomputed != record.hash:
-            return ChainReport(False, i, f"hash mismatch at record {i}")
-        prev_hash = record.hash
-    return ChainReport(True)
-
-
-def write_ledger(ledger: Ledger | Iterable[AuditRecord], target: str | Path | TextIO) -> None:
-    """Write one canonical line per record, streaming."""
-    lines = (
-        f"{_line(r.counting_point_key, r.hash, r.payload_json, r.prev_hash, iso)}\n"
-        for r, iso in _with_iso(ledger)
-    )
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as stream:
-            stream.writelines(lines)
-    else:
-        target.writelines(lines)
+def _lines_of(ledger: Ledger | Iterable[AuditRecord]) -> Iterable[str]:
+    """A ledger's lines, or each record's ``to_line()``, each ending in a newline."""
+    if isinstance(ledger, Ledger):
+        return ledger._lines
+    return (f"{r.to_line()}\n" for r in ledger)
 
 
 # The fixed layout of a line (README "Audit ledger"): the text before,
@@ -281,6 +275,79 @@ _AT_PAYLOAD = '","payload":'
 _AT_PREV_HASH = ',"prev_hash":"'
 _AT_TIMESTAMP = '","timestamp":"'
 _TAIL = '"}'
+
+
+def _cuts(line: str, stop: int) -> tuple[int, int, int, int, int] | None:
+    """Where the separators of the fixed layout fall in ``line[:stop]``:
+    the offsets of ``_AT_HASH``, ``_AT_PAYLOAD``, ``_AT_PREV_HASH``,
+    ``_AT_TIMESTAMP`` and ``_TAIL``, or None if one is missing.
+
+    The line is cut forwards past the key and the hash, and backwards past
+    the timestamp and the previous hash, so the payload is what lies
+    between. A canonical JSON string holds no quote that is not escaped,
+    so in a line ``_line`` renders no separator occurs inside the field it
+    is searched across, and the cuts fall where the layout puts them.
+    ``line[stop:]`` may only be a line end, which no separator contains.
+    """
+    if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
+        return None
+    at_hash = line.find(_AT_HASH, len(_HEAD))
+    if at_hash < 0:
+        return None
+    at_payload = line.find(_AT_PAYLOAD, at_hash + len(_AT_HASH))
+    if at_payload < 0:
+        return None
+    payload_start = at_payload + len(_AT_PAYLOAD)
+    end = stop - len(_TAIL)
+    at_timestamp = line.rfind(_AT_TIMESTAMP, payload_start, end)
+    if at_timestamp < 0:
+        return None
+    at_prev_hash = line.rfind(_AT_PREV_HASH, payload_start, at_timestamp)
+    if at_prev_hash < 0:
+        return None
+    return at_hash, at_payload, at_prev_hash, at_timestamp, end
+
+
+def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
+    """Recompute every hash and link; report the first break, if any.
+
+    Each line's hash material is spliced from the line's own slices; the
+    lines are canonical, and canonical quoting is one-to-one, so a link
+    holds iff the previous-hash text equals the previous line's hash text.
+
+    Truncating records off the tail is not detectable without an external
+    anchor for the head hash; persist the head out of band if that matters.
+    """
+    # how far past its separator each field starts; the key, timestamp and
+    # previous-hash slices of the hash material keep their quotes
+    key_from, hash_from = len(_HEAD) - 1, len(_AT_HASH)
+    payload_from, prev_from = len(_AT_PAYLOAD), len(_AT_PREV_HASH)
+    timestamp_from = len(_AT_TIMESTAMP) - 1
+    prev_text = GENESIS_HASH
+    for i, line in enumerate(_lines_of(ledger)):
+        at_hash, at_payload, at_prev_hash, at_timestamp, end = _cuts(line, len(line) - 1)
+        if line[at_prev_hash + prev_from:at_timestamp] != prev_text:
+            return ChainReport(False, i, f"broken link at record {i}")
+        hash_ = _record_hash(
+            line[key_from:at_hash + 1],
+            line[at_timestamp + timestamp_from:end + 1],
+            line[at_payload + payload_from:at_prev_hash],
+            line[at_prev_hash + prev_from - 1:at_timestamp + 1],
+        )
+        prev_text = line[at_hash + hash_from:at_payload]
+        if hash_ != prev_text:
+            return ChainReport(False, i, f"hash mismatch at record {i}")
+    return ChainReport(True)
+
+
+def write_ledger(ledger: Ledger | Iterable[AuditRecord], target: str | Path | TextIO) -> None:
+    """Write one canonical line per record: a ``Ledger``'s lines as they are."""
+    lines = _lines_of(ledger)
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="\n") as stream:
+            stream.writelines(lines)
+    else:
+        target.writelines(lines)
 
 
 def _string(text: str) -> str | None:
@@ -295,45 +362,32 @@ def _string(text: str) -> str | None:
 
 def _split(
     line: str,
+    stop: int,
     last_hash_text: str,
     last_hash: str,
     keys: dict[str, str],
     timestamps: dict[str, datetime],
-    payloads: dict[str, tuple[dict, str]],
-) -> tuple[AuditRecord, str] | None:
-    """The record of a canonical line and the text of its hash, or None
-    for any other line.
+    payloads: dict[str, tuple[dict | None, str]],
+    keep_payloads: bool,
+) -> tuple[str, datetime, dict | None, str, str, str, str] | None:
+    """The fields of the canonical line ``line[:stop]`` (key, timestamp,
+    payload, payload text, previous hash, hash, hash text), or None for
+    any other line. Without ``keep_payloads`` the payload is checked but
+    not kept, and None stands for it.
 
-    The line is cut at the separators of the fixed layout: forwards past
-    the key and the hash, backwards past the timestamp and the previous
-    hash, so the payload is what lies between. A canonical JSON string
-    holds no quote that is not escaped, so in a canonical line no
-    separator occurs inside the field it is searched across, and the cuts
-    fall where the layout puts them. The line is accepted iff each piece
-    is the canonical form of its value, which is iff the line is ``_line``
-    of those values.
+    The line is cut by ``_cuts`` and accepted iff each piece is the
+    canonical form of its value, which is iff the line is ``_line`` of
+    those values.
 
     Keys, timestamps and payloads repeat: each distinct text is checked
     once and its value kept in the caller's dicts, so the records that
     hold it share one object. A previous hash whose text is the last
     line's hash text is that line's hash.
     """
-    if not (line.startswith(_HEAD) and line.endswith(_TAIL)):
+    cuts = _cuts(line, stop)
+    if cuts is None:
         return None
-    at_hash = line.find(_AT_HASH, len(_HEAD))
-    if at_hash < 0:
-        return None
-    at_payload = line.find(_AT_PAYLOAD, at_hash + len(_AT_HASH))
-    if at_payload < 0:
-        return None
-    payload_start = at_payload + len(_AT_PAYLOAD)
-    end = len(line) - len(_TAIL)
-    at_timestamp = line.rfind(_AT_TIMESTAMP, payload_start, end)
-    if at_timestamp < 0:
-        return None
-    at_prev_hash = line.rfind(_AT_PREV_HASH, payload_start, at_timestamp)
-    if at_prev_hash < 0:
-        return None
+    at_hash, at_payload, at_prev_hash, at_timestamp, end = cuts
 
     key_text = line[len(_HEAD):at_hash]
     key = keys.get(key_text)
@@ -367,7 +421,7 @@ def _split(
             return None
         timestamps[timestamp_text] = timestamp
 
-    payload_text = line[payload_start:at_prev_hash]
+    payload_text = line[at_payload + len(_AT_PAYLOAD):at_prev_hash]
     cached = payloads.get(payload_text)
     if cached is None:
         try:
@@ -376,13 +430,10 @@ def _split(
             return None
         if not isinstance(payload, dict) or _encode(payload) != payload_text:
             return None
-        cached = payloads[payload_text] = (payload, payload_text)
+        cached = payloads[payload_text] = (payload if keep_payloads else None, payload_text)
     payload, payload_json = cached
 
-    record = AuditRecord(
-        key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
-    )
-    return record, hash_text
+    return key, timestamp, payload, payload_json, prev_hash, hash_, hash_text
 
 
 def _reject(line: str) -> NoReturn:
@@ -406,38 +457,54 @@ def _reject(line: str) -> NoReturn:
     raise ValueError("non-canonical line: its bytes differ from the record's")
 
 
-def _parse_lines(lines: Iterable[str] | Iterable[bytes]) -> Iterator[AuditRecord]:
-    """The record of each line; the first line that is not canonical, or
-    not UTF-8, raises ValueError with its number."""
+def _parse_lines(
+    lines: Iterable[str] | Iterable[bytes], keep_payloads: bool = True
+) -> Iterator[tuple[str, tuple[str, datetime, dict | None, str, str, str, str]]]:
+    """Each line, decoded, with the fields ``_split`` checked; the first
+    line that is not canonical, or not UTF-8, raises ValueError with its
+    number."""
     keys: dict[str, str] = {}
     # records of one slot share one datetime, as they do when appended
     timestamps: dict[str, datetime] = {}
-    payloads: dict[str, tuple[dict, str]] = {}
+    payloads: dict[str, tuple[dict | None, str]] = {}
     last_hash_text = last_hash = ""
     for lineno, line in enumerate(lines, start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            if line.endswith("\n"):
-                line = line[:-1]
-            split = _split(line, last_hash_text, last_hash, keys, timestamps, payloads)
-            if split is None:
-                _reject(line)
+            stop = len(line) - 1 if line.endswith("\n") else len(line)
+            fields = _split(
+                line, stop, last_hash_text, last_hash, keys, timestamps, payloads, keep_payloads
+            )
+            if fields is None:
+                _reject(line[:stop])
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # RecursionError: a payload nested too deep for the decoder
             raise ValueError(f"ledger line {lineno}: malformed record ({exc})") from None
-        record, last_hash_text = split
-        last_hash = record.hash
-        yield record
+        last_hash, last_hash_text = fields[5], fields[6]
+        yield line, fields
 
 
 def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
-    canonical serialization; records with equal payload text share one
-    payload. Chain integrity is checked by verify_chain, not here; reading
-    a tampered file must succeed so it can be reported."""
+    canonical serialization, ending in a newline (the last line may lack
+    it). Chain integrity is checked by verify_chain, not here; reading a
+    tampered file must succeed so it can be reported."""
+    ledger = Ledger()
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
         with open(source, "rb") as stream:
-            return Ledger(_parse_lines(stream))
-    return Ledger(_parse_lines(source))
+            ledger._load(stream)
+        return ledger
+    ledger._load(source)
+    # a text stream that translates line ends hands "\r\n" over as "\n";
+    # it records what it translated
+    newlines = getattr(source, "newlines", None) or ()
+    if isinstance(newlines, str):
+        newlines = (newlines,)
+    ends = [end for end in newlines if end != "\n"]
+    if ends:
+        raise ValueError(
+            f"non-canonical line end {', '.join(map(repr, ends))}: ledger lines end in '\\n'"
+        )
+    return ledger

@@ -1,9 +1,11 @@
 """Hash chain behaviour and tamper detection."""
 
+import dataclasses
 import hashlib
 import io
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from cscshare import ledger as ledger_mod
 from cscshare.ledger import (
     GENESIS_HASH,
     AuditRecord,
+    ChainReport,
     Ledger,
     read_ledger,
     verify_chain,
@@ -39,13 +42,16 @@ def build_ledger(n=10):
 class TestAppend:
     def test_genesis_prev_hash_is_zero(self):
         ledger = Ledger()
-        record = ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
+        hash_ = ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
+        record = ledger.records[-1]
+        assert record.hash == hash_ == ledger.head_hash
         assert record.prev_hash == GENESIS_HASH
 
     def test_chain_links(self):
         ledger = Ledger()
-        first = ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
-        second = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
+        ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
+        ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
+        first, second = ledger.records
         assert second.prev_hash == first.hash
 
     def test_timestamp_regression_rejected(self):
@@ -113,7 +119,10 @@ class TestAppend:
         path = tmp_path / "seed.log"
         write_ledger([forged], path)
         ledger = Ledger(read_ledger(path))
-        record = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
+        assert ledger.head_hash == forged.hash
+        hash_ = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
+        record = ledger.records[-1]
+        assert record.hash == hash_
         assert record.prev_hash == forged.hash
         iso = slot_ts(1).isoformat()
         assert record.hash == _reference_hash("pv1", iso, {"energy_wh": 6}, forged.hash)
@@ -372,7 +381,9 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     ledger = Ledger()
     timestamp = slot_ts(3)
     for key, payload in entries:
-        record = ledger.append(payload, key, timestamp)
+        hash_ = ledger.append(payload, key, timestamp)
+        record = ledger.records[-1]
+        assert record.hash == hash_
         iso = timestamp.isoformat()
         assert record.hash == _reference_hash(key, iso, payload, record.prev_hash)
         assert record.to_line() == _reference_line(key, iso, payload, record.prev_hash, record.hash)
@@ -588,3 +599,264 @@ def test_equal_payload_texts_share_one_payload(tmp_path):
     # each previous hash is the record before it's hash object
     records = [first, *rest]
     assert all(b.prev_hash is a.hash for a, b in zip(records, records[1:]))
+
+
+def test_crlf_log_rejected_through_a_text_stream(tmp_path):
+    """A stream with universal newlines turns "\\r\\n" into "\\n" before the
+    checker sees a line; the line ends it translated are refused after."""
+    path = tmp_path / "audit.log"
+    write_ledger(build_ledger(2), path)
+    crlf = tmp_path / "crlf.log"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with open(crlf, encoding="utf-8") as stream:
+        with pytest.raises(ValueError, match=r"^non-canonical line end '\\r\\n': ledger lines end in '\\n'$"):
+            read_ledger(stream)
+    with pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
+        read_ledger(crlf)
+    with pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
+        read_ledger(io.StringIO(crlf.read_bytes().decode("utf-8"), newline="\n"))
+    mixed = tmp_path / "mixed.log"
+    mixed.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 1))
+    with open(mixed, encoding="utf-8") as stream:
+        with pytest.raises(ValueError, match=r"^non-canonical line end '\\r\\n': "):
+            read_ledger(stream)
+    with open(path, encoding="utf-8") as stream:
+        assert verify_chain(read_ledger(stream)).intact
+
+
+# Reference writer and verifier: the record-based Ledger.append,
+# write_ledger and verify_chain from before a Ledger held its lines, kept
+# verbatim but for the names of the module helpers they call.
+_quote, _encode, _line, _check_shallow = (
+    ledger_mod._quote, ledger_mod._encode, ledger_mod._line, ledger_mod._check_shallow
+)
+
+
+def _reference_record_hash(key_json, timestamp_json, payload_json, prev_hash):
+    """SHA-256 of the JSON array [key, timestamp, payload, prev]; key and timestamp come quoted."""
+    material = f"[{key_json},{timestamp_json},{payload_json},{_quote(prev_hash)}]"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+class _ReferenceLedger:
+    """Append-only hash chain. Single writer; snapshots are safe to share."""
+
+    def __init__(self, records=()):
+        self._records = list(records)
+        self._last_ts = {}
+        for r in self._records:
+            self._last_ts[r.counting_point_key] = r.timestamp
+        # the last timestamp object checked and its quoted ISO text; the
+        # records of one slot are appended with the same object
+        self._stamp = None
+        self._stamp_json = ""
+        self._key_json = {}
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @property
+    def records(self):
+        return tuple(self._records)
+
+    @property
+    def head_hash(self):
+        return self._records[-1].hash if self._records else GENESIS_HASH
+
+    def append(self, payload, counting_point_key, timestamp):
+        """Chain a new record to the head.
+
+        Timestamps must not regress within one counting point; equal
+        timestamps are allowed (several policies may log the same slot).
+        """
+        if timestamp is not self._stamp:
+            if timestamp.tzinfo is None or timestamp.utcoffset() is None:
+                raise ValueError("record timestamp has no UTC offset")
+            self._stamp = timestamp
+            self._stamp_json = _quote(timestamp.isoformat())
+        payload = dict(payload)
+        _check_shallow(payload)
+        last = self._last_ts.get(counting_point_key)
+        if last is not None and last is not timestamp and timestamp < last:
+            raise ValueError(
+                f"timestamp regression for {counting_point_key}: "
+                f"{timestamp.isoformat()} < {last.isoformat()}"
+            )
+        key_json = self._key_json.get(counting_point_key)
+        if key_json is None:
+            key_json = self._key_json[counting_point_key] = _quote(counting_point_key)
+        prev_hash = self.head_hash
+        payload_json = _encode(payload)
+        hash_ = _reference_record_hash(key_json, self._stamp_json, payload_json, prev_hash)
+        record = AuditRecord(
+            counting_point_key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
+        )
+        self._records.append(record)
+        self._last_ts[counting_point_key] = timestamp
+        return record
+
+
+def _reference_with_iso(records):
+    """Pair each record with its timestamp's ISO text, formatting each run
+    of one timestamp object once: the records of a slot share it."""
+    timestamp = iso = None
+    for record in records:
+        if record.timestamp is not timestamp:
+            timestamp = record.timestamp
+            iso = timestamp.isoformat()
+        yield record, iso
+
+
+def _reference_verify_chain(ledger):
+    """Recompute every hash and link; report the first break, if any.
+
+    Truncating records off the tail is not detectable without an external
+    anchor for the head hash; persist the head out of band if that matters.
+    """
+    prev_hash = GENESIS_HASH
+    for i, (record, iso) in enumerate(_reference_with_iso(ledger)):
+        if record.prev_hash != prev_hash:
+            return ChainReport(False, i, f"broken link at record {i}")
+        key_json, timestamp_json = _quote(record.counting_point_key), _quote(iso)
+        recomputed = _reference_record_hash(key_json, timestamp_json, record.payload_json, record.prev_hash)
+        if recomputed != record.hash:
+            return ChainReport(False, i, f"hash mismatch at record {i}")
+        prev_hash = record.hash
+    return ChainReport(True)
+
+
+def _reference_write_ledger(ledger, target):
+    """Write one canonical line per record, streaming."""
+    lines = (
+        f"{_line(r.counting_point_key, r.hash, r.payload_json, r.prev_hash, iso)}\n"
+        for r, iso in _reference_with_iso(ledger)
+    )
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="\n") as stream:
+            stream.writelines(lines)
+    else:
+        target.writelines(lines)
+
+
+def _written(write, ledger):
+    buf = io.StringIO()
+    write(ledger, buf)
+    return buf.getvalue()
+
+
+def _appended(ledger, payload, key, timestamp):
+    """The new head hash, or the error append raised."""
+    try:
+        result = ledger.append(payload, key, timestamp)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", result if isinstance(result, str) else result.hash
+
+
+# a head hash that needs escaping, as a log read from anywhere may end in
+_FORGED = AuditRecord("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\é\n\U0001f600')
+
+
+@given(
+    entries=st.lists(
+        st.tuples(
+            _awkward_text | st.sampled_from(["pv1", "b1", "KOR"]),
+            st.dictionaries(_awkward_text, _json_trees, max_size=5),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    forged=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
+    """Appending, writing and verifying give the bytes, hashes, errors and
+    reports of the record-based reference, on the intact log and with any
+    one record replaced."""
+    seed = [_FORGED] if forged else []
+    ledger, reference = Ledger(seed), _ReferenceLedger(seed)
+    stamps = [slot_ts(k) for k in range(4)]
+    for key, payload, k in entries:
+        # timestamps may regress, so both must refuse the same appends
+        assert _appended(ledger, payload, key, stamps[k]) == _appended(reference, payload, key, stamps[k])
+        assert ledger.head_hash == reference.head_hash
+        assert len(ledger) == len(reference)
+    assert _written(write_ledger, ledger) == _written(_reference_write_ledger, reference)
+    assert list(ledger) == list(reference)
+    assert verify_chain(ledger) == _reference_verify_chain(reference)
+
+    records = list(reference)
+    if not records:
+        return
+    i = data.draw(st.integers(0, len(records) - 1))
+    field, value = data.draw(st.one_of(
+        st.tuples(st.just("payload"), st.dictionaries(_awkward_text, _json_trees, max_size=3)),
+        st.tuples(st.just("counting_point_key"), _awkward_text),
+        st.tuples(st.just("timestamp"), _timestamps),
+        st.tuples(st.just("prev_hash"), _hash_text),
+        st.tuples(st.just("hash"), _hash_text),
+    ))
+    records[i] = dataclasses.replace(records[i], **{field: value}, payload_json=None)
+    assert verify_chain(records) == _reference_verify_chain(records)
+    text = _written(write_ledger, records)
+    assert text == _written(_reference_write_ledger, records)
+    reread = read_ledger(io.StringIO(text, newline="\n"))
+    expected = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(text, newline="\n"))))
+    assert verify_chain(reread) == expected
+    assert verify_chain(Ledger(records)) == expected
+
+
+def _small_log() -> bytes:
+    ledger = build_ledger(3)
+    stamp = slot_ts(2, DAY)
+    ledger.append({"kind": "consumption", "energy_wh": 7}, "b1", stamp)
+    ledger.append(
+        {"policy": "static", "self_consumed_wh": {"b1": 7}, "surplus_wh": 95, "coefficients": {"b1": "1.0"}},
+        "KOR",
+        stamp,
+    )
+    return _written(write_ledger, ledger).encode("utf-8")
+
+
+_SMALL_LOG = _small_log()
+
+
+def _read_and_verified(read):
+    try:
+        return "report", verify_chain(read())
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(
+    at=st.integers(0, len(_SMALL_LOG) - 1),
+    # mostly ASCII; a few bytes that are not UTF-8 on their own
+    byte=st.integers(0, 127) | st.sampled_from([0x80, 0xE9, 0xFF]),
+)
+@settings(max_examples=500, deadline=None)
+def test_single_byte_mutation_reads_and_verifies_as_the_reference(at, byte, tmp_path_factory):
+    """Any one byte of a small log replaced: read_ledger raises the error,
+    or verify_chain gives the report, of the reference reader and
+    verifier."""
+    raw = _SMALL_LOG[:at] + bytes([byte]) + _SMALL_LOG[at + 1:]
+    path = tmp_path_factory.getbasetemp() / "mutated.log"
+    path.write_bytes(raw)
+    outcome = _read_and_verified(lambda: read_ledger(path))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        assert outcome[0] == "error" and "malformed record ('utf-8' codec" in outcome[1]
+        return
+    try:
+        records = list(_reference_parse_lines(io.StringIO(text, newline="\n")))
+    except ValueError as exc:
+        expected = "error", str(exc)
+    else:
+        expected = "report", _reference_verify_chain(records)
+    assert outcome == expected
+    assert _read_and_verified(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected

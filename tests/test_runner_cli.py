@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 from cscshare.billing import compute_scr
 from cscshare.cli import main
-from cscshare.ledger import read_ledger, verify_chain
+from cscshare.ledger import AuditRecord, read_ledger, verify_chain
 from cscshare.model import DateRange, SlotAllocation, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
@@ -468,6 +469,31 @@ class TestCli:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit), r.exception
         assert f"validation error: {message}" in r.output
+
+    def test_audit_verify_prints_the_head_hash(self, demo):
+        log = run(load_run_config(demo / "run_config.json")).out_dir / "audit.log"
+        r = CliRunner().invoke(main, ["audit-verify", str(log)])
+        assert r.exit_code == 0, r.output
+        ledger = read_ledger(log)
+        assert r.output == f"intact ({len(ledger)} records), head {ledger.head_hash}\n"
+        assert re.fullmatch("[0-9a-f]{64}", ledger.head_hash)
+
+    def test_run_and_audit_verify_build_no_audit_record(self, demo, monkeypatch):
+        """The ledger is written and verified as lines; records are only
+        views for library callers."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an AuditRecord was built")
+
+        monkeypatch.setattr(AuditRecord, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            AuditRecord("pv1", datetime(2024, 1, 1, tzinfo=timezone.utc), {}, "0", "0")
+        runner = CliRunner()
+        r = runner.invoke(main, ["run", "--config", str(demo / "run_config.json")])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["audit-verify", str(demo / "reports" / "audit.log")])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith("intact (")
 
     def test_missing_config_is_io_failure(self):
         r = CliRunner().invoke(main, ["run", "--config", "/nonexistent/config.json"])
