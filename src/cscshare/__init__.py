@@ -40,6 +40,7 @@ from cscshare.billing import (
     compute_scr,
 )
 from cscshare.ingestion import (
+    MeterReadings,
     ScenarioConfig,
     add_constant_load,
     apply_pv_gain,
@@ -59,6 +60,7 @@ __all__ = [
     "Kind",
     "KorVector",
     "Ledger",
+    "MeterReadings",
     "Participant",
     "SavingsReport",
     "ScenarioConfig",

@@ -16,8 +16,8 @@ import click
 from cscshare import ledger as ledger_mod
 from cscshare import runner as runner_mod
 from cscshare import synth
-from cscshare.ingestion import derive_static_kors, ingest_csv, normalize_to_slots
-from cscshare.model import DateRange, Kind, parse_timestamp
+from cscshare.ingestion import derive_static_kors, ingest_csv, normalize_to_slots, readings_by_meter
+from cscshare.model import DateRange, Kind
 
 
 def guarded(fn):
@@ -63,15 +63,15 @@ def synth_data(profile, out_dir, seed):
 @guarded
 def ingest(csv_paths, out_dir):
     """Validate meter CSVs and normalize them to the 30-minute grid."""
-    by_meter = {}
+    results = []
     failed = False
     for path in csv_paths:
         result = ingest_csv(path)
         for err in result.errors:
             click.echo(f"{path}: {err}", err=True)
             failed = True
-        for record in result.records:
-            by_meter.setdefault(record.meter_id, []).append(record)
+        results.append(result)
+    by_meter = readings_by_meter(results)
     normalized = {}
     for meter_id in sorted(by_meter):
         try:
@@ -107,30 +107,18 @@ def derive_kors(config_path, out_path):
     community, _ = runner_mod.load_community(config.community_file)
     by_meter = runner_mod._ingest_meters(config.meter_csvs)
     history = []
+    # each participant's readings are released once it is normalized
     for pid in community.participant_ids():
         if pid not in by_meter:
             raise ValueError(f"no meter data for participant {pid}")
-        history.append(normalize_to_slots(by_meter[pid], kind=Kind.CONSUMPTION))
+        history.append(normalize_to_slots(by_meter.pop(pid), kind=Kind.CONSUMPTION))
+    del by_meter
 
-    with open(config_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "kor_window" in raw:
-        bounds = raw["kor_window"]
-        if not isinstance(bounds, dict) or not all(
-            isinstance(bounds.get(k), str) for k in ("start", "end")
-        ):
-            raise ValueError(
-                'run config: kor_window must be an object of "start" and "end" '
-                f"dates (YYYY-MM-DD), got {bounds!r}"
-            )
-        window = DateRange(
-            parse_timestamp(bounds["start"] + "T00:00:00+00:00").date(),
-            parse_timestamp(bounds["end"] + "T00:00:00+00:00").date(),
-        )
-    else:
+    window = config.kor_window
+    if window is None:
         # each series is strictly increasing: its first slot is its earliest
-        first = min(s.slots[0][0] for s in history)
-        last = max(s.slots[-1][0] for s in history)
+        first = min(s.slot_starts()[0] for s in history)
+        last = max(s.slot_starts()[-1] for s in history)
         window = DateRange(first.date(), last.date() + timedelta(days=1))
 
     kors = derive_static_kors(history, window)

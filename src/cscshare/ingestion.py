@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, islice
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from cscshare.kernels import apportion
 from cscshare.model import (
@@ -60,14 +60,6 @@ _CLASS_KINDS = {
     MeterClass.SME_SMI: {QuantityKind.ENERGY_KWH_INDEX, QuantityKind.POWER_KW_10MIN},
 }
 
-# The (meter_class, quantity_kind) texts of every valid pair, to their members.
-_VALID_PAIRS = {
-    (klass.value, kind.value): (klass, kind)
-    for klass, kinds in _CLASS_KINDS.items()
-    for kind in kinds
-}
-
-
 @dataclass(frozen=True, slots=True)
 class RawMeterRecord:
     """One reading as it came off the meter, before normalization."""
@@ -96,9 +88,98 @@ class RowError:
         return f"line {self.line}: {self.message}"
 
 
+@dataclass(eq=False)
+class MeterReadings(Sequence[RawMeterRecord]):
+    """One meter's readings of one quantity, as columns in arrival order.
+
+    ``floors`` holds each timestamp's slot start: the timestamp floored to
+    the 30-minute grid in its own UTC offset. Ingestion fills the columns
+    row by row, taking each floor from the per-file timestamp cache;
+    ``from_rows`` builds them from records. ``readings[k]`` is row k as a
+    RawMeterRecord.
+    """
+
+    meter_id: str
+    meter_class: MeterClass
+    quantity_kind: QuantityKind
+    timestamps: list[datetime] = field(default_factory=list)
+    floors: list[datetime] = field(default_factory=list)
+    values: list[int | Decimal] = field(default_factory=list)
+
+    @classmethod
+    def from_rows(cls, records: Iterable[RawMeterRecord]) -> "MeterReadings":
+        """The columns of one meter's records; an empty or mixed set is an error."""
+        records = list(records)
+        if not records:
+            raise ValueError("no records to normalize")
+        meter_ids = {r.meter_id for r in records}
+        if len(meter_ids) > 1:
+            raise ValueError(f"records mix meter ids: {sorted(meter_ids)}")
+        if len({r.meter_class for r in records}) > 1:
+            raise ValueError("records mix meter classes")
+        if len({r.quantity_kind for r in records}) > 1:
+            raise ValueError("records mix quantity kinds; normalize one basis at a time")
+        first = records[0]
+        timestamps = [r.timestamp for r in records]
+        return cls(
+            first.meter_id, first.meter_class, first.quantity_kind,
+            timestamps, list(map(_slot_floor, timestamps)), [r.value for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return RawMeterRecord(
+            self.meter_id, self.meter_class, self.timestamps[k], self.quantity_kind, self.values[k]
+        )
+
+
+class _InFileOrder(Sequence[RawMeterRecord]):
+    """Accepted rows in file order, each a view into its meter's columns.
+
+    ``rows`` holds the MeterReadings each row went to; row k is the j-th
+    reading of its meter when j earlier rows went to the same one. Reading
+    row k counts those rows, so iterate to read them all.
+    """
+
+    def __init__(self):
+        self.rows: list[MeterReadings] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        k = range(len(self.rows))[k]
+        readings = self.rows[k]
+        return readings[self.rows[:k].count(readings)]
+
+    def __iter__(self):
+        taken: dict[int, int] = {}
+        for readings in self.rows:
+            j = taken.get(id(readings), 0)
+            taken[id(readings)] = j + 1
+            yield readings[j]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class IngestResult:
-    records: list[RawMeterRecord] = field(default_factory=list)
+    """One meter CSV's accepted rows and its row errors.
+
+    ``meters`` holds the rows as one MeterReadings per (meter_id,
+    meter_class, quantity_kind), in order of first appearance; ``records``
+    is the same rows in file order.
+    """
+
+    meters: list[MeterReadings] = field(default_factory=list)
+    records: Sequence[RawMeterRecord] = field(default_factory=_InFileOrder)
     errors: list[RowError] = field(default_factory=list)
 
     @property
@@ -106,8 +187,35 @@ class IngestResult:
         return not self.errors
 
 
+def readings_by_meter(results: Iterable[IngestResult]) -> dict[str, MeterReadings | list[RawMeterRecord]]:
+    """Each meter's readings across files, its columns joined in file order.
+
+    A meter id read under two classes or quantity kinds maps to all its
+    records instead, which normalize_to_slots rejects as a mix.
+    """
+    parts: dict[str, list[MeterReadings]] = {}
+    for result in results:
+        for readings in result.meters:
+            parts.setdefault(readings.meter_id, []).append(readings)
+    return {meter_id: _joined(same) for meter_id, same in parts.items()}
+
+
+def _joined(parts: list[MeterReadings]) -> MeterReadings | list[RawMeterRecord]:
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if any((p.meter_class, p.quantity_kind) != (first.meter_class, first.quantity_kind) for p in parts):
+        return [r for p in parts for r in p]
+    return MeterReadings(
+        first.meter_id, first.meter_class, first.quantity_kind,
+        [ts for p in parts for ts in p.timestamps],
+        [floor for p in parts for floor in p.floors],
+        [value for p in parts for value in p.values],
+    )
+
+
 def ingest_csv(source: str | Path | TextIO) -> IngestResult:
-    """Parse a meter CSV.
+    """Parse a meter CSV into per-meter columns, in one pass.
 
     A malformed header is a hard error; a malformed row is collected into
     the error report with its line number and skipped.
@@ -119,7 +227,7 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
 
 
 class _Timestamps(dict):
-    """Timestamp text -> parsed timestamp, parsing each distinct text once.
+    """Timestamp text -> (parsed timestamp, its slot floor), parsing each distinct text once.
 
     Timestamps with equal UTC offsets share one tzinfo object, so sorting
     and comparing them takes CPython's same-tzinfo path.
@@ -129,13 +237,14 @@ class _Timestamps(dict):
         super().__init__()
         self._zones: dict = {}
 
-    def __missing__(self, text: str) -> datetime:
-        ts = parse_timestamp(text)
+    def __missing__(self, text: str) -> tuple[datetime, datetime]:
+        ts = parse_timestamp(text.strip())
         zone = self._zones.setdefault(ts.tzinfo, ts.tzinfo)
         if zone is not ts.tzinfo:
-            ts = ts.replace(tzinfo=zone)
-        self[text] = ts
-        return ts
+            # what replace(tzinfo=zone) gives, at a fifth of its cost
+            ts = datetime.combine(ts, ts.time(), zone)
+        self[text] = entry = (ts, _slot_floor(ts))
+        return entry
 
 
 def _ingest_stream(stream: TextIO) -> IngestResult:
@@ -148,54 +257,61 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         raise ValueError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
     result = IngestResult()
-    records, errors = result.records, result.errors
+    rows, errors = result.records.rows, result.errors
+    meters: dict[tuple, MeterReadings] = {}
+    # the (meter_id, meter_class, quantity_kind) texts of accepted rows,
+    # as they stand in the file, to their columns and value parser
+    routes: dict[tuple[str, str, str], tuple[MeterReadings, Callable]] = {}
     timestamps = _Timestamps()
     for line, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
-            continue
         try:
-            records.append(_parse_row(row, timestamps))
+            try:
+                meter_id, klass, ts_text, kind_text, value_text = row
+                readings, parse_value = routes[meter_id, klass, kind_text]
+            except (ValueError, KeyError):
+                if not "".join(row).strip():
+                    continue
+                readings, parse_value = _route(row, routes, meters, timestamps)
+            ts, floor = timestamps[ts_text]
+            value = parse_value(value_text)
         except ValueError as exc:
             errors.append(RowError(line, str(exc)))
+            continue
+        readings.timestamps.append(ts)
+        readings.floors.append(floor)
+        readings.values.append(value)
+        rows.append(readings)
+    result.meters = [readings for readings in meters.values() if readings]
     return result
 
 
-def _parse_row(row: Sequence[str], timestamps: _Timestamps) -> RawMeterRecord:
+def _route(row: Sequence[str], routes: dict, meters: dict, timestamps: _Timestamps):
+    """Check the first row of a meter, class and kind text triple, and route it.
+
+    Raises the row's error when the triple is malformed; a known but
+    mismatched class and kind is reported after the timestamp and value
+    have parsed, and is never routed.
+    """
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
     meter_id, klass, ts_text, kind_text, value_text = map(str.strip, row)
     if not meter_id:
         raise ValueError("empty meter_id")
-    meter_class, kind = _VALID_PAIRS.get((klass, kind_text)) or _members(klass, kind_text)
-    ts = timestamps[ts_text]
-
-    value: int | Decimal
-    if kind is QuantityKind.POWER_KW_10MIN:
-        try:
-            value = Decimal(value_text)
-        except ArithmeticError:
-            raise ValueError(f"bad power value {value_text!r}") from None
-        if not value.is_finite():
-            raise ValueError(f"bad power value {value_text!r}")
-        if value < 0:
-            raise ValueError("negative power")
-    else:
-        try:
-            value = int(value_text)
-        except ValueError:
-            unit = "Wh" if kind is QuantityKind.ENERGY_WH else "kWh"
-            raise ValueError(f"energy must be an integer {unit} count, got {value_text!r}") from None
-        if value < 0:
-            raise ValueError("negative energy")
-    return RawMeterRecord(meter_id, meter_class, ts, kind, value)
+    meter_class, kind = _members(klass, kind_text)
+    parse_value = _VALUE_PARSERS[kind]
+    if kind not in _CLASS_KINDS[meter_class]:
+        timestamps[ts_text]
+        parse_value(value_text)
+        raise ValueError(f"{meter_class.value} meters do not report {kind.value}")
+    key = (meter_id, meter_class, kind)
+    if key not in meters:
+        meters[key] = MeterReadings(meter_id, meter_class, kind)
+    routes[row[0], row[1], row[3]] = route = (meters[key], parse_value)
+    return route
 
 
 def _members(klass: str, kind_text: str) -> tuple[MeterClass, QuantityKind]:
-    """Look up a pair outside _VALID_PAIRS, raising the row error of an unknown text.
-
-    A known but mismatched pair is returned; RawMeterRecord rejects it once
-    the rest of the row has parsed.
-    """
+    """The members of a class and kind text, raising the row error of an unknown text."""
     try:
         meter_class = MeterClass(klass)
     except ValueError:
@@ -205,6 +321,40 @@ def _members(klass: str, kind_text: str) -> tuple[MeterClass, QuantityKind]:
     except ValueError:
         raise ValueError(f"unknown quantity_kind {kind_text!r}") from None
     return meter_class, kind
+
+
+def _energy_parser(unit: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        text = text.strip()
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"energy must be an integer {unit} count, got {text!r}") from None
+        if value < 0:
+            raise ValueError("negative energy")
+        return value
+
+    return parse
+
+
+def _parse_power(text: str) -> Decimal:
+    text = text.strip()
+    try:
+        value = Decimal(text)
+    except ArithmeticError:
+        raise ValueError(f"bad power value {text!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"bad power value {text!r}")
+    if value < 0:
+        raise ValueError("negative power")
+    return value
+
+
+_VALUE_PARSERS = {
+    QuantityKind.ENERGY_WH: _energy_parser("Wh"),
+    QuantityKind.ENERGY_KWH_INDEX: _energy_parser("kWh"),
+    QuantityKind.POWER_KW_10MIN: _parse_power,
+}
 
 
 def _slot_floor(ts: datetime) -> datetime:
@@ -224,46 +374,42 @@ def _round_half_even(numerator: int, denominator: int) -> int:
 
 
 def normalize_to_slots(
-    records: Iterable[RawMeterRecord], kind: Kind = Kind.CONSUMPTION
+    records: MeterReadings | Iterable[RawMeterRecord], kind: Kind = Kind.CONSUMPTION
 ) -> SlotSeries:
     """Convert one meter's raw readings to a 30-minute Wh series.
 
-    One walk over the time-sorted readings groups them by the slot they
-    fall in; consecutive slots must be exactly 30 minutes apart in UTC.
-    Each slot keeps the instant and UTC offset of its own readings, so a
-    day across a DST switch has 46 or 50 slots, each in its local offset;
-    readings of one slot that carry two offsets are an error. Linky Wh
-    readings within a slot are summed. SME/SMI 10-minute powers need all
-    three samples of a slot, at the 0/10/20-minute marks, and convert as
-    mean kW x 0.5 h x 1000. SME/SMI kWh index readings must sit on
-    consecutive slot boundaries; each index delta x 1000 becomes the
-    energy of the slot the earlier reading opens.
+    Takes the meter's columns or its records; records go through
+    MeterReadings.from_rows first. One walk over the time-sorted readings
+    groups them by the slot they fall in; consecutive slots must be
+    exactly 30 minutes apart in UTC. Each slot keeps the instant and UTC
+    offset of its own readings, so a day across a DST switch has 46 or 50
+    slots, each in its local offset; readings of one slot that carry two
+    offsets are an error. Linky Wh readings within a slot are summed.
+    SME/SMI 10-minute powers need all three samples of a slot, at the
+    0/10/20-minute marks, and convert as mean kW x 0.5 h x 1000. SME/SMI
+    kWh index readings must sit on consecutive slot boundaries; each index
+    delta x 1000 becomes the energy of the slot the earlier reading opens.
 
     A slot with fewer samples than its class expects is a gap error; a
     mix of meter ids, classes or quantity kinds is a hard error.
     """
-    records = sorted(records, key=attrgetter("timestamp"))
-    if not records:
+    readings = records if isinstance(records, MeterReadings) else MeterReadings.from_rows(records)
+    meter_id, quantity = readings.meter_id, readings.quantity_kind
+    stamps, floors, values = readings.timestamps, readings.floors, readings.values
+    if not stamps:
         raise ValueError("no records to normalize")
-    meter_ids = {r.meter_id for r in records}
-    if len(meter_ids) > 1:
-        raise ValueError(f"records mix meter ids: {sorted(meter_ids)}")
-    classes = {r.meter_class for r in records}
-    if len(classes) > 1:
-        raise ValueError("records mix meter classes")
-    kinds = {r.quantity_kind for r in records}
-    if len(kinds) > 1:
-        raise ValueError("records mix quantity kinds; normalize one basis at a time")
-    meter_id = records[0].meter_id
-    quantity = records[0].quantity_kind
-
-    for prev, cur in zip(records, records[1:]):
-        if cur.timestamp == prev.timestamp:
-            raise ValueError(f"{meter_id}: duplicate reading at {cur.timestamp.isoformat()}")
+    if not all(map(lt, stamps, islice(stamps, 1, None))):
+        # a stable sort: readings of one instant keep their arrival order;
+        # there are at least two readings here, so each pick is a tuple
+        pick = itemgetter(*sorted(range(len(stamps)), key=stamps.__getitem__))
+        stamps, floors, values = pick(stamps), pick(floors), pick(values)
+        for prev, cur in zip(stamps, stamps[1:]):
+            if cur == prev:
+                raise ValueError(f"{meter_id}: duplicate reading at {cur.isoformat()}")
 
     power = quantity is QuantityKind.POWER_KW_10MIN
     index = quantity is QuantityKind.ENERGY_KWH_INDEX
-    if index and len(records) < 2:
+    if index and len(stamps) < 2:
         raise ValueError(f"{meter_id}: index series needs at least two readings")
     if power or index:
         mark, what, where = (
@@ -271,52 +417,52 @@ def normalize_to_slots(
             if power
             else (SLOT_MINUTES, "index reading", "a slot boundary")
         )
-        for r in records:
-            ts = r.timestamp
+        for ts in stamps:
             if ts.minute % mark or ts.second or ts.microsecond:
                 raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
 
-    slots: list[tuple[datetime, int]] = []
-    opened = opener = None  # start and first reading of the slot before
-    for start, group in groupby(records, key=lambda r: _slot_floor(r.timestamp)):
-        readings = list(group)
+    starts: list[datetime] = []
+    energies: list[int] = []
+    opened = opener = None  # start and first value of the slot before
+    for start, group in groupby(zip(stamps, floors, values), key=itemgetter(1)):
         if opened is not None and start - opened != SLOT_DURATION:
             missing = (opened + SLOT_DURATION).isoformat()
             samples = " (0/3 ten-minute power samples)" if power else ""
             raise ValueError(f"{meter_id}: gap at {missing}{samples}")
+        group = list(group)
         zone = start.tzinfo
-        for r in readings:
-            ts = r.timestamp
+        for ts, _, _ in group:
             if ts.tzinfo is not zone and ts.utcoffset() != start.utcoffset():
                 raise ValueError(
                     f"{meter_id}: readings of slot {start.isoformat()} carry two UTC offsets"
                 )
         if power:
-            if len(readings) < 3:
+            if len(group) < 3:
                 raise ValueError(
                     f"{meter_id}: gap at {start.isoformat()} "
-                    f"({len(readings)}/3 ten-minute power samples)"
+                    f"({len(group)}/3 ten-minute power samples)"
                 )
             # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3, the sum taken
             # in Decimal arithmetic even when a record holds an int
-            n, d = sum([r.value for r in readings], Decimal(0)).as_integer_ratio()
-            slots.append((start, _round_half_even(n * 500, d * 3)))
+            n, d = sum([value for _, _, value in group], Decimal(0)).as_integer_ratio()
+            starts.append(start)
+            energies.append(_round_half_even(n * 500, d * 3))
         elif index:
             # boundary readings are distinct instants: one reading per slot,
             # whose delta to the next one is the energy of the slot it opens
-            reading = readings[0]
+            ts, _, value = group[0]
             if opener is not None:
-                delta = int(reading.value) - int(opener.value)
+                delta = int(value) - int(opener)
                 if delta < 0:
-                    raise ValueError(
-                        f"{meter_id}: index decreases at {reading.timestamp.isoformat()}"
-                    )
-                slots.append((opened, delta * 1000))
-            opener = reading
+                    raise ValueError(f"{meter_id}: index decreases at {ts.isoformat()}")
+                starts.append(opened)
+                energies.append(delta * 1000)
+            opener = value
         else:
-            slots.append((start, sum([int(r.value) for r in readings])))
+            starts.append(start)
+            energies.append(sum([int(value) for _, _, value in group]))
         opened = start
-    return SlotSeries(meter_id=meter_id, kind=kind, slots=tuple(slots))
+    return SlotSeries.from_columns(meter_id, kind, starts, energies)
 
 
 # Scaled slot energies are computed exactly in 60 digits; one that needs
@@ -437,7 +583,7 @@ def derive_static_kors(
     for s in series_list:
         total = 0
         has_data = False
-        for ts, energy in s.slots:
+        for ts, energy in zip(s.slot_starts(), s.values()):
             if contains(ts):
                 total += energy
                 has_data = True

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from itertools import groupby
-from operator import gt
+from itertools import groupby, islice
+from operator import attrgetter, gt, lt, methodcaller
 from typing import Iterable, Mapping, Sequence
 
 SLOT_MINUTES = 30
@@ -115,50 +115,92 @@ class DateRange:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SlotSeries:
-    """Per-meter energy on the 30-minute grid, integer Wh per slot."""
+    """Per-meter energy on the 30-minute grid, integer Wh per slot.
+
+    Held as two columns, the slot starts and their energies, and checked
+    once as a whole: every start carries a UTC offset and sits on the grid,
+    starts strictly increase, and every energy is an int >= 0. The first
+    bad slot's error is raised. ``slots`` pairs the columns up.
+    """
 
     meter_id: str
     kind: Kind
-    slots: tuple[tuple[datetime, int], ...]
+    starts: tuple[datetime, ...]
+    energies: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple((ts, e) for ts, e in self.slots))
-        prev = None
-        for ts, energy in self.slots:
-            check_slot_aligned(ts)
-            # the label is built only for the check that raises
-            if type(energy) is not int or energy < 0:
-                check_energy_wh(energy, f"slot {ts.isoformat()} of meter {self.meter_id}")
-            if prev is not None and ts <= prev:
-                raise ValueError(
-                    f"meter {self.meter_id}: slots not strictly increasing at {ts.isoformat()}"
-                )
-            prev = ts
+    def __init__(self, meter_id: str, kind: Kind, slots: Iterable[tuple[datetime, int]]):
+        slots = [(ts, e) for ts, e in slots]
+        self._fill(meter_id, kind, tuple(ts for ts, _ in slots), tuple(e for _, e in slots))
+
+    @classmethod
+    def from_columns(
+        cls, meter_id: str, kind: Kind, starts: Sequence[datetime], energies: Sequence[int]
+    ) -> "SlotSeries":
+        series = cls.__new__(cls)
+        series._fill(meter_id, kind, tuple(starts), tuple(energies))
+        return series
+
+    def _fill(self, meter_id, kind, starts, energies) -> None:
+        if len(starts) != len(energies):
+            raise ValueError("value count does not match slot count")
+        if not (
+            None not in map(methodcaller("utcoffset"), starts)
+            and set(map(attrgetter("minute"), starts)) <= _SLOT_MINUTES_OF_HOUR
+            and not any(map(attrgetter("second"), starts))
+            and not any(map(attrgetter("microsecond"), starts))
+            and all(map(lt, starts, islice(starts, 1, None)))
+            and set(map(type, energies)) <= {int}
+            and min(energies, default=0) >= 0
+        ):
+            _check_each_slot(meter_id, starts, energies)
+        object.__setattr__(self, "meter_id", meter_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "energies", energies)
+
+    @property
+    def slots(self) -> tuple[tuple[datetime, int], ...]:
+        return tuple(zip(self.starts, self.energies))
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.starts)
 
     def slot_starts(self) -> tuple[datetime, ...]:
-        return tuple(ts for ts, _ in self.slots)
+        return self.starts
 
     def values(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.slots)
+        return self.energies
 
     def total_wh(self, window: DateRange | None = None) -> int:
         if window is None:
-            return sum(e for _, e in self.slots)
-        return sum(e for ts, e in self.slots if window.contains(ts))
+            return sum(self.energies)
+        return sum(e for ts, e in zip(self.starts, self.energies) if window.contains(ts))
 
     def replace_values(self, values: Sequence[int]) -> "SlotSeries":
-        if len(values) != len(self.slots):
-            raise ValueError("value count does not match slot count")
-        return SlotSeries(
-            meter_id=self.meter_id,
-            kind=self.kind,
-            slots=tuple((ts, v) for (ts, _), v in zip(self.slots, values)),
-        )
+        """The same slots with new energies; the starts column is shared."""
+        return SlotSeries.from_columns(self.meter_id, self.kind, self.starts, values)
+
+
+_SLOT_MINUTES_OF_HOUR = frozenset(range(0, 60, SLOT_MINUTES))
+
+
+def _check_each_slot(meter_id: str, starts, energies) -> None:
+    """Check the columns slot by slot and raise the first bad slot's error.
+
+    Runs when the whole-column checks fail; an energy of an int subclass,
+    which they reject, passes here.
+    """
+    prev = None
+    for ts, energy in zip(starts, energies):
+        check_slot_aligned(ts)
+        # the label is built only for the check that raises
+        if type(energy) is not int or energy < 0:
+            check_energy_wh(energy, f"slot {ts.isoformat()} of meter {meter_id}")
+        if prev is not None and ts <= prev:
+            raise ValueError(f"meter {meter_id}: slots not strictly increasing at {ts.isoformat()}")
+        prev = ts
 
 
 @dataclass(frozen=True)

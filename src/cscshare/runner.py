@@ -28,7 +28,16 @@ from cscshare.billing import (
     compute_savings,
     compute_scr,
 )
-from cscshare.ingestion import ScenarioConfig, add_constant_load, apply_pv_gain, ingest_csv, normalize_to_slots
+from cscshare.ingestion import (
+    MeterReadings,
+    RawMeterRecord,
+    ScenarioConfig,
+    add_constant_load,
+    apply_pv_gain,
+    ingest_csv,
+    normalize_to_slots,
+    readings_by_meter,
+)
 from cscshare.ledger import KOR_COUNTING_POINT, Ledger, write_ledger
 from cscshare.model import (
     AllocationTable,
@@ -43,6 +52,7 @@ from cscshare.model import (
     StaticPolicy,
     TariffBook,
     as_decimal,
+    parse_timestamp,
     validate_community,
 )
 
@@ -58,6 +68,7 @@ class RunConfig:
     scenario_file: Path | None = None
     kors: Mapping[str, float] | None = None
     priority_order: tuple[str, ...] | None = None
+    kor_window: DateRange | None = None
 
     def __post_init__(self):
         if not self.policies:
@@ -137,6 +148,21 @@ def load_run_config(
             raise ValueError("run config: priority_order must be a list of participant ids")
         priority_order = tuple(priority_order)
 
+    kor_window = None
+    if "kor_window" in raw:
+        bounds = raw["kor_window"]
+        if not isinstance(bounds, dict) or not all(
+            isinstance(bounds.get(k), str) for k in ("start", "end")
+        ):
+            raise ValueError(
+                'run config: kor_window must be an object of "start" and "end" '
+                f"dates (YYYY-MM-DD), got {bounds!r}"
+            )
+        kor_window = DateRange(
+            parse_timestamp(bounds["start"] + "T00:00:00+00:00").date(),
+            parse_timestamp(bounds["end"] + "T00:00:00+00:00").date(),
+        )
+
     scenario = raw.get("scenario")
     return RunConfig(
         meter_csvs=tuple(_resolve(p) for p in meter_csvs),
@@ -146,6 +172,7 @@ def load_run_config(
         scenario_file=_resolve(scenario) if scenario else None,
         kors=kors,
         priority_order=priority_order,
+        kor_window=kor_window,
     )
 
 
@@ -199,17 +226,17 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
     return community, str(datacentre_meter) if datacentre_meter else None
 
 
-def _ingest_meters(paths: Sequence[Path]) -> dict[str, list]:
-    by_meter: dict[str, list] = {}
+def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings | list[RawMeterRecord]]:
+    """Each meter's readings from every file; see readings_by_meter."""
+    results = []
     findings: list[str] = []
     for path in paths:
         result = ingest_csv(path)
         findings.extend(f"{path.name}:{e}" for e in result.errors)
-        for record in result.records:
-            by_meter.setdefault(record.meter_id, []).append(record)
+        results.append(result)
     if findings:
         raise ValueError("meter CSV errors:\n" + "\n".join(str(f) for f in findings))
-    return by_meter
+    return readings_by_meter(results)
 
 
 def _build_policies(
@@ -304,12 +331,12 @@ def run(config: RunConfig) -> RunResult:
 
     by_meter = _ingest_meters(config.meter_csvs)
     ids = community.participant_ids()
-    series: list[SlotSeries] = []
     production = None
     consumptions: dict[str, SlotSeries] = {}
-    for meter_id, records in sorted(by_meter.items()):
+    # each meter's readings are released once it is normalized
+    for meter_id in sorted(by_meter):
         kind = Kind.PRODUCTION if meter_id == community.production_meter else Kind.CONSUMPTION
-        normalized = normalize_to_slots(records, kind=kind)
+        normalized = normalize_to_slots(by_meter.pop(meter_id), kind=kind)
         if meter_id == community.production_meter:
             production = normalized
         else:

@@ -26,6 +26,7 @@ from cscshare.ingestion import (
     derive_static_kors,
     ingest_csv,
     normalize_to_slots,
+    readings_by_meter,
 )
 from cscshare.model import DAY_SLOTS, DateRange, Kind, SLOT_MINUTES
 
@@ -194,9 +195,7 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
     # derivation a year of history would get.
     ingested = ingest_csv(meters_csv)
     assert not ingested.errors
-    by_meter: dict[str, list] = {}
-    for record in ingested.records:
-        by_meter.setdefault(record.meter_id, []).append(record)
+    by_meter = readings_by_meter([ingested])
     history = [
         normalize_to_slots(by_meter[pid], kind=Kind.CONSUMPTION) for pid in _PARTICIPANTS
     ]

@@ -2,15 +2,18 @@
 
 import csv
 import io
+import tempfile
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cscshare.ingestion import (
     MeterClass,
+    MeterReadings,
     QuantityKind,
     RawMeterRecord,
     ScenarioConfig,
@@ -20,8 +23,11 @@ from cscshare.ingestion import (
     derive_static_kors,
     ingest_csv,
     normalize_to_slots,
+    readings_by_meter,
 )
 from cscshare.model import DateRange, Kind, SLOT_MINUTES, SlotSeries, parse_timestamp
+
+from cscshare.runner import _ingest_meters
 
 from conftest import DAY, paris_2024, slot_ts
 
@@ -79,6 +85,27 @@ class TestIngestCsv:
         ))
         assert len(result.records) == 1
         assert [e.line for e in result.errors] == [3, 4]
+
+    def test_records_view_the_meter_columns_in_file_order(self):
+        rows = [
+            "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1",
+            "m2,sme_smi,2022-05-04T10:00:00+02:00,energy_kwh_index,7",
+            "m1,linky,bad,energy_wh,2",
+            "m1,linky,2022-05-04T10:30:00+02:00,energy_wh,3",
+            "m2,sme_smi,2022-05-04T10:30:00+02:00,energy_kwh_index,9",
+        ]
+        result = ingest_csv(io.StringIO(HEADER + "\n".join(rows) + "\n"))
+        m1, m2 = result.meters
+        assert (m1.meter_id, m1.values, len(m1)) == ("m1", [1, 3], 2)
+        assert (m2.meter_id, m2.values, m2.floors) == ("m2", [7, 9], m2.timestamps)
+        records = result.records
+        assert len(records) == 4
+        assert [(r.meter_id, r.value) for r in records] == [("m1", 1), ("m2", 7), ("m1", 3), ("m2", 9)]
+        assert list(records) == [records[k] for k in range(4)] == records[:]
+        assert records[-1] == m2[1] and records[1:3] == [m2[0], m1[1]]
+        assert records == list(records) and records != list(records)[:3]
+        with pytest.raises(IndexError):
+            records[4]
 
     @pytest.mark.parametrize("text", ["NaN", "sNaN", "Infinity", "-Infinity", "inf", "-nan"])
     def test_non_finite_power_is_row_error(self, text):
@@ -630,3 +657,69 @@ class TestAgainstReferenceNormalizer:
             assert _outcome(normalize_to_slots, by_meter[meter_id]) == _outcome(
                 _reference_normalize, reference
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_meter_csv(), data=st.data())
+    def test_rows_split_across_two_files_through_the_runner_columns(self, text, data):
+        rows = text.splitlines()[1:]
+        in_b = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        texts = [
+            HEADER + "".join(row + "\n" for row in data.draw(st.permutations(part)))
+            for part in ([r for r, b in zip(rows, in_b) if not b], [r for r, b in zip(rows, in_b) if b])
+        ]
+        reference = [_reference_ingest(t) for t in texts]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
+            for path, t in zip(paths, texts):
+                path.write_text(t, encoding="utf-8")
+            results = [ingest_csv(path) for path in paths]
+            findings = [f"{path.name}:{e}" for path, (_, errors) in zip(paths, reference) for e in errors]
+            if findings:
+                with pytest.raises(ValueError) as excinfo:
+                    _ingest_meters(paths)
+                assert str(excinfo.value) == "meter CSV errors:\n" + "\n".join(findings)
+                by_meter = readings_by_meter(results)
+            else:
+                by_meter = _ingest_meters(paths)
+
+        def view(r):
+            return (r.meter_id, r.meter_class, r.timestamp.isoformat(), r.quantity_kind,
+                    type(r.value), str(r.value))
+
+        reference_by_meter = {}
+        for result, (records, errors) in zip(results, reference):
+            assert [str(e) for e in result.errors] == errors
+            assert len(result.records) == len(records)
+            assert [view(r) for r in result.records] == [view(r) for r in records]
+            for r in records:
+                reference_by_meter.setdefault(r.meter_id, []).append(r)
+        assert by_meter.keys() == reference_by_meter.keys()
+        for meter_id, reference_records in reference_by_meter.items():
+            assert isinstance(by_meter[meter_id], MeterReadings)
+            assert _outcome(normalize_to_slots, by_meter[meter_id]) == _outcome(
+                _reference_normalize, reference_records
+            )
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\u00a0", "\u2003", "\x1c"], ids=repr)
+    def test_padded_cells_parse_as_the_reference(self, pad):
+        rows = [
+            "m1,linky,2024-03-31T01:00:00+01:00,energy_wh,5",
+            "m1,linky,2024-03-31T01:10:00+01:00,energy_wh,x",
+            "m1,linky,2024-03-31T01:30:00,energy_wh,5",
+            "m1,linky,2024-03-31T01:30:00+01:00,energy_wh,-2",
+            "m2,sme_smi,2024-03-31T01:00:00+01:00,power_kw_10min,1.5",
+            "m2,sme_smi,2024-03-31T01:10:00+01:00,power_kw_10min,-0.5",
+            "m2,linky,2024-03-31T01:20:00+01:00,power_kw_10min,2",
+            "m2,linky,2024-03-31T01:20:00+01:00,power_kw_10min,z",
+            "m3,sme_smi,2024-03-31T01:00:00+01:00,energy_kwh_index,1.5",
+            " ,linky,2024-03-31T01:00:00+01:00,energy_wh,1",
+        ]
+        # each row twice: once as written, once with every cell padded
+        padded = [",".join(f"{pad}{cell}{pad}" for cell in row.split(",")) for row in rows]
+        text = HEADER + "".join(row + "\n" for pair in zip(rows, padded) for row in pair)
+        result = ingest_csv(io.StringIO(text))
+        records, errors = _reference_ingest(text)
+        assert [str(e) for e in result.errors] == errors
+        assert [(r.meter_id, r.timestamp, type(r.value), r.value) for r in result.records] == [
+            (r.meter_id, r.timestamp, type(r.value), r.value) for r in records
+        ]

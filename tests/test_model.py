@@ -78,6 +78,25 @@ class TestSlotSeries:
         with pytest.raises(ValueError, match="integer"):
             SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), 1.5),))
 
+    def test_columns_are_checked_as_the_pairs(self):
+        starts, energies = (slot_ts(0), slot_ts(1)), (10, 20)
+        assert SlotSeries.from_columns("m", Kind.CONSUMPTION, starts, energies) == SlotSeries(
+            "m", Kind.CONSUMPTION, zip(starts, energies)
+        )
+        with pytest.raises(ValueError, match="strictly increasing at 2022-05-04T00:00:00"):
+            SlotSeries.from_columns("m", Kind.CONSUMPTION, starts[::-1], energies)
+        with pytest.raises(ValueError, match="value count does not match slot count"):
+            SlotSeries.from_columns("m", Kind.CONSUMPTION, starts, (10,))
+
+    def test_replace_values_shares_the_starts_and_checks_the_values(self):
+        s = SlotSeries("m7", Kind.CONSUMPTION, ((slot_ts(0), 10), (slot_ts(1), 20)))
+        assert s.slot_starts() is s.slot_starts() and s.values() is s.values()
+        assert s.replace_values([30, 40]).slot_starts() is s.slot_starts()
+        assert s.replace_values([30, 40]).slots == ((slot_ts(0), 30), (slot_ts(1), 40))
+        with pytest.raises(ValueError) as excinfo:
+            s.replace_values([30, -1])
+        assert str(excinfo.value) == "slot 2022-05-04T00:30:00+02:00 of meter m7 must be >= 0 Wh, got -1"
+
     def test_total_and_window(self):
         s = SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), 10), (slot_ts(1), 20)))
         assert s.total_wh() == 30

@@ -421,6 +421,27 @@ class TestConfigValidation:
         (demo / "scenario.cfg").write_text(scenario)
         assert message in self._run(demo)
 
+    def test_bad_kor_window_is_rejected_with_the_config(self, demo):
+        # the window is parsed by load_run_config, so run rejects it as well
+        _edit_json(demo / "run_config.json", _set_run_key("kor_window", 5))
+        assert "run config: kor_window must be an object" in self._run(demo)
+
+    def test_kor_window_is_parsed_with_the_config(self, demo):
+        assert load_run_config(demo / "run_config.json").kor_window is None
+        _edit_json(
+            demo / "run_config.json",
+            _set_run_key("kor_window", {"start": "2024-07-01", "end": "2024-08-01"}),
+        )
+        config = load_run_config(demo / "run_config.json")
+        assert config.kor_window == DateRange(date(2024, 7, 1), date(2024, 8, 1))
+        # derive-kors takes the window from the config: the demo day is outside it
+        r = CliRunner().invoke(
+            main,
+            ["derive-kors", "--config", str(demo / "run_config.json"), "--out", str(demo / "k.json")],
+        )
+        assert r.exit_code == 1, r.output
+        assert "has no data in window 2024-07-01..2024-08-01" in r.output
+
     def test_numeric_kor_text_accepted(self, demo):
         _edit_json(demo / "run_config.json", _set_kor("1.0"))
         config = load_run_config(demo / "run_config.json")
@@ -525,6 +546,27 @@ class TestCli:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert f"{csv_path}: line 2: bad power value 'NaN'" in r.output
+
+    @pytest.mark.parametrize("files", [1, 2])
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("m1,linky,2022-05-04T10:00:00+02:00,energy_wh,100", "records mix meter classes"),
+            ("m1,sme_smi,2022-05-04T10:00:00+02:00,power_kw_10min,1", "records mix quantity kinds"),
+        ],
+        ids=["class", "kind"],
+    )
+    def test_ingest_rejects_a_meter_read_two_ways(self, tmp_path, files, first, message):
+        header = "meter_id,meter_class,timestamp,quantity_kind,value\n"
+        second = "m1,sme_smi,2022-05-04T10:30:00+02:00,energy_kwh_index,5"
+        rows = [[first, second]] if files == 1 else [[first], [second]]
+        paths = []
+        for k, part in enumerate(rows):
+            paths.append(tmp_path / f"m{k}.csv")
+            paths[-1].write_text(header + "".join(row + "\n" for row in part))
+        r = CliRunner().invoke(main, ["ingest", *map(str, paths)])
+        assert r.exit_code == 1
+        assert message in r.output
 
     def test_ingest_normalizes_and_writes_slots(self, tmp_path):
         csv_path = tmp_path / "meters.csv"
