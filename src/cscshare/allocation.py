@@ -138,28 +138,28 @@ def allocate_series(
     """
     if production.kind is not Kind.PRODUCTION:
         raise ValueError(f"series {production.meter_id} is not a production series")
-    prod_slots = production.slot_starts()
+    prod_slots = production.starts
     columns: dict[str, tuple[int, ...]] = {}
     for s in consumptions:
         if s.kind is not Kind.CONSUMPTION:
             raise ValueError(f"series {s.meter_id} is not a consumption series")
         if s.meter_id in columns:
             raise ValueError(f"duplicate consumption series for {s.meter_id}")
-        theirs = s.slot_starts()
+        theirs = s.starts
         if theirs != prod_slots:
             mismatch = min(set(prod_slots) ^ set(theirs))
             raise ValueError(
                 f"slot set of {s.meter_id} does not match production: "
                 f"earliest slot in only one of them is {mismatch.isoformat()}"
             )
-        columns[s.meter_id] = s.values()
+        columns[s.meter_id] = s.energies
 
     order, split = _splitter(policy, columns)
     shares, surplus = [[] for _ in order], []
-    for p, *cs in zip(production.values(), *(columns[i] for i in order)):
+    for p, *cs in zip(production.energies, *(columns[i] for i in order)):
         parts, rest = split(p, cs)
         for column, x in zip(shares, parts):
             column.append(x)
         surplus.append(rest)
     self_consumed = dict(zip(order, map(tuple, shares)))
-    return AllocationTable(prod_slots, production.values(), columns, self_consumed, tuple(surplus))
+    return AllocationTable(prod_slots, production.energies, columns, self_consumed, tuple(surplus))

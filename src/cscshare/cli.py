@@ -88,7 +88,8 @@ def ingest(csv_paths, out_dir):
         out.mkdir(parents=True, exist_ok=True)
         for meter_id, series in normalized.items():
             lines = ["meter_id,slot_start,energy_wh"]
-            lines += [f"{meter_id},{ts.isoformat()},{e}" for ts, e in series.slots]
+            slots = zip(series.starts, series.energies)
+            lines += [f"{meter_id},{ts.isoformat()},{e}" for ts, e in slots]
             (out / f"{meter_id}_slots.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -117,8 +118,8 @@ def derive_kors(config_path, out_path):
     window = config.kor_window
     if window is None:
         # each series is strictly increasing: its first slot is its earliest
-        first = min(s.slot_starts()[0] for s in history)
-        last = max(s.slot_starts()[-1] for s in history)
+        first = min(s.starts[0] for s in history)
+        last = max(s.starts[-1] for s in history)
         window = DateRange(first.date(), last.date() + timedelta(days=1))
 
     kors = derive_static_kors(history, window)

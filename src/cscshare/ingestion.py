@@ -391,7 +391,9 @@ def normalize_to_slots(
     delta x 1000 becomes the energy of the slot the earlier reading opens.
 
     A slot with fewer samples than its class expects is a gap error; a
-    mix of meter ids, classes or quantity kinds is a hard error.
+    missing slot is one too, named by its local start, or by the slots on
+    either side of it when those carry different UTC offsets. A mix of
+    meter ids, classes or quantity kinds is a hard error.
     """
     readings = records if isinstance(records, MeterReadings) else MeterReadings.from_rows(records)
     meter_id, quantity = readings.meter_id, readings.quantity_kind
@@ -426,9 +428,14 @@ def normalize_to_slots(
     opened = opener = None  # start and first value of the slot before
     for start, group in groupby(zip(stamps, floors, values), key=itemgetter(1)):
         if opened is not None and start - opened != SLOT_DURATION:
-            missing = (opened + SLOT_DURATION).isoformat()
             samples = " (0/3 ten-minute power samples)" if power else ""
-            raise ValueError(f"{meter_id}: gap at {missing}{samples}")
+            if start.utcoffset() == opened.utcoffset():
+                missing = (opened + SLOT_DURATION).isoformat()
+                raise ValueError(f"{meter_id}: gap at {missing}{samples}")
+            # across an offset change no one local time names the missing slot
+            raise ValueError(
+                f"{meter_id}: gap between {opened.isoformat()} and {start.isoformat()}{samples}"
+            )
         group = list(group)
         zone = start.tzinfo
         for ts, _, _ in group:
@@ -462,7 +469,7 @@ def normalize_to_slots(
             starts.append(start)
             energies.append(sum([int(value) for _, _, value in group]))
         opened = start
-    return SlotSeries.from_columns(meter_id, kind, starts, energies)
+    return SlotSeries(meter_id, kind, starts, energies)
 
 
 # Scaled slot energies are computed exactly in 60 digits; one that needs
@@ -485,7 +492,7 @@ def apply_pv_gain(series: SlotSeries, gain) -> SlotSeries:
         with localcontext(_SCALED):
             values = [
                 int((Decimal(e) * gain).to_integral_value(rounding=ROUND_HALF_EVEN))
-                for e in series.values()
+                for e in series.energies
             ]
     except Overflow:
         raise ValueError(f"gain {gain} overflows the slot energies") from None
@@ -508,7 +515,7 @@ def add_constant_load(series: SlotSeries, power_kw) -> SlotSeries:
             extra = int((power_kw * 500).to_integral_value(rounding=ROUND_HALF_EVEN))
     except Overflow:
         raise ValueError(f"power {power_kw} kW overflows the slot energies") from None
-    return series.replace_values([e + extra for e in series.values()])
+    return series.replace_values([e + extra for e in series.energies])
 
 
 @dataclass(frozen=True)
@@ -583,7 +590,7 @@ def derive_static_kors(
     for s in series_list:
         total = 0
         has_data = False
-        for ts, energy in zip(s.slot_starts(), s.values()):
+        for ts, energy in zip(s.starts, s.energies):
             if contains(ts):
                 total += energy
                 has_data = True

@@ -12,14 +12,15 @@ and hashes. Payloads are therefore restricted to JSON trees of strings,
 integers, booleans and null; floats are rejected because their textual
 form is not canonical across writers. Render decimals as strings.
 
-A ``Ledger`` is its canonical lines, exactly as the log file holds them.
-``append`` encodes each payload once and splices the hash material and
-the line from that encoding; writing copies the lines out. Reading
-rejects any line that is not its record's canonical serialization, and
-decodes and checks each distinct payload text once. Records are views:
-iterating a ``Ledger`` parses them from its lines with the reader's
-checker, and ``verify_chain`` re-hashes the material it splices from
-each line's own slices.
+A ``Ledger`` is its canonical lines, exactly as the log file holds them,
+and nothing else: ``append`` and ``read_ledger`` are the only ways lines
+get in. ``append`` encodes each payload once and splices the hash
+material and the line from that encoding; writing copies the lines out.
+Reading rejects any line that is not its record's canonical
+serialization, and decodes and checks each distinct payload text once.
+Records are read-only views: iterating a ``Ledger`` parses them from its
+lines with the reader's checker, and ``verify_chain`` re-hashes the
+material it splices from each line's own slices.
 """
 
 from __future__ import annotations
@@ -109,58 +110,27 @@ def _line(
     hash_: str,
     payload_json: str,
     prev_hash: str,
-    timestamp_iso: str,
+    timestamp: str,
 ) -> str:
     """The canonical JSON object of a record, keys in sorted order."""
     return (
         f'{{"counting_point_key":{_quote(counting_point_key)},'
         f'"hash":{_quote(hash_)},"payload":{payload_json},'
-        f'"prev_hash":{_quote(prev_hash)},"timestamp":{_quote(timestamp_iso)}}}'
+        f'"prev_hash":{_quote(prev_hash)},"timestamp":{_quote(timestamp)}}}'
     )
 
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
-    """One chained record: what iterating a ``Ledger`` parses from a line.
-
-    ``payload_json`` is the canonical encoding of ``payload``; the hash and
-    the line are built from it. It is computed from ``payload`` when not
-    given, and a caller that gives it must give exactly that encoding.
-    """
+    """One chained record, a read-only view that iterating a ``Ledger``
+    parses from a line; ``payload_json`` is the payload's text there."""
 
     counting_point_key: str
     timestamp: datetime
     payload: Mapping[str, Any]
     prev_hash: str
     hash: str
-    payload_json: str | None = field(default=None, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        if self.payload_json is None:
-            payload = dict(self.payload)
-            object.__setattr__(self, "payload", payload)
-            object.__setattr__(self, "payload_json", _encode(payload))
-
-    def timestamp_iso(self) -> str:
-        return self.timestamp.isoformat()
-
-    def to_line(self) -> str:
-        """Canonical one-line serialization, including the record hash."""
-        return _line(
-            self.counting_point_key,
-            self.hash,
-            self.payload_json,
-            self.prev_hash,
-            self.timestamp_iso(),
-        )
-
-    def recompute_hash(self) -> str:
-        return _record_hash(
-            _quote(self.counting_point_key),
-            _quote(self.timestamp_iso()),
-            self.payload_json,
-            _quote(self.prev_hash),
-        )
+    payload_json: str = field(repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -173,13 +143,12 @@ class ChainReport:
 class Ledger:
     """Append-only hash chain, held as its canonical lines. Single writer.
 
-    ``Ledger(records)`` renders each record with ``to_line()`` and checks
-    the lines as ``read_ledger`` does; a ledger built either way takes its
+    ``Ledger()`` is empty. A ledger that ``read_ledger`` returns takes its
     head hash and the last timestamp of each counting point from the
-    checked lines, so it can be appended to.
+    checked lines, so it can be appended to as well.
     """
 
-    def __init__(self, records: Iterable[AuditRecord] = ()):
+    def __init__(self):
         # each line ends in "\n"
         self._lines: list[str] = []
         self._head = GENESIS_HASH
@@ -190,7 +159,6 @@ class Ledger:
         self._stamp: datetime | None = None
         self._stamp_json = ""
         self._key_json: dict[str, str] = {}
-        self._load(f"{r.to_line()}\n" for r in records)
 
     def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
         """Keep each line that ``_parse_lines`` accepts, ending it in a newline."""
@@ -260,13 +228,6 @@ class Ledger:
         return hash_
 
 
-def _lines_of(ledger: Ledger | Iterable[AuditRecord]) -> Iterable[str]:
-    """A ledger's lines, or each record's ``to_line()``, each ending in a newline."""
-    if isinstance(ledger, Ledger):
-        return ledger._lines
-    return (f"{r.to_line()}\n" for r in ledger)
-
-
 # The fixed layout of a line (README "Audit ledger"): the text before,
 # between and after its four string fields and its payload.
 _HEAD = '{"counting_point_key":"'
@@ -308,12 +269,14 @@ def _cuts(line: str, stop: int) -> tuple[int, int, int, int, int] | None:
     return at_hash, at_payload, at_prev_hash, at_timestamp, end
 
 
-def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
-    """Recompute every hash and link; report the first break, if any.
+def verify_chain(ledger: Ledger) -> ChainReport:
+    """Recompute every hash and link of a ledger's lines; report the first
+    break, if any.
 
-    Each line's hash material is spliced from the line's own slices; the
-    lines are canonical, and canonical quoting is one-to-one, so a link
-    holds iff the previous-hash text equals the previous line's hash text.
+    Each line's hash material is spliced from the line's own slices. A
+    ``Ledger`` holds only canonical lines, and canonical quoting is
+    one-to-one, so a link holds iff the previous-hash text equals the
+    previous line's hash text.
 
     Truncating records off the tail is not detectable without an external
     anchor for the head hash; persist the head out of band if that matters.
@@ -324,7 +287,7 @@ def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
     payload_from, prev_from = len(_AT_PAYLOAD), len(_AT_PREV_HASH)
     timestamp_from = len(_AT_TIMESTAMP) - 1
     prev_text = GENESIS_HASH
-    for i, line in enumerate(_lines_of(ledger)):
+    for i, line in enumerate(ledger._lines):
         at_hash, at_payload, at_prev_hash, at_timestamp, end = _cuts(line, len(line) - 1)
         if line[at_prev_hash + prev_from:at_timestamp] != prev_text:
             return ChainReport(False, i, f"broken link at record {i}")
@@ -340,14 +303,13 @@ def verify_chain(ledger: Ledger | Iterable[AuditRecord]) -> ChainReport:
     return ChainReport(True)
 
 
-def write_ledger(ledger: Ledger | Iterable[AuditRecord], target: str | Path | TextIO) -> None:
+def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
     """Write one canonical line per record: a ``Ledger``'s lines as they are."""
-    lines = _lines_of(ledger)
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as stream:
-            stream.writelines(lines)
+            stream.writelines(ledger._lines)
     else:
-        target.writelines(lines)
+        target.writelines(ledger._lines)
 
 
 def _string(text: str) -> str | None:

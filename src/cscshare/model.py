@@ -115,14 +115,14 @@ class DateRange:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SlotSeries:
     """Per-meter energy on the 30-minute grid, integer Wh per slot.
 
-    Held as two columns, the slot starts and their energies, and checked
-    once as a whole: every start carries a UTC offset and sits on the grid,
-    starts strictly increase, and every energy is an int >= 0. The first
-    bad slot's error is raised. ``slots`` pairs the columns up.
+    Held as two columns, the slot starts and their energies (any sequences,
+    kept as tuples), and checked once as a whole: every start carries a UTC
+    offset and sits on the grid, starts strictly increase, and every energy
+    is an int >= 0. The first bad slot's error is raised.
     """
 
     meter_id: str
@@ -130,19 +130,8 @@ class SlotSeries:
     starts: tuple[datetime, ...]
     energies: tuple[int, ...]
 
-    def __init__(self, meter_id: str, kind: Kind, slots: Iterable[tuple[datetime, int]]):
-        slots = [(ts, e) for ts, e in slots]
-        self._fill(meter_id, kind, tuple(ts for ts, _ in slots), tuple(e for _, e in slots))
-
-    @classmethod
-    def from_columns(
-        cls, meter_id: str, kind: Kind, starts: Sequence[datetime], energies: Sequence[int]
-    ) -> "SlotSeries":
-        series = cls.__new__(cls)
-        series._fill(meter_id, kind, tuple(starts), tuple(energies))
-        return series
-
-    def _fill(self, meter_id, kind, starts, energies) -> None:
+    def __post_init__(self):
+        starts, energies = tuple(self.starts), tuple(self.energies)
         if len(starts) != len(energies):
             raise ValueError("value count does not match slot count")
         if not (
@@ -154,24 +143,12 @@ class SlotSeries:
             and set(map(type, energies)) <= {int}
             and min(energies, default=0) >= 0
         ):
-            _check_each_slot(meter_id, starts, energies)
-        object.__setattr__(self, "meter_id", meter_id)
-        object.__setattr__(self, "kind", kind)
+            _check_each_slot(self.meter_id, starts, energies)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "energies", energies)
 
-    @property
-    def slots(self) -> tuple[tuple[datetime, int], ...]:
-        return tuple(zip(self.starts, self.energies))
-
     def __len__(self) -> int:
         return len(self.starts)
-
-    def slot_starts(self) -> tuple[datetime, ...]:
-        return self.starts
-
-    def values(self) -> tuple[int, ...]:
-        return self.energies
 
     def total_wh(self, window: DateRange | None = None) -> int:
         if window is None:
@@ -180,7 +157,7 @@ class SlotSeries:
 
     def replace_values(self, values: Sequence[int]) -> "SlotSeries":
         """The same slots with new energies; the starts column is shared."""
-        return SlotSeries.from_columns(self.meter_id, self.kind, self.starts, values)
+        return SlotSeries(self.meter_id, self.kind, self.starts, values)
 
 
 _SLOT_MINUTES_OF_HOUR = frozenset(range(0, 60, SLOT_MINUTES))
@@ -548,8 +525,8 @@ def validate_community(
             findings.append(f"participant {pid} series is not consumption kind")
         if production is not None:
             # one finding per run of consecutive production slots missing here
-            have = set(s.slot_starts())
-            for missing, run in groupby(production.slot_starts(), key=lambda ts: ts not in have):
+            have = set(s.starts)
+            for missing, run in groupby(production.starts, key=lambda ts: ts not in have):
                 if not missing:
                     continue
                 run = list(run)

@@ -283,7 +283,8 @@ def _build_ledger(
     names = sorted(tables)
     consumption = sorted(tables[names[0]].consumption.items())
     payloads = [_kor_payloads(name, tables[name], static_kors.get(name)) for name in names]
-    for k, ((ts, produced), *kor) in enumerate(zip(production.slots, *payloads, strict=True)):
+    slots = zip(production.starts, production.energies, *payloads, strict=True)
+    for k, (ts, produced, *kor) in enumerate(slots):
         ledger.append({"kind": "production", "energy_wh": produced}, production.meter_id, ts)
         for pid, column in consumption:
             ledger.append({"kind": "consumption", "energy_wh": column[k]}, pid, ts)
@@ -365,8 +366,8 @@ def run(config: RunConfig) -> RunResult:
         raise ValueError("validation failed:\n" + "\n".join(report.findings))
     assert production is not None  # validate_community reported it otherwise
 
-    first = min(ts.date() for ts in production.slot_starts())
-    last = max(ts.date() for ts in production.slot_starts())
+    first = min(ts.date() for ts in production.starts)
+    last = max(ts.date() for ts in production.starts)
     window = DateRange(first, last + timedelta(days=1))
 
     policies = _build_policies(config, community, book)
@@ -386,7 +387,7 @@ def run(config: RunConfig) -> RunResult:
 
     comparison = compare_policies(reports)
     ledger = _build_ledger(production, tables, static_kors)
-    stamps = [ts.isoformat() for ts in production.slot_starts()]
+    stamps = [ts.isoformat() for ts in production.starts]
 
     # Stage everything, then move into place.
     config.out_dir.parent.mkdir(parents=True, exist_ok=True)

@@ -58,7 +58,7 @@ def criterion(number, text):
 
 
 def _series(meter, kind, values, day=DAY):
-    return SlotSeries(meter, kind, tuple((slot_ts(k, day), v) for k, v in enumerate(values)))
+    return SlotSeries(meter, kind, [slot_ts(k, day) for k in range(len(values))], values)
 
 
 # --- 1. published constants ------------------------------------------------
@@ -301,15 +301,15 @@ def test_criterion_5_scenario_properties(tmp_path):
             augmented_b4 = add_constant_load(consumption["b4"], DEMO_DC_LOAD_KW)
             assert all(
                 after - before == 50_000
-                for before, after in zip(consumption["b4"].values(), augmented_b4.values())
+                for before, after in zip(consumption["b4"].energies, augmented_b4.energies)
             )
             augmented = dict(consumption, b4=augmented_b4)
 
-            day = production.slot_starts()[0].date()
+            day = production.starts[0].date()
             window = DateRange.single_day(day)
             assert all(
-                sum(series.values()[k] for series in augmented.values())
-                > production.values()[k]
+                sum(series.energies[k] for series in augmented.values())
+                > production.energies[k]
                 for k in range(48)
             )
 

@@ -279,9 +279,7 @@ class TestApportion:
 
 class TestAllocateSeries:
     def _series(self, meter, kind, values, start=0):
-        return SlotSeries(
-            meter, kind, tuple((slot_ts(start + k), v) for k, v in enumerate(values))
-        )
+        return SlotSeries(meter, kind, [slot_ts(start + k) for k in range(len(values))], values)
 
     def test_one_allocation_per_slot(self):
         production = self._series("pv1", Kind.PRODUCTION, [100] * 48)
@@ -292,7 +290,7 @@ class TestAllocateSeries:
         out = allocate_series(DefaultDynamicPolicy(), production, cons)
         assert len(out) == 48
         assert all(a.production == 100 for a in out)
-        assert [a.slot_start for a in out] == list(production.slot_starts())
+        assert [a.slot_start for a in out] == list(production.starts)
 
     def test_empty_slot_set(self):
         production = self._series("pv1", Kind.PRODUCTION, [])
@@ -339,8 +337,8 @@ class TestAllocateSeries:
         for policy, allocate_slot in per_slot:
             out = allocate_series(policy, production, shuffled)
             assert len(out) == n_slots
-            for k, (ts, prod) in enumerate(production.slots):
-                want = allocate_slot(prod, {s.meter_id: s.slots[k][1] for s in cons}, ts)
+            for k, (ts, prod) in enumerate(zip(production.starts, production.energies)):
+                want = allocate_slot(prod, {s.meter_id: s.energies[k] for s in cons}, ts)
                 got = out[k]
                 assert got.consumption == want.consumption, policy
                 assert got.self_consumed == want.self_consumed, policy
@@ -353,7 +351,8 @@ class TestAllocateSeries:
     def test_no_consumption_series_is_all_surplus(self, policy):
         production = self._series("pv1", Kind.PRODUCTION, [0, 250, 900])
         out = allocate_series(policy, production, [])
-        assert [(a.slot_start, a.surplus_to_grid) for a in out] == list(production.slots)
+        slots = list(zip(production.starts, production.energies))
+        assert [(a.slot_start, a.surplus_to_grid) for a in out] == slots
         assert all(a.consumption == {} and a.self_consumed == {} for a in out)
 
     def test_slot_mismatch_names_earliest_differing_slot(self):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -131,16 +132,16 @@ class TestNormalize:
 
     def test_sme_power_six_kw_slot(self):
         series = normalize_to_slots(self._power_records({20: [6, 6, 6]}))
-        assert series.values() == (3000,)  # 6 kW x 0.5 h
+        assert series.energies == (3000,)  # 6 kW x 0.5 h
 
     def test_sme_power_zero(self):
         series = normalize_to_slots(self._power_records({20: [0, 0, 0]}))
-        assert series.values() == (0,)
+        assert series.energies == (0,)
 
     def test_sme_power_fractional_mean_rounds(self):
         # (1+2+2)/3 kW x 500 = 833.33 Wh
         series = normalize_to_slots(self._power_records({20: [1, 2, 2]}))
-        assert series.values() == (833,)
+        assert series.energies == (833,)
 
     def test_sme_power_missing_sample_is_gap(self):
         with pytest.raises(ValueError, match="gap at .*10:00.*2/3"):
@@ -162,7 +163,7 @@ class TestNormalize:
             for m, v in [(0, 100), (10, 200), (20, 300)]
         ]
         series = normalize_to_slots(records)
-        assert series.values() == (600,)
+        assert series.energies == (600,)
 
     def test_linky_interior_gap_detected(self):
         records = [
@@ -179,8 +180,8 @@ class TestNormalize:
             for k, v in [(20, 100), (21, 103), (22, 103)]
         ]
         series = normalize_to_slots(records)
-        assert series.values() == (3000, 0)
-        assert series.slot_starts() == (slot_ts(20), slot_ts(21))
+        assert series.energies == (3000, 0)
+        assert series.starts == (slot_ts(20), slot_ts(21))
 
     def test_index_regression_rejected(self):
         records = [
@@ -218,7 +219,7 @@ class TestNormalize:
             for k, v in enumerate(values)
         ]
         series = normalize_to_slots(records)
-        assert sum(series.values()) == sum(values)
+        assert sum(series.energies) == sum(values)
 
 
 class TestDstDays:
@@ -258,12 +259,12 @@ class TestDstDays:
         first = parse_timestamp(first)
         records, total = self._records(quantity, first, n)
         series = normalize_to_slots(reversed(records))
-        starts = [ts.isoformat() for ts in series.slot_starts()]
+        starts = [ts.isoformat() for ts in series.starts]
         assert len(series) == n
         assert starts[0] == first_text and starts[-1] == last_text
         step = timedelta(minutes=SLOT_MINUTES)
         assert starts == [paris_2024(first + k * step).isoformat() for k in range(n)]
-        assert sum(series.values()) == total
+        assert sum(series.energies) == total
 
     def test_two_offsets_in_one_slot_rejected(self):
         records = [
@@ -274,6 +275,32 @@ class TestDstDays:
             ValueError, match=r"^m1: readings of slot 2024-03-30T10:00:00\+01:00 carry two UTC offsets$"
         ):
             normalize_to_slots(records)
+
+    @pytest.mark.parametrize("quantity", list(QuantityKind), ids=lambda q: q.value)
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            # the missing 01:00Z slot is 03:00+02:00, which its +01:00
+            # neighbour would have named 02:00+01:00, a time Paris skips
+            ("2024-03-31T00:30:00Z", "gap between 2024-03-31T01:30:00+01:00 and 2024-03-31T03:30:00+02:00"),
+            # the missing 01:00Z slot is 02:00+01:00, not 03:00+02:00
+            ("2024-10-27T00:30:00Z", "gap between 2024-10-27T02:30:00+02:00 and 2024-10-27T02:30:00+01:00"),
+            ("2024-06-12T08:00:00Z", "gap at 2024-06-12T10:30:00+02:00"),
+        ],
+        ids=["spring-forward", "fall-back", "one-offset"],
+    )
+    def test_gap_is_named_in_the_offsets_of_its_neighbours(self, quantity, first, message):
+        """A slot missing across an offset change is named by the slots on
+        either side of it; otherwise by its own local start."""
+        first = parse_timestamp(first)
+        records, _ = self._records(quantity, first, 3)
+        step = timedelta(minutes=SLOT_MINUTES)
+        # every reading of the middle slot goes (for an index, the one
+        # reading on its opening boundary)
+        kept = [r for r in records if (r.timestamp - first) // step != 1]
+        samples = " (0/3 ten-minute power samples)" if quantity is QuantityKind.POWER_KW_10MIN else ""
+        with pytest.raises(ValueError, match=f"^m1: {re.escape(message + samples)}$"):
+            normalize_to_slots(kept)
 
 
 class TestRoundHalfEven:
@@ -290,24 +317,23 @@ class TestRoundHalfEven:
 
 class TestPvGain:
     def _production(self, values):
-        return SlotSeries("pv", Kind.PRODUCTION,
-                          tuple((slot_ts(k), v) for k, v in enumerate(values)))
+        return SlotSeries("pv", Kind.PRODUCTION, [slot_ts(k) for k in range(len(values))], values)
 
     def test_published_gain(self):
         series = apply_pv_gain(self._production([1000]), Decimal("25.48"))
-        assert series.values() == (25480,)
+        assert series.energies == (25480,)
 
     def test_gain_one_is_identity(self):
         src = self._production([0, 3, 17, 123456])
-        assert apply_pv_gain(src, Decimal(1)).values() == src.values()
+        assert apply_pv_gain(src, Decimal(1)).energies == src.energies
 
     def test_half_even_rounding(self):
         # 3 x 25.48 = 76.44 -> 76
-        assert apply_pv_gain(self._production([3]), Decimal("25.48")).values() == (76,)
+        assert apply_pv_gain(self._production([3]), Decimal("25.48")).energies == (76,)
         # 250 x 0.006 = 1.5 -> 2 is half-up; half-even gives 2 as well (even)
-        assert apply_pv_gain(self._production([250]), Decimal("0.006")).values() == (2,)
+        assert apply_pv_gain(self._production([250]), Decimal("0.006")).energies == (2,)
         # 250 x 0.01 = 2.5 -> 2 under half-even
-        assert apply_pv_gain(self._production([250]), Decimal("0.01")).values() == (2,)
+        assert apply_pv_gain(self._production([250]), Decimal("0.01")).energies == (2,)
 
     def test_non_positive_gain_rejected(self):
         for gain in (Decimal(0), Decimal(-1)):
@@ -315,7 +341,7 @@ class TestPvGain:
                 apply_pv_gain(self._production([1]), gain)
 
     def test_consumption_series_rejected(self):
-        series = SlotSeries("b1", Kind.CONSUMPTION, ((slot_ts(0), 1),))
+        series = SlotSeries("b1", Kind.CONSUMPTION, (slot_ts(0),), (1,))
         with pytest.raises(ValueError, match="production"):
             apply_pv_gain(series, Decimal(2))
 
@@ -328,23 +354,22 @@ class TestPvGain:
         if gain_a > gain_b:
             gain_a, gain_b = gain_b, gain_a
         src = self._production(values)
-        low = apply_pv_gain(src, gain_a).values()
-        high = apply_pv_gain(src, gain_b).values()
+        low = apply_pv_gain(src, gain_a).energies
+        high = apply_pv_gain(src, gain_b).energies
         assert all(a <= b for a, b in zip(low, high))
 
 
 class TestConstantLoad:
     def _consumption(self, values):
-        return SlotSeries("b4", Kind.CONSUMPTION,
-                          tuple((slot_ts(k), v) for k, v in enumerate(values)))
+        return SlotSeries("b4", Kind.CONSUMPTION, [slot_ts(k) for k in range(len(values))], values)
 
     def test_hundred_kw_adds_50kwh_per_slot(self):
         series = add_constant_load(self._consumption([0, 2000]), Decimal(100))
-        assert series.values() == (50000, 52000)
+        assert series.energies == (50000, 52000)
 
     def test_zero_is_identity(self):
         src = self._consumption([5, 10])
-        assert add_constant_load(src, Decimal(0)).values() == src.values()
+        assert add_constant_load(src, Decimal(0)).energies == src.energies
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -377,7 +402,7 @@ class TestDeriveStaticKors:
     def _history(self, totals):
         out = []
         for pid, total in totals.items():
-            out.append(SlotSeries(pid, Kind.CONSUMPTION, ((slot_ts(10), total),)))
+            out.append(SlotSeries(pid, Kind.CONSUMPTION, (slot_ts(10),), (total,)))
         return out
 
     def test_first_scenario_proportions(self):
@@ -405,7 +430,7 @@ class TestDeriveStaticKors:
 
         history = self._history({"a": 5})
         history.append(
-            SlotSeries("b", Kind.CONSUMPTION, ((slot_ts(10, date(2021, 1, 1)), 5),))
+            SlotSeries("b", Kind.CONSUMPTION, (slot_ts(10, date(2021, 1, 1)),), (5,))
         )
         with pytest.raises(ValueError, match="no data in window"):
             derive_static_kors(history, DateRange.single_day(DAY))
@@ -532,6 +557,11 @@ def _reference_normalize(records):
         readings = per_slot.get(utc)
         if readings is None:
             suffix = " (0/3 ten-minute power samples)" if quantity is QuantityKind.POWER_KW_10MIN else ""
+            after = _reference_floor(per_slot[min(u for u in per_slot if u > utc)][0].timestamp)
+            if after.utcoffset() != start.utcoffset():
+                raise ValueError(
+                    f"{meter_id}: gap between {start.isoformat()} and {after.isoformat()}{suffix}"
+                )
             raise ValueError(f"{meter_id}: gap at {(start + step).isoformat()}{suffix}")
         start = _reference_floor(readings[0].timestamp)
         if len({r.timestamp.utcoffset() for r in readings}) > 1:
@@ -555,7 +585,7 @@ def _reference_normalize(records):
                 slots.append((opener.timestamp, delta * 1000))
             opener = reading
         utc += step
-    return SlotSeries(meter_id=meter_id, kind=Kind.CONSUMPTION, slots=tuple(slots))
+    return SlotSeries(meter_id, Kind.CONSUMPTION, [ts for ts, _ in slots], [e for _, e in slots])
 
 
 _OFFSETS = {"+01:00": timedelta(hours=1), "+02:00": timedelta(hours=2), "Z": timedelta(0)}
@@ -632,7 +662,7 @@ def _outcome(normalize, records):
         series = normalize(records)
     except ValueError as exc:
         return "error", str(exc)
-    return "slots", [(ts.isoformat(), energy) for ts, energy in series.slots]
+    return "slots", [(ts.isoformat(), energy) for ts, energy in zip(series.starts, series.energies)]
 
 
 class TestAgainstReferenceNormalizer:

@@ -39,6 +39,18 @@ def build_ledger(n=10):
     return ledger
 
 
+def _record(key, timestamp, payload, prev_hash, hash_):
+    """A record with any field values, as a log line may hold it."""
+    return AuditRecord(
+        key, timestamp, payload, prev_hash, hash_, payload_json=_reference_canonical(payload)
+    )
+
+
+def _reread(records):
+    """The ledger read back from the lines the reference writer renders."""
+    return read_ledger(io.StringIO(_written(_reference_write_ledger, records), newline="\n"))
+
+
 class TestAppend:
     def test_genesis_prev_hash_is_zero(self):
         ledger = Ledger()
@@ -115,10 +127,10 @@ class TestAppend:
     def test_append_after_a_head_hash_that_needs_escaping(self, tmp_path):
         """A ledger seeded from a read log may end in any hash text; the
         next record's hash material quotes it as JSON does."""
-        forged = AuditRecord("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\\u00e9\n')
+        forged = _record("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\\u00e9\n')
         path = tmp_path / "seed.log"
-        write_ledger([forged], path)
-        ledger = Ledger(read_ledger(path))
+        _reference_write_ledger([forged], path)
+        ledger = read_ledger(path)
         assert ledger.head_hash == forged.hash
         hash_ = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
         record = ledger.records[-1]
@@ -126,16 +138,16 @@ class TestAppend:
         assert record.prev_hash == forged.hash
         iso = slot_ts(1).isoformat()
         assert record.hash == _reference_hash("pv1", iso, {"energy_wh": 6}, forged.hash)
-        assert record.to_line() == _reference_line("pv1", iso, {"energy_wh": 6}, forged.hash, record.hash)
+        last_line = _written(write_ledger, ledger).split("\n")[-2]
+        assert last_line == _reference_line("pv1", iso, {"energy_wh": 6}, forged.hash, record.hash)
         # verify_chain stops at the forged head, so the new record's link
         # and hash are checked as it would check them
         report = verify_chain(ledger)
         assert (report.first_break, report.message) == (0, "hash mismatch at record 0")
-        assert record.recompute_hash() == record.hash
         out = tmp_path / "audit.log"
         write_ledger(ledger, out)
         reread = read_ledger(out)
-        assert [r.to_line() for r in reread] == [r.to_line() for r in ledger]
+        assert _written(_reference_write_ledger, reread) == _written(write_ledger, ledger)
         assert list(reread)[-1].prev_hash == forged.hash
 
 
@@ -149,26 +161,26 @@ class TestVerify:
     def test_payload_tamper_detected_at_index(self):
         records = list(build_ledger(100))
         victim = records[57]
-        records[57] = AuditRecord(
-            counting_point_key=victim.counting_point_key,
-            timestamp=victim.timestamp,
-            payload={"kind": "production", "energy_wh": 9_999_999},
-            prev_hash=victim.prev_hash,
-            hash=victim.hash,
+        records[57] = _record(
+            victim.counting_point_key,
+            victim.timestamp,
+            {"kind": "production", "energy_wh": 9_999_999},
+            victim.prev_hash,
+            victim.hash,
         )
-        report = verify_chain(records)
+        report = verify_chain(_reread(records))
         assert not report.intact
         assert report.first_break == 57
 
     def test_truncating_the_head_is_not_detectable(self):
         # documented limitation: the tail can be cut without an external anchor
         records = list(build_ledger(10))[:-1]
-        assert verify_chain(records).intact
+        assert verify_chain(_reread(records)).intact
 
     def test_dropping_a_middle_record_detected(self):
         records = list(build_ledger(10))
         del records[4]
-        report = verify_chain(records)
+        report = verify_chain(_reread(records))
         assert not report.intact
         assert report.first_break == 4
 
@@ -315,16 +327,16 @@ def test_any_field_mutation_is_detected(n, victim):
     field = victim.draw(st.sampled_from(["payload", "timestamp", "key"]))
     r = records[idx]
     if field == "payload":
-        mutated = AuditRecord(r.counting_point_key, r.timestamp,
-                              {**r.payload, "energy_wh": r.payload["energy_wh"] + 1},
-                              r.prev_hash, r.hash)
+        mutated = _record(r.counting_point_key, r.timestamp,
+                          {**r.payload, "energy_wh": r.payload["energy_wh"] + 1},
+                          r.prev_hash, r.hash)
     elif field == "timestamp":
-        mutated = AuditRecord(r.counting_point_key, slot_ts(47), r.payload,
-                              r.prev_hash, r.hash)
+        mutated = _record(r.counting_point_key, slot_ts(47), r.payload,
+                          r.prev_hash, r.hash)
     else:
-        mutated = AuditRecord("evil", r.timestamp, r.payload, r.prev_hash, r.hash)
+        mutated = _record("evil", r.timestamp, r.payload, r.prev_hash, r.hash)
     records[idx] = mutated
-    report = verify_chain(records)
+    report = verify_chain(_reread(records))
     assert not report.intact
     assert report.first_break <= idx
 
@@ -380,21 +392,22 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     object with sorted keys."""
     ledger = Ledger()
     timestamp = slot_ts(3)
+    direct = []
     for key, payload in entries:
         hash_ = ledger.append(payload, key, timestamp)
         record = ledger.records[-1]
         assert record.hash == hash_
         iso = timestamp.isoformat()
         assert record.hash == _reference_hash(key, iso, payload, record.prev_hash)
-        assert record.to_line() == _reference_line(key, iso, payload, record.prev_hash, record.hash)
-        direct = AuditRecord(key, timestamp, payload, record.prev_hash, record.hash)
-        assert direct.to_line() == record.to_line()
-        assert direct.recompute_hash() == record.hash
+        line = _written(write_ledger, ledger).split("\n")[-2]
+        assert line == _reference_line(key, iso, payload, record.prev_hash, record.hash)
+        direct.append(_record(key, timestamp, payload, record.prev_hash, record.hash))
+    assert _written(_reference_write_ledger, direct) == _written(write_ledger, ledger)
     buf = io.StringIO()
     write_ledger(ledger, buf)
     buf.seek(0)
     reread = read_ledger(buf)
-    assert [r.to_line() for r in reread] == [r.to_line() for r in ledger]
+    assert _written(_reference_write_ledger, reread) == _written(_reference_write_ledger, ledger)
     assert verify_chain(reread).intact
 
 
@@ -451,7 +464,7 @@ def _outcome(read):
     return "ok", [
         (
             r.counting_point_key, r.timestamp, r.timestamp.utcoffset(),
-            r.timestamp_iso(), r.payload, r.payload_json, r.prev_hash, r.hash,
+            r.timestamp.isoformat(), r.payload, r.payload_json, r.prev_hash, r.hash,
         )
         for r in ledger
     ]
@@ -478,7 +491,7 @@ _timestamps = st.builds(
     st.sampled_from([0, 0, 1, 500000]),
 )
 _records = st.builds(
-    lambda key, ts, payload, prev, hash_: AuditRecord(key, ts, payload, prev, hash_),
+    _record,
     _tricky_text,
     _timestamps,
     st.dictionaries(_tricky_text, _tricky_text | _json_trees, max_size=3),
@@ -504,13 +517,10 @@ def _mutated_logs(draw):
         record = pool[pick]
         if records and draw(st.booleans()):
             # most logs chain: the previous hash is the last record's hash
-            record = AuditRecord(
-                record.counting_point_key, record.timestamp, record.payload,
-                records[-1].hash, record.hash,
-            )
+            record = dataclasses.replace(record, prev_hash=records[-1].hash)
         records.append(record)
     buf = io.StringIO()
-    write_ledger(records, buf)
+    _reference_write_ledger(records, buf)
     written = buf.getvalue().split("\n")[:-1]
     lines = list(written)
     for _ in range(draw(st.integers(0, 2))):
@@ -551,7 +561,7 @@ def _mutated_logs(draw):
             j = draw(st.integers(0, len(line) - 1))
             line = line[:j] + "\\u%04x" % ord(line[j]) + line[j + 1:]
         elif kind == "timestamp":
-            text = records[i].timestamp_iso()
+            text = records[i].timestamp.isoformat()
             other = draw(st.sampled_from([
                 text.replace("T", " "), text.replace("T", "D"), text[:19],
                 text[:19] + "Z", text + " ", text.replace("+", "-"), "2024-13-01T00:00:00+00:00",
@@ -582,7 +592,7 @@ def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
         text.encode("utf-8")
     except UnicodeEncodeError:
         return  # a lone surrogate: not UTF-8, the reference cannot read it
-    expected = _outcome(lambda: Ledger(_reference_parse_lines(io.StringIO(text, newline="\n"))))
+    expected = _outcome(lambda: list(_reference_parse_lines(io.StringIO(text, newline="\n"))))
     assert _outcome(lambda: read_ledger(path)) == expected
     assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
 
@@ -757,7 +767,7 @@ def _appended(ledger, payload, key, timestamp):
 
 
 # a head hash that needs escaping, as a log read from anywhere may end in
-_FORGED = AuditRecord("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\é\n\U0001f600')
+_FORGED = _record("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\é\n\U0001f600')
 
 
 @given(
@@ -779,7 +789,7 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
     reports of the record-based reference, on the intact log and with any
     one record replaced."""
     seed = [_FORGED] if forged else []
-    ledger, reference = Ledger(seed), _ReferenceLedger(seed)
+    ledger, reference = _reread(seed), _ReferenceLedger(seed)
     stamps = [slot_ts(k) for k in range(4)]
     for key, payload, k in entries:
         # timestamps may regress, so both must refuse the same appends
@@ -801,14 +811,12 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
         st.tuples(st.just("prev_hash"), _hash_text),
         st.tuples(st.just("hash"), _hash_text),
     ))
-    records[i] = dataclasses.replace(records[i], **{field: value}, payload_json=None)
-    assert verify_chain(records) == _reference_verify_chain(records)
-    text = _written(write_ledger, records)
-    assert text == _written(_reference_write_ledger, records)
+    r = dataclasses.replace(records[i], **{field: value})
+    records[i] = _record(r.counting_point_key, r.timestamp, r.payload, r.prev_hash, r.hash)
+    text = _written(_reference_write_ledger, records)
     reread = read_ledger(io.StringIO(text, newline="\n"))
     expected = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(text, newline="\n"))))
-    assert verify_chain(reread) == expected
-    assert verify_chain(Ledger(records)) == expected
+    assert verify_chain(reread) == expected == _reference_verify_chain(records)
 
 
 def _small_log() -> bytes:

@@ -41,12 +41,12 @@ class TestTimeGrid:
     def test_misaligned_timestamps_rejected(self, minute, second):
         ts = datetime(2022, 5, 4, 10, minute, second, tzinfo=TZ)
         with pytest.raises(ValueError, match="aligned"):
-            SlotSeries("m", Kind.CONSUMPTION, ((ts, 100),))
+            SlotSeries("m", Kind.CONSUMPTION, (ts,), (100,))
 
     def test_naive_timestamp_rejected(self):
         ts = datetime(2022, 5, 4, 10, 0)
         with pytest.raises(ValueError, match="offset"):
-            SlotSeries("m", Kind.CONSUMPTION, ((ts, 100),))
+            SlotSeries("m", Kind.CONSUMPTION, (ts,), (100,))
 
     def test_parse_timestamp_handles_z_suffix(self):
         ts = parse_timestamp("2022-05-04T10:00:00Z")
@@ -59,46 +59,44 @@ class TestTimeGrid:
 
 class TestSlotSeries:
     def test_strictly_increasing_required(self):
-        slots = ((slot_ts(1), 5), (slot_ts(1), 7))
         with pytest.raises(ValueError, match="strictly increasing"):
-            SlotSeries("m", Kind.CONSUMPTION, slots)
+            SlotSeries("m", Kind.CONSUMPTION, (slot_ts(1), slot_ts(1)), (5, 7))
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), -1),))
+            SlotSeries("m", Kind.CONSUMPTION, (slot_ts(0),), (-1,))
 
     @pytest.mark.parametrize("energy,problem", BAD_ENERGY)
     def test_bad_energy_message_names_slot_and_meter(self, energy, problem):
-        slots = ((slot_ts(0), 5), (slot_ts(1), energy))
         with pytest.raises(ValueError) as excinfo:
-            SlotSeries("m7", Kind.CONSUMPTION, slots)
+            SlotSeries("m7", Kind.CONSUMPTION, (slot_ts(0), slot_ts(1)), (5, energy))
         assert str(excinfo.value) == f"slot 2022-05-04T00:30:00+02:00 of meter m7 {problem}"
 
     def test_non_integer_energy_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), 1.5),))
+            SlotSeries("m", Kind.CONSUMPTION, (slot_ts(0),), (1.5,))
 
     def test_columns_are_checked_as_the_pairs(self):
         starts, energies = (slot_ts(0), slot_ts(1)), (10, 20)
-        assert SlotSeries.from_columns("m", Kind.CONSUMPTION, starts, energies) == SlotSeries(
-            "m", Kind.CONSUMPTION, zip(starts, energies)
-        )
+        s = SlotSeries("m", Kind.CONSUMPTION, starts, energies)
+        # tuples are kept as they are; other sequences become tuples
+        assert s.starts is starts and s.energies is energies
+        assert s == SlotSeries("m", Kind.CONSUMPTION, list(starts), iter(energies))
         with pytest.raises(ValueError, match="strictly increasing at 2022-05-04T00:00:00"):
-            SlotSeries.from_columns("m", Kind.CONSUMPTION, starts[::-1], energies)
+            SlotSeries("m", Kind.CONSUMPTION, starts[::-1], energies)
         with pytest.raises(ValueError, match="value count does not match slot count"):
-            SlotSeries.from_columns("m", Kind.CONSUMPTION, starts, (10,))
+            SlotSeries("m", Kind.CONSUMPTION, starts, (10,))
 
     def test_replace_values_shares_the_starts_and_checks_the_values(self):
-        s = SlotSeries("m7", Kind.CONSUMPTION, ((slot_ts(0), 10), (slot_ts(1), 20)))
-        assert s.slot_starts() is s.slot_starts() and s.values() is s.values()
-        assert s.replace_values([30, 40]).slot_starts() is s.slot_starts()
-        assert s.replace_values([30, 40]).slots == ((slot_ts(0), 30), (slot_ts(1), 40))
+        s = SlotSeries("m7", Kind.CONSUMPTION, (slot_ts(0), slot_ts(1)), (10, 20))
+        assert s.replace_values([30, 40]).starts is s.starts
+        assert s.replace_values([30, 40]).energies == (30, 40)
         with pytest.raises(ValueError) as excinfo:
             s.replace_values([30, -1])
         assert str(excinfo.value) == "slot 2022-05-04T00:30:00+02:00 of meter m7 must be >= 0 Wh, got -1"
 
     def test_total_and_window(self):
-        s = SlotSeries("m", Kind.CONSUMPTION, ((slot_ts(0), 10), (slot_ts(1), 20)))
+        s = SlotSeries("m", Kind.CONSUMPTION, (slot_ts(0), slot_ts(1)), (10, 20))
         assert s.total_wh() == 30
         assert s.total_wh(DateRange.single_day(DAY)) == 30
 
@@ -243,7 +241,7 @@ class TestCustomDynamicPolicy:
 
 class TestValidateCommunity:
     def _series(self, meter, kind, ks, day=DAY):
-        return SlotSeries(meter, kind, tuple((slot_ts(k, day), 100) for k in ks))
+        return SlotSeries(meter, kind, [slot_ts(k, day) for k in ks], [100] * len(ks))
 
     def test_well_formed_input_empty_report(self, community):
         series = [self._series("pv1", Kind.PRODUCTION, range(4))]
@@ -271,8 +269,8 @@ class TestValidateCommunity:
         days = [DAY + timedelta(days=d) for d in range(3)]
 
         def day_series(meter, kind, ds):
-            slots = tuple((slot_ts(k, d), 100) for d in ds for k in range(48))
-            return SlotSeries(meter, kind, slots)
+            starts = [slot_ts(k, d) for d in ds for k in range(48)]
+            return SlotSeries(meter, kind, starts, [100] * len(starts))
 
         series = [day_series("pv1", Kind.PRODUCTION, days)]
         series += [day_series(p, Kind.CONSUMPTION, days) for p in ("b1", "b2")]

@@ -50,11 +50,12 @@ def _reference_build_ledger(
     policy_names = sorted(allocations_by_policy)
     coefficients = {name: kors.texts() for name, kors in static_kors.items()}
     slot_rows = zip(
-        production.slots,
+        production.starts,
+        production.energies,
         *(allocations_by_policy[name] for name in policy_names),
         strict=True,
     )
-    for (ts, produced), *allocations in slot_rows:
+    for ts, produced, *allocations in slot_rows:
         ledger.append(
             {"kind": "production", "energy_wh": produced},
             counting_point_key=production.meter_id,
@@ -129,10 +130,8 @@ def communities(draw):
         positions = range(first, first + draw(st.integers(1, 8)))
         starts = [slot_ts(k % 48, DAY + timedelta(days=k // 48)) for k in positions]
     values = st.lists(_energy, min_size=len(starts), max_size=len(starts))
-    production = SlotSeries("pv", Kind.PRODUCTION, tuple(zip(starts, draw(values))))
-    consumptions = [
-        SlotSeries(pid, Kind.CONSUMPTION, tuple(zip(starts, draw(values)))) for pid in ids
-    ]
+    production = SlotSeries("pv", Kind.PRODUCTION, starts, draw(values))
+    consumptions = [SlotSeries(pid, Kind.CONSUMPTION, starts, draw(values)) for pid in ids]
     weights = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n))
     kors = KorVector({pid: w / sum(weights) for pid, w in zip(ids, weights)})
     order = tuple(draw(st.permutations(ids)))
@@ -158,16 +157,16 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
     for name, (policy, allocate_slot) in policies.items():
         tables[name] = allocate_series(policy, production, consumptions)
         rows[name] = [
-            allocate_slot(prod, {s.meter_id: s.slots[k][1] for s in consumptions}, ts)
-            for k, (ts, prod) in enumerate(production.slots)
+            allocate_slot(prod, {s.meter_id: s.energies[k] for s in consumptions}, ts)
+            for k, (ts, prod) in enumerate(zip(production.starts, production.energies))
         ]
     static_kors = {"static": kors, "static33": equal}
 
     expected = _ledger_text(_reference_build_ledger(production, rows, static_kors))
     assert _ledger_text(runner._build_ledger(production, tables, static_kors)) == expected
 
-    stamps = [ts.isoformat() for ts in production.slot_starts()]
-    window = DateRange.single_day(production.slots[0][0].date())
+    stamps = [ts.isoformat() for ts in production.starts]
+    window = DateRange.single_day(production.starts[0].date())
     participants = [Participant(pid, "0.1", priority_rank=k + 1) for k, pid in enumerate(ids)]
     community = Community(tuple(participants), "pv", "0.05")
     for name, table in tables.items():

@@ -59,10 +59,10 @@ def test_high_radiation_exceeds_combined_consumption_somewhere(tmp_path, seed):
     production, consumption = _load_series(out)
     production = apply_pv_gain(production, DEMO_PV_GAIN)
     combined = [
-        sum(series.values()[k] for series in consumption.values())
+        sum(series.energies[k] for series in consumption.values())
         for k in range(len(production))
     ]
-    assert any(p > c for p, c in zip(production.values(), combined))
+    assert any(p > c for p, c in zip(production.energies, combined))
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -74,19 +74,19 @@ def test_datacentre_keeps_consumption_above_production(tmp_path, profile, seed):
     production = apply_pv_gain(production, DEMO_PV_GAIN)
     consumption["b4"] = add_constant_load(consumption["b4"], DEMO_DC_LOAD_KW)
     combined = [
-        sum(series.values()[k] for series in consumption.values())
+        sum(series.energies[k] for series in consumption.values())
         for k in range(len(production))
     ]
-    assert all(c > p for p, c in zip(production.values(), combined))
+    assert all(c > p for p, c in zip(production.energies, combined))
 
 
 def test_low_radiation_peaks_below_combined_consumption(tmp_path):
     synthesize_demo_data("low_radiation", 7, tmp_path / "d")
     production, consumption = _load_series(tmp_path / "d")
     production = apply_pv_gain(production, DEMO_PV_GAIN)
-    peak = max(production.values())
+    peak = max(production.energies)
     combined_at_peak = sum(
-        series.values()[production.values().index(peak)]
+        series.energies[production.energies.index(peak)]
         for series in consumption.values()
     )
     assert peak < combined_at_peak
