@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from datetime import timedelta
 from pathlib import Path
 
 import click
@@ -17,7 +16,7 @@ from cscshare import ledger as ledger_mod
 from cscshare import runner as runner_mod
 from cscshare import synth
 from cscshare.ingestion import derive_static_kors, ingest_csv, normalize_to_slots, readings_by_meter
-from cscshare.model import DateRange, Kind
+from cscshare.model import Kind
 
 
 def guarded(fn):
@@ -81,6 +80,12 @@ def ingest(csv_paths, out_dir):
             failed = True
     if failed:
         sys.exit(1)
+    # checked before any output: a separator in an id would put its file
+    # outside out_dir
+    for meter_id in normalized if out_dir else ():
+        name = f"{meter_id}_slots.csv"
+        if Path(name).name != name:
+            raise ValueError(f"meter id {meter_id!r}: {name!r} is not a plain file name")
     for meter_id, series in normalized.items():
         click.echo(f"{meter_id}: {len(series)} slots, {series.total_wh()} Wh")
     if out_dir:
@@ -115,13 +120,7 @@ def derive_kors(config_path, out_path):
         history.append(normalize_to_slots(by_meter.pop(pid), kind=Kind.CONSUMPTION))
     del by_meter
 
-    window = config.kor_window
-    if window is None:
-        # each series is strictly increasing: its first slot is its earliest
-        first = min(s.starts[0] for s in history)
-        last = max(s.starts[-1] for s in history)
-        window = DateRange(first.date(), last.date() + timedelta(days=1))
-
+    window = config.kor_window or runner_mod._full_extent(history)
     kors = derive_static_kors(history, window)
     Path(out_path).write_text(
         json.dumps(dict(sorted(kors.entries.items())), sort_keys=True, indent=2) + "\n",

@@ -16,11 +16,13 @@ A ``Ledger`` is its canonical lines, exactly as the log file holds them,
 and nothing else: ``append`` and ``read_ledger`` are the only ways lines
 get in. ``append`` encodes each payload once and splices the hash
 material and the line from that encoding; writing copies the lines out.
-Reading rejects any line that is not its record's canonical
-serialization, and decodes and checks each distinct payload text once.
-Records are read-only views: iterating a ``Ledger`` parses them from its
-lines with the reader's checker, and ``verify_chain`` re-hashes the
-material it splices from each line's own slices.
+Reading walks the lines once. It rejects any line that is not its
+record's canonical serialization, decoding and checking each distinct
+payload text once, then checks the line's link and hashes the material
+it splices from the line's own slices. The ledger keeps the first break
+it finds, and ``verify_chain`` reports it. Records are read-only views:
+iterating a ``Ledger`` parses them from its lines with the reader's
+checker.
 """
 
 from __future__ import annotations
@@ -159,24 +161,46 @@ class Ledger:
         self._stamp: datetime | None = None
         self._stamp_json = ""
         self._key_json: dict[str, str] = {}
+        # the first break read_ledger found; append never makes one
+        self._report = ChainReport(True)
 
     def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
-        """Keep each line that ``_parse_lines`` accepts, ending it in a newline."""
+        """Keep each line that ``_parse_lines`` accepts, ending it in a
+        newline, and the first break in the chain: a previous hash that is
+        not the line before's hash (the genesis hash for line 1), or a hash
+        that is not the SHA-256 of the line's hash material."""
         kept, last_ts = self._lines, self._last_ts
-        fields = None
-        for line, fields in _parse_lines(lines, keep_payloads=False):
+        report = None
+        head = head_text = GENESIS_HASH
+        for i, (line, fields) in enumerate(_parse_lines(lines)):
+            key, timestamp, _, prev_hash, hash_, hash_text, material = fields
+            if report is None:
+                # canonical quoting is one-to-one, so equal hashes have
+                # equal texts; a linked previous hash is the head itself
+                if prev_hash != head:
+                    report = ChainReport(False, i, f"broken link at record {i}")
+                elif hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
+                    report = ChainReport(False, i, f"hash mismatch at record {i}")
             kept.append(line if line.endswith("\n") else f"{line}\n")
-            last_ts[fields[0]] = fields[1]
-        if fields is not None:
-            self._head, self._head_json = fields[5], f'"{fields[6]}"'
+            last_ts[key] = timestamp
+            head, head_text = hash_, hash_text
+        self._head, self._head_json = head, f'"{head_text}"'
+        if report is not None:
+            self._report = report
 
     def __len__(self) -> int:
         return len(self._lines)
 
     def __iter__(self) -> Iterator[AuditRecord]:
-        for _, (key, timestamp, payload, payload_json, prev_hash, hash_, _) in _parse_lines(
+        # each distinct payload text is decoded once per call, and the
+        # records that hold it share the dict
+        payloads: dict[str, dict] = {}
+        for _, (key, timestamp, payload_json, prev_hash, hash_, _, _) in _parse_lines(
             self._lines
         ):
+            payload = payloads.get(payload_json)
+            if payload is None:
+                payload = payloads[payload_json] = _decode(payload_json)
             yield AuditRecord(key, timestamp, payload, prev_hash, hash_, payload_json=payload_json)
 
     @property
@@ -238,69 +262,19 @@ _AT_TIMESTAMP = '","timestamp":"'
 _TAIL = '"}'
 
 
-def _cuts(line: str, stop: int) -> tuple[int, int, int, int, int] | None:
-    """Where the separators of the fixed layout fall in ``line[:stop]``:
-    the offsets of ``_AT_HASH``, ``_AT_PAYLOAD``, ``_AT_PREV_HASH``,
-    ``_AT_TIMESTAMP`` and ``_TAIL``, or None if one is missing.
-
-    The line is cut forwards past the key and the hash, and backwards past
-    the timestamp and the previous hash, so the payload is what lies
-    between. A canonical JSON string holds no quote that is not escaped,
-    so in a line ``_line`` renders no separator occurs inside the field it
-    is searched across, and the cuts fall where the layout puts them.
-    ``line[stop:]`` may only be a line end, which no separator contains.
-    """
-    if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
-        return None
-    at_hash = line.find(_AT_HASH, len(_HEAD))
-    if at_hash < 0:
-        return None
-    at_payload = line.find(_AT_PAYLOAD, at_hash + len(_AT_HASH))
-    if at_payload < 0:
-        return None
-    payload_start = at_payload + len(_AT_PAYLOAD)
-    end = stop - len(_TAIL)
-    at_timestamp = line.rfind(_AT_TIMESTAMP, payload_start, end)
-    if at_timestamp < 0:
-        return None
-    at_prev_hash = line.rfind(_AT_PREV_HASH, payload_start, at_timestamp)
-    if at_prev_hash < 0:
-        return None
-    return at_hash, at_payload, at_prev_hash, at_timestamp, end
-
-
 def verify_chain(ledger: Ledger) -> ChainReport:
-    """Recompute every hash and link of a ledger's lines; report the first
-    break, if any.
+    """The first break in a ledger's hash chain, or intact.
 
-    Each line's hash material is spliced from the line's own slices. A
-    ``Ledger`` holds only canonical lines, and canonical quoting is
-    one-to-one, so a link holds iff the previous-hash text equals the
-    previous line's hash text.
+    ``read_ledger`` checks each line's link and hash right after it has
+    checked the line, and the ``Ledger`` it returns keeps the first break
+    it found. ``append`` computes each link and hash itself and never
+    makes a break, so the kept report is what a walk recomputing every
+    hash and link would find, and no line is cut again here.
 
     Truncating records off the tail is not detectable without an external
     anchor for the head hash; persist the head out of band if that matters.
     """
-    # how far past its separator each field starts; the key, timestamp and
-    # previous-hash slices of the hash material keep their quotes
-    key_from, hash_from = len(_HEAD) - 1, len(_AT_HASH)
-    payload_from, prev_from = len(_AT_PAYLOAD), len(_AT_PREV_HASH)
-    timestamp_from = len(_AT_TIMESTAMP) - 1
-    prev_text = GENESIS_HASH
-    for i, line in enumerate(ledger._lines):
-        at_hash, at_payload, at_prev_hash, at_timestamp, end = _cuts(line, len(line) - 1)
-        if line[at_prev_hash + prev_from:at_timestamp] != prev_text:
-            return ChainReport(False, i, f"broken link at record {i}")
-        hash_ = _record_hash(
-            line[key_from:at_hash + 1],
-            line[at_timestamp + timestamp_from:end + 1],
-            line[at_payload + payload_from:at_prev_hash],
-            line[at_prev_hash + prev_from - 1:at_timestamp + 1],
-        )
-        prev_text = line[at_hash + hash_from:at_payload]
-        if hash_ != prev_text:
-            return ChainReport(False, i, f"hash mismatch at record {i}")
-    return ChainReport(True)
+    return ledger._report
 
 
 def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
@@ -329,27 +303,44 @@ def _split(
     last_hash: str,
     keys: dict[str, str],
     timestamps: dict[str, datetime],
-    payloads: dict[str, tuple[dict | None, str]],
-    keep_payloads: bool,
-) -> tuple[str, datetime, dict | None, str, str, str, str] | None:
+    payload_texts: dict[str, str],
+) -> tuple[str, datetime, str, str, str, str, str] | None:
     """The fields of the canonical line ``line[:stop]`` (key, timestamp,
-    payload, payload text, previous hash, hash, hash text), or None for
-    any other line. Without ``keep_payloads`` the payload is checked but
-    not kept, and None stands for it.
+    payload text, previous hash, hash, hash text and hash material), or
+    None for any other line.
 
-    The line is cut by ``_cuts`` and accepted iff each piece is the
-    canonical form of its value, which is iff the line is ``_line`` of
-    those values.
+    The line is cut at the separators of its fixed layout: forwards past
+    the key and the hash, and backwards past the timestamp and the
+    previous hash, so the payload is what lies between. A canonical JSON
+    string holds no quote that is not escaped, so in a line ``_line``
+    renders no separator occurs inside the field it is searched across,
+    and the cuts fall where the layout puts them. ``line[stop:]`` may only
+    be a line end, which no separator contains. The line is accepted iff
+    each piece is the canonical form of its value, which is iff the line
+    is ``_line`` of those values; the hash material is spliced from the
+    same pieces.
 
-    Keys, timestamps and payloads repeat: each distinct text is checked
-    once and its value kept in the caller's dicts, so the records that
-    hold it share one object. A previous hash whose text is the last
-    line's hash text is that line's hash.
+    Keys, timestamps and payload texts repeat: each distinct text is
+    checked once and kept in the caller's dicts, so the records that hold
+    it share one object. A previous hash whose text is the last line's
+    hash text is that line's hash.
     """
-    cuts = _cuts(line, stop)
-    if cuts is None:
+    if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
         return None
-    at_hash, at_payload, at_prev_hash, at_timestamp, end = cuts
+    at_hash = line.find(_AT_HASH, len(_HEAD))
+    if at_hash < 0:
+        return None
+    at_payload = line.find(_AT_PAYLOAD, at_hash + len(_AT_HASH))
+    if at_payload < 0:
+        return None
+    payload_start = at_payload + len(_AT_PAYLOAD)
+    end = stop - len(_TAIL)
+    at_timestamp = line.rfind(_AT_TIMESTAMP, payload_start, end)
+    if at_timestamp < 0:
+        return None
+    at_prev_hash = line.rfind(_AT_PREV_HASH, payload_start, at_timestamp)
+    if at_prev_hash < 0:
+        return None
 
     key_text = line[len(_HEAD):at_hash]
     key = keys.get(key_text)
@@ -383,19 +374,20 @@ def _split(
             return None
         timestamps[timestamp_text] = timestamp
 
-    payload_text = line[at_payload + len(_AT_PAYLOAD):at_prev_hash]
-    cached = payloads.get(payload_text)
-    if cached is None:
+    payload_text = line[payload_start:at_prev_hash]
+    checked = payload_texts.get(payload_text)
+    if checked is None:
         try:
             payload = _decode(payload_text)
         except ValueError:
             return None
         if not isinstance(payload, dict) or _encode(payload) != payload_text:
             return None
-        cached = payloads[payload_text] = (payload if keep_payloads else None, payload_text)
-    payload, payload_json = cached
+        checked = payload_texts[payload_text] = payload_text
 
-    return key, timestamp, payload, payload_json, prev_hash, hash_, hash_text
+    # _record_hash's material, from the texts of the quoted members
+    material = f'["{key_text}","{timestamp_text}",{checked},"{prev_text}"]'
+    return key, timestamp, checked, prev_hash, hash_, hash_text, material
 
 
 def _reject(line: str) -> NoReturn:
@@ -420,38 +412,36 @@ def _reject(line: str) -> NoReturn:
 
 
 def _parse_lines(
-    lines: Iterable[str] | Iterable[bytes], keep_payloads: bool = True
-) -> Iterator[tuple[str, tuple[str, datetime, dict | None, str, str, str, str]]]:
+    lines: Iterable[str] | Iterable[bytes],
+) -> Iterator[tuple[str, tuple[str, datetime, str, str, str, str, str]]]:
     """Each line, decoded, with the fields ``_split`` checked; the first
     line that is not canonical, or not UTF-8, raises ValueError with its
     number."""
     keys: dict[str, str] = {}
     # records of one slot share one datetime, as they do when appended
     timestamps: dict[str, datetime] = {}
-    payloads: dict[str, tuple[dict | None, str]] = {}
-    last_hash_text = last_hash = ""
+    payload_texts: dict[str, str] = {}
+    last_hash_text = last_hash = GENESIS_HASH
     for lineno, line in enumerate(lines, start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
             stop = len(line) - 1 if line.endswith("\n") else len(line)
-            fields = _split(
-                line, stop, last_hash_text, last_hash, keys, timestamps, payloads, keep_payloads
-            )
+            fields = _split(line, stop, last_hash_text, last_hash, keys, timestamps, payload_texts)
             if fields is None:
                 _reject(line[:stop])
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # RecursionError: a payload nested too deep for the decoder
             raise ValueError(f"ledger line {lineno}: malformed record ({exc})") from None
-        last_hash, last_hash_text = fields[5], fields[6]
+        last_hash, last_hash_text = fields[4], fields[5]
         yield line, fields
 
 
 def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
     canonical serialization, ending in a newline (the last line may lack
-    it). Chain integrity is checked by verify_chain, not here; reading a
-    tampered file must succeed so it can be reported."""
+    it). A break in the chain does not fail the read: the ledger keeps
+    the first one for verify_chain to report."""
     ledger = Ledger()
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number

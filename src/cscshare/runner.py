@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
@@ -239,6 +239,16 @@ def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings | list[RawM
     return readings_by_meter(results)
 
 
+def _full_extent(series: Iterable[SlotSeries]) -> DateRange:
+    """The local dates the slots of ``series`` fall on, first to last.
+
+    A slot's local date may precede the first slot's, where its UTC
+    offset puts it before local midnight, so every slot is looked at.
+    """
+    dates = {ts.date() for s in series for ts in s.starts}
+    return DateRange(min(dates), max(dates) + timedelta(days=1))
+
+
 def _build_policies(
     config: RunConfig, community: Community, book: TariffBook
 ):
@@ -366,9 +376,7 @@ def run(config: RunConfig) -> RunResult:
         raise ValueError("validation failed:\n" + "\n".join(report.findings))
     assert production is not None  # validate_community reported it otherwise
 
-    first = min(ts.date() for ts in production.starts)
-    last = max(ts.date() for ts in production.starts)
-    window = DateRange(first, last + timedelta(days=1))
+    window = _full_extent([production])
 
     policies = _build_policies(config, community, book)
     consumption_list = [consumptions[pid] for pid in ids]

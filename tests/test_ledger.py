@@ -868,3 +868,33 @@ def test_single_byte_mutation_reads_and_verifies_as_the_reference(at, byte, tmp_
         expected = "report", _reference_verify_chain(records)
     assert outcome == expected
     assert _read_and_verified(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
+
+
+@given(
+    text=_mutated_logs(),
+    appended=st.lists(
+        st.tuples(_tricky_text, st.dictionaries(_awkward_text, _json_trees, max_size=3)),
+        max_size=3,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_report_survives_appends_and_a_rewrite(text, appended):
+    """The report a Ledger keeps from reading a tampered log is the
+    reference verifier's report on its lines, after appends, and after the
+    appended log is written and read back."""
+    try:
+        expected = _reference_verify_chain(
+            list(_reference_parse_lines(io.StringIO(text, newline="\n")))
+        )
+    except ValueError:
+        return  # not a log; test_reader_agrees_with_the_reference_reader
+    ledger = read_ledger(io.StringIO(text, newline="\n"))
+    assert verify_chain(ledger) == expected
+    # a day later than any timestamp the log may hold, in any of its offsets
+    day = DAY + timedelta(days=2)
+    for k, (key, payload) in enumerate(appended):
+        ledger.append(payload, key, slot_ts(k, day))
+        assert verify_chain(ledger) == expected
+    rewritten = _written(write_ledger, ledger)
+    fresh = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(rewritten, newline="\n"))))
+    assert verify_chain(read_ledger(io.StringIO(rewritten, newline="\n"))) == expected == fresh

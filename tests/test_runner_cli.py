@@ -597,3 +597,45 @@ class TestCli:
         assert abs(sum(derived.values()) - 1) < 1e-9
         # the emitted file used the same derivation over the same day
         assert derived == json.loads((out / "kors.json").read_text())
+
+    def test_derive_kors_default_window_covers_every_local_date(self, tmp_path):
+        """A slot whose UTC offset puts it before the first slot's local
+        midnight is in the default window, as run's window holds it."""
+        stamps = [
+            "2024-01-01T00:00:00+02:00", "2023-12-31T23:30:00+01:00",
+            "2024-01-01T00:00:00+01:00", "2024-01-01T00:30:00+01:00",
+        ]
+        rows = ["meter_id,meter_class,timestamp,quantity_kind,value"]
+        for meter, values in (("pv1", [100] * 4), ("a", [100] * 4), ("b", [100, 9000, 100, 100])):
+            rows += [f"{meter},linky,{ts},energy_wh,{v}" for ts, v in zip(stamps, values)]
+        (tmp_path / "meters.csv").write_text("\n".join(rows) + "\n")
+        participants = [
+            {"id": pid, "priority_rank": rank, "tariff_eur_per_kwh": "0.13",
+             "grid_uplift_pct": "0", "tax_uplift_pct": "0"}
+            for rank, pid in enumerate(["a", "b"], start=1)
+        ]
+        (tmp_path / "community.json").write_text(json.dumps(
+            {"feed_in_eur_per_kwh": "0.06", "production_meter": "pv1", "participants": participants}
+        ))
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"meter_csvs": ["meters.csv"], "community": "community.json", "out_dir": "out"}
+        ))
+        r = CliRunner().invoke(main, [
+            "derive-kors", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "k.json"),
+        ])
+        assert r.exit_code == 0, r.output
+        assert r.output == "a: 0.0412\nb: 0.9588\n"
+
+    @pytest.mark.parametrize("meter_id", ["../escaped", "sub/m1"])
+    def test_ingest_rejects_a_meter_id_that_leaves_out_dir(self, tmp_path, meter_id):
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_text(
+            "meter_id,meter_class,timestamp,quantity_kind,value\n"
+            f"{meter_id},linky,2022-05-04T10:00:00+02:00,energy_wh,100\n"
+        )
+        out = tmp_path / "out" / "slots"
+        r = CliRunner().invoke(main, ["ingest", str(csv_path), "--out", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert f"validation error: meter id {meter_id!r}" in r.output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["meters.csv"]
