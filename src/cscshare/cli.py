@@ -92,10 +92,9 @@ def ingest(csv_paths, out_dir):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for meter_id, series in normalized.items():
-            lines = ["meter_id,slot_start,energy_wh"]
-            slots = zip(series.starts, series.energies)
-            lines += [f"{meter_id},{ts.isoformat()},{e}" for ts, e in slots]
-            (out / f"{meter_id}_slots.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows = [("meter_id", "slot_start", "energy_wh")]
+            rows += [(meter_id, ts.isoformat(), e) for ts, e in zip(series.starts, series.energies)]
+            runner_mod._write_csv(out / f"{meter_id}_slots.csv", rows)
 
 
 @main.command("derive-kors")

@@ -16,6 +16,10 @@ A ``Ledger`` is its canonical lines, exactly as the log file holds them,
 and nothing else: ``append`` and ``read_ledger`` are the only ways lines
 get in. ``append`` encodes each payload once and splices the hash
 material and the line from that encoding; writing copies the lines out.
+A ``PayloadTemplate`` renders payloads of one fixed shape from integer
+columns: its keys and constants are encoded once, and each row's
+integers are filled into the text, which ``append`` takes as it is. The
+lines are byte-identical to appending the payload dicts.
 Reading walks the lines once. It rejects any line that is not its
 record's canonical serialization, decoding and checking each distinct
 payload text once, then checks the line's link and hashes the material
@@ -28,12 +32,13 @@ checker.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NoReturn, TextIO
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from cscshare.model import parse_timestamp
 
@@ -51,8 +56,8 @@ _chunks = c_make_encoder(
 )
 
 
-def _encode(payload: Mapping[str, Any]) -> str:
-    return "".join(_chunks(payload, 0))
+def _encode(value: Any) -> str:
+    return "".join(_chunks(value, 0))
 
 
 def _reject_number(text: str) -> Any:
@@ -98,6 +103,94 @@ def _check_shallow(payload: dict) -> None:
                     return _check_payload(payload)
             continue
         return _check_payload(payload)
+
+
+class _Rendered(str):
+    """A payload text a ``PayloadTemplate`` rendered: the canonical text of
+    a checked payload by construction, which ``append`` takes as it is."""
+
+    __slots__ = ()
+
+
+def _fill(shape: dict, values: Iterator[Any]) -> dict:
+    """``shape`` with its integer fields (``int``) taken from ``values``, in
+    the shape's own order."""
+    return {
+        key: next(values) if value is int else _fill(value, values) if isinstance(value, dict) else value
+        for key, value in shape.items()
+    }
+
+
+def _fields(shape: dict, path: tuple = ()) -> Iterator[tuple]:
+    """The path of each integer field of ``shape``, in its own order."""
+    for key, value in shape.items():
+        if value is int:
+            yield (*path, key)
+        elif isinstance(value, dict):
+            yield from _fields(value, (*path, key))
+
+
+def _template(shape: dict, paths: list[tuple], path: tuple = ()) -> str:
+    """The canonical text of ``shape`` as a %-format, ``%d`` at each integer
+    field; ``paths`` gets the field paths in the text's order."""
+    members = []
+    for key in sorted(shape):  # the encoder's key order
+        value = shape[key]
+        if value is int:
+            paths.append((*path, key))
+            text = "%d"
+        elif isinstance(value, dict):
+            text = _template(value, paths, (*path, key))
+        else:
+            text = _encode(value).replace("%", "%%")
+        members.append(f"{_quote(key).replace('%', '%%')}:{text}")
+    return "{" + ",".join(members) + "}"
+
+
+class PayloadTemplate:
+    """A payload shape compiled once, rendered row by row from integer columns.
+
+    ``shape`` is a payload whose integer fields are the type ``int``, at any
+    depth of nested objects; every other value is a constant. It is checked
+    as ``append`` checks a payload, and its keys are sorted and quoted, and
+    its constants encoded, once. ``render(*columns)`` takes one column per
+    integer field, in the shape's own order, and yields each row's payload
+    text: the canonical text of the shape with that row's values filled
+    in, which ``append`` then takes without checking or encoding it again.
+    """
+
+    def __init__(self, shape: Mapping[str, Any]):
+        if not isinstance(shape, dict):
+            shape = dict(shape)
+        fields = list(_fields(shape))
+        _check_shallow(_fill(shape, itertools.repeat(0)))
+        paths: list[tuple] = []
+        self._format = _template(shape, paths)
+        # the column of each %d, in the text's order
+        self._order = [fields.index(path) for path in paths]
+        self._shape = shape
+
+    def render(self, *columns: Sequence[int]) -> Iterator[str]:
+        """Each row's canonical payload text, the rows read across ``columns``.
+
+        Each column is checked once as a whole for plain ``int``s, whose
+        decimal text is their canonical form. A column holding anything
+        else takes ``append``'s own check and encoding, row by row: a float
+        raises the ValueError ``append`` raises for that row's payload, and
+        a bool or an int subclass is rendered as ``append`` stores it.
+        """
+        if len(columns) != len(self._order):
+            raise ValueError(f"{len(self._order)} integer fields, {len(columns)} columns")
+        if all(set(map(type, column)) <= {int} for column in columns):
+            rows = zip(*[columns[i] for i in self._order], strict=True)
+            return map(_Rendered, map(self._format.__mod__, rows))
+        return self._render_each(columns)
+
+    def _render_each(self, columns: Sequence[Sequence[Any]]) -> Iterator[str]:
+        for row in zip(*columns, strict=True):
+            payload = _fill(self._shape, iter(row))
+            _check_shallow(payload)
+            yield _Rendered(_encode(payload))
 
 
 def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_json: str) -> str:
@@ -213,12 +306,14 @@ class Ledger:
 
     def append(
         self,
-        payload: Mapping[str, Any],
+        payload: Mapping[str, Any] | str,
         counting_point_key: str,
         timestamp: datetime,
     ) -> str:
         """Chain a new record to the head and return its hash.
 
+        ``payload`` is checked and encoded, unless it is a text that
+        ``PayloadTemplate.render`` yielded, which is both already.
         Timestamps must not regress within one counting point; equal
         timestamps are allowed (several policies may log the same slot).
         """
@@ -227,9 +322,11 @@ class Ledger:
                 raise ValueError("record timestamp has no UTC offset")
             self._stamp = timestamp
             self._stamp_json = _quote(timestamp.isoformat())
-        if not isinstance(payload, dict):
-            payload = dict(payload)
-        _check_shallow(payload)
+        if type(payload) is not _Rendered:
+            if not isinstance(payload, dict):
+                payload = dict(payload)
+            _check_shallow(payload)
+            payload = _encode(payload)
         last = self._last_ts.get(counting_point_key)
         if last is not None and last is not timestamp and timestamp < last:
             raise ValueError(
@@ -240,11 +337,10 @@ class Ledger:
         if key_json is None:
             key_json = self._key_json[counting_point_key] = _quote(counting_point_key)
         stamp_json, prev_json = self._stamp_json, self._head_json
-        payload_json = _encode(payload)
-        hash_ = _record_hash(key_json, stamp_json, payload_json, prev_json)
+        hash_ = _record_hash(key_json, stamp_json, payload, prev_json)
         # _line of the same values; a hex digest is its own JSON text
         self._lines.append(
-            f'{{"counting_point_key":{key_json},"hash":"{hash_}","payload":{payload_json},'
+            f'{{"counting_point_key":{key_json},"hash":"{hash_}","payload":{payload},'
             f'"prev_hash":{prev_json},"timestamp":{stamp_json}}}\n'
         )
         self._head, self._head_json = hash_, f'"{hash_}"'

@@ -38,7 +38,7 @@ from cscshare.ingestion import (
     normalize_to_slots,
     readings_by_meter,
 )
-from cscshare.ledger import KOR_COUNTING_POINT, Ledger, write_ledger
+from cscshare.ledger import KOR_COUNTING_POINT, Ledger, PayloadTemplate, write_ledger
 from cscshare.model import (
     AllocationTable,
     Community,
@@ -271,14 +271,6 @@ def _build_policies(
     return policies
 
 
-def _kor_payloads(name: str, table: AllocationTable, kors: KorVector | None):
-    """The payload of each slot's coefficient record for one policy."""
-    ids, columns = table.self_consumed.keys(), table.self_consumed.values()
-    extra = {} if kors is None else {"coefficients": kors.texts()}
-    for shares, surplus in zip(zip(*columns), table.surplus, strict=True):
-        yield {"policy": name, "self_consumed_wh": dict(zip(ids, shares)), "surplus_wh": surplus, **extra}
-
-
 def _build_ledger(
     production: SlotSeries,
     tables: Mapping[str, AllocationTable],
@@ -287,19 +279,28 @@ def _build_ledger(
     """Appends are ordered by slot, then meters, then policy name.
 
     Every table must hold one row per production slot, in slot order;
-    consumption records are read from the first policy's.
+    consumption records are read from the first policy's. Each payload is
+    rendered from the columns by a template of its fixed shape.
     """
     ledger = Ledger()
     names = sorted(tables)
     consumption = sorted(tables[names[0]].consumption.items())
-    payloads = [_kor_payloads(name, tables[name], static_kors.get(name)) for name in names]
-    slots = zip(production.starts, production.energies, *payloads, strict=True)
-    for k, (ts, produced, *kor) in enumerate(slots):
-        ledger.append({"kind": "production", "energy_wh": produced}, production.meter_id, ts)
-        for pid, column in consumption:
-            ledger.append({"kind": "consumption", "energy_wh": column[k]}, pid, ts)
-        for payload in kor:
-            ledger.append(payload, KOR_COUNTING_POINT, ts)
+    produced = PayloadTemplate({"kind": "production", "energy_wh": int})
+    consumed = PayloadTemplate({"kind": "consumption", "energy_wh": int})
+    keys = [production.meter_id, *(pid for pid, _ in consumption)]
+    payloads = [produced.render(production.energies), *(consumed.render(c) for _, c in consumption)]
+    for name in names:
+        table = tables[name]
+        shares = dict.fromkeys(table.self_consumed, int)
+        shape = {"policy": name, "self_consumed_wh": shares, "surplus_wh": int}
+        if name in static_kors:
+            shape["coefficients"] = static_kors[name].texts()
+        payloads.append(PayloadTemplate(shape).render(*table.self_consumed.values(), table.surplus))
+        keys.append(KOR_COUNTING_POINT)
+    append = ledger.append
+    for ts, *row in zip(production.starts, *payloads, strict=True):
+        for payload, key in zip(row, keys):
+            append(payload, key, ts)
     return ledger
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 from decimal import Decimal
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from cscshare.ledger import (
     AuditRecord,
     ChainReport,
     Ledger,
+    PayloadTemplate,
     read_ledger,
     verify_chain,
     write_ledger,
@@ -898,3 +900,96 @@ def test_report_survives_appends_and_a_rewrite(text, appended):
     rewritten = _written(write_ledger, ledger)
     fresh = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(rewritten, newline="\n"))))
     assert verify_chain(read_ledger(io.StringIO(rewritten, newline="\n"))) == expected == fresh
+
+
+# A payload shape: constant str, bool, None and int fields and integer
+# fields (int), flat or holding one nested object of the same. Its texts
+# may hold what a %-format or str.format would read as a placeholder.
+_shape_text = _awkward_text | st.text(st.sampled_from('%d{}"\\a'))
+_shape_members = st.dictionaries(
+    _shape_text,
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _shape_text | st.just(int),
+    max_size=5,
+)
+
+
+@st.composite
+def _shapes(draw):
+    shape = draw(_shape_members)
+    if draw(st.booleans()):
+        shape[draw(_shape_text)] = draw(_shape_members)
+    return shape
+
+
+def _filled(shape, values):
+    """The payload of one row: ``shape`` with its int fields taken from
+    ``values`` in the shape's own order."""
+    return {
+        key: next(values) if value is int else _filled(value, values) if isinstance(value, dict) else value
+        for key, value in shape.items()
+    }
+
+
+def _int_fields(shape):
+    return sum(_int_fields(v) if isinstance(v, dict) else v is int for v in shape.values())
+
+
+class _Wh(IntEnum):
+    SEVEN = 7
+
+
+def _appending(payloads):
+    """The log after appending each payload, up to the first error, and
+    that error's text."""
+    ledger = Ledger()
+    try:
+        for payload in payloads:
+            ledger.append(payload, "KOR", slot_ts(0))
+    except ValueError as exc:
+        return _written(write_ledger, ledger), str(exc)
+    return _written(write_ledger, ledger), None
+
+
+@given(
+    shape=_shapes(),
+    rows=st.integers(0, 5),
+    data=st.data(),
+    odd=st.none() | st.sampled_from([True, False, 2.5, float("nan"), _Wh.SEVEN]),
+)
+@settings(max_examples=300, deadline=None)
+def test_template_renders_what_append_encodes(shape, rows, data, odd):
+    """Each rendered text is _encode (and json.dumps) of the row's payload,
+    and appending the texts gives the log appending the payloads gives.
+    A bool, a float or an int subclass in a column gives what append gives
+    for that row's payload: the same text, or the same error."""
+    value = st.just(0) | st.integers(0, 10**6) | st.integers(2**64, 2**70) | st.integers(-(2**70), 0)
+    columns = [data.draw(st.lists(value, min_size=rows, max_size=rows)) for _ in range(_int_fields(shape))]
+    if odd is not None and columns and rows:
+        column = data.draw(st.sampled_from(columns))
+        column[data.draw(st.integers(0, rows - 1))] = odd
+    payloads = [_filled(shape, iter(row)) for row in zip(*columns)]
+    template = PayloadTemplate(shape)
+    outcome = _appending(template.render(*columns))
+    assert outcome == _appending(payloads)
+    if isinstance(odd, float) and columns and rows:
+        assert outcome[1] is not None and "float is not canonically serializable" in outcome[1]
+    else:
+        assert outcome[1] is None
+        expected = [ledger_mod._encode(p) for p in payloads]
+        assert list(template.render(*columns)) == expected
+        assert expected == [_reference_canonical(p) for p in payloads]
+
+
+@pytest.mark.parametrize(
+    "shape, columns, message",
+    [
+        ({"x": 1.5, "n": int}, (), r"^payload\.x: float is not canonically serializable"),
+        ({"n": int, 2: "a"}, (), r"^payload: non-string key 2$"),
+        ({"ids": [int]}, (), r"^payload\.ids\[0\]: type is not canonically serializable"),
+        ({"n": int, "m": {"k": int}}, [(1, 2)], r"^2 integer fields, 1 columns$"),
+    ],
+    ids=["float-constant", "int-key", "field-in-a-list", "column-count"],
+)
+def test_template_refuses_what_append_refuses(shape, columns, message):
+    with pytest.raises(ValueError, match=message):
+        PayloadTemplate(shape).render(*columns)

@@ -582,6 +582,23 @@ class TestCli:
         assert written[0] == "meter_id,slot_start,energy_wh"
         assert written[1] == "m1,2022-05-04T10:00:00+02:00,100"
 
+    @pytest.mark.parametrize("meter_id", ["a,b", 'a"b'])
+    def test_ingest_slot_rows_are_quoted_csv(self, tmp_path, meter_id):
+        csv_path = tmp_path / "meters.csv"
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["meter_id", "meter_class", "timestamp", "quantity_kind", "value"])
+            writer.writerow([meter_id, "linky", "2022-05-04T10:00:00+02:00", "energy_wh", "100"])
+        out = tmp_path / "slots"
+        r = CliRunner().invoke(main, ["ingest", str(csv_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        with open(out / f"{meter_id}_slots.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["meter_id", "slot_start", "energy_wh"],
+            [meter_id, "2022-05-04T10:00:00+02:00", "100"],
+        ]
+
     def test_derive_kors_cli(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "demo"

@@ -114,6 +114,15 @@ _DST_DAYS = {
 
 _energy = st.one_of(st.just(0), st.integers(0, 5_000), st.integers(0, 10**6))
 
+# meter ids that need JSON escaping or would break a naive str.format or
+# %-format: quotes, backslashes, braces, percent signs, control, non-ASCII
+# and astral characters
+_meter_id = st.text(
+    st.one_of(st.sampled_from('"\\{}%\x00\n\x1f\x7f\xe9\u20ac\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+
 
 @st.composite
 def communities(draw):
@@ -121,7 +130,7 @@ def communities(draw):
     same slots (a few slots of one day, or a whole switch day), their
     static coefficients and a priority order."""
     n = draw(st.integers(1, 40))
-    ids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    production_id, *ids = draw(st.lists(_meter_id, min_size=n + 1, max_size=n + 1, unique=True))
     if draw(st.booleans()):
         starts = _DST_DAYS[draw(st.sampled_from([46, 50]))]
     else:
@@ -130,7 +139,7 @@ def communities(draw):
         positions = range(first, first + draw(st.integers(1, 8)))
         starts = [slot_ts(k % 48, DAY + timedelta(days=k // 48)) for k in positions]
     values = st.lists(_energy, min_size=len(starts), max_size=len(starts))
-    production = SlotSeries("pv", Kind.PRODUCTION, starts, draw(values))
+    production = SlotSeries(production_id, Kind.PRODUCTION, starts, draw(values))
     consumptions = [SlotSeries(pid, Kind.CONSUMPTION, starts, draw(values)) for pid in ids]
     weights = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n))
     kors = KorVector({pid: w / sum(weights) for pid, w in zip(ids, weights)})
@@ -168,7 +177,7 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
     stamps = [ts.isoformat() for ts in production.starts]
     window = DateRange.single_day(production.starts[0].date())
     participants = [Participant(pid, "0.1", priority_rank=k + 1) for k, pid in enumerate(ids)]
-    community = Community(tuple(participants), "pv", "0.05")
+    community = Community(tuple(participants), production.meter_id, "0.05")
     for name, table in tables.items():
         got = [list(row) for row in runner._allocation_csv_rows(table, ids, stamps)]
         assert got == _reference_allocation_csv_rows(rows[name], ids), name
