@@ -22,7 +22,6 @@ from cscshare.model import (
     SlotAllocation,
     SlotSeries,
     StaticPolicy,
-    TariffBook,
     validate_community,
 )
 from cscshare.allocation import (
@@ -68,7 +67,6 @@ __all__ = [
     "SlotAllocation",
     "SlotSeries",
     "StaticPolicy",
-    "TariffBook",
     "add_constant_load",
     "allocate_custom_dynamic",
     "allocate_default_dynamic",

@@ -28,7 +28,6 @@ from cscshare.model import (
     SlotAllocation,
     SlotSeries,
     StaticPolicy,
-    TariffBook,
 )
 
 _Split = Callable[[int, list[int]], tuple[list[int], int]]
@@ -109,18 +108,15 @@ def allocate_custom_dynamic(
     )
 
 
-def derive_priority_order(
-    participants: Sequence[Participant], book: TariffBook
-) -> list[str]:
+def derive_priority_order(participants: Sequence[Participant]) -> list[str]:
     """Rank participants by the value of their self-consumed kWh.
 
-    Highest effective rate (tariff plus avoided uplifts) first; ties break
+    Highest ``effective_value_eur_per_kwh`` (tariff plus avoided uplifts,
+    the rate ``compute_savings`` prices with) first; ties break
     lexicographically on id so the order is reproducible.
     """
-    return sorted(
-        (p.id for p in participants),
-        key=lambda pid: (-book.effective_value_eur_per_kwh(pid), pid),
-    )
+    ranked = sorted(participants, key=lambda p: (-p.effective_value_eur_per_kwh, p.id))
+    return [p.id for p in ranked]
 
 
 def allocate_series(

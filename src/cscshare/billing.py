@@ -13,7 +13,7 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from itertools import compress
 from typing import Mapping, Sequence
 
-from cscshare.model import AllocationTable, Community, DateRange, Participant, SlotAllocation
+from cscshare.model import AllocationTable, Community, DateRange, SlotAllocation
 
 CENT = Decimal("0.01")
 _PCT_PLACES = Decimal("0.01")
@@ -131,17 +131,18 @@ def compute_scr(
 
 def compute_savings(
     allocations: Sequence[SlotAllocation],
-    participants: Sequence[Participant],
     community: Community,
     window: DateRange | None = None,
 ) -> SavingsReport:
-    """Value the allocations of a window against the tariff book.
+    """Value the allocations of a window against the community's rates.
 
     Each building's self-consumed kWh avoid its supply tariff plus its
-    avoided grid-fee and tax percentages; the surplus earns the feed-in
-    rate. Investment costs are out of scope.
+    avoided grid-fee and tax percentages (``effective_value_eur_per_kwh``);
+    the surplus earns the community's feed-in rate. An allocation id that
+    is not a participant of the community is a ValueError. Investment
+    costs are out of scope.
     """
-    by_id = {p.id: p for p in participants}
+    by_id = {p.id: p for p in community.participants}
     table = _in_window(allocations, window)
     wh_per_participant = {pid: sum(col) for pid, col in table.self_consumed.items() if col}
 

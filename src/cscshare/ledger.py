@@ -71,7 +71,6 @@ _decode = json.JSONDecoder(
 ).decode
 
 _FLAT = (str, int, type(None))  # bool is an int
-_SCALARS = frozenset((*_FLAT, bool))
 
 
 def _check_payload(value: Any, path: str = "payload") -> None:
@@ -90,19 +89,6 @@ def _check_payload(value: Any, path: str = "payload") -> None:
             f"{path}: {type(value).__name__} is not canonically serializable; "
             "use strings for decimals"
         )
-
-
-def _check_shallow(payload: dict) -> None:
-    """``_check_payload``, in one pass over a flat payload or one of flat objects."""
-    for key, value in payload.items():
-        if type(key) is str and type(value) in _SCALARS:
-            continue
-        if type(key) is str and type(value) is dict:
-            for k, v in value.items():
-                if type(k) is not str or type(v) not in _SCALARS:
-                    return _check_payload(payload)
-            continue
-        return _check_payload(payload)
 
 
 class _Rendered(str):
@@ -162,35 +148,30 @@ class PayloadTemplate:
     def __init__(self, shape: Mapping[str, Any]):
         if not isinstance(shape, dict):
             shape = dict(shape)
-        fields = list(_fields(shape))
-        _check_shallow(_fill(shape, itertools.repeat(0)))
+        self._fields = list(_fields(shape))
+        _check_payload(_fill(shape, itertools.repeat(0)))
         paths: list[tuple] = []
         self._format = _template(shape, paths)
         # the column of each %d, in the text's order
-        self._order = [fields.index(path) for path in paths]
-        self._shape = shape
+        self._order = [self._fields.index(path) for path in paths]
 
     def render(self, *columns: Sequence[int]) -> Iterator[str]:
         """Each row's canonical payload text, the rows read across ``columns``.
 
         Each column is checked once as a whole for plain ``int``s, whose
         decimal text is their canonical form. A column holding anything
-        else takes ``append``'s own check and encoding, row by row: a float
-        raises the ValueError ``append`` raises for that row's payload, and
-        a bool or an int subclass is rendered as ``append`` stores it.
+        else, a bool or an int subclass too, is a ValueError naming its
+        field; ``append`` takes such values in a payload dict.
         """
-        if len(columns) != len(self._order):
-            raise ValueError(f"{len(self._order)} integer fields, {len(columns)} columns")
-        if all(set(map(type, column)) <= {int} for column in columns):
-            rows = zip(*[columns[i] for i in self._order], strict=True)
-            return map(_Rendered, map(self._format.__mod__, rows))
-        return self._render_each(columns)
-
-    def _render_each(self, columns: Sequence[Sequence[Any]]) -> Iterator[str]:
-        for row in zip(*columns, strict=True):
-            payload = _fill(self._shape, iter(row))
-            _check_shallow(payload)
-            yield _Rendered(_encode(payload))
+        if len(columns) != len(self._fields):
+            raise ValueError(f"{len(self._fields)} integer fields, {len(columns)} columns")
+        for k, (path, column) in enumerate(zip(self._fields, columns)):
+            if not set(map(type, column)) <= {int}:
+                odd = next(v for v in column if type(v) is not int)
+                name = ".".join(("payload", *path))
+                raise ValueError(f"column {k} ({name}): {type(odd).__name__} is not a plain int")
+        rows = zip(*[columns[i] for i in self._order], strict=True)
+        return map(_Rendered, map(self._format.__mod__, rows))
 
 
 def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_json: str) -> str:
@@ -325,7 +306,7 @@ class Ledger:
         if type(payload) is not _Rendered:
             if not isinstance(payload, dict):
                 payload = dict(payload)
-            _check_shallow(payload)
+            _check_payload(payload)
             payload = _encode(payload)
         last = self._last_ts.get(counting_point_key)
         if last is not None and last is not timestamp and timestamp < last:

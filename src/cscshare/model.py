@@ -47,12 +47,6 @@ def check_slot_aligned(ts: datetime) -> datetime:
     return ts
 
 
-def slot_index(ts: datetime) -> int:
-    """Position of a slot within its local day (0..47)."""
-    check_slot_aligned(ts)
-    return (ts.hour * 60 + ts.minute) // SLOT_MINUTES
-
-
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp, requiring an explicit UTC offset."""
     raw = text.strip()
@@ -254,10 +248,6 @@ class Community:
     def participant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.participants)
 
-    def rank_order(self) -> tuple[str, ...]:
-        """Participant ids sorted by explicit priority rank."""
-        return tuple(p.id for p in sorted(self.participants, key=lambda p: p.priority_rank))
-
 
 @dataclass(frozen=True)
 class KorVector:
@@ -428,47 +418,6 @@ class AllocationTable(Sequence[SlotAllocation]):
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-
-@dataclass(frozen=True)
-class TariffBook:
-    """Electricity rates and uplift percentages for one community, in EUR."""
-
-    tariffs_eur_per_kwh: Mapping[str, Decimal]
-    grid_uplift_pct: Mapping[str, Decimal]
-    tax_uplift_pct: Mapping[str, Decimal]
-    feed_in_eur_per_kwh: Decimal
-    currency: str = "EUR"
-
-    def __post_init__(self):
-        object.__setattr__(self, "tariffs_eur_per_kwh", dict(self.tariffs_eur_per_kwh))
-        object.__setattr__(self, "grid_uplift_pct", dict(self.grid_uplift_pct))
-        object.__setattr__(self, "tax_uplift_pct", dict(self.tax_uplift_pct))
-        keys = set(self.tariffs_eur_per_kwh)
-        if set(self.grid_uplift_pct) != keys or set(self.tax_uplift_pct) != keys:
-            raise ValueError("tariff book maps must cover the same participants")
-        for m in (self.tariffs_eur_per_kwh, self.grid_uplift_pct, self.tax_uplift_pct):
-            for pid, rate in m.items():
-                if as_decimal(rate) < 0:
-                    raise ValueError(f"negative rate for {pid}")
-        if as_decimal(self.feed_in_eur_per_kwh) < 0:
-            raise ValueError("negative feed-in rate")
-
-    @classmethod
-    def from_community(cls, community: Community) -> "TariffBook":
-        return cls(
-            tariffs_eur_per_kwh={p.id: p.tariff_eur_per_kwh for p in community.participants},
-            grid_uplift_pct={p.id: p.grid_uplift_pct for p in community.participants},
-            tax_uplift_pct={p.id: p.tax_uplift_pct for p in community.participants},
-            feed_in_eur_per_kwh=community.feed_in_eur_per_kwh,
-        )
-
-    def effective_value_eur_per_kwh(self, participant_id: str) -> Decimal:
-        """Avoided cost of one self-consumed kWh for the given participant."""
-        uplift = (
-            self.grid_uplift_pct[participant_id] + self.tax_uplift_pct[participant_id]
-        ) / Decimal(100)
-        return self.tariffs_eur_per_kwh[participant_id] * (1 + uplift)
 
 
 @dataclass(frozen=True)

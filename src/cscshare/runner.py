@@ -50,7 +50,6 @@ from cscshare.model import (
     Participant,
     SlotSeries,
     StaticPolicy,
-    TariffBook,
     as_decimal,
     parse_timestamp,
     validate_community,
@@ -249,9 +248,7 @@ def _full_extent(series: Iterable[SlotSeries]) -> DateRange:
     return DateRange(min(dates), max(dates) + timedelta(days=1))
 
 
-def _build_policies(
-    config: RunConfig, community: Community, book: TariffBook
-):
+def _build_policies(config: RunConfig, community: Community):
     ids = community.participant_ids()
     policies = []
     for name in config.policies:
@@ -264,9 +261,7 @@ def _build_policies(
         elif name == "default-dynamic":
             policies.append(DefaultDynamicPolicy())
         else:
-            order = config.priority_order or tuple(
-                derive_priority_order(community.participants, book)
-            )
+            order = config.priority_order or derive_priority_order(community.participants)
             policies.append(CustomDynamicPolicy(order=order))
     return policies
 
@@ -334,7 +329,6 @@ def run(config: RunConfig) -> RunResult:
     the CLI maps those to exit codes 1 and 2.
     """
     community, datacentre_meter = load_community(config.community_file)
-    book = TariffBook.from_community(community)
     scenario = (
         ScenarioConfig.from_file(config.scenario_file)
         if config.scenario_file
@@ -379,7 +373,7 @@ def run(config: RunConfig) -> RunResult:
 
     window = _full_extent([production])
 
-    policies = _build_policies(config, community, book)
+    policies = _build_policies(config, community)
     consumption_list = [consumptions[pid] for pid in ids]
 
     tables: dict[str, AllocationTable] = {}
@@ -389,7 +383,7 @@ def run(config: RunConfig) -> RunResult:
         tables[policy.name] = table = allocate_series(policy, production, consumption_list)
         reports[policy.name] = (
             compute_scr(table, window),
-            compute_savings(table, community.participants, community, window),
+            compute_savings(table, community, window),
         )
         if isinstance(policy, StaticPolicy):
             static_kors[policy.name] = policy.kors

@@ -40,7 +40,6 @@ from cscshare.model import (
     KorVector,
     SlotSeries,
     StaticPolicy,
-    TariffBook,
 )
 from cscshare.synth import DEMO_DC_LOAD_KW, DEMO_PV_GAIN, synthesize_demo_data
 
@@ -85,12 +84,11 @@ def test_criterion_1_constants_reproduction():
         for pid, expected in [("b1", 0.0944), ("b2", 0.1120), ("b4", 0.7936)]:
             assert abs(second.coefficient(pid) - expected) <= 1e-4
 
-        buildings = make_buildings()
-        book = TariffBook.from_community(Community(buildings, "pv1", Decimal("0.06")))
-        assert derive_priority_order(buildings, book) == ["b1", "b2", "b4"]
-        assert book.effective_value_eur_per_kwh("b1") == Decimal("0.2158")
-        assert book.effective_value_eur_per_kwh("b2") == Decimal("0.1794")
-        assert book.effective_value_eur_per_kwh("b4") == Decimal("0.11")
+        b1, b2, b4 = buildings = make_buildings()
+        assert derive_priority_order(buildings) == ["b1", "b2", "b4"]
+        assert b1.effective_value_eur_per_kwh == Decimal("0.2158")
+        assert b2.effective_value_eur_per_kwh == Decimal("0.1794")
+        assert b4.effective_value_eur_per_kwh == Decimal("0.11")
 
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
@@ -132,8 +130,7 @@ def test_criterion_3_dominance_suite():
         rng = random.Random(99)
         buildings = make_buildings()
         community = Community(buildings, "pv1", Decimal("0.06"))
-        book = TariffBook.from_community(community)
-        order = derive_priority_order(buildings, book)
+        order = derive_priority_order(buildings)
         ids = [p.id for p in buildings]
 
         for _ in range(1000):
@@ -153,8 +150,8 @@ def test_criterion_3_dominance_suite():
             assert scr_default.self_consumed_total == scr_custom.self_consumed_total
             assert scr_static.self_consumed_total <= scr_default.self_consumed_total
 
-            savings_default = compute_savings(default_allocs, buildings, community)
-            savings_custom = compute_savings(custom_allocs, buildings, community)
+            savings_default = compute_savings(default_allocs, community)
+            savings_custom = compute_savings(custom_allocs, community)
             assert savings_custom.total >= savings_default.total
             if savings_custom.total == savings_default.total:
                 assert [a.self_consumed for a in custom_allocs] == [
@@ -286,10 +283,7 @@ def _load_demo_series(out_dir):
 
 def test_criterion_5_scenario_properties(tmp_path):
     with criterion(5, "data-centre days reach SCR 100% under all four policies; sunny day spills"):
-        buildings = make_buildings()
-        community = Community(buildings, "pv1", Decimal("0.06"))
-        book = TariffBook.from_community(community)
-        order = derive_priority_order(buildings, book)
+        order = derive_priority_order(make_buildings())
 
         for profile in ("low_radiation", "high_radiation"):
             out = tmp_path / profile
@@ -354,7 +348,7 @@ def test_criterion_6_billing_identities():
             surplus_to_grid=1000,
             slot_start=slot_ts(0),
         )
-        report = compute_savings([one_kwh_each], buildings, community)
+        report = compute_savings([one_kwh_each], community)
         assert report.per_participant["b1"] == Decimal("0.2158")
         assert report.per_participant["b2"] == Decimal("0.1794")
         assert report.per_participant["b4"] == Decimal("0.11")
@@ -373,7 +367,7 @@ def test_criterion_6_billing_identities():
                     surplus_to_grid=surplus,
                     slot_start=slot_ts(k),
                 ))
-            fuzzed = compute_savings(allocations, buildings, community)
+            fuzzed = compute_savings(allocations, community)
             assert fuzzed.total == sum(fuzzed.per_participant.values()) + fuzzed.feed_in
 
 

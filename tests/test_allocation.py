@@ -14,6 +14,7 @@ from cscshare.allocation import (
     allocate_static,
     derive_priority_order,
 )
+from cscshare.billing import compute_savings
 from cscshare.model import (
     Community,
     CustomDynamicPolicy,
@@ -21,9 +22,9 @@ from cscshare.model import (
     Kind,
     KorVector,
     Participant,
+    SlotAllocation,
     SlotSeries,
     StaticPolicy,
-    TariffBook,
 )
 
 from conftest import make_buildings, slot_ts
@@ -109,36 +110,47 @@ class TestCustomDynamic:
 
 class TestPriorityOrder:
     def test_tariff_economics_order(self):
-        buildings = make_buildings()
-        book = TariffBook.from_community(Community(buildings, "pv1", Decimal("0.06")))
-        order = derive_priority_order(buildings, book)
-        assert order == ["b1", "b2", "b4"]
-        assert book.effective_value_eur_per_kwh("b1") == Decimal("0.2158")
-        assert book.effective_value_eur_per_kwh("b2") == Decimal("0.1794")
-        assert book.effective_value_eur_per_kwh("b4") == Decimal("0.11")
+        b1, b2, b4 = buildings = make_buildings()
+        assert derive_priority_order(buildings) == ["b1", "b2", "b4"]
+        assert b1.effective_value_eur_per_kwh == Decimal("0.2158")
+        assert b2.effective_value_eur_per_kwh == Decimal("0.1794")
+        assert b4.effective_value_eur_per_kwh == Decimal("0.11")
 
     def test_ties_break_lexicographically(self):
         twins = [
             Participant(id=n, tariff_eur_per_kwh=Decimal("0.2"), priority_rank=r)
             for r, n in enumerate(["zeta", "alpha", "mid"], start=1)
         ]
-        book = TariffBook(
-            tariffs_eur_per_kwh={p.id: p.tariff_eur_per_kwh for p in twins},
-            grid_uplift_pct={p.id: Decimal(0) for p in twins},
-            tax_uplift_pct={p.id: Decimal(0) for p in twins},
-            feed_in_eur_per_kwh=Decimal("0.06"),
-        )
-        assert derive_priority_order(twins, book) == ["alpha", "mid", "zeta"]
+        assert derive_priority_order(twins) == ["alpha", "mid", "zeta"]
 
     def test_single_participant(self):
-        (p,) = [Participant(id="solo", tariff_eur_per_kwh=Decimal("0.1"))]
-        book = TariffBook(
-            tariffs_eur_per_kwh={"solo": Decimal("0.1")},
-            grid_uplift_pct={"solo": Decimal(0)},
-            tax_uplift_pct={"solo": Decimal(0)},
-            feed_in_eur_per_kwh=Decimal(0),
+        p = Participant(id="solo", tariff_eur_per_kwh=Decimal("0.1"))
+        assert derive_priority_order([p]) == ["solo"]
+
+    @given(
+        ids=st.lists(st.text("abxyz", min_size=1, max_size=2), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_order_ranks_by_the_savings_of_one_kwh(self, ids, data):
+        """The order is the ids by descending savings of one self-consumed
+        kWh each, ties by id: ranking and billing read one value."""
+        # a few shared rates make equal values, and so ties, likely
+        tariff = st.sampled_from([Decimal("0.11"), Decimal("0.13"), Decimal("0.2")]) | st.decimals(
+            min_value="0.0001", max_value="2", places=4
         )
-        assert derive_priority_order([p], book) == ["solo"]
+        uplift = st.sampled_from([Decimal(0), Decimal(28), Decimal(38)]) | st.decimals(
+            min_value="0", max_value="200", places=2
+        )
+        participants = [
+            Participant(pid, data.draw(tariff), data.draw(uplift), data.draw(uplift), priority_rank=k + 1)
+            for k, pid in enumerate(ids)
+        ]
+        community = Community(participants, "pv", Decimal("0.06"))
+        one_kwh = {pid: 1000 for pid in ids}
+        allocation = SlotAllocation(1000 * len(ids), one_kwh, one_kwh, 0, slot_ts(0))
+        savings = compute_savings([allocation], community).per_participant
+        assert derive_priority_order(participants) == sorted(ids, key=lambda pid: (-savings[pid], pid))
 
 
 # --- randomized slot strategies -------------------------------------------

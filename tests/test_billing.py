@@ -19,7 +19,7 @@ from cscshare.billing import (
     compute_scr,
     eur_str,
 )
-from cscshare.model import Community, DateRange, Participant, SlotAllocation, TariffBook
+from cscshare.model import Community, DateRange, Participant, SlotAllocation
 
 from conftest import DAY, make_buildings, slot_ts
 
@@ -77,26 +77,26 @@ class TestScr:
 
 
 class TestSavings:
-    def test_unit_kwh_values(self, community, buildings):
+    def test_unit_kwh_values(self, community):
         # one self-consumed kWh per building plus one surplus kWh
         allocations = [
             _alloc(4000, {"b1": 1000, "b2": 1000, "b4": 1000}, k=0),
         ]
-        report = compute_savings(allocations, buildings, community)
+        report = compute_savings(allocations, community)
         assert report.per_participant["b1"] == Decimal("0.2158")
         assert report.per_participant["b2"] == Decimal("0.1794")
         assert report.per_participant["b4"] == Decimal("0.11")
         assert report.feed_in == Decimal("0.06")
         assert report.total == Decimal("0.5652")
 
-    def test_unknown_participant_is_hard_error(self, community, buildings):
+    def test_unknown_participant_is_hard_error(self, community):
         allocations = [_alloc(100, {"intruder": 100})]
         with pytest.raises(ValueError, match="unknown participant"):
-            compute_savings(allocations, buildings, community)
+            compute_savings(allocations, community)
 
-    def test_report_rendering_rounds_to_cents(self, community, buildings):
+    def test_report_rendering_rounds_to_cents(self, community):
         allocations = [_alloc(1234, {"b1": 1234})]
-        report = compute_savings(allocations, buildings, community)
+        report = compute_savings(allocations, community)
         # 1.234 kWh x 0.2158 = 0.2662972 -> 0.27 at report time
         assert report.per_participant["b1"] == Decimal("0.2662972")
         assert report.to_json_dict()["per_participant_eur"]["b1"] == "0.27"
@@ -134,7 +134,7 @@ class TestSavings:
                 surplus_to_grid=extra,
                 slot_start=slot_ts(k % 48),
             ))
-        report = compute_savings(allocations, [p1, p2], community)
+        report = compute_savings(allocations, community)
         assert report.total == sum(report.per_participant.values()) + report.feed_in
 
     @given(
@@ -159,7 +159,7 @@ class TestSavings:
                 slot_start=slot_ts(0),
             )
             scr = compute_scr([allocation])
-            return scr, compute_savings([allocation], [p1, p2], community)
+            return scr, compute_savings([allocation], community)
 
         scr_base, base = build(Decimal(1))
         scr_scaled, scaled = build(lam)
@@ -177,8 +177,7 @@ class TestSavings:
         """With the economics-derived order, the waterfall never earns less."""
         buildings = make_buildings()
         community = Community(buildings, "pv1", Decimal("0.06"))
-        book = TariffBook.from_community(community)
-        order = derive_priority_order(buildings, book)
+        order = derive_priority_order(buildings)
         default_allocs, custom_allocs = [], []
         for k, (c1, c2, c4, production) in enumerate(case[:48]):
             consumption = {"b1": c1, "b2": c2, "b4": c4}
@@ -186,8 +185,8 @@ class TestSavings:
                 allocate_default_dynamic(production, consumption, slot_ts(k)))
             custom_allocs.append(
                 allocate_custom_dynamic(production, consumption, order, slot_ts(k)))
-        default = compute_savings(default_allocs, buildings, community)
-        custom = compute_savings(custom_allocs, buildings, community)
+        default = compute_savings(default_allocs, community)
+        custom = compute_savings(custom_allocs, community)
         assert custom.total >= default.total
         if custom.total == default.total:
             assert [a.self_consumed for a in custom_allocs] == [
@@ -339,7 +338,7 @@ def test_row_lists_report_as_before(rows, windowed):
         with pytest.raises(ValueError, match=str(exc)):
             compute_scr(rows, window)
         with pytest.raises(ValueError, match=str(exc)):
-            compute_savings(rows, buildings, community, window)
+            compute_savings(rows, community, window)
         return
     assert compute_scr(rows, window) == expected[0]
-    assert compute_savings(rows, buildings, community, window) == expected[1]
+    assert compute_savings(rows, community, window) == expected[1]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 from decimal import Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -639,8 +640,8 @@ def test_crlf_log_rejected_through_a_text_stream(tmp_path):
 # Reference writer and verifier: the record-based Ledger.append,
 # write_ledger and verify_chain from before a Ledger held its lines, kept
 # verbatim but for the names of the module helpers they call.
-_quote, _encode, _line, _check_shallow = (
-    ledger_mod._quote, ledger_mod._encode, ledger_mod._line, ledger_mod._check_shallow
+_quote, _encode, _line, _check_payload = (
+    ledger_mod._quote, ledger_mod._encode, ledger_mod._line, ledger_mod._check_payload
 )
 
 
@@ -690,7 +691,7 @@ class _ReferenceLedger:
             self._stamp = timestamp
             self._stamp_json = _quote(timestamp.isoformat())
         payload = dict(payload)
-        _check_shallow(payload)
+        _check_payload(payload)
         last = self._last_ts.get(counting_point_key)
         if last is not None and last is not timestamp and timestamp < last:
             raise ValueError(
@@ -930,8 +931,13 @@ def _filled(shape, values):
     }
 
 
-def _int_fields(shape):
-    return sum(_int_fields(v) if isinstance(v, dict) else v is int for v in shape.values())
+def _int_fields(shape, path=("payload",)):
+    """The dotted path of each int field of ``shape``, in its own order."""
+    for key, value in shape.items():
+        if value is int:
+            yield ".".join((*path, key))
+        elif isinstance(value, dict):
+            yield from _int_fields(value, (*path, key))
 
 
 class _Wh(IntEnum):
@@ -960,24 +966,26 @@ def _appending(payloads):
 def test_template_renders_what_append_encodes(shape, rows, data, odd):
     """Each rendered text is _encode (and json.dumps) of the row's payload,
     and appending the texts gives the log appending the payloads gives.
-    A bool, a float or an int subclass in a column gives what append gives
-    for that row's payload: the same text, or the same error."""
+    A bool, a float or an int subclass in a column is a ValueError naming
+    that column's field."""
     value = st.just(0) | st.integers(0, 10**6) | st.integers(2**64, 2**70) | st.integers(-(2**70), 0)
-    columns = [data.draw(st.lists(value, min_size=rows, max_size=rows)) for _ in range(_int_fields(shape))]
-    if odd is not None and columns and rows:
-        column = data.draw(st.sampled_from(columns))
-        column[data.draw(st.integers(0, rows - 1))] = odd
-    payloads = [_filled(shape, iter(row)) for row in zip(*columns)]
+    fields = list(_int_fields(shape))
+    columns = [data.draw(st.lists(value, min_size=rows, max_size=rows)) for _ in fields]
     template = PayloadTemplate(shape)
+    if odd is not None and columns and rows:
+        k = data.draw(st.integers(0, len(columns) - 1))
+        columns[k][data.draw(st.integers(0, rows - 1))] = odd
+        message = f"column {k} ({fields[k]}): {type(odd).__name__} is not a plain int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            template.render(*columns)
+        return
+    payloads = [_filled(shape, iter(row)) for row in zip(*columns)]
     outcome = _appending(template.render(*columns))
     assert outcome == _appending(payloads)
-    if isinstance(odd, float) and columns and rows:
-        assert outcome[1] is not None and "float is not canonically serializable" in outcome[1]
-    else:
-        assert outcome[1] is None
-        expected = [ledger_mod._encode(p) for p in payloads]
-        assert list(template.render(*columns)) == expected
-        assert expected == [_reference_canonical(p) for p in payloads]
+    assert outcome[1] is None
+    expected = [ledger_mod._encode(p) for p in payloads]
+    assert list(template.render(*columns)) == expected
+    assert expected == [_reference_canonical(p) for p in payloads]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import cscshare
 from cscshare.model import (
     Community,
     CustomDynamicPolicy,
@@ -17,7 +18,6 @@ from cscshare.model import (
     SlotAllocation,
     SlotSeries,
     parse_timestamp,
-    slot_index,
     validate_community,
 )
 
@@ -33,9 +33,8 @@ BAD_ENERGY = [
 
 class TestTimeGrid:
     def test_alignment_accepts_slot_boundaries(self):
-        assert slot_index(slot_ts(0)) == 0
-        assert slot_index(slot_ts(24)) == 24
-        assert slot_index(slot_ts(47)) == 47
+        starts = (slot_ts(0), slot_ts(24), slot_ts(47))
+        assert SlotSeries("m", Kind.CONSUMPTION, starts, (1, 2, 3)).starts == starts
 
     @pytest.mark.parametrize("minute,second", [(15, 0), (30, 30), (1, 0), (0, 1)])
     def test_misaligned_timestamps_rejected(self, minute, second):
@@ -127,9 +126,6 @@ class TestCommunity:
     def test_production_meter_must_differ(self, buildings):
         with pytest.raises(ValueError, match="distinct"):
             Community(buildings, "b1", Decimal("0.06"))
-
-    def test_rank_order(self, community):
-        assert community.rank_order() == ("b1", "b2", "b4")
 
 
 class TestKorVector:
@@ -286,3 +282,8 @@ class TestValidateCommunity:
         series = [self._series("pv1", Kind.PRODUCTION, range(2))]
         report = validate_community(community, series)
         assert any("no consumption series for participant b1" in f for f in report.findings)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(cscshare.__all__)) == len(cscshare.__all__)
+    assert [name for name in cscshare.__all__ if not hasattr(cscshare, name)] == []

@@ -184,8 +184,8 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
         assert table == rows[name]
         for w in (None, window):
             assert compute_scr(table, w) == compute_scr(rows[name], w)
-            assert compute_savings(table, participants, community, w) == compute_savings(
-                rows[name], participants, community, w
+            assert compute_savings(table, community, w) == compute_savings(
+                rows[name], community, w
             )
 
 
