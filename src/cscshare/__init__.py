@@ -19,16 +19,12 @@ from cscshare.model import (
     Kind,
     KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     StaticPolicy,
     validate_community,
 )
 from cscshare.allocation import (
-    allocate_custom_dynamic,
-    allocate_default_dynamic,
     allocate_series,
-    allocate_static,
     derive_priority_order,
 )
 from cscshare.billing import (
@@ -64,14 +60,10 @@ __all__ = [
     "SavingsReport",
     "ScenarioConfig",
     "ScrReport",
-    "SlotAllocation",
     "SlotSeries",
     "StaticPolicy",
     "add_constant_load",
-    "allocate_custom_dynamic",
-    "allocate_default_dynamic",
     "allocate_series",
-    "allocate_static",
     "apply_pv_gain",
     "compare_policies",
     "compute_savings",

@@ -6,15 +6,14 @@ rule of splitting proportionally to consumption. Custom dynamic is a
 priority waterfall serving the most valuable participant first. All
 three conserve energy exactly in integer Wh.
 
-A policy is checked against its participant set once: once per call of
-a per-slot function, once per series in ``allocate_series``. The kernel
-then runs once per slot, into the columns of one ``AllocationTable``.
+A policy is checked against its participant set once per series in
+``allocate_series``. The kernel then runs once per slot, into the columns
+of one ``AllocationTable``.
 """
 
 from __future__ import annotations
 
-from datetime import datetime
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from cscshare import kernels
 from cscshare.model import (
@@ -23,9 +22,7 @@ from cscshare.model import (
     CustomDynamicPolicy,
     DefaultDynamicPolicy,
     Kind,
-    KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     StaticPolicy,
 )
@@ -53,59 +50,6 @@ def _splitter(policy: AllocationPolicy, ids: Iterable[str]) -> tuple[list[str], 
             raise ValueError("priority order is not a permutation of the consumption keys")
         return list(policy.order), lambda p, values: kernels.waterfall_shares(p, values)
     raise TypeError(f"unknown policy {policy!r}")
-
-
-def _allocate(
-    order: Sequence[str], split: _Split, production: int, consumption: Mapping[str, int],
-    slot_start: datetime | None,
-) -> SlotAllocation:
-    shares, surplus = split(production, [consumption[i] for i in order])
-    return SlotAllocation(production, consumption, dict(zip(order, shares)), surplus, slot_start)
-
-
-def allocate_static(
-    production: int,
-    consumption: Mapping[str, int],
-    kors: KorVector,
-    slot_start: datetime | None = None,
-) -> SlotAllocation:
-    """Split one slot along fixed coefficients, capped at consumption.
-
-    Production is apportioned by largest remainder over the coefficients'
-    decimal texts (``KorVector.weights``), ties to the smaller id, so the
-    shares sum exactly to production before capping; the capped-off
-    excess is not reallocated and ends up as surplus.
-    """
-    return _allocate(
-        *_splitter(StaticPolicy(kors), consumption), production, consumption, slot_start
-    )
-
-
-def allocate_default_dynamic(
-    production: int,
-    consumption: Mapping[str, int],
-    slot_start: datetime | None = None,
-) -> SlotAllocation:
-    """Split one slot proportionally to consumption (the DSO default).
-
-    With zero total consumption there is nothing to allocate and the full
-    production goes to the grid.
-    """
-    return _allocate(
-        *_splitter(DefaultDynamicPolicy(), consumption), production, consumption, slot_start
-    )
-
-
-def allocate_custom_dynamic(
-    production: int,
-    consumption: Mapping[str, int],
-    order: Sequence[str],
-    slot_start: datetime | None = None,
-) -> SlotAllocation:
-    """Serve participants in priority order, each up to its consumption."""
-    return _allocate(
-        *_splitter(CustomDynamicPolicy(order), consumption), production, consumption, slot_start
-    )
 
 
 def derive_priority_order(participants: Sequence[Participant]) -> list[str]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from cscshare.model import AllocationTable, Community, DateRange, SlotAllocation
+from cscshare.model import AllocationTable, Community, DateRange
 
 CENT = Decimal("0.01")
 _PCT_PLACES = Decimal("0.01")
@@ -96,32 +96,34 @@ class SavingsReport:
         }
 
 
-def _in_window(
-    allocations: Sequence[SlotAllocation], window: DateRange | None
-) -> AllocationTable:
-    """The window's slots as one table. A participant counts only where a
-    row in the window holds it: rows are windowed before they become one."""
-    if window is not None:
-        is_table = isinstance(allocations, AllocationTable)
-        starts = allocations.slot_starts if is_table else [a.slot_start for a in allocations]
-        if None in starts:
-            raise ValueError("allocation without slot_start cannot be windowed")
-        keep = [window.contains(ts) for ts in starts]
-        if not all(keep):
-            allocations = compress(allocations, keep)
-    if isinstance(allocations, AllocationTable):
-        return allocations
-    return AllocationTable.from_rows(allocations)
+def _in_window(table: AllocationTable, window: DateRange | None) -> AllocationTable:
+    """The window's slots as one table; with no slot in the window every
+    column is empty, and so is a savings report's per_participant."""
+    if window is None:
+        return table
+    if None in table.slot_starts:
+        raise ValueError("allocation without slot_start cannot be windowed")
+    keep = [window.contains(ts) for ts in table.slot_starts]
+    if all(keep):
+        return table
+
+    def cut(column):
+        return tuple(compress(column, keep))
+
+    return AllocationTable(
+        cut(table.slot_starts), cut(table.production),
+        {pid: cut(c) for pid, c in table.consumption.items()},
+        {pid: cut(c) for pid, c in table.self_consumed.items()},
+        cut(table.surplus),
+    )
 
 
-def compute_scr(
-    allocations: Sequence[SlotAllocation], window: DateRange | None = None
-) -> ScrReport:
+def compute_scr(table: AllocationTable, window: DateRange | None = None) -> ScrReport:
     """Aggregate the self-consumption rate over a window.
 
     SCR is undefined (not 0 or 1) when the window holds no production.
     """
-    table = _in_window(allocations, window)
+    table = _in_window(table, window)
     return ScrReport(
         self_consumed_total=sum(map(sum, table.self_consumed.values())),
         production_total=sum(table.production),
@@ -130,7 +132,7 @@ def compute_scr(
 
 
 def compute_savings(
-    allocations: Sequence[SlotAllocation],
+    table: AllocationTable,
     community: Community,
     window: DateRange | None = None,
 ) -> SavingsReport:
@@ -143,7 +145,7 @@ def compute_savings(
     costs are out of scope.
     """
     by_id = {p.id: p for p in community.participants}
-    table = _in_window(allocations, window)
+    table = _in_window(table, window)
     wh_per_participant = {pid: sum(col) for pid, col in table.self_consumed.items() if col}
 
     with localcontext() as ctx:

@@ -181,15 +181,12 @@ class Participant:
     tariff_eur_per_kwh is the supply rate its self-consumed energy avoids;
     the two uplift percentages are the variable grid-fee and tax shares
     additionally avoided under the ownership rules of the operation.
-    priority_rank orders participants for explicitly ranked policies
-    (1 = first served).
     """
 
     id: str
     tariff_eur_per_kwh: Decimal
     grid_uplift_pct: Decimal = Decimal(0)
     tax_uplift_pct: Decimal = Decimal(0)
-    priority_rank: int = 1
 
     def __post_init__(self):
         object.__setattr__(
@@ -207,8 +204,6 @@ class Participant:
             raise ValueError(f"participant {self.id}: tariff must be > 0")
         if self.grid_uplift_pct < 0 or self.tax_uplift_pct < 0:
             raise ValueError(f"participant {self.id}: uplift percentages must be >= 0")
-        if self.priority_rank < 1:
-            raise ValueError(f"participant {self.id}: priority_rank must be >= 1")
 
     @property
     def effective_value_eur_per_kwh(self) -> Decimal:
@@ -237,9 +232,6 @@ class Community:
         ids = [p.id for p in self.participants]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate participant ids")
-        ranks = [p.priority_rank for p in self.participants]
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("priority ranks must be unique within a community")
         if self.production_meter in ids:
             raise ValueError("production meter must be distinct from participant meters")
         if self.feed_in_eur_per_kwh < 0:
@@ -328,51 +320,13 @@ class CustomDynamicPolicy:
 AllocationPolicy = StaticPolicy | DefaultDynamicPolicy | CustomDynamicPolicy
 
 
-@dataclass(frozen=True)
-class SlotAllocation:
-    """Outcome of one 30-minute settlement slot.
-
-    Conservation is structural: self-consumed energy plus the surplus fed
-    to the grid equals production, exactly, in integer Wh.
-    """
-
-    production: int
-    consumption: Mapping[str, int]
-    self_consumed: Mapping[str, int]
-    surplus_to_grid: int
-    slot_start: datetime | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "consumption", dict(self.consumption))
-        object.__setattr__(self, "self_consumed", dict(self.self_consumed))
-        check_energy_wh(self.production, "production")
-        check_energy_wh(self.surplus_to_grid, "surplus")
-        if self.slot_start is not None:
-            check_slot_aligned(self.slot_start)
-        if set(self.consumption) != set(self.self_consumed):
-            raise ValueError("self_consumed keys differ from consumption keys")
-        for pid, c in self.consumption.items():
-            check_energy_wh(c, f"consumption[{pid}]")
-            sc = check_energy_wh(self.self_consumed[pid], f"self_consumed[{pid}]")
-            if sc > c:
-                raise ValueError(f"self_consumed[{pid}] = {sc} exceeds consumption {c}")
-        if self.total_self_consumed + self.surplus_to_grid != self.production:
-            raise ValueError(
-                "conservation violated: self_consumed + surplus != production "
-                f"({self.total_self_consumed} + {self.surplus_to_grid} != {self.production})"
-            )
-
-    @property
-    def total_self_consumed(self) -> int:
-        return sum(self.self_consumed.values())
-
-
 @dataclass(frozen=True, eq=False)
-class AllocationTable(Sequence[SlotAllocation]):
+class AllocationTable:
     """One policy's allocations over a slot series, one column per quantity
-    and participant, checked once as a whole for what SlotAllocation checks
-    per slot but alignment. ``table[k]`` is slot k as a SlotAllocation, and
-    a table equals every sequence of the same rows."""
+    and participant, checked once as a whole: in every slot each energy is
+    an int >= 0, no participant self-consumes more than it consumes, and
+    self-consumed energy plus the surplus fed to the grid equals production,
+    exactly, in integer Wh. The first bad slot's error is raised."""
 
     slot_starts: Sequence[datetime | None]
     production: Sequence[int]
@@ -390,34 +344,42 @@ class AllocationTable(Sequence[SlotAllocation]):
             and not any(any(map(gt, self.self_consumed[p], c)) for p, c in self.consumption.items())
             and list(map(sum, zip(*shares, self.surplus))) == list(self.production)
         ):
-            list(self)  # the first bad slot raises its error
+            _check_each_row(self)
             raise ValueError("allocation columns must be equally long and hold plain ints")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[SlotAllocation]) -> "AllocationTable":
-        """The table of some rows; a participant a row lacks has 0 Wh there."""
-        rows = list(rows)
-        ids = dict.fromkeys(pid for a in rows for pid in a.consumption)
-        return cls(
-            tuple(a.slot_start for a in rows), tuple(a.production for a in rows),
-            {p: tuple(a.consumption.get(p, 0) for a in rows) for p in ids},
-            {p: tuple(a.self_consumed.get(p, 0) for a in rows) for p in ids},
-            tuple(a.surplus_to_grid for a in rows),
-        )
 
     def __len__(self) -> int:
         return len(self.production)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        return SlotAllocation(
-            self.production[k], {p: c[k] for p, c in self.consumption.items()},
-            {p: c[k] for p, c in self.self_consumed.items()}, self.surplus[k], self.slot_starts[k],
-        )
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+def _check_each_row(table: AllocationTable) -> None:
+    """Check the slots every column reaches one by one and raise the first
+    bad slot's error.
+
+    Runs when the whole-column checks fail. It also checks that each slot
+    start sits on the grid, which they do not; an energy of an int
+    subclass, which they reject, passes here.
+    """
+    starts, production, surplus = table.slot_starts, table.production, table.surplus
+    consumption, self_consumed = table.consumption, table.self_consumed
+    columns = (starts, production, surplus, *consumption.values(), *self_consumed.values())
+    for k in range(min(map(len, columns))):
+        check_energy_wh(production[k], "production")
+        check_energy_wh(surplus[k], "surplus")
+        if starts[k] is not None:
+            check_slot_aligned(starts[k])
+        if set(consumption) != set(self_consumed):
+            raise ValueError("self_consumed keys differ from consumption keys")
+        for pid, c in consumption.items():
+            check_energy_wh(c[k], f"consumption[{pid}]")
+            sc = check_energy_wh(self_consumed[pid][k], f"self_consumed[{pid}]")
+            if sc > c[k]:
+                raise ValueError(f"self_consumed[{pid}] = {sc} exceeds consumption {c[k]}")
+        total = sum(c[k] for c in self_consumed.values())
+        if total + surplus[k] != production[k]:
+            raise ValueError(
+                "conservation violated: self_consumed + surplus != production "
+                f"({total} + {surplus[k]} != {production[k]})"
+            )
 
 
 @dataclass(frozen=True)

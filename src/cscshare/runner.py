@@ -179,22 +179,11 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _priority_rank(entry: dict, path) -> int:
-    rank = entry["priority_rank"]
-    # JSON numbers with a fraction or exponent arrive as Decimal
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        raise ValueError(
-            f"community file {path}: priority_rank of {entry['id']} must be a JSON integer"
-        )
-    return rank
-
-
 def load_community(path: str | Path) -> tuple[Community, str | None]:
     """Load the community and tariff file.
 
     Returns the community plus the optional meter the data-centre load
     attaches to. Rates may be JSON numbers or strings; both parse exactly.
-    Priority ranks must be JSON integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh, parse_float=Decimal)
@@ -210,7 +199,6 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
                 tariff_eur_per_kwh=as_decimal(entry["tariff_eur_per_kwh"], "tariff"),
                 grid_uplift_pct=as_decimal(entry.get("grid_uplift_pct", 0), "grid uplift"),
                 tax_uplift_pct=as_decimal(entry.get("tax_uplift_pct", 0), "tax uplift"),
-                priority_rank=_priority_rank(entry, path),
             )
             for entry in entries
         )

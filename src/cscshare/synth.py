@@ -148,21 +148,18 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
                 "tariff_eur_per_kwh": "0.13",
                 "grid_uplift_pct": "28",
                 "tax_uplift_pct": "38",
-                "priority_rank": 1,
             },
             {
                 "id": "b2",
                 "tariff_eur_per_kwh": "0.13",
                 "grid_uplift_pct": "0",
                 "tax_uplift_pct": "38",
-                "priority_rank": 2,
             },
             {
                 "id": "b4",
                 "tariff_eur_per_kwh": "0.11",
                 "grid_uplift_pct": "0",
                 "tax_uplift_pct": "0",
-                "priority_rank": 3,
             },
         ],
         "production_meter": _PRODUCTION_METER,

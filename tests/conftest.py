@@ -7,7 +7,8 @@ from decimal import Decimal
 
 import pytest
 
-from cscshare.model import Community, Participant
+from cscshare.allocation import allocate_series
+from cscshare.model import Community, Kind, Participant, SlotSeries
 
 TZ = timezone(timedelta(hours=2))
 DAY = date(2022, 5, 4)
@@ -33,6 +34,17 @@ def paris_2024(utc: datetime) -> datetime:
     return utc.astimezone(timezone(timedelta(hours=2 if summer else 1)))
 
 
+def allocate_slot(policy, production, consumption, ts=slot_ts(0)):
+    """One slot allocated by allocate_series over one-slot series: each
+    participant's self-consumed Wh, in the policy's order, and the surplus."""
+    table = allocate_series(
+        policy,
+        SlotSeries("pv", Kind.PRODUCTION, (ts,), (production,)),
+        [SlotSeries(pid, Kind.CONSUMPTION, (ts,), (c,)) for pid, c in consumption.items()],
+    )
+    return {pid: c[0] for pid, c in table.self_consumed.items()}, table.surplus[0]
+
+
 def make_buildings() -> tuple[Participant, Participant, Participant]:
     """The demo community: host building, neighbour, business centre."""
     return (
@@ -41,19 +53,16 @@ def make_buildings() -> tuple[Participant, Participant, Participant]:
             tariff_eur_per_kwh=Decimal("0.13"),
             grid_uplift_pct=Decimal(28),
             tax_uplift_pct=Decimal(38),
-            priority_rank=1,
         ),
         Participant(
             id="b2",
             tariff_eur_per_kwh=Decimal("0.13"),
             grid_uplift_pct=Decimal(0),
             tax_uplift_pct=Decimal(38),
-            priority_rank=2,
         ),
         Participant(
             id="b4",
             tariff_eur_per_kwh=Decimal("0.11"),
-            priority_rank=3,
         ),
     )
 

@@ -15,13 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from cscshare import kernels
-from cscshare.allocation import (
-    allocate_custom_dynamic,
-    allocate_default_dynamic,
-    allocate_series,
-    allocate_static,
-    derive_priority_order,
-)
+from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import compute_savings, compute_scr
 from cscshare.ingestion import (
     add_constant_load,
@@ -32,6 +26,7 @@ from cscshare.ingestion import (
 )
 from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
 from cscshare.model import (
+    AllocationTable,
     Community,
     CustomDynamicPolicy,
     DateRange,
@@ -43,7 +38,7 @@ from cscshare.model import (
 )
 from cscshare.synth import DEMO_DC_LOAD_KW, DEMO_PV_GAIN, synthesize_demo_data
 
-from conftest import DAY, make_buildings, slot_ts
+from conftest import DAY, allocate_slot, make_buildings, slot_ts
 
 
 @contextmanager
@@ -112,13 +107,10 @@ def test_criterion_2_conservation_suite():
             kors = KorVector({i: w / sum(weights) for i, w in zip(ids, weights)})
             order = sorted(ids, key=lambda _: rng.random())
 
-            for a in (
-                allocate_static(production, consumption, kors),
-                allocate_default_dynamic(production, consumption),
-                allocate_custom_dynamic(production, consumption, order),
-            ):
-                assert sum(a.self_consumed.values()) + a.surplus_to_grid == production
-                assert all(a.self_consumed[i] <= consumption[i] for i in ids)
+            for policy in (StaticPolicy(kors), DefaultDynamicPolicy(), CustomDynamicPolicy(order)):
+                shares, surplus = allocate_slot(policy, production, consumption)
+                assert sum(shares.values()) + surplus == production
+                assert all(shares[i] <= consumption[i] for i in ids)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
 
@@ -136,13 +128,17 @@ def test_criterion_3_dominance_suite():
         for _ in range(1000):
             weights = [rng.randint(1, 100) for _ in ids]
             kors = KorVector({i: w / sum(weights) for i, w in zip(ids, weights)})
-            static_allocs, default_allocs, custom_allocs = [], [], []
+            production, consumption = [], {i: [] for i in ids}
             for k in range(48):
-                production = rng.randint(0, 60_000)
-                consumption = {i: rng.randint(0, 25_000) for i in ids}
-                static_allocs.append(allocate_static(production, consumption, kors, slot_ts(k)))
-                default_allocs.append(allocate_default_dynamic(production, consumption, slot_ts(k)))
-                custom_allocs.append(allocate_custom_dynamic(production, consumption, order, slot_ts(k)))
+                production.append(rng.randint(0, 60_000))
+                for i in ids:
+                    consumption[i].append(rng.randint(0, 25_000))
+            production = _series("pv1", Kind.PRODUCTION, production)
+            consumption = [_series(i, Kind.CONSUMPTION, c) for i, c in consumption.items()]
+            static_allocs, default_allocs, custom_allocs = (
+                allocate_series(policy, production, consumption)
+                for policy in (StaticPolicy(kors), DefaultDynamicPolicy(), CustomDynamicPolicy(order))
+            )
 
             scr_static = compute_scr(static_allocs)
             scr_default = compute_scr(default_allocs)
@@ -154,9 +150,7 @@ def test_criterion_3_dominance_suite():
             savings_custom = compute_savings(custom_allocs, community)
             assert savings_custom.total >= savings_default.total
             if savings_custom.total == savings_default.total:
-                assert [a.self_consumed for a in custom_allocs] == [
-                    a.self_consumed for a in default_allocs
-                ]
+                assert custom_allocs.self_consumed == default_allocs.self_consumed
 
 
 # --- 4. oracle equivalence ---------------------------------------------------
@@ -243,26 +237,27 @@ def test_criterion_4_small_instance_oracles():
                 patterns += [tuple((c + 3 * i) % 21 for i in range(n)) for c in range(21)]
             for production in range(21):
                 for cons in patterns:
-                    a = allocate_static(production, dict(zip(ids, cons)), kors)
-                    got = [a.self_consumed[i] for i in ids]
+                    shares, _ = allocate_slot(StaticPolicy(kors), production, dict(zip(ids, cons)))
+                    got = [shares[i] for i in ids]
                     if got != rational_static(production, coefficients, cons):
                         static_mismatches += 1
         assert static_mismatches == 0
 
-        # tie the kernels to the public per-slot surface on a sub-grid
+        # tie the kernels to the public series surface on a sub-grid
+        waterfall = CustomDynamicPolicy(["b1", "b2", "b4"])
         for production in range(9):
             for c1 in range(9):
                 for c2 in range(9):
                     for c3 in range(9):
                         consumption = {"b1": c1, "b2": c2, "b4": c3}
-                        a = allocate_custom_dynamic(production, consumption, ["b1", "b2", "b4"])
-                        assert [a.self_consumed[i] for i in ("b1", "b2", "b4")] == brute_best(
+                        shares, _ = allocate_slot(waterfall, production, consumption)
+                        assert [shares[i] for i in ("b1", "b2", "b4")] == brute_best(
                             production, c1, c2, c3
                         )
-                        d = allocate_default_dynamic(production, consumption)
-                        want, surplus = rational_proportional(production, [c1, c2, c3])
-                        assert [d.self_consumed[i] for i in ("b1", "b2", "b4")] == want
-                        assert d.surplus_to_grid == surplus
+                        shares, surplus = allocate_slot(DefaultDynamicPolicy(), production, consumption)
+                        want, want_surplus = rational_proportional(production, [c1, c2, c3])
+                        assert [shares[i] for i in ("b1", "b2", "b4")] == want
+                        assert surplus == want_surplus
 
 
 # --- 5. scenario properties ---------------------------------------------------
@@ -329,26 +324,19 @@ def test_criterion_5_scenario_properties(tmp_path):
                     CustomDynamicPolicy(tuple(order)),
                 ]:
                     allocations = allocate_series(policy, production, list(consumption.values()))
-                    assert any(a.surplus_to_grid > 0 for a in allocations), policy.name
+                    assert any(allocations.surplus), policy.name
 
 
 # --- 6. billing identities ------------------------------------------------------
 
 def test_criterion_6_billing_identities():
     with criterion(6, "unit-kWh savings match the tariff constants; totals always decompose"):
-        from cscshare.model import SlotAllocation
-
         buildings = make_buildings()
         community = Community(buildings, "pv1", Decimal("0.06"))
 
-        one_kwh_each = SlotAllocation(
-            production=4000,
-            consumption={"b1": 1000, "b2": 1000, "b4": 1000},
-            self_consumed={"b1": 1000, "b2": 1000, "b4": 1000},
-            surplus_to_grid=1000,
-            slot_start=slot_ts(0),
-        )
-        report = compute_savings([one_kwh_each], community)
+        one_kwh = {"b1": (1000,), "b2": (1000,), "b4": (1000,)}
+        one_kwh_each = AllocationTable((slot_ts(0),), (4000,), one_kwh, one_kwh, (1000,))
+        report = compute_savings(one_kwh_each, community)
         assert report.per_participant["b1"] == Decimal("0.2158")
         assert report.per_participant["b2"] == Decimal("0.1794")
         assert report.per_participant["b4"] == Decimal("0.11")
@@ -356,17 +344,14 @@ def test_criterion_6_billing_identities():
 
         rng = random.Random(6)
         for _ in range(500):
-            allocations = []
-            for k in range(rng.randint(1, 48)):
-                sc = {p.id: rng.randint(0, 10**6) for p in buildings}
-                surplus = rng.randint(0, 10**6)
-                allocations.append(SlotAllocation(
-                    production=sum(sc.values()) + surplus,
-                    consumption=sc,
-                    self_consumed=sc,
-                    surplus_to_grid=surplus,
-                    slot_start=slot_ts(k),
-                ))
+            n = rng.randint(1, 48)
+            sc, surplus = {p.id: [] for p in buildings}, []
+            for k in range(n):
+                for column in sc.values():
+                    column.append(rng.randint(0, 10**6))
+                surplus.append(rng.randint(0, 10**6))
+            production = [sum(slot) for slot in zip(*sc.values(), surplus)]
+            allocations = AllocationTable([slot_ts(k) for k in range(n)], production, sc, sc, surplus)
             fuzzed = compute_savings(allocations, community)
             assert fuzzed.total == sum(fuzzed.per_participant.values()) + fuzzed.feed_in
 

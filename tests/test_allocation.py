@@ -7,105 +7,87 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cscshare import kernels
-from cscshare.allocation import (
-    allocate_custom_dynamic,
-    allocate_default_dynamic,
-    allocate_series,
-    allocate_static,
-    derive_priority_order,
-)
+from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import compute_savings
 from cscshare.model import (
+    AllocationTable,
     Community,
     CustomDynamicPolicy,
     DefaultDynamicPolicy,
     Kind,
     KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     StaticPolicy,
 )
 
-from conftest import make_buildings, slot_ts
+from conftest import allocate_slot, make_buildings, slot_ts
 
 KORS = KorVector({"b1": 0.4245, "b2": 0.5039, "b4": 0.0716})
 CONS = {"b1": 4000, "b2": 3000, "b4": 2000}
+ORDER = CustomDynamicPolicy(["b1", "b2", "b4"])
 
 
 class TestStatic:
     def test_truncation_example(self):
-        a = allocate_static(10_000, CONS, KORS)
-        assert a.self_consumed == {"b1": 4000, "b2": 3000, "b4": 716}
-        assert a.surplus_to_grid == 2284
+        assert allocate_slot(StaticPolicy(KORS), 10_000, CONS) == (
+            {"b1": 4000, "b2": 3000, "b4": 716}, 2284
+        )
 
     def test_zero_production(self):
-        a = allocate_static(0, CONS, KORS)
-        assert a.self_consumed == {"b1": 0, "b2": 0, "b4": 0}
-        assert a.surplus_to_grid == 0
+        assert allocate_slot(StaticPolicy(KORS), 0, CONS) == ({"b1": 0, "b2": 0, "b4": 0}, 0)
 
     def test_no_truncation_branch(self):
-        a = allocate_static(1000, CONS, KORS)
+        shares, surplus = allocate_slot(StaticPolicy(KORS), 1000, CONS)
         # every share below consumption: shares sum to production, no surplus
-        assert sum(a.self_consumed.values()) == 1000
-        assert a.surplus_to_grid == 0
+        assert sum(shares.values()) == 1000
+        assert surplus == 0
         # raw 424.5 / 503.9 / 71.6; the two largest remainders get the +1s
-        assert a.self_consumed == {"b1": 424, "b2": 504, "b4": 72}
+        assert shares == {"b1": 424, "b2": 504, "b4": 72}
 
     def test_exact_tie_goes_to_smaller_id(self):
         # 0.86 x 25 = 21.5 and 0.14 x 25 = 3.5 tie exactly; the float
         # products 21.499999999999996 and 3.5000000000000004 used to give b the unit
-        a = allocate_static(25, {"a": 10**6, "b": 10**6}, KorVector({"a": 0.86, "b": 0.14}))
-        assert a.self_consumed == {"a": 22, "b": 3}
-        assert a.surplus_to_grid == 0
+        policy = StaticPolicy(KorVector({"a": 0.86, "b": 0.14}))
+        assert allocate_slot(policy, 25, {"a": 10**6, "b": 10**6}) == ({"a": 22, "b": 3}, 0)
 
     def test_kor_keys_must_match(self):
         with pytest.raises(ValueError, match="cover"):
-            allocate_static(100, {"b1": 50, "b2": 50}, KORS)
+            allocate_slot(StaticPolicy(KORS), 100, {"b1": 50, "b2": 50})
 
 
 class TestDefaultDynamic:
     def test_under_production_everyone_full(self):
-        a = allocate_default_dynamic(10_000, CONS)
-        assert a.self_consumed == CONS
-        assert a.surplus_to_grid == 1000
+        assert allocate_slot(DefaultDynamicPolicy(), 10_000, CONS) == (CONS, 1000)
 
     def test_proportional_branch(self):
-        a = allocate_default_dynamic(6000, CONS)
-        assert a.self_consumed == {"b1": 2667, "b2": 2000, "b4": 1333}
-        assert a.surplus_to_grid == 0
+        assert allocate_slot(DefaultDynamicPolicy(), 6000, CONS) == (
+            {"b1": 2667, "b2": 2000, "b4": 1333}, 0
+        )
 
     def test_zero_consumption_degenerate(self):
-        a = allocate_default_dynamic(5000, {"b1": 0, "b2": 0, "b4": 0})
-        assert a.total_self_consumed == 0
-        assert a.surplus_to_grid == 5000
+        shares, surplus = allocate_slot(DefaultDynamicPolicy(), 5000, {"b1": 0, "b2": 0, "b4": 0})
+        assert sum(shares.values()) == 0
+        assert surplus == 5000
 
     def test_exact_balance_both_branches_agree(self):
-        a = allocate_default_dynamic(9000, CONS)
-        assert a.self_consumed == CONS
-        assert a.surplus_to_grid == 0
+        assert allocate_slot(DefaultDynamicPolicy(), 9000, CONS) == (CONS, 0)
 
 
 class TestCustomDynamic:
-    ORDER = ["b1", "b2", "b4"]
-
     def test_all_served(self):
-        a = allocate_custom_dynamic(10_000, CONS, self.ORDER)
-        assert a.self_consumed == CONS
-        assert a.surplus_to_grid == 1000
+        assert allocate_slot(ORDER, 10_000, CONS) == (CONS, 1000)
 
     def test_waterfall_cuts_off(self):
-        a = allocate_custom_dynamic(5000, CONS, self.ORDER)
-        assert a.self_consumed == {"b1": 4000, "b2": 1000, "b4": 0}
-        assert a.surplus_to_grid == 0
+        assert allocate_slot(ORDER, 5000, CONS) == ({"b1": 4000, "b2": 1000, "b4": 0}, 0)
 
     def test_zero_production(self):
-        a = allocate_custom_dynamic(0, CONS, self.ORDER)
-        assert a.total_self_consumed == 0
+        shares, _ = allocate_slot(ORDER, 0, CONS)
+        assert sum(shares.values()) == 0
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
-            allocate_custom_dynamic(100, CONS, ["b1", "b2"])
+            allocate_slot(CustomDynamicPolicy(["b1", "b2"]), 100, CONS)
 
 
 class TestPriorityOrder:
@@ -118,8 +100,8 @@ class TestPriorityOrder:
 
     def test_ties_break_lexicographically(self):
         twins = [
-            Participant(id=n, tariff_eur_per_kwh=Decimal("0.2"), priority_rank=r)
-            for r, n in enumerate(["zeta", "alpha", "mid"], start=1)
+            Participant(id=n, tariff_eur_per_kwh=Decimal("0.2"))
+            for n in ["zeta", "alpha", "mid"]
         ]
         assert derive_priority_order(twins) == ["alpha", "mid", "zeta"]
 
@@ -143,13 +125,13 @@ class TestPriorityOrder:
             min_value="0", max_value="200", places=2
         )
         participants = [
-            Participant(pid, data.draw(tariff), data.draw(uplift), data.draw(uplift), priority_rank=k + 1)
-            for k, pid in enumerate(ids)
+            Participant(pid, data.draw(tariff), data.draw(uplift), data.draw(uplift))
+            for pid in ids
         ]
         community = Community(participants, "pv", Decimal("0.06"))
-        one_kwh = {pid: 1000 for pid in ids}
-        allocation = SlotAllocation(1000 * len(ids), one_kwh, one_kwh, 0, slot_ts(0))
-        savings = compute_savings([allocation], community).per_participant
+        one_kwh = {pid: (1000,) for pid in ids}
+        allocation = AllocationTable((slot_ts(0),), (1000 * len(ids),), one_kwh, one_kwh, (0,))
+        savings = compute_savings(allocation, community).per_participant
         assert derive_priority_order(participants) == sorted(ids, key=lambda pid: (-savings[pid], pid))
 
 
@@ -184,12 +166,9 @@ def slot_case_with_kors(draw):
 
 
 def every_policy(production, consumption, kors):
-    order = sorted(consumption)
-    return {
-        "static": allocate_static(production, consumption, kors),
-        "default-dynamic": allocate_default_dynamic(production, consumption),
-        "custom-dynamic": allocate_custom_dynamic(production, consumption, order),
-    }
+    """Each policy's (self-consumed, surplus) split of one slot."""
+    policies = (StaticPolicy(kors), DefaultDynamicPolicy(), CustomDynamicPolicy(sorted(consumption)))
+    return {p.name: allocate_slot(p, production, consumption) for p in policies}
 
 
 # Energies far beyond any 30-minute meter reading: the kernels must stay
@@ -207,33 +186,36 @@ class TestInvariants:
     @settings(max_examples=300)
     def test_conservation_and_caps_all_policies(self, case):
         production, consumption, kors = case
-        for name, a in every_policy(production, consumption, kors).items():
+        for name, (shares, surplus) in every_policy(production, consumption, kors).items():
             # caps and conservation are also constructor-enforced; recheck the sums
-            assert sum(a.self_consumed.values()) + a.surplus_to_grid == production, name
-            assert all(a.self_consumed[i] <= consumption[i] for i in consumption), name
+            assert sum(shares.values()) + surplus == production, name
+            assert all(shares[i] <= consumption[i] for i in consumption), name
 
     @given(case=slot_case_with_kors())
     @settings(max_examples=300)
     def test_dynamic_totality_and_static_bound(self, case):
         production, consumption, kors = case
-        results = every_policy(production, consumption, kors)
+        totals = {
+            name: sum(shares.values())
+            for name, (shares, _) in every_policy(production, consumption, kors).items()
+        }
         expected = min(production, sum(consumption.values()))
-        assert results["default-dynamic"].total_self_consumed == expected
-        assert results["custom-dynamic"].total_self_consumed == expected
-        assert results["static"].total_self_consumed <= expected
+        assert totals["default-dynamic"] == expected
+        assert totals["custom-dynamic"] == expected
+        assert totals["static"] <= expected
 
     @given(case=slot_case())
     @settings(max_examples=300)
     def test_waterfall_at_most_one_partial(self, case):
         production, consumption = case
         order = sorted(consumption)
-        a = allocate_custom_dynamic(production, consumption, order)
-        partial = [i for i in order if 0 < a.self_consumed[i] < consumption[i]]
+        shares, _ = allocate_slot(CustomDynamicPolicy(order), production, consumption)
+        partial = [i for i in order if 0 < shares[i] < consumption[i]]
         assert len(partial) <= 1
         if partial:
             cut = order.index(partial[0])
-            assert all(a.self_consumed[i] == consumption[i] for i in order[:cut])
-            assert all(a.self_consumed[i] == 0 for i in order[cut + 1:])
+            assert all(shares[i] == consumption[i] for i in order[:cut])
+            assert all(shares[i] == 0 for i in order[cut + 1:])
 
     @given(case=slot_case_with_kors(), salt=st.randoms(use_true_random=False))
     @settings(max_examples=200)
@@ -242,12 +224,10 @@ class TestInvariants:
         shuffled_items = list(consumption.items())
         salt.shuffle(shuffled_items)
         shuffled = dict(shuffled_items)
-        for build in (
-            lambda c: allocate_static(production, c, kors),
-            lambda c: allocate_default_dynamic(production, c),
-            lambda c: allocate_custom_dynamic(production, c, sorted(c)),
-        ):
-            assert build(consumption).self_consumed == build(shuffled).self_consumed
+        policies = (StaticPolicy(kors), DefaultDynamicPolicy(), CustomDynamicPolicy(sorted(consumption)))
+        for policy in policies:
+            want = allocate_slot(policy, production, consumption)
+            assert allocate_slot(policy, production, shuffled) == want
 
     @given(case=slot_case_with_kors())
     @settings(max_examples=200)
@@ -255,9 +235,9 @@ class TestInvariants:
         # before truncation the rounded shares must add up exactly
         production, consumption, kors = case
         huge = {i: production for i in consumption}  # no cap can bind
-        a = allocate_static(production, huge, kors)
-        assert a.total_self_consumed == production
-        assert a.surplus_to_grid == 0
+        shares, surplus = allocate_slot(StaticPolicy(kors), production, huge)
+        assert sum(shares.values()) == production
+        assert surplus == 0
 
 
 def hamilton(amount, weights):
@@ -301,13 +281,13 @@ class TestAllocateSeries:
         ]
         out = allocate_series(DefaultDynamicPolicy(), production, cons)
         assert len(out) == 48
-        assert all(a.production == 100 for a in out)
-        assert [a.slot_start for a in out] == list(production.starts)
+        assert list(out.production) == [100] * 48
+        assert list(out.slot_starts) == list(production.starts)
 
     def test_empty_slot_set(self):
         production = self._series("pv1", Kind.PRODUCTION, [])
         out = allocate_series(DefaultDynamicPolicy(), production, [])
-        assert out == []
+        assert len(out) == 0
 
     def test_slot_mismatch_names_first_gap(self):
         production = self._series("pv1", Kind.PRODUCTION, [100] * 4, start=20)
@@ -321,15 +301,15 @@ class TestAllocateSeries:
             self._series(i, Kind.CONSUMPTION, [CONS[i]]) for i in ("b1", "b2", "b4")
         ]
         static = allocate_series(StaticPolicy(KORS), production, cons)
-        assert static[0].self_consumed == {"b1": 4000, "b2": 3000, "b4": 716}
+        assert static.self_consumed == {"b1": (4000,), "b2": (3000,), "b4": (716,)}
         custom = allocate_series(
             CustomDynamicPolicy(("b1", "b2", "b4")), production, cons
         )
-        assert custom[0].self_consumed == CONS
+        assert custom.self_consumed == {pid: (c,) for pid, c in CONS.items()}
 
     @given(data=st.data())
     @settings(max_examples=150)
-    def test_series_equals_per_slot_functions(self, data):
+    def test_series_equals_one_slot_series(self, data):
         n_slots = data.draw(st.integers(1, 6))
         ids = IDS[: data.draw(st.integers(1, 5))]
         energy = st.lists(st.integers(0, 10_000), min_size=n_slots, max_size=n_slots)
@@ -338,24 +318,17 @@ class TestAllocateSeries:
         shuffled = data.draw(st.permutations(cons))
         kors = data.draw(kor_for(ids))
         order = tuple(data.draw(st.permutations(ids)))
-        per_slot = [
-            (StaticPolicy(kors), lambda p, c, ts: allocate_static(p, c, kors, ts)),
-            (DefaultDynamicPolicy(), allocate_default_dynamic),
-            (
-                CustomDynamicPolicy(order),
-                lambda p, c, ts: allocate_custom_dynamic(p, c, order, ts),
-            ),
-        ]
-        for policy, allocate_slot in per_slot:
+        for policy in (StaticPolicy(kors), DefaultDynamicPolicy(), CustomDynamicPolicy(order)):
             out = allocate_series(policy, production, shuffled)
             assert len(out) == n_slots
+            assert out.slot_starts == production.starts
+            assert out.production == production.energies
+            assert out.consumption == {s.meter_id: s.energies for s in cons}, policy
             for k, (ts, prod) in enumerate(zip(production.starts, production.energies)):
-                want = allocate_slot(prod, {s.meter_id: s.energies[k] for s in cons}, ts)
-                got = out[k]
-                assert got.consumption == want.consumption, policy
-                assert got.self_consumed == want.self_consumed, policy
-                assert got.surplus_to_grid == want.surplus_to_grid, policy
-                assert got.slot_start == want.slot_start == ts, policy
+                consumption = {s.meter_id: s.energies[k] for s in cons}
+                shares, surplus = allocate_slot(policy, prod, consumption, ts)
+                assert {pid: c[k] for pid, c in out.self_consumed.items()} == shares, policy
+                assert out.surplus[k] == surplus, policy
 
     @pytest.mark.parametrize(
         "policy", [DefaultDynamicPolicy(), CustomDynamicPolicy(())], ids=lambda p: p.name
@@ -363,9 +336,9 @@ class TestAllocateSeries:
     def test_no_consumption_series_is_all_surplus(self, policy):
         production = self._series("pv1", Kind.PRODUCTION, [0, 250, 900])
         out = allocate_series(policy, production, [])
-        slots = list(zip(production.starts, production.energies))
-        assert [(a.slot_start, a.surplus_to_grid) for a in out] == slots
-        assert all(a.consumption == {} and a.self_consumed == {} for a in out)
+        assert out.slot_starts == production.starts
+        assert out.surplus == production.energies
+        assert out.consumption == {} and out.self_consumed == {}
 
     def test_slot_mismatch_names_earliest_differing_slot(self):
         # b1 has an extra slot before production starts and lacks the last one

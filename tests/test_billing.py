@@ -1,16 +1,13 @@
 """SCR and savings arithmetic, report identities, policy comparison."""
 
-from datetime import timedelta
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscshare.allocation import (
-    allocate_custom_dynamic,
-    allocate_default_dynamic,
-    derive_priority_order,
-)
+from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
     SavingsReport,
     ScrReport,
@@ -19,69 +16,87 @@ from cscshare.billing import (
     compute_scr,
     eur_str,
 )
-from cscshare.model import Community, DateRange, Participant, SlotAllocation
+from cscshare.model import (
+    AllocationTable,
+    Community,
+    CustomDynamicPolicy,
+    DateRange,
+    DefaultDynamicPolicy,
+    Kind,
+    KorVector,
+    Participant,
+    SlotSeries,
+    StaticPolicy,
+)
 
-from conftest import DAY, make_buildings, slot_ts
+from conftest import DAY, make_buildings, paris_2024, slot_ts
 
 
-def _alloc(production, self_consumed, consumption=None, k=0):
-    consumption = consumption or {pid: sc for pid, sc in self_consumed.items()}
-    return SlotAllocation(
-        production=production,
-        consumption=consumption,
-        self_consumed=self_consumed,
-        surplus_to_grid=production - sum(self_consumed.values()),
-        slot_start=slot_ts(k),
+def _alloc(production, self_consumed, consumption=None, k=0, day=DAY):
+    """One slot: its start, production, consumption, self-consumed Wh and
+    surplus; consumption defaults to the self-consumed Wh."""
+    consumption = consumption or dict(self_consumed)
+    surplus = production - sum(self_consumed.values())
+    return slot_ts(k, day), production, consumption, self_consumed, surplus
+
+
+def _table(*slots):
+    """The table of some _alloc slots, which hold the same participants."""
+    starts, production, consumption, self_consumed, surplus = zip(*slots)
+    return AllocationTable(
+        starts, production,
+        {pid: tuple(c[pid] for c in consumption) for pid in consumption[0]},
+        {pid: tuple(sc[pid] for sc in self_consumed) for pid in consumption[0]},
+        surplus,
     )
 
 
 class TestScr:
     def test_full_self_consumption_is_exactly_one(self):
-        report = compute_scr([_alloc(10_000, {"b1": 10_000}, {"b1": 12_000})])
+        report = compute_scr(_table(_alloc(10_000, {"b1": 10_000}, {"b1": 12_000})))
         assert report.scr == 1.0
         assert report.scr_text() == "1.000000"
 
     def test_zero_production_undefined(self):
-        report = compute_scr([_alloc(0, {"b1": 0})])
+        report = compute_scr(_table(_alloc(0, {"b1": 0})))
         assert not report.defined
         assert report.scr is None
         assert report.scr_text() == "undefined"
 
     def test_two_slot_example(self):
-        allocations = [
+        allocations = _table(
             _alloc(1000, {"b1": 500}, {"b1": 500}, k=0),
             _alloc(1000, {"b1": 1000}, {"b1": 1000}, k=1),
-        ]
+        )
         assert compute_scr(allocations).scr == 0.75
 
     def test_window_filters_slots(self):
-        allocations = [
+        allocations = _table(
             _alloc(1000, {"b1": 0}, {"b1": 0}, k=0),
-            SlotAllocation(
-                production=1000,
-                consumption={"b1": 1000},
-                self_consumed={"b1": 1000},
-                surplus_to_grid=0,
-                slot_start=slot_ts(0, DAY + timedelta(days=1)),
-            ),
-        ]
+            _alloc(1000, {"b1": 1000}, {"b1": 1000}, k=0, day=DAY + timedelta(days=1)),
+        )
         report = compute_scr(allocations, DateRange.single_day(DAY))
         assert report.production_total == 1000
         assert report.scr == 0.0
 
+    def test_window_needs_slot_starts(self, community):
+        table = AllocationTable((slot_ts(0), None), (10, 0), {"b1": (4, 0)}, {"b1": (4, 0)}, (6, 0))
+        assert compute_scr(table).production_total == 10
+        for report in (compute_scr, lambda t, w: compute_savings(t, community, w)):
+            with pytest.raises(ValueError, match="allocation without slot_start cannot be windowed"):
+                report(table, DateRange.single_day(DAY))
+
     def test_monotone_in_self_consumption(self):
-        base = [_alloc(1000, {"b1": 400}, {"b1": 900}, k=0),
-                _alloc(1000, {"b1": 500}, {"b1": 900}, k=1)]
-        better = [base[0], _alloc(1000, {"b1": 600}, {"b1": 900}, k=1)]
+        first = _alloc(1000, {"b1": 400}, {"b1": 900}, k=0)
+        base = _table(first, _alloc(1000, {"b1": 500}, {"b1": 900}, k=1))
+        better = _table(first, _alloc(1000, {"b1": 600}, {"b1": 900}, k=1))
         assert compute_scr(better).scr > compute_scr(base).scr
 
 
 class TestSavings:
     def test_unit_kwh_values(self, community):
         # one self-consumed kWh per building plus one surplus kWh
-        allocations = [
-            _alloc(4000, {"b1": 1000, "b2": 1000, "b4": 1000}, k=0),
-        ]
+        allocations = _table(_alloc(4000, {"b1": 1000, "b2": 1000, "b4": 1000}, k=0))
         report = compute_savings(allocations, community)
         assert report.per_participant["b1"] == Decimal("0.2158")
         assert report.per_participant["b2"] == Decimal("0.1794")
@@ -90,12 +105,12 @@ class TestSavings:
         assert report.total == Decimal("0.5652")
 
     def test_unknown_participant_is_hard_error(self, community):
-        allocations = [_alloc(100, {"intruder": 100})]
+        allocations = _table(_alloc(100, {"intruder": 100}))
         with pytest.raises(ValueError, match="unknown participant"):
             compute_savings(allocations, community)
 
     def test_report_rendering_rounds_to_cents(self, community):
-        allocations = [_alloc(1234, {"b1": 1234})]
+        allocations = _table(_alloc(1234, {"b1": 1234}))
         report = compute_savings(allocations, community)
         # 1.234 kWh x 0.2158 = 0.2662972 -> 0.27 at report time
         assert report.per_participant["b1"] == Decimal("0.2662972")
@@ -120,20 +135,13 @@ class TestSavings:
     )
     @settings(max_examples=100)
     def test_total_equals_parts_plus_feed_in_fuzzed(self, wh, tariffs, feed):
-        p1 = Participant(id="x", tariff_eur_per_kwh=tariffs[0], priority_rank=1)
+        p1 = Participant(id="x", tariff_eur_per_kwh=tariffs[0])
         p2 = Participant(id="y", tariff_eur_per_kwh=tariffs[1],
-                         grid_uplift_pct=Decimal(28), tax_uplift_pct=Decimal(38),
-                         priority_rank=2)
+                         grid_uplift_pct=Decimal(28), tax_uplift_pct=Decimal(38))
         community = Community((p1, p2), "pv", feed)
-        allocations = []
-        for k, (a, b, extra) in enumerate(wh[:40]):
-            allocations.append(SlotAllocation(
-                production=a + b + extra,
-                consumption={"x": a, "y": b},
-                self_consumed={"x": a, "y": b},
-                surplus_to_grid=extra,
-                slot_start=slot_ts(k % 48),
-            ))
+        allocations = _table(*(
+            _alloc(a + b + extra, {"x": a, "y": b}, k=k % 48) for k, (a, b, extra) in enumerate(wh[:40])
+        ))
         report = compute_savings(allocations, community)
         assert report.total == sum(report.per_participant.values()) + report.feed_in
 
@@ -146,20 +154,12 @@ class TestSavings:
     def test_tariff_scaling_scales_savings_exactly(self, lam, sc, surplus):
         def build(scale):
             p1 = Participant(id="x", tariff_eur_per_kwh=Decimal("0.13") * scale,
-                             grid_uplift_pct=Decimal(28), tax_uplift_pct=Decimal(38),
-                             priority_rank=1)
-            p2 = Participant(id="y", tariff_eur_per_kwh=Decimal("0.11") * scale,
-                             priority_rank=2)
+                             grid_uplift_pct=Decimal(28), tax_uplift_pct=Decimal(38))
+            p2 = Participant(id="y", tariff_eur_per_kwh=Decimal("0.11") * scale)
             community = Community((p1, p2), "pv", Decimal("0.06") * scale)
-            allocation = SlotAllocation(
-                production=sc[0] + sc[1] + surplus,
-                consumption={"x": sc[0], "y": sc[1]},
-                self_consumed={"x": sc[0], "y": sc[1]},
-                surplus_to_grid=surplus,
-                slot_start=slot_ts(0),
-            )
-            scr = compute_scr([allocation])
-            return scr, compute_savings([allocation], community)
+            allocation = _table(_alloc(sc[0] + sc[1] + surplus, {"x": sc[0], "y": sc[1]}))
+            scr = compute_scr(allocation)
+            return scr, compute_savings(allocation, community)
 
         scr_base, base = build(Decimal(1))
         scr_scaled, scaled = build(lam)
@@ -178,20 +178,20 @@ class TestSavings:
         buildings = make_buildings()
         community = Community(buildings, "pv1", Decimal("0.06"))
         order = derive_priority_order(buildings)
-        default_allocs, custom_allocs = [], []
-        for k, (c1, c2, c4, production) in enumerate(case[:48]):
-            consumption = {"b1": c1, "b2": c2, "b4": c4}
-            default_allocs.append(
-                allocate_default_dynamic(production, consumption, slot_ts(k)))
-            custom_allocs.append(
-                allocate_custom_dynamic(production, consumption, order, slot_ts(k)))
+        starts = [slot_ts(k) for k in range(len(case))]
+        *consumption, production = zip(*case)
+        production = SlotSeries("pv1", Kind.PRODUCTION, starts, production)
+        consumption = [
+            SlotSeries(pid, Kind.CONSUMPTION, starts, energies)
+            for pid, energies in zip(("b1", "b2", "b4"), consumption)
+        ]
+        default_allocs = allocate_series(DefaultDynamicPolicy(), production, consumption)
+        custom_allocs = allocate_series(CustomDynamicPolicy(order), production, consumption)
         default = compute_savings(default_allocs, community)
         custom = compute_savings(custom_allocs, community)
         assert custom.total >= default.total
         if custom.total == default.total:
-            assert [a.self_consumed for a in custom_allocs] == [
-                a.self_consumed for a in default_allocs
-            ]
+            assert custom_allocs.self_consumed == default_allocs.self_consumed
 
 
 class TestComparePolicies:
@@ -288,57 +288,53 @@ def test_eur_str_rounds_half_even():
     assert eur_str(Decimal("0.135")) == "0.14"
 
 
-# Reference: the window and sums as they were when billing walked one
-# SlotAllocation per slot.
-def _reference_reports(allocations, participants, community, window):
-    if window is not None and any(a.slot_start is None for a in allocations):
-        raise ValueError("allocation without slot_start cannot be windowed")
-    selected = [a for a in allocations if window is None or window.contains(a.slot_start)]
-    scr = ScrReport(
-        self_consumed_total=sum(a.total_self_consumed for a in selected),
-        production_total=sum(a.production for a in selected),
-        window=window,
-    )
-    by_id = {p.id: p for p in participants}
-    wh, surplus = {}, 0
-    for a in selected:
-        surplus += a.surplus_to_grid
-        for pid, e in a.self_consumed.items():
-            wh[pid] = wh.get(pid, 0) + e
-    per = {pid: Decimal(e) / 1000 * by_id[pid].effective_value_eur_per_kwh for pid, e in sorted(wh.items())}
-    feed_in = Decimal(surplus) / 1000 * community.feed_in_eur_per_kwh
-    return scr, SavingsReport(per, feed_in, sum(per.values(), Decimal(0)) + feed_in, window)
+# First instants, in UTC, of Paris local days: before spring forward, when
+# 2024-03-31 has 46 slots; before fall back, when 2024-10-27 has 50; and in
+# June, when every day has 48.
+_DAY_STARTS = (
+    datetime(2024, 3, 29, 23, tzinfo=timezone.utc),
+    datetime(2024, 10, 25, 22, tzinfo=timezone.utc),
+    datetime(2024, 6, 1, 22, tzinfo=timezone.utc),
+)
 
 
-@st.composite
-def _rows(draw):
-    """Rows over some of b1, b2 and b4 each, on two days, some without a start."""
-    rows = []
-    for k in range(draw(st.integers(0, 6))):
-        ids = draw(st.lists(st.sampled_from(["b1", "b2", "b4"]), unique=True))
-        consumption = {pid: draw(st.integers(0, 5000)) for pid in ids}
-        shares = {pid: draw(st.integers(0, c)) for pid, c in consumption.items()}
-        surplus = draw(st.integers(0, 5000))
-        start = draw(st.sampled_from([None, slot_ts(k), slot_ts(k, DAY + timedelta(days=1))]))
-        rows.append(SlotAllocation(sum(shares.values()) + surplus, consumption, shares, surplus, start))
-    return rows
-
-
-@given(rows=_rows(), windowed=st.booleans())
-@settings(max_examples=300)
-def test_row_lists_report_as_before(rows, windowed):
-    """A list of rows, which may lack slot starts or hold different
-    participants, reports what the per-row sums reported."""
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_windowed_reports_equal_reports_of_the_window_alone(data):
+    """Windowing a table reports what allocating only the window's slots
+    reports, across local midnights and DST days, empty windows included."""
+    slot = timedelta(minutes=30)
+    first = data.draw(st.sampled_from(_DAY_STARTS)) + data.draw(st.integers(0, 47)) * slot
+    n = data.draw(st.integers(1, 150))
+    starts = [paris_2024(first + k * slot) for k in range(n)]
+    energies = st.lists(st.integers(0, 5000), min_size=n, max_size=n)
     buildings = make_buildings()
     community = Community(buildings, "pv1", Decimal("0.06"))
-    window = DateRange.single_day(DAY) if windowed else None
-    try:
-        expected = _reference_reports(rows, buildings, community, window)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            compute_scr(rows, window)
-        with pytest.raises(ValueError, match=str(exc)):
-            compute_savings(rows, community, window)
-        return
-    assert compute_scr(rows, window) == expected[0]
-    assert compute_savings(rows, community, window) == expected[1]
+    ids = [b.id for b in buildings]
+    policy = data.draw(st.sampled_from([
+        StaticPolicy(KorVector({"b1": 0.5, "b2": 0.3, "b4": 0.2})),
+        DefaultDynamicPolicy(),
+        CustomDynamicPolicy(derive_priority_order(buildings)),
+    ]))
+    day = data.draw(st.sampled_from(sorted({ts.date() for ts in starts}))) + timedelta(
+        days=data.draw(st.integers(-1, 1))
+    )
+    window = DateRange(day, day + timedelta(days=data.draw(st.integers(1, 3))))
+
+    def allocate(keep):
+        kept = [k for k in range(n) if keep(starts[k])]
+        return allocate_series(
+            policy,
+            SlotSeries("pv1", Kind.PRODUCTION, [starts[k] for k in kept], [production[k] for k in kept]),
+            [SlotSeries(pid, Kind.CONSUMPTION, [starts[k] for k in kept], [c[k] for k in kept])
+             for pid, c in zip(ids, consumption)],
+        )
+
+    production = data.draw(energies)
+    consumption = [data.draw(energies) for _ in ids]
+    table, alone = allocate(lambda ts: True), allocate(window.contains)
+    assert compute_scr(table, window) == replace(compute_scr(alone), window=window)
+    savings = compute_savings(table, community, window)
+    assert savings == replace(compute_savings(alone, community), window=window)
+    if len(alone) == 0:
+        assert savings.per_participant == {}

@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 import cscshare
 from cscshare.model import (
+    AllocationTable,
     Community,
     CustomDynamicPolicy,
     DateRange,
     Kind,
     KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     parse_timestamp,
     validate_community,
@@ -117,12 +117,6 @@ class TestParticipant:
 
 
 class TestCommunity:
-    def test_duplicate_ranks_rejected(self, buildings):
-        b1, b2, b4 = buildings
-        clash = Participant(id="b9", tariff_eur_per_kwh=Decimal("0.1"), priority_rank=1)
-        with pytest.raises(ValueError, match="ranks"):
-            Community((b1, b2, b4, clash), "pv1", Decimal("0.06"))
-
     def test_production_meter_must_differ(self, buildings):
         with pytest.raises(ValueError, match="distinct"):
             Community(buildings, "b1", Decimal("0.06"))
@@ -192,41 +186,32 @@ class TestKorVector:
 
 
 class TestSlotAllocation:
+    """Allocation tables of one slot."""
+
     def test_conservation_enforced_at_construction(self):
         with pytest.raises(ValueError, match="conservation"):
-            SlotAllocation(
-                production=100,
-                consumption={"a": 60, "b": 60},
-                self_consumed={"a": 60, "b": 20},
-                surplus_to_grid=0,
+            AllocationTable(
+                (slot_ts(0),), (100,), {"a": (60,), "b": (60,)}, {"a": (60,), "b": (20,)}, (0,)
             )
 
     def test_cap_enforced_at_construction(self):
         with pytest.raises(ValueError, match="exceeds consumption"):
-            SlotAllocation(
-                production=100,
-                consumption={"a": 10},
-                self_consumed={"a": 50},
-                surplus_to_grid=50,
-            )
+            AllocationTable((slot_ts(0),), (100,), {"a": (10,)}, {"a": (50,)}, (50,))
 
     @pytest.mark.parametrize("energy,problem", BAD_ENERGY)
     @pytest.mark.parametrize("field", ["consumption", "self_consumed"])
     def test_bad_energy_message_names_field_and_participant(self, field, energy, problem):
-        entries = {"consumption": {"a": 60, "b": 20}, "self_consumed": {"a": 10, "b": 0}}
-        entries[field]["b"] = energy
+        entries = {"consumption": {"a": (60,), "b": (20,)}, "self_consumed": {"a": (10,), "b": (0,)}}
+        entries[field]["b"] = (energy,)
         with pytest.raises(ValueError) as excinfo:
-            SlotAllocation(production=100, surplus_to_grid=90, **entries)
+            AllocationTable((slot_ts(0),), (100,), surplus=(90,), **entries)
         assert str(excinfo.value) == f"{field}[b] {problem}"
 
     def test_valid_allocation(self):
-        a = SlotAllocation(
-            production=100,
-            consumption={"a": 60, "b": 20},
-            self_consumed={"a": 60, "b": 20},
-            surplus_to_grid=20,
-        )
-        assert a.total_self_consumed == 80
+        entries = {"a": (60,), "b": (20,)}
+        a = AllocationTable((slot_ts(0),), (100,), entries, entries, (20,))
+        assert len(a) == 1
+        assert sum(map(sum, a.self_consumed.values())) == 80
 
 
 class TestCustomDynamicPolicy:

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from cscshare.billing import compute_scr
 from cscshare.cli import main
 from cscshare.ledger import AuditRecord, read_ledger, verify_chain
-from cscshare.model import DateRange, SlotAllocation, parse_timestamp
+from cscshare.model import AllocationTable, DateRange, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
 
@@ -133,6 +133,22 @@ class TestRun:
             "static_report.json": "1421534dabf2d1ea31d890036434efe1baf735dfb7fd09d79702f1511a10983e",
         }
 
+    @pytest.mark.parametrize(
+        "ranks",
+        [[None] * 3, ["1"] * 3, [1.5] * 3, [True] * 3, [3, 2, 1]],
+        ids=["null", "text", "fraction", "true", "reversed"],
+    )
+    def test_priority_rank_is_ignored(self, demo, ranks):
+        plain = run(load_run_config(demo / "run_config.json", out_override=demo / "plain")).out_dir
+
+        def set_ranks(raw):
+            for participant, rank in zip(raw["participants"], ranks):
+                participant["priority_rank"] = rank
+
+        _edit_json(demo / "community.json", set_ranks)
+        ranked = run(load_run_config(demo / "run_config.json", out_override=demo / "ranked")).out_dir
+        assert _tree_bytes(ranked) == _tree_bytes(plain)
+
     def test_validation_failure_leaves_no_outputs(self, demo):
         raw = json.loads((demo / "run_config.json").read_text())
         raw["kors"] = {"b1": 0.5, "b2": 0.2, "b4": 0.2}  # sums to 0.9
@@ -200,20 +216,21 @@ class TestRun:
         assert Decimal(report["savings"]["per_participant_eur"]["b4"]) > 0
 
 
-def _read_allocations(path: Path) -> list[SlotAllocation]:
+def _read_allocations(path: Path) -> AllocationTable:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     ids = [key[len("consumption_"):-len("_wh")] for key in rows[0] if key.startswith("consumption_")]
-    return [
-        SlotAllocation(
-            production=int(row["production_wh"]),
-            consumption={pid: int(row[f"consumption_{pid}_wh"]) for pid in ids},
-            self_consumed={pid: int(row[f"self_consumed_{pid}_wh"]) for pid in ids},
-            surplus_to_grid=int(row["surplus_wh"]),
-            slot_start=parse_timestamp(row["slot_start"]),
-        )
-        for row in rows
-    ]
+
+    def column(key):
+        return [int(row[key]) for row in rows]
+
+    return AllocationTable(
+        slot_starts=[parse_timestamp(row["slot_start"]) for row in rows],
+        production=column("production_wh"),
+        consumption={pid: column(f"consumption_{pid}_wh") for pid in ids},
+        self_consumed={pid: column(f"self_consumed_{pid}_wh") for pid in ids},
+        surplus=column("surplus_wh"),
+    )
 
 
 class TestDstRun:
@@ -238,7 +255,7 @@ class TestDstRun:
         assert len(april_1) == 48
         for policy in POLICY_NAMES:
             allocations = _read_allocations(out / f"{policy}_allocations.csv")
-            starts = [a.slot_start.isoformat() for a in allocations]
+            starts = [ts.isoformat() for ts in allocations.slot_starts]
             assert starts == [ts.isoformat() for ts in production]
             assert "2024-03-31T03:00:00+02:00" in starts
             assert "2024-03-31T02:00:00+01:00" not in starts
@@ -272,7 +289,7 @@ class TestDstRun:
         assert len(october_27) == 50
         for policy in POLICY_NAMES:
             allocations = _read_allocations(out / f"{policy}_allocations.csv")
-            starts = [a.slot_start.isoformat() for a in allocations]
+            starts = [ts.isoformat() for ts in allocations.slot_starts]
             assert starts == [ts.isoformat() for ts in production]
             assert "2024-10-27T02:00:00+02:00" in starts
             assert "2024-10-27T02:00:00+01:00" in starts
@@ -359,11 +376,6 @@ class TestConfigValidation:
     def test_kors_file_must_hold_an_object(self, demo):
         (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
         assert "run config: kors must be an object" in self._run(demo)
-
-    @pytest.mark.parametrize("rank", [None, "1", 1.5, True], ids=["null", "text", "fraction", "true"])
-    def test_bad_priority_rank(self, demo, rank):
-        _edit_json(demo / "community.json", lambda raw: raw["participants"][0].update(priority_rank=rank))
-        assert "community.json: priority_rank of b1 must be a JSON integer" in self._run(demo)
 
     @pytest.mark.parametrize("participants", [{"b1": {}}, "b1", [1]], ids=["object", "text", "list-of-int"])
     def test_participants_must_be_a_list_of_objects(self, demo, participants):

@@ -1,26 +1,22 @@
 """Settle on columns: allocation tables against the per-slot reference.
 
-The reference below is the runner's ledger builder and CSV row builder as
-they were when every slot was one SlotAllocation, kept verbatim and fed
-from the per-slot policy functions. The column path must reproduce every
-ledger line and every CSV row they give.
+The reference below is the runner's ledger builder, CSV row builder and
+billing sums as they were when every slot was one allocation object, kept
+verbatim and fed row by row from one-slot allocations. The column path must
+reproduce every ledger line, every CSV row and every report they give.
 """
 
 import io
 from datetime import datetime, timedelta, timezone
-from typing import Mapping, Sequence
+from decimal import Decimal
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscshare import model, runner
-from cscshare.allocation import (
-    allocate_custom_dynamic,
-    allocate_default_dynamic,
-    allocate_series,
-    allocate_static,
-)
-from cscshare.billing import compute_savings, compute_scr
+from cscshare import runner
+from cscshare.allocation import allocate_series
+from cscshare.billing import SavingsReport, ScrReport, compute_savings, compute_scr
 from cscshare.ledger import KOR_COUNTING_POINT, Ledger, write_ledger
 from cscshare.model import (
     AllocationTable,
@@ -31,19 +27,26 @@ from cscshare.model import (
     Kind,
     KorVector,
     Participant,
-    SlotAllocation,
     SlotSeries,
     StaticPolicy,
 )
-from cscshare.runner import load_run_config, run
-from cscshare.synth import synthesize_demo_data
 
-from conftest import DAY, paris_2024, slot_ts
+from conftest import DAY, allocate_slot, paris_2024, slot_ts
+
+
+class _Row(NamedTuple):
+    """One slot's allocation, as the reference reads it."""
+
+    production: int
+    consumption: Mapping[str, int]
+    self_consumed: Mapping[str, int]
+    surplus_to_grid: int
+    slot_start: datetime
 
 
 def _reference_build_ledger(
     production: SlotSeries,
-    allocations_by_policy: Mapping[str, Sequence[SlotAllocation]],
+    allocations_by_policy: Mapping[str, Sequence[_Row]],
     static_kors: Mapping[str, KorVector],
 ) -> Ledger:
     ledger = Ledger()
@@ -80,7 +83,7 @@ def _reference_build_ledger(
 
 
 def _reference_allocation_csv_rows(
-    allocations: Sequence[SlotAllocation], participant_ids: Sequence[str]
+    allocations: Sequence[_Row], participant_ids: Sequence[str]
 ) -> list[list]:
     header = ["slot_start", "production_wh"]
     header += [f"consumption_{pid}_wh" for pid in participant_ids]
@@ -94,6 +97,24 @@ def _reference_allocation_csv_rows(
         row += [a.surplus_to_grid]
         rows.append(row)
     return rows
+
+
+def _reference_reports(allocations, participants, community, window):
+    selected = [a for a in allocations if window is None or window.contains(a.slot_start)]
+    scr = ScrReport(
+        self_consumed_total=sum(sum(a.self_consumed.values()) for a in selected),
+        production_total=sum(a.production for a in selected),
+        window=window,
+    )
+    by_id = {p.id: p for p in participants}
+    wh, surplus = {}, 0
+    for a in selected:
+        surplus += a.surplus_to_grid
+        for pid, e in a.self_consumed.items():
+            wh[pid] = wh.get(pid, 0) + e
+    per = {pid: Decimal(e) / 1000 * by_id[pid].effective_value_eur_per_kwh for pid, e in sorted(wh.items())}
+    feed_in = Decimal(surplus) / 1000 * community.feed_in_eur_per_kwh
+    return scr, SavingsReport(per, feed_in, sum(per.values(), Decimal(0)) + feed_in, window)
 
 
 def _ledger_text(ledger: Ledger) -> list[str]:
@@ -153,22 +174,20 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
     production, consumptions, kors, order = community
     ids = sorted(s.meter_id for s in consumptions)
     equal = KorVector.equal(ids)
-    policies = {
-        "static": (StaticPolicy(kors), lambda p, c, ts: allocate_static(p, c, kors, ts)),
-        "static33": (StaticPolicy(equal, name="static33"), lambda p, c, ts: allocate_static(p, c, equal, ts)),
-        "default-dynamic": (DefaultDynamicPolicy(), allocate_default_dynamic),
-        "custom-dynamic": (
-            CustomDynamicPolicy(order),
-            lambda p, c, ts: allocate_custom_dynamic(p, c, order, ts),
-        ),
-    }
+    policies = (
+        StaticPolicy(kors),
+        StaticPolicy(equal, name="static33"),
+        DefaultDynamicPolicy(),
+        CustomDynamicPolicy(order),
+    )
     tables, rows = {}, {}
-    for name, (policy, allocate_slot) in policies.items():
-        tables[name] = allocate_series(policy, production, consumptions)
-        rows[name] = [
-            allocate_slot(prod, {s.meter_id: s.energies[k] for s in consumptions}, ts)
-            for k, (ts, prod) in enumerate(zip(production.starts, production.energies))
-        ]
+    for policy in policies:
+        tables[policy.name] = allocate_series(policy, production, consumptions)
+        rows[policy.name] = []
+        for k, (ts, prod) in enumerate(zip(production.starts, production.energies)):
+            consumption = {s.meter_id: s.energies[k] for s in consumptions}
+            shares, surplus = allocate_slot(policy, prod, consumption, ts)
+            rows[policy.name].append(_Row(prod, consumption, shares, surplus, ts))
     static_kors = {"static": kors, "static33": equal}
 
     expected = _ledger_text(_reference_build_ledger(production, rows, static_kors))
@@ -176,17 +195,15 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
 
     stamps = [ts.isoformat() for ts in production.starts]
     window = DateRange.single_day(production.starts[0].date())
-    participants = [Participant(pid, "0.1", priority_rank=k + 1) for k, pid in enumerate(ids)]
+    participants = [Participant(pid, "0.1") for pid in ids]
     community = Community(tuple(participants), production.meter_id, "0.05")
     for name, table in tables.items():
         got = [list(row) for row in runner._allocation_csv_rows(table, ids, stamps)]
         assert got == _reference_allocation_csv_rows(rows[name], ids), name
-        assert table == rows[name]
         for w in (None, window):
-            assert compute_scr(table, w) == compute_scr(rows[name], w)
-            assert compute_savings(table, community, w) == compute_savings(
-                rows[name], community, w
-            )
+            scr, savings = _reference_reports(rows[name], participants, community, w)
+            assert compute_scr(table, w) == scr
+            assert compute_savings(table, community, w) == savings
 
 
 @given(community=communities(), data=st.data())
@@ -194,7 +211,7 @@ def test_columns_reproduce_every_ledger_line_and_csv_row(community):
 def test_table_rejects_what_a_slot_allocation_rejects(community, data):
     """One share is raised past its consumption, production following so
     that the slot still conserves energy: the table refuses it with the
-    error SlotAllocation gives for that slot."""
+    error a one-slot table of that slot gives."""
     production, consumptions, _, order = community
     table = allocate_series(CustomDynamicPolicy(order), production, consumptions)
     k = data.draw(st.integers(0, len(table) - 1))
@@ -213,11 +230,12 @@ def test_table_rejects_what_a_slot_allocation_rejects(community, data):
         surplus=table.surplus,
     )
     with pytest.raises(ValueError) as row_error:
-        SlotAllocation(
-            bumped[k],
-            {p: c[k] for p, c in table.consumption.items()},
-            {p: c[k] for p, c in raised.items()},
-            table.surplus[k],
+        AllocationTable(
+            (table.slot_starts[k],),
+            (bumped[k],),
+            {p: (c[k],) for p, c in table.consumption.items()},
+            {p: (c[k],) for p, c in raised.items()},
+            (table.surplus[k],),
         )
     assert str(row_error.value) == f"self_consumed[{pid}] = {consumed + 1} exceeds consumption {consumed}"
     with pytest.raises(ValueError) as table_error:
@@ -252,37 +270,23 @@ _TS = slot_ts(0)
             ((_TS, _TS), (10, 5), {"a": (6,)}, {"a": (6,)}, (4,)),
             "allocation columns must be equally long and hold plain ints",
         ),
+        (
+            # slot 1's negative surplus is checked before any conservation,
+            # but slot 0 is checked first
+            ((_TS, slot_ts(1)), (10, 10), {"a": (6, 6)}, {"a": (6, 6)}, (3, -1)),
+            "conservation violated: self_consumed + surplus != production (6 + 3 != 10)",
+        ),
+        (
+            ((_TS.replace(minute=15),), (10,), {"a": (6,)}, {"a": (6,)}, (3,)),
+            f"timestamp {_TS.replace(minute=15).isoformat()} is not 30-minute aligned",
+        ),
     ],
-    ids=["conservation", "negative-surplus", "bool-share", "float-production", "keys", "lengths"],
+    ids=[
+        "conservation", "negative-surplus", "bool-share", "float-production", "keys", "lengths",
+        "earlier-slot-first", "unaligned-start",
+    ],
 )
 def test_table_check_words_errors_as_slot_allocation(columns, message):
     with pytest.raises(ValueError) as excinfo:
         AllocationTable(*columns)
     assert str(excinfo.value) == message
-
-
-def test_table_rows_and_equality():
-    table = AllocationTable(
-        (_TS, slot_ts(1)), (10, 5), {"a": (6, 1), "b": (3, 9)}, {"a": (6, 1), "b": (3, 4)}, (1, 0)
-    )
-    second = SlotAllocation(5, {"a": 1, "b": 9}, {"a": 1, "b": 4}, 0, slot_ts(1))
-    assert len(table) == 2
-    assert table[1] == table[-1] == second
-    assert table[1:] == [second]
-    assert table == list(table) and table != list(table)[:1]
-    assert AllocationTable.from_rows(table) == table
-    assert AllocationTable((), (), {}, {}, ()) == []
-
-
-def test_demo_settle_builds_no_slot_allocation(tmp_path, monkeypatch):
-    synthesize_demo_data("high_radiation", 7, tmp_path)
-    expected = run(load_run_config(tmp_path / "run_config.json", out_override=tmp_path / "a"))
-
-    def refuse(self):
-        raise AssertionError("settle built a SlotAllocation")
-
-    monkeypatch.setattr(model.SlotAllocation, "__post_init__", refuse)
-    with pytest.raises(AssertionError):
-        SlotAllocation(1, {}, {}, 1)
-    result = run(load_run_config(tmp_path / "run_config.json", out_override=tmp_path / "b"))
-    assert [p.read_bytes() for p in result.files] == [p.read_bytes() for p in expected.files]
