@@ -108,7 +108,7 @@ def derive_kors(config_path, out_path):
     "end": "YYYY-MM-DD"}, end exclusive) restricts the window; the default
     is the full extent of the data.
     """
-    config = runner_mod.load_run_config(config_path, out_override="unused")
+    config = runner_mod.load_run_config(config_path)
     community, _ = runner_mod.load_community(config.community_file)
     by_meter = runner_mod._ingest_meters(config.meter_csvs)
     history = []

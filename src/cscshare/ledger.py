@@ -24,9 +24,8 @@ Reading walks the lines once. It rejects any line that is not its
 record's canonical serialization, decoding and checking each distinct
 payload text once, then checks the line's link and hashes the material
 it splices from the line's own slices. The ledger keeps the first break
-it finds, and ``verify_chain`` reports it. Records are read-only views:
-iterating a ``Ledger`` parses them from its lines with the reader's
-checker.
+it finds, and ``verify_chain`` reports it. A line is the only form a
+record takes: the file format (README "Audit ledger") is how to read one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
@@ -196,19 +195,6 @@ def _line(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AuditRecord:
-    """One chained record, a read-only view that iterating a ``Ledger``
-    parses from a line; ``payload_json`` is the payload's text there."""
-
-    counting_point_key: str
-    timestamp: datetime
-    payload: Mapping[str, Any]
-    prev_hash: str
-    hash: str
-    payload_json: str = field(repr=False, kw_only=True)
-
-
 @dataclass(frozen=True)
 class ChainReport:
     intact: bool
@@ -221,7 +207,8 @@ class Ledger:
 
     ``Ledger()`` is empty. A ledger that ``read_ledger`` returns takes its
     head hash and the last timestamp of each counting point from the
-    checked lines, so it can be appended to as well.
+    checked lines, so it can be appended to as well. ``len`` counts its
+    records; ``write_ledger`` copies its lines out.
     """
 
     def __init__(self):
@@ -239,47 +226,47 @@ class Ledger:
         self._report = ChainReport(True)
 
     def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
-        """Keep each line that ``_parse_lines`` accepts, ending it in a
-        newline, and the first break in the chain: a previous hash that is
-        not the line before's hash (the genesis hash for line 1), or a hash
-        that is not the SHA-256 of the line's hash material."""
+        """Keep each line, decoded and ending in a newline, and the first
+        break in the chain: a previous hash that is not the line before's
+        hash (the genesis hash for line 1), or a hash that is not the
+        SHA-256 of the line's hash material. The first line that is not
+        canonical, or not UTF-8, raises ValueError with its number."""
         kept, last_ts = self._lines, self._last_ts
+        keys: dict[str, str] = {}
+        # records of one slot share one datetime, as they do when appended
+        timestamps: dict[str, datetime] = {}
+        payload_texts: set[str] = set()
         report = None
-        head = head_text = GENESIS_HASH
-        for i, (line, fields) in enumerate(_parse_lines(lines)):
-            key, timestamp, _, prev_hash, hash_, hash_text, material = fields
+        head_text = GENESIS_HASH
+        for i, line in enumerate(lines):
+            try:
+                if isinstance(line, bytes):
+                    line = line.decode("utf-8")
+                stop = len(line) - 1 if line.endswith("\n") else len(line)
+                fields = _split(line, stop, keys, timestamps, payload_texts)
+                # a previous hash with the head's text is canonical
+                if fields is None or fields[2] != head_text and _string(fields[2]) is None:
+                    _reject(line[:stop])
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                # RecursionError: a payload nested too deep for the decoder
+                raise ValueError(f"ledger line {i + 1}: malformed record ({exc})") from None
+            key, timestamp, prev_text, hash_text, material = fields
             if report is None:
-                # canonical quoting is one-to-one, so equal hashes have
-                # equal texts; a linked previous hash is the head itself
-                if prev_hash != head:
+                # canonical quoting is one-to-one, so a previous hash is
+                # the head iff its text is the head's text
+                if prev_text != head_text:
                     report = ChainReport(False, i, f"broken link at record {i}")
                 elif hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
                     report = ChainReport(False, i, f"hash mismatch at record {i}")
-            kept.append(line if line.endswith("\n") else f"{line}\n")
+            kept.append(line if stop < len(line) else f"{line}\n")
             last_ts[key] = timestamp
-            head, head_text = hash_, hash_text
-        self._head, self._head_json = head, f'"{head_text}"'
+            head_text = hash_text
+        self._head, self._head_json = _string(head_text), f'"{head_text}"'
         if report is not None:
             self._report = report
 
     def __len__(self) -> int:
         return len(self._lines)
-
-    def __iter__(self) -> Iterator[AuditRecord]:
-        # each distinct payload text is decoded once per call, and the
-        # records that hold it share the dict
-        payloads: dict[str, dict] = {}
-        for _, (key, timestamp, payload_json, prev_hash, hash_, _, _) in _parse_lines(
-            self._lines
-        ):
-            payload = payloads.get(payload_json)
-            if payload is None:
-                payload = payloads[payload_json] = _decode(payload_json)
-            yield AuditRecord(key, timestamp, payload, prev_hash, hash_, payload_json=payload_json)
-
-    @property
-    def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self)
 
     @property
     def head_hash(self) -> str:
@@ -376,15 +363,14 @@ def _string(text: str) -> str | None:
 def _split(
     line: str,
     stop: int,
-    last_hash_text: str,
-    last_hash: str,
     keys: dict[str, str],
     timestamps: dict[str, datetime],
-    payload_texts: dict[str, str],
-) -> tuple[str, datetime, str, str, str, str, str] | None:
-    """The fields of the canonical line ``line[:stop]`` (key, timestamp,
-    payload text, previous hash, hash, hash text and hash material), or
-    None for any other line.
+    payload_texts: set[str],
+) -> tuple[str, datetime, str, str, str] | None:
+    """What reading needs of the canonical line ``line[:stop]`` (key,
+    timestamp, previous-hash text, hash text and hash material), or None
+    for any other line. The caller checks the previous-hash text, which
+    in a chain is the last line's checked hash text.
 
     The line is cut at the separators of its fixed layout: forwards past
     the key and the hash, and backwards past the timestamp and the
@@ -392,15 +378,14 @@ def _split(
     string holds no quote that is not escaped, so in a line ``_line``
     renders no separator occurs inside the field it is searched across,
     and the cuts fall where the layout puts them. ``line[stop:]`` may only
-    be a line end, which no separator contains. The line is accepted iff
-    each piece is the canonical form of its value, which is iff the line
-    is ``_line`` of those values; the hash material is spliced from the
-    same pieces.
+    be a line end, which no separator contains. With a canonical
+    previous-hash text, the line is accepted iff each other piece is the
+    canonical form of its value, which is iff the line is ``_line`` of
+    those values; the hash material is spliced from the same pieces.
 
     Keys, timestamps and payload texts repeat: each distinct text is
-    checked once and kept in the caller's dicts, so the records that hold
-    it share one object. A previous hash whose text is the last line's
-    hash text is that line's hash.
+    checked once and kept in the caller's dicts and set, so the records
+    that hold a key or a timestamp share one object.
     """
     if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
         return None
@@ -429,14 +414,9 @@ def _split(
 
     hash_text = line[at_hash + len(_AT_HASH):at_payload]
     # a hash needing no escape is its own text
-    hash_ = hash_text if _quote(hash_text)[1:-1] == hash_text else _string(hash_text)
-    if hash_ is None:
+    if _quote(hash_text)[1:-1] != hash_text and _string(hash_text) is None:
         return None
-
     prev_text = line[at_prev_hash + len(_AT_PREV_HASH):at_timestamp]
-    prev_hash = last_hash if prev_text == last_hash_text else _string(prev_text)
-    if prev_hash is None:
-        return None
 
     timestamp_text = line[at_timestamp + len(_AT_TIMESTAMP):end]
     timestamp = timestamps.get(timestamp_text)
@@ -452,19 +432,18 @@ def _split(
         timestamps[timestamp_text] = timestamp
 
     payload_text = line[payload_start:at_prev_hash]
-    checked = payload_texts.get(payload_text)
-    if checked is None:
+    if payload_text not in payload_texts:
         try:
             payload = _decode(payload_text)
         except ValueError:
             return None
         if not isinstance(payload, dict) or _encode(payload) != payload_text:
             return None
-        checked = payload_texts[payload_text] = payload_text
+        payload_texts.add(payload_text)
 
     # _record_hash's material, from the texts of the quoted members
-    material = f'["{key_text}","{timestamp_text}",{checked},"{prev_text}"]'
-    return key, timestamp, checked, prev_hash, hash_, hash_text, material
+    material = f'["{key_text}","{timestamp_text}",{payload_text},"{prev_text}"]'
+    return key, timestamp, prev_text, hash_text, material
 
 
 def _reject(line: str) -> NoReturn:
@@ -486,32 +465,6 @@ def _reject(line: str) -> NoReturn:
     if canonical == line and parse_timestamp(timestamp_text).isoformat() != timestamp_text:
         raise ValueError(f"non-canonical timestamp {timestamp_text!r}")
     raise ValueError("non-canonical line: its bytes differ from the record's")
-
-
-def _parse_lines(
-    lines: Iterable[str] | Iterable[bytes],
-) -> Iterator[tuple[str, tuple[str, datetime, str, str, str, str, str]]]:
-    """Each line, decoded, with the fields ``_split`` checked; the first
-    line that is not canonical, or not UTF-8, raises ValueError with its
-    number."""
-    keys: dict[str, str] = {}
-    # records of one slot share one datetime, as they do when appended
-    timestamps: dict[str, datetime] = {}
-    payload_texts: dict[str, str] = {}
-    last_hash_text = last_hash = GENESIS_HASH
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            stop = len(line) - 1 if line.endswith("\n") else len(line)
-            fields = _split(line, stop, last_hash_text, last_hash, keys, timestamps, payload_texts)
-            if fields is None:
-                _reject(line[:stop])
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            # RecursionError: a payload nested too deep for the decoder
-            raise ValueError(f"ledger line {lineno}: malformed record ({exc})") from None
-        last_hash, last_hash_text = fields[4], fields[5]
-        yield line, fields
 
 
 def read_ledger(source: str | Path | TextIO) -> Ledger:

@@ -62,10 +62,12 @@ POLICY_NAMES = ("static", "static33", "default-dynamic", "custom-dynamic")
 class RunConfig:
     meter_csvs: tuple[Path, ...]
     community_file: Path
-    out_dir: Path
+    # None when the config names none; run requires it
+    out_dir: Path | None
     policies: tuple[str, ...]
     scenario_file: Path | None = None
-    kors: Mapping[str, float] | None = None
+    # a kors file is read only when the static policy runs
+    kors: Mapping[str, float] | Path | None = None
     priority_order: tuple[str, ...] | None = None
     kor_window: DateRange | None = None
 
@@ -91,7 +93,8 @@ def load_run_config(
     out_override: str | Path | None = None,
     policy_filter: Sequence[str] | None = None,
 ) -> RunConfig:
-    """Read a run-config JSON file; relative paths resolve against it."""
+    """Read a run-config JSON file; relative paths resolve against it.
+    ``run`` requires an ``out_dir``, and reads a ``kors`` file itself."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -125,21 +128,18 @@ def load_run_config(
             raise ValueError(f"--policy {missing} not in configured policies {policies}")
         policies = tuple(p for p in policies if p in set(policy_filter))
 
-    out_dir = out_override or raw.get("out_dir")
-    if not out_dir:
-        raise ValueError("run config: out_dir is required (or pass --out)")
-    out_dir = Path(out_dir)
-    if not out_dir.is_absolute() and out_override is None:
-        out_dir = base / out_dir
+    if out_override:
+        out_dir = Path(out_override)
+    elif raw.get("out_dir"):
+        out_dir = _resolve(raw["out_dir"])
+    else:
+        out_dir = None
 
     kors = raw.get("kors")
     if isinstance(kors, str):
-        with open(_resolve(kors), "r", encoding="utf-8") as fh:
-            kors = json.load(fh)
-    if kors is not None:
-        if not isinstance(kors, dict):
-            raise ValueError("run config: kors must be an object of participant coefficients")
-        kors = {k: float(as_decimal(v, f"run config: kors[{k!r}]")) for k, v in kors.items()}
+        kors = _resolve(kors)
+    elif kors is not None:
+        kors = _coefficients(kors)
 
     priority_order = raw.get("priority_order")
     if priority_order is not None:
@@ -179,6 +179,23 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _coefficients(kors) -> dict[str, float]:
+    """The static coefficients of a run config's ``kors`` object."""
+    if not isinstance(kors, dict):
+        raise ValueError("run config: kors must be an object of participant coefficients")
+    return {k: float(as_decimal(v, f"run config: kors[{k!r}]")) for k, v in kors.items()}
+
+
+def _static_kors(config: RunConfig) -> Mapping[str, float] | None:
+    """The coefficients of the static policy, or None if it does not run."""
+    if "static" not in config.policies:
+        return None
+    if not isinstance(config.kors, Path):
+        return config.kors
+    with open(config.kors, "r", encoding="utf-8") as fh:
+        return _coefficients(json.load(fh))
+
+
 def load_community(path: str | Path) -> tuple[Community, str | None]:
     """Load the community and tariff file.
 
@@ -192,10 +209,17 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
     entries = raw.get("participants")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"community file {path}: participants must be a list of objects")
+
+    def text(obj: dict, key: str) -> str:
+        value = obj[key]
+        if not isinstance(value, str):
+            raise ValueError(f"community file {path}: {key} must be a JSON string, got {value!r}")
+        return value
+
     try:
         participants = tuple(
             Participant(
-                id=str(entry["id"]),
+                id=text(entry, "id"),
                 tariff_eur_per_kwh=as_decimal(entry["tariff_eur_per_kwh"], "tariff"),
                 grid_uplift_pct=as_decimal(entry.get("grid_uplift_pct", 0), "grid uplift"),
                 tax_uplift_pct=as_decimal(entry.get("tax_uplift_pct", 0), "tax uplift"),
@@ -204,13 +228,14 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
         )
         community = Community(
             participants=participants,
-            production_meter=str(raw["production_meter"]),
+            production_meter=text(raw, "production_meter"),
             feed_in_eur_per_kwh=as_decimal(raw["feed_in_eur_per_kwh"], "feed-in rate"),
         )
     except KeyError as exc:
         raise ValueError(f"community file {path}: missing key {exc}") from None
-    datacentre_meter = raw.get("datacentre_meter")
-    return community, str(datacentre_meter) if datacentre_meter else None
+    if raw.get("datacentre_meter") is None:
+        return community, None
+    return community, text(raw, "datacentre_meter") or None
 
 
 def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings | list[RawMeterRecord]]:
@@ -236,14 +261,14 @@ def _full_extent(series: Iterable[SlotSeries]) -> DateRange:
     return DateRange(min(dates), max(dates) + timedelta(days=1))
 
 
-def _build_policies(config: RunConfig, community: Community):
+def _build_policies(config: RunConfig, community: Community, kors: Mapping[str, float] | None):
     ids = community.participant_ids()
     policies = []
     for name in config.policies:
         if name == "static":
-            if config.kors is None:
+            if kors is None:
                 raise ValueError("static policy requires a 'kors' entry in the run config")
-            policies.append(StaticPolicy(KorVector(config.kors), name="static"))
+            policies.append(StaticPolicy(KorVector(kors), name="static"))
         elif name == "static33":
             policies.append(StaticPolicy(KorVector.equal(ids), name="static33"))
         elif name == "default-dynamic":
@@ -316,6 +341,9 @@ def run(config: RunConfig) -> RunResult:
     Raises ValueError on validation problems and OSError on I/O failure;
     the CLI maps those to exit codes 1 and 2.
     """
+    if config.out_dir is None:
+        raise ValueError("run config: out_dir is required (or pass --out)")
+    kors = _static_kors(config)
     community, datacentre_meter = load_community(config.community_file)
     scenario = (
         ScenarioConfig.from_file(config.scenario_file)
@@ -351,17 +379,14 @@ def run(config: RunConfig) -> RunResult:
     series = ([production] if production is not None else []) + [
         consumptions[p] for p in sorted(consumptions)
     ]
-    needs_kors = "static" in config.policies
-    report = validate_community(
-        community, series, kors=config.kors if needs_kors else None
-    )
+    report = validate_community(community, series, kors=kors)
     if not report.ok:
         raise ValueError("validation failed:\n" + "\n".join(report.findings))
     assert production is not None  # validate_community reported it otherwise
 
     window = _full_extent([production])
 
-    policies = _build_policies(config, community)
+    policies = _build_policies(config, community, kors)
     consumption_list = [consumptions[pid] for pid in ids]
 
     tables: dict[str, AllocationTable] = {}

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from cscshare import ledger as ledger_mod
 from cscshare.ledger import (
     GENESIS_HASH,
-    AuditRecord,
     ChainReport,
     Ledger,
     PayloadTemplate,
@@ -26,7 +25,7 @@ from cscshare.ledger import (
 
 from cscshare.model import parse_timestamp
 
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 from conftest import DAY, slot_ts
 
@@ -42,11 +41,30 @@ def build_ledger(n=10):
     return ledger
 
 
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    """One chained record as the reference reader and writer see it;
+    ``payload_json`` is the payload's canonical text."""
+
+    counting_point_key: str
+    timestamp: datetime
+    payload: dict
+    prev_hash: str
+    hash: str
+    payload_json: str = dataclasses.field(repr=False, kw_only=True)
+
+
 def _record(key, timestamp, payload, prev_hash, hash_):
     """A record with any field values, as a log line may hold it."""
-    return AuditRecord(
+    return _Record(
         key, timestamp, payload, prev_hash, hash_, payload_json=_reference_canonical(payload)
     )
+
+
+def _records_of(ledger):
+    """The records of a ledger's written lines, as the reference reader
+    parses them."""
+    return list(_reference_parse_lines(io.StringIO(_written(write_ledger, ledger), newline="\n")))
 
 
 def _reread(records):
@@ -58,7 +76,7 @@ class TestAppend:
     def test_genesis_prev_hash_is_zero(self):
         ledger = Ledger()
         hash_ = ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
-        record = ledger.records[-1]
+        record = _records_of(ledger)[-1]
         assert record.hash == hash_ == ledger.head_hash
         assert record.prev_hash == GENESIS_HASH
 
@@ -66,7 +84,7 @@ class TestAppend:
         ledger = Ledger()
         ledger.append({"energy_wh": 5}, "pv1", slot_ts(0))
         ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
-        first, second = ledger.records
+        first, second = _records_of(ledger)
         assert second.prev_hash == first.hash
 
     def test_timestamp_regression_rejected(self):
@@ -136,8 +154,8 @@ class TestAppend:
         ledger = read_ledger(path)
         assert ledger.head_hash == forged.hash
         hash_ = ledger.append({"energy_wh": 6}, "pv1", slot_ts(1))
-        record = ledger.records[-1]
-        assert record.hash == hash_
+        record = _records_of(ledger)[-1]
+        assert record.hash == hash_ == ledger.head_hash
         assert record.prev_hash == forged.hash
         iso = slot_ts(1).isoformat()
         assert record.hash == _reference_hash("pv1", iso, {"energy_wh": 6}, forged.hash)
@@ -150,8 +168,8 @@ class TestAppend:
         out = tmp_path / "audit.log"
         write_ledger(ledger, out)
         reread = read_ledger(out)
-        assert _written(_reference_write_ledger, reread) == _written(write_ledger, ledger)
-        assert list(reread)[-1].prev_hash == forged.hash
+        assert _written(_reference_write_ledger, _records_of(reread)) == _written(write_ledger, ledger)
+        assert _records_of(reread)[-1].prev_hash == forged.hash
 
 
 class TestVerify:
@@ -162,7 +180,7 @@ class TestVerify:
         assert verify_chain(Ledger()).intact
 
     def test_payload_tamper_detected_at_index(self):
-        records = list(build_ledger(100))
+        records = _records_of(build_ledger(100))
         victim = records[57]
         records[57] = _record(
             victim.counting_point_key,
@@ -177,11 +195,11 @@ class TestVerify:
 
     def test_truncating_the_head_is_not_detectable(self):
         # documented limitation: the tail can be cut without an external anchor
-        records = list(build_ledger(10))[:-1]
+        records = _records_of(build_ledger(10))[:-1]
         assert verify_chain(_reread(records)).intact
 
     def test_dropping_a_middle_record_detected(self):
-        records = list(build_ledger(10))
+        records = _records_of(build_ledger(10))
         del records[4]
         report = verify_chain(_reread(records))
         assert not report.intact
@@ -198,7 +216,7 @@ class TestSerialization:
         out = io.StringIO()
         write_ledger(reread, out)
         assert out.getvalue().encode() == first
-        assert [r.hash for r in reread] == [r.hash for r in ledger]
+        assert [r.hash for r in _records_of(reread)] == [r.hash for r in _records_of(ledger)]
         assert verify_chain(reread).intact
 
     def test_malformed_line_reported_with_number(self, tmp_path):
@@ -213,7 +231,7 @@ class TestSerialization:
         write_ledger(ledger, buf)
         buf.seek(0)
         reread = read_ledger(buf)
-        assert [r.hash for r in reread] == [r.hash for r in ledger]
+        assert [r.hash for r in _records_of(reread)] == [r.hash for r in _records_of(ledger)]
 
     def test_non_canonical_timestamp_rejected(self, tmp_path):
         # datetime.fromisoformat accepts any date/time separator, so a
@@ -324,8 +342,7 @@ class TestSerialization:
 )
 @settings(max_examples=50)
 def test_any_field_mutation_is_detected(n, victim):
-    ledger = build_ledger(n)
-    records = list(ledger)
+    records = _records_of(build_ledger(n))
     idx = victim.draw(st.integers(0, n - 1))
     field = victim.draw(st.sampled_from(["payload", "timestamp", "key"]))
     r = records[idx]
@@ -398,8 +415,8 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     direct = []
     for key, payload in entries:
         hash_ = ledger.append(payload, key, timestamp)
-        record = ledger.records[-1]
-        assert record.hash == hash_
+        record = _records_of(ledger)[-1]
+        assert record.hash == hash_ == ledger.head_hash
         iso = timestamp.isoformat()
         assert record.hash == _reference_hash(key, iso, payload, record.prev_hash)
         line = _written(write_ledger, ledger).split("\n")[-2]
@@ -410,7 +427,7 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     write_ledger(ledger, buf)
     buf.seek(0)
     reread = read_ledger(buf)
-    assert _written(_reference_write_ledger, reread) == _written(_reference_write_ledger, ledger)
+    assert _written(_reference_write_ledger, _records_of(reread)) == _written(_reference_write_ledger, _records_of(ledger))
     assert verify_chain(reread).intact
 
 
@@ -436,7 +453,7 @@ def _reference_parse_record(line, timestamps):
         if timestamp.isoformat() != timestamp_text:
             raise ValueError(f"non-canonical timestamp {timestamp_text!r}")
         timestamps[timestamp_text] = timestamp
-    return AuditRecord(
+    return _Record(
         counting_point_key=obj["counting_point_key"],
         timestamp=timestamp,
         payload=payload,
@@ -458,19 +475,15 @@ def _reference_parse_lines(lines):
         yield record
 
 
-def _outcome(read):
-    """('ok', per-record fields) or ('error', message) of one read."""
+def _outcome(read, write=write_ledger):
+    """('ok', (written text, head hash, record count)) or ('error', message)
+    of one read. An accepted log is its canonical lines, so equal written
+    texts are equal record fields."""
     try:
         ledger = read()
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", [
-        (
-            r.counting_point_key, r.timestamp, r.timestamp.utcoffset(),
-            r.timestamp.isoformat(), r.payload, r.payload_json, r.prev_hash, r.hash,
-        )
-        for r in ledger
-    ]
+    return "ok", (_written(write, ledger), ledger.head_hash, len(ledger))
 
 
 # Field texts that sit next to, or look like, the separators of the line
@@ -586,32 +599,22 @@ def _mutated_logs(draw):
 @given(text=_mutated_logs())
 @settings(max_examples=400, deadline=None)
 def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
-    """read_ledger accepts exactly the lines the reference accepts, reads
-    equal records from them and rejects the others with the same line
-    number and message, reading from a file or from a text stream."""
+    """read_ledger accepts exactly the lines the reference accepts, keeps
+    the lines and head hash the reference's records write and hold, and
+    rejects the others with the same line number and message, reading
+    from a file or from a text stream."""
     path = tmp_path_factory.getbasetemp() / "differential.log"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         return  # a lone surrogate: not UTF-8, the reference cannot read it
-    expected = _outcome(lambda: list(_reference_parse_lines(io.StringIO(text, newline="\n"))))
+    expected = _outcome(
+        lambda: _ReferenceLedger(_reference_parse_lines(io.StringIO(text, newline="\n"))),
+        _reference_write_ledger,
+    )
     assert _outcome(lambda: read_ledger(path)) == expected
     assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
-
-
-def test_equal_payload_texts_share_one_payload(tmp_path):
-    path = tmp_path / "audit.log"
-    ledger = Ledger()
-    for k in range(4):
-        ledger.append({"kind": "production", "energy_wh": 7}, "pv1", slot_ts(k))
-    write_ledger(ledger, path)
-    first, *rest = read_ledger(path)
-    assert all(r.payload is first.payload for r in rest)
-    assert all(r.payload_json is first.payload_json for r in rest)
-    # each previous hash is the record before it's hash object
-    records = [first, *rest]
-    assert all(b.prev_hash is a.hash for a, b in zip(records, records[1:]))
 
 
 def test_crlf_log_rejected_through_a_text_stream(tmp_path):
@@ -704,7 +707,7 @@ class _ReferenceLedger:
         prev_hash = self.head_hash
         payload_json = _encode(payload)
         hash_ = _reference_record_hash(key_json, self._stamp_json, payload_json, prev_hash)
-        record = AuditRecord(
+        record = _Record(
             counting_point_key, timestamp, payload, prev_hash, hash_, payload_json=payload_json
         )
         self._records.append(record)
@@ -793,6 +796,7 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
     one record replaced."""
     seed = [_FORGED] if forged else []
     ledger, reference = _reread(seed), _ReferenceLedger(seed)
+    assert ledger.head_hash == reference.head_hash
     stamps = [slot_ts(k) for k in range(4)]
     for key, payload, k in entries:
         # timestamps may regress, so both must refuse the same appends
@@ -800,7 +804,7 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
         assert ledger.head_hash == reference.head_hash
         assert len(ledger) == len(reference)
     assert _written(write_ledger, ledger) == _written(_reference_write_ledger, reference)
-    assert list(ledger) == list(reference)
+    assert _records_of(ledger) == list(reference)
     assert verify_chain(ledger) == _reference_verify_chain(reference)
 
     records = list(reference)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from cscshare.billing import compute_scr
 from cscshare.cli import main
-from cscshare.ledger import AuditRecord, read_ledger, verify_chain
+from cscshare.ledger import read_ledger, verify_chain
 from cscshare.model import AllocationTable, DateRange, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
@@ -66,7 +66,8 @@ class TestRun:
         assert verify_chain(ledger).intact
         # per slot: production, three consumptions, four policy coefficient records
         assert len(ledger) == 48 * (1 + 3 + 4)
-        keys = [r.counting_point_key for r in list(ledger)[:8]]
+        lines = (result.out_dir / "audit.log").read_text().splitlines()
+        keys = [json.loads(line)["counting_point_key"] for line in lines[:8]]
         assert keys == ["pv1", "b1", "b2", "b4", "KOR", "KOR", "KOR", "KOR"]
 
     def test_scr_ordering_across_policies(self, demo):
@@ -262,8 +263,8 @@ class TestDstRun:
             report = compute_scr(allocations, DateRange.single_day(date(2024, 4, 1)))
             assert report.production_total == sum(april_1)
 
-        ledger = read_ledger(out / "audit.log")
-        assert {r.timestamp.isoformat() for r in ledger} == {ts.isoformat() for ts in production}
+        lines = (out / "audit.log").read_text().splitlines()
+        assert {json.loads(line)["timestamp"] for line in lines} == {ts.isoformat() for ts in production}
         r = CliRunner().invoke(main, ["audit-verify", str(out / "audit.log")])
         assert r.exit_code == 0, r.output
         assert r.output.startswith("intact (")
@@ -376,6 +377,53 @@ class TestConfigValidation:
     def test_kors_file_must_hold_an_object(self, demo):
         (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
         assert "run config: kors must be an object" in self._run(demo)
+
+    def test_kors_file_is_read_only_when_static_runs(self, demo):
+        (demo / "kors.json").unlink()
+        runner = CliRunner()
+        r = runner.invoke(main, ["run", "--config", str(demo / "run_config.json")])
+        assert r.exit_code == 2, r.output
+        assert "I/O error: [Errno 2] No such file or directory" in r.output
+        assert not (demo / "reports").exists()
+        r = runner.invoke(
+            main, ["run", "--config", str(demo / "run_config.json"), "--policy", "static33"]
+        )
+        assert r.exit_code == 0, r.output
+        (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
+        r = runner.invoke(
+            main, ["run", "--config", str(demo / "run_config.json"), "--policy", "default-dynamic"]
+        )
+        assert r.exit_code == 0, r.output
+
+    def test_out_dir_is_required_to_run(self, demo):
+        _edit_json(demo / "run_config.json", lambda raw: raw.pop("out_dir"))
+        assert load_run_config(demo / "run_config.json").out_dir is None
+        assert "run config: out_dir is required (or pass --out)" in self._run(demo)
+        r = CliRunner().invoke(
+            main,
+            ["run", "--config", str(demo / "run_config.json"), "--out", str(demo / "given")],
+        )
+        assert r.exit_code == 0, r.output
+        assert (demo / "given" / "audit.log").exists()
+
+    @pytest.mark.parametrize("key", ["id", "production_meter", "datacentre_meter"])
+    @pytest.mark.parametrize(
+        "value", [None, 7, 1.5, True, ["b1"], {"id": "b1"}],
+        ids=["null", "int", "fraction", "bool", "list", "object"],
+    )
+    def test_community_ids_must_be_json_strings(self, demo, key, value):
+        def edit(raw):
+            (raw["participants"][0] if key == "id" else raw)[key] = value
+
+        _edit_json(demo / "community.json", edit)
+        if key == "datacentre_meter" and value is None:
+            # a null data-centre meter names none, as an absent one does
+            assert run(load_run_config(demo / "run_config.json")).comparison is not None
+            return
+        shown = repr(Decimal("1.5")) if value == 1.5 else repr(value)
+        output = self._run(demo)
+        assert f"community.json: {key} must be a JSON string, got {shown}" in output
+        assert "Traceback" not in output
 
     @pytest.mark.parametrize("participants", [{"b1": {}}, "b1", [1]], ids=["object", "text", "list-of-int"])
     def test_participants_must_be_a_list_of_objects(self, demo, participants):
@@ -511,23 +559,6 @@ class TestCli:
         assert r.output == f"intact ({len(ledger)} records), head {ledger.head_hash}\n"
         assert re.fullmatch("[0-9a-f]{64}", ledger.head_hash)
 
-    def test_run_and_audit_verify_build_no_audit_record(self, demo, monkeypatch):
-        """The ledger is written and verified as lines; records are only
-        views for library callers."""
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("an AuditRecord was built")
-
-        monkeypatch.setattr(AuditRecord, "__init__", refuse)
-        with pytest.raises(AssertionError):
-            AuditRecord("pv1", datetime(2024, 1, 1, tzinfo=timezone.utc), {}, "0", "0")
-        runner = CliRunner()
-        r = runner.invoke(main, ["run", "--config", str(demo / "run_config.json")])
-        assert r.exit_code == 0, r.output
-        r = runner.invoke(main, ["audit-verify", str(demo / "reports" / "audit.log")])
-        assert r.exit_code == 0, r.output
-        assert r.output.startswith("intact (")
-
     def test_missing_config_is_io_failure(self):
         r = CliRunner().invoke(main, ["run", "--config", "/nonexistent/config.json"])
         assert r.exit_code == 2
@@ -626,6 +657,18 @@ class TestCli:
         assert abs(sum(derived.values()) - 1) < 1e-9
         # the emitted file used the same derivation over the same day
         assert derived == json.loads((out / "kors.json").read_text())
+
+    def test_derive_kors_writes_the_kors_file_its_config_names(self, demo):
+        """derive-kors reads no kors file, so it can regenerate the one the
+        run config names."""
+        written = (demo / "kors.json").read_bytes()
+        (demo / "kors.json").unlink()
+        r = CliRunner().invoke(main, [
+            "derive-kors", "--config", str(demo / "run_config.json"),
+            "--out", str(demo / "kors.json"),
+        ])
+        assert r.exit_code == 0, r.output
+        assert (demo / "kors.json").read_bytes() == written
 
     def test_derive_kors_default_window_covers_every_local_date(self, tmp_path):
         """A slot whose UTC offset puts it before the first slot's local
