@@ -9,8 +9,11 @@ classes differ in what they report:
   sme_smi  cumulative energy index in kWh (1 kWh resolution) and
            10-minute average extracted power in kW (1 kW resolution)
 
-Missing slots are reported as errors, never zero-filled: a silently
-zero-filled consumption slot would change every allocation downstream.
+A meter's readings have one form, MeterReadings: the columns ingest_csv
+fills per meter, readings_by_meter joins across files and
+normalize_to_slots reads. Missing slots are reported as errors, never
+zero-filled: a silently zero-filled consumption slot would change every
+allocation downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from itertools import groupby, islice
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from cscshare.kernels import apportion
 from cscshare.model import (
@@ -89,14 +92,15 @@ class RowError:
 
 
 @dataclass(eq=False)
-class MeterReadings(Sequence[RawMeterRecord]):
+class MeterReadings:
     """One meter's readings of one quantity, as columns in arrival order.
 
-    ``floors`` holds each timestamp's slot start: the timestamp floored to
-    the 30-minute grid in its own UTC offset. Ingestion fills the columns
-    row by row, taking each floor from the per-file timestamp cache;
-    ``from_rows`` builds them from records. ``readings[k]`` is row k as a
-    RawMeterRecord.
+    This is the one form of a meter's readings, from ingest_csv through
+    readings_by_meter to normalize_to_slots. ``floors`` holds each
+    timestamp's slot start: the timestamp floored to the 30-minute grid in
+    its own UTC offset. Ingestion fills the columns row by row, taking each
+    floor from the per-file timestamp cache. ``readings[k]`` builds row k
+    as a RawMeterRecord.
     """
 
     meter_id: str
@@ -106,67 +110,27 @@ class MeterReadings(Sequence[RawMeterRecord]):
     floors: list[datetime] = field(default_factory=list)
     values: list[int | Decimal] = field(default_factory=list)
 
-    @classmethod
-    def from_rows(cls, records: Iterable[RawMeterRecord]) -> "MeterReadings":
-        """The columns of one meter's records; an empty or mixed set is an error."""
-        records = list(records)
-        if not records:
-            raise ValueError("no records to normalize")
-        meter_ids = {r.meter_id for r in records}
-        if len(meter_ids) > 1:
-            raise ValueError(f"records mix meter ids: {sorted(meter_ids)}")
-        if len({r.meter_class for r in records}) > 1:
-            raise ValueError("records mix meter classes")
-        if len({r.quantity_kind for r in records}) > 1:
-            raise ValueError("records mix quantity kinds; normalize one basis at a time")
-        first = records[0]
-        timestamps = [r.timestamp for r in records]
-        return cls(
-            first.meter_id, first.meter_class, first.quantity_kind,
-            timestamps, list(map(_slot_floor, timestamps)), [r.value for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
+    def __getitem__(self, k: int) -> RawMeterRecord:
         return RawMeterRecord(
             self.meter_id, self.meter_class, self.timestamps[k], self.quantity_kind, self.values[k]
         )
 
 
-class _InFileOrder(Sequence[RawMeterRecord]):
-    """Accepted rows in file order, each a view into its meter's columns.
+class _Rows:
+    """The rows of some MeterReadings, meter by meter, each meter's in file order."""
 
-    ``rows`` holds the MeterReadings each row went to; row k is the j-th
-    reading of its meter when j earlier rows went to the same one. Reading
-    row k counts those rows, so iterate to read them all.
-    """
-
-    def __init__(self):
-        self.rows: list[MeterReadings] = []
+    def __init__(self, meters: list[MeterReadings]):
+        self._meters = meters
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        k = range(len(self.rows))[k]
-        readings = self.rows[k]
-        return readings[self.rows[:k].count(readings)]
+        return sum(map(len, self._meters))
 
     def __iter__(self):
-        taken: dict[int, int] = {}
-        for readings in self.rows:
-            j = taken.get(id(readings), 0)
-            taken[id(readings)] = j + 1
-            yield readings[j]
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+        for readings in self._meters:
+            yield from readings
 
 
 @dataclass
@@ -174,24 +138,28 @@ class IngestResult:
     """One meter CSV's accepted rows and its row errors.
 
     ``meters`` holds the rows as one MeterReadings per (meter_id,
-    meter_class, quantity_kind), in order of first appearance; ``records``
-    is the same rows in file order.
+    meter_class, quantity_kind), in order of first appearance. ``records``
+    iterates the same rows as RawMeterRecords, meter by meter, and its
+    len() counts them without building any.
     """
 
     meters: list[MeterReadings] = field(default_factory=list)
-    records: Sequence[RawMeterRecord] = field(default_factory=_InFileOrder)
     errors: list[RowError] = field(default_factory=list)
+
+    @property
+    def records(self) -> _Rows:
+        return _Rows(self.meters)
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
 
-def readings_by_meter(results: Iterable[IngestResult]) -> dict[str, MeterReadings | list[RawMeterRecord]]:
+def readings_by_meter(results: Iterable[IngestResult]) -> dict[str, MeterReadings]:
     """Each meter's readings across files, its columns joined in file order.
 
-    A meter id read under two classes or quantity kinds maps to all its
-    records instead, which normalize_to_slots rejects as a mix.
+    A meter id read under two (class, quantity kind) pairs is an error
+    naming the meter and both pairs.
     """
     parts: dict[str, list[MeterReadings]] = {}
     for result in results:
@@ -200,12 +168,21 @@ def readings_by_meter(results: Iterable[IngestResult]) -> dict[str, MeterReading
     return {meter_id: _joined(same) for meter_id, same in parts.items()}
 
 
-def _joined(parts: list[MeterReadings]) -> MeterReadings | list[RawMeterRecord]:
+def _joined(parts: list[MeterReadings]) -> MeterReadings:
     first = parts[0]
     if len(parts) == 1:
         return first
-    if any((p.meter_class, p.quantity_kind) != (first.meter_class, first.quantity_kind) for p in parts):
-        return [r for p in parts for r in p]
+    for other in parts:
+        if other.meter_class is not first.meter_class:
+            mix = "meter classes"
+        elif other.quantity_kind is not first.quantity_kind:
+            mix = "quantity kinds; normalize one basis at a time"
+        else:
+            continue
+        raise ValueError(
+            f"meter {first.meter_id}: records mix {mix} ({first.meter_class.value} "
+            f"{first.quantity_kind.value}, {other.meter_class.value} {other.quantity_kind.value})"
+        )
     return MeterReadings(
         first.meter_id, first.meter_class, first.quantity_kind,
         [ts for p in parts for ts in p.timestamps],
@@ -257,7 +234,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         raise ValueError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
     result = IngestResult()
-    rows, errors = result.records.rows, result.errors
+    errors = result.errors
     meters: dict[tuple, MeterReadings] = {}
     # the (meter_id, meter_class, quantity_kind) texts of accepted rows,
     # as they stand in the file, to their columns and value parser
@@ -280,7 +257,6 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         readings.timestamps.append(ts)
         readings.floors.append(floor)
         readings.values.append(value)
-        rows.append(readings)
     result.meters = [readings for readings in meters.values() if readings]
     return result
 
@@ -373,29 +349,24 @@ def _round_half_even(numerator: int, denominator: int) -> int:
     return q
 
 
-def normalize_to_slots(
-    records: MeterReadings | Iterable[RawMeterRecord], kind: Kind = Kind.CONSUMPTION
-) -> SlotSeries:
-    """Convert one meter's raw readings to a 30-minute Wh series.
+def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -> SlotSeries:
+    """Convert one meter's readings to a 30-minute Wh series.
 
-    Takes the meter's columns or its records; records go through
-    MeterReadings.from_rows first. One walk over the time-sorted readings
-    groups them by the slot they fall in; consecutive slots must be
-    exactly 30 minutes apart in UTC. Each slot keeps the instant and UTC
-    offset of its own readings, so a day across a DST switch has 46 or 50
-    slots, each in its local offset; readings of one slot that carry two
-    offsets are an error. Linky Wh readings within a slot are summed.
-    SME/SMI 10-minute powers need all three samples of a slot, at the
-    0/10/20-minute marks, and convert as mean kW x 0.5 h x 1000. SME/SMI
-    kWh index readings must sit on consecutive slot boundaries; each index
-    delta x 1000 becomes the energy of the slot the earlier reading opens.
+    One walk over the time-sorted readings groups them by the slot they
+    fall in; consecutive slots must be exactly 30 minutes apart in UTC.
+    Each slot keeps the instant and UTC offset of its own readings, so a
+    day across a DST switch has 46 or 50 slots, each in its local offset;
+    readings of one slot that carry two offsets are an error. Linky Wh
+    readings within a slot are summed. SME/SMI 10-minute powers need all
+    three samples of a slot, at the 0/10/20-minute marks, and convert as
+    mean kW x 0.5 h x 1000. SME/SMI kWh index readings must sit on
+    consecutive slot boundaries; each index delta x 1000 becomes the energy
+    of the slot the earlier reading opens.
 
     A slot with fewer samples than its class expects is a gap error; a
     missing slot is one too, named by its local start, or by the slots on
-    either side of it when those carry different UTC offsets. A mix of
-    meter ids, classes or quantity kinds is a hard error.
+    either side of it when those carry different UTC offsets.
     """
-    readings = records if isinstance(records, MeterReadings) else MeterReadings.from_rows(records)
     meter_id, quantity = readings.meter_id, readings.quantity_kind
     stamps, floors, values = readings.timestamps, readings.floors, readings.values
     if not stamps:
@@ -569,25 +540,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean {text!r}")
 
 
-def derive_static_kors(
-    history: Iterable[SlotSeries] | Mapping[str, SlotSeries],
-    window: DateRange,
-) -> KorVector:
+def derive_static_kors(history: Iterable[SlotSeries], window: DateRange) -> KorVector:
     """Derive static coefficients from consumption history over a window.
 
     Each participant's share of the total consumption is apportioned in
     parts per KOR_SCALE by largest remainder (ties to the smaller id), so
     the coefficients sum to exactly 1 even when the rounded shares alone
-    would not.
+    would not. Series of one meter id given more than once are summed.
     """
-    if isinstance(history, Mapping):
-        series_list = list(history.values())
-    else:
-        series_list = list(history)
     totals: dict[str, int] = {}
     covered: dict[str, bool] = {}
     contains = window.contains
-    for s in series_list:
+    for s in history:
         total = 0
         has_data = False
         for ts, energy in zip(s.starts, s.energies):

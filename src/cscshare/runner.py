@@ -30,7 +30,6 @@ from cscshare.billing import (
 )
 from cscshare.ingestion import (
     MeterReadings,
-    RawMeterRecord,
     ScenarioConfig,
     add_constant_load,
     apply_pv_gain,
@@ -238,7 +237,7 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
     return community, text(raw, "datacentre_meter") or None
 
 
-def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings | list[RawMeterRecord]]:
+def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings]:
     """Each meter's readings from every file; see readings_by_meter."""
     results = []
     findings: list[str] = []

@@ -24,6 +24,7 @@ from cscshare.ingestion import (
     derive_static_kors,
     ingest_csv,
     normalize_to_slots,
+    readings_by_meter,
 )
 from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
 from cscshare.model import (
@@ -266,13 +267,11 @@ def test_criterion_4_small_instance_oracles():
 def _load_demo_series(out_dir):
     result = ingest_csv(out_dir / "meters.csv")
     assert result.ok
-    by_meter = {}
-    for record in result.records:
-        by_meter.setdefault(record.meter_id, []).append(record)
+    by_meter = readings_by_meter([result])
     production = normalize_to_slots(by_meter.pop("pv1"), kind=Kind.PRODUCTION)
     consumption = {
-        pid: normalize_to_slots(records, kind=Kind.CONSUMPTION)
-        for pid, records in by_meter.items()
+        pid: normalize_to_slots(readings, kind=Kind.CONSUMPTION)
+        for pid, readings in by_meter.items()
     }
     return production, consumption
 

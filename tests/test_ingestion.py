@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cscshare.ingestion import (
+    IngestResult,
     MeterClass,
     MeterReadings,
     QuantityKind,
@@ -41,6 +42,21 @@ def ten_min_ts(slot: int, sample: int):
     return slot_ts(slot) + timedelta(minutes=10 * sample)
 
 
+def _readings(records) -> MeterReadings:
+    """One meter's records as the columns ingestion fills, in the given order."""
+    records = list(records)
+    first = records[0]
+    stamps = [r.timestamp for r in records]
+    floors = [
+        ts.replace(minute=ts.minute - ts.minute % SLOT_MINUTES, second=0, microsecond=0)
+        for ts in stamps
+    ]
+    return MeterReadings(
+        first.meter_id, first.meter_class, first.quantity_kind,
+        stamps, floors, [r.value for r in records],
+    )
+
+
 class TestIngestCsv:
     def test_direct_parse(self):
         result = ingest_csv(io.StringIO(
@@ -64,7 +80,7 @@ class TestIngestCsv:
 
     def test_empty_file_with_header(self):
         result = ingest_csv(io.StringIO(HEADER))
-        assert result.ok and result.records == []
+        assert result.ok and len(result.records) == 0 and list(result.records) == []
 
     def test_malformed_header_is_hard_error(self):
         with pytest.raises(ValueError, match="header"):
@@ -87,7 +103,7 @@ class TestIngestCsv:
         assert len(result.records) == 1
         assert [e.line for e in result.errors] == [3, 4]
 
-    def test_records_view_the_meter_columns_in_file_order(self):
+    def test_records_view_the_meter_columns_meter_by_meter(self):
         rows = [
             "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1",
             "m2,sme_smi,2022-05-04T10:00:00+02:00,energy_kwh_index,7",
@@ -101,12 +117,13 @@ class TestIngestCsv:
         assert (m2.meter_id, m2.values, m2.floors) == ("m2", [7, 9], m2.timestamps)
         records = result.records
         assert len(records) == 4
-        assert [(r.meter_id, r.value) for r in records] == [("m1", 1), ("m2", 7), ("m1", 3), ("m2", 9)]
-        assert list(records) == [records[k] for k in range(4)] == records[:]
-        assert records[-1] == m2[1] and records[1:3] == [m2[0], m1[1]]
-        assert records == list(records) and records != list(records)[:3]
+        assert [(r.meter_id, r.value) for r in records] == [("m1", 1), ("m1", 3), ("m2", 7), ("m2", 9)]
+        assert list(records) == [m1[0], m1[1], m2[0], m2[1]]
+        assert m2[-1] == RawMeterRecord(
+            "m2", MeterClass.SME_SMI, m2.timestamps[1], QuantityKind.ENERGY_KWH_INDEX, 9
+        )
         with pytest.raises(IndexError):
-            records[4]
+            m1[2]
 
     @pytest.mark.parametrize("text", ["NaN", "sNaN", "Infinity", "-Infinity", "inf", "-nan"])
     def test_non_finite_power_is_row_error(self, text):
@@ -131,21 +148,21 @@ class TestNormalize:
         return records
 
     def test_sme_power_six_kw_slot(self):
-        series = normalize_to_slots(self._power_records({20: [6, 6, 6]}))
+        series = normalize_to_slots(_readings(self._power_records({20: [6, 6, 6]})))
         assert series.energies == (3000,)  # 6 kW x 0.5 h
 
     def test_sme_power_zero(self):
-        series = normalize_to_slots(self._power_records({20: [0, 0, 0]}))
+        series = normalize_to_slots(_readings(self._power_records({20: [0, 0, 0]})))
         assert series.energies == (0,)
 
     def test_sme_power_fractional_mean_rounds(self):
         # (1+2+2)/3 kW x 500 = 833.33 Wh
-        series = normalize_to_slots(self._power_records({20: [1, 2, 2]}))
+        series = normalize_to_slots(_readings(self._power_records({20: [1, 2, 2]})))
         assert series.energies == (833,)
 
     def test_sme_power_missing_sample_is_gap(self):
         with pytest.raises(ValueError, match="gap at .*10:00.*2/3"):
-            normalize_to_slots(self._power_records({20: [6, 6]}))
+            normalize_to_slots(_readings(self._power_records({20: [6, 6]})))
 
     def test_sme_power_off_boundary_sample_rejected(self):
         record = RawMeterRecord(
@@ -154,7 +171,7 @@ class TestNormalize:
             QuantityKind.POWER_KW_10MIN, Decimal(6),
         )
         with pytest.raises(ValueError, match="10-minute boundary"):
-            normalize_to_slots([record])
+            normalize_to_slots(_readings([record]))
 
     def test_linky_sum_within_slot(self):
         records = [
@@ -162,7 +179,7 @@ class TestNormalize:
                            QuantityKind.ENERGY_WH, v)
             for m, v in [(0, 100), (10, 200), (20, 300)]
         ]
-        series = normalize_to_slots(records)
+        series = normalize_to_slots(_readings(records))
         assert series.energies == (600,)
 
     def test_linky_interior_gap_detected(self):
@@ -171,7 +188,7 @@ class TestNormalize:
             for k in (20, 22)
         ]
         with pytest.raises(ValueError, match="gap at .*10:30"):
-            normalize_to_slots(records)
+            normalize_to_slots(_readings(records))
 
     def test_index_deltas_times_1000(self):
         records = [
@@ -179,7 +196,7 @@ class TestNormalize:
                            QuantityKind.ENERGY_KWH_INDEX, v)
             for k, v in [(20, 100), (21, 103), (22, 103)]
         ]
-        series = normalize_to_slots(records)
+        series = normalize_to_slots(_readings(records))
         assert series.energies == (3000, 0)
         assert series.starts == (slot_ts(20), slot_ts(21))
 
@@ -190,7 +207,7 @@ class TestNormalize:
             for k, v in [(20, 100), (21, 99)]
         ]
         with pytest.raises(ValueError, match="decreases"):
-            normalize_to_slots(records)
+            normalize_to_slots(_readings(records))
 
     def test_mixed_meter_classes_hard_error(self):
         records = [
@@ -198,16 +215,11 @@ class TestNormalize:
             RawMeterRecord("m1", MeterClass.SME_SMI, slot_ts(21),
                            QuantityKind.ENERGY_KWH_INDEX, 1),
         ]
-        with pytest.raises(ValueError, match="mix meter classes"):
-            normalize_to_slots(records)
-
-    def test_mixed_meter_ids_hard_error(self):
-        records = [
-            RawMeterRecord("m1", MeterClass.LINKY, slot_ts(20), QuantityKind.ENERGY_WH, 1),
-            RawMeterRecord("m2", MeterClass.LINKY, slot_ts(21), QuantityKind.ENERGY_WH, 1),
-        ]
-        with pytest.raises(ValueError, match="mix meter ids"):
-            normalize_to_slots(records)
+        with pytest.raises(
+            ValueError,
+            match=r"^meter m1: records mix meter classes \(linky energy_wh, sme_smi energy_kwh_index\)$",
+        ):
+            readings_by_meter([IngestResult([_readings([r]) for r in records])])
 
     @given(values=st.lists(st.integers(0, 10**6), min_size=1, max_size=96))
     def test_linky_normalization_conserves_energy(self, values):
@@ -218,7 +230,7 @@ class TestNormalize:
                            QuantityKind.ENERGY_WH, v)
             for k, v in enumerate(values)
         ]
-        series = normalize_to_slots(records)
+        series = normalize_to_slots(_readings(records))
         assert sum(series.energies) == sum(values)
 
 
@@ -258,7 +270,7 @@ class TestDstDays:
     def test_switch_day_keeps_each_slots_offset(self, quantity, first, n, first_text, last_text):
         first = parse_timestamp(first)
         records, total = self._records(quantity, first, n)
-        series = normalize_to_slots(reversed(records))
+        series = normalize_to_slots(_readings(reversed(records)))
         starts = [ts.isoformat() for ts in series.starts]
         assert len(series) == n
         assert starts[0] == first_text and starts[-1] == last_text
@@ -274,7 +286,7 @@ class TestDstDays:
         with pytest.raises(
             ValueError, match=r"^m1: readings of slot 2024-03-30T10:00:00\+01:00 carry two UTC offsets$"
         ):
-            normalize_to_slots(records)
+            normalize_to_slots(_readings(records))
 
     @pytest.mark.parametrize("quantity", list(QuantityKind), ids=lambda q: q.value)
     @pytest.mark.parametrize(
@@ -300,7 +312,7 @@ class TestDstDays:
         kept = [r for r in records if (r.timestamp - first) // step != 1]
         samples = " (0/3 ten-minute power samples)" if quantity is QuantityKind.POWER_KW_10MIN else ""
         with pytest.raises(ValueError, match=f"^m1: {re.escape(message + samples)}$"):
-            normalize_to_slots(kept)
+            normalize_to_slots(_readings(kept))
 
 
 class TestRoundHalfEven:
@@ -665,6 +677,27 @@ def _outcome(normalize, records):
     return "slots", [(ts.isoformat(), energy) for ts, energy in zip(series.starts, series.energies)]
 
 
+def _view(r):
+    return (r.meter_id, r.meter_class, r.timestamp.isoformat(), r.quantity_kind,
+            type(r.value), str(r.value))
+
+
+def _by_meter(records):
+    """Records grouped by meter id, class and quantity kind, each group in file order."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.meter_id, r.meter_class, r.quantity_kind), []).append(r)
+    return groups
+
+
+def _columns(result):
+    """Each MeterReadings of an ingest result, keyed as _by_meter keys the reference records."""
+    return {
+        (m.meter_id, m.meter_class, m.quantity_kind): [_view(m[k]) for k in range(len(m))]
+        for m in result.meters
+    }
+
+
 class TestAgainstReferenceNormalizer:
     @settings(max_examples=300, deadline=None)
     @given(text=_meter_csv())
@@ -673,19 +706,15 @@ class TestAgainstReferenceNormalizer:
         records, errors = _reference_ingest(text)
         assert [str(e) for e in result.errors] == errors
 
-        def view(r):
-            return (r.meter_id, r.meter_class, r.timestamp.isoformat(), r.quantity_kind,
-                    type(r.value), str(r.value))
-
-        assert [view(r) for r in result.records] == [view(r) for r in records]
-        by_meter, reference_by_meter = {}, {}
-        for r in result.records:
-            by_meter.setdefault(r.meter_id, []).append(r)
-        for r in records:
-            reference_by_meter.setdefault(r.meter_id, []).append(r)
-        for meter_id, reference in reference_by_meter.items():
+        reference = _by_meter(records)
+        assert _columns(result) == {key: list(map(_view, group)) for key, group in reference.items()}
+        assert list(map(_view, result.records)) == [_view(r) for group in reference.values() for r in group]
+        assert len(result.records) == len(records)
+        by_meter = readings_by_meter([result])
+        assert by_meter.keys() == {meter_id for meter_id, _, _ in reference}
+        for (meter_id, _, _), group in reference.items():
             assert _outcome(normalize_to_slots, by_meter[meter_id]) == _outcome(
-                _reference_normalize, reference
+                _reference_normalize, group
             )
 
     @settings(max_examples=300, deadline=None)
@@ -712,15 +741,13 @@ class TestAgainstReferenceNormalizer:
             else:
                 by_meter = _ingest_meters(paths)
 
-        def view(r):
-            return (r.meter_id, r.meter_class, r.timestamp.isoformat(), r.quantity_kind,
-                    type(r.value), str(r.value))
-
         reference_by_meter = {}
         for result, (records, errors) in zip(results, reference):
             assert [str(e) for e in result.errors] == errors
             assert len(result.records) == len(records)
-            assert [view(r) for r in result.records] == [view(r) for r in records]
+            groups = _by_meter(records)
+            assert _columns(result) == {key: list(map(_view, group)) for key, group in groups.items()}
+            assert list(map(_view, result.records)) == [_view(r) for group in groups.values() for r in group]
             for r in records:
                 reference_by_meter.setdefault(r.meter_id, []).append(r)
         assert by_meter.keys() == reference_by_meter.keys()

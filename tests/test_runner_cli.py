@@ -610,6 +610,23 @@ class TestCli:
         r = CliRunner().invoke(main, ["ingest", *map(str, paths)])
         assert r.exit_code == 1
         assert message in r.output
+        assert "meter m1: " in r.output
+
+    def test_run_rejects_a_meter_read_two_ways(self, demo):
+        meters = demo / "meters.csv"
+        first_b2 = next(row for row in meters.read_text().splitlines() if row.startswith("b2,"))
+        timestamp = first_b2.split(",")[2]
+        with meters.open("a") as fh:
+            fh.write(f"b2,sme_smi,{timestamp},energy_kwh_index,5\n")
+        r = CliRunner().invoke(main, ["run", "--config", str(demo / "run_config.json")])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert (
+            "validation error: meter b2: records mix meter classes (linky energy_wh, sme_smi energy_kwh_index)"
+            in r.output
+        )
+        assert "Traceback" not in r.output
+        assert not (demo / "reports").exists()
 
     def test_ingest_normalizes_and_writes_slots(self, tmp_path):
         csv_path = tmp_path / "meters.csv"

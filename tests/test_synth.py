@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from cscshare.ingestion import add_constant_load, apply_pv_gain, ingest_csv, normalize_to_slots
+from cscshare.ingestion import (
+    add_constant_load,
+    apply_pv_gain,
+    ingest_csv,
+    normalize_to_slots,
+    readings_by_meter,
+)
 from cscshare.model import Kind
 from cscshare.synth import DEMO_DC_LOAD_KW, DEMO_PV_GAIN, PROFILES, synthesize_demo_data
 
@@ -20,13 +26,11 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 def _load_series(out_dir: Path):
     result = ingest_csv(out_dir / "meters.csv")
     assert result.ok
-    by_meter = {}
-    for record in result.records:
-        by_meter.setdefault(record.meter_id, []).append(record)
+    by_meter = readings_by_meter([result])
     production = normalize_to_slots(by_meter.pop("pv1"), kind=Kind.PRODUCTION)
     consumption = {
-        pid: normalize_to_slots(records, kind=Kind.CONSUMPTION)
-        for pid, records in by_meter.items()
+        pid: normalize_to_slots(readings, kind=Kind.CONSUMPTION)
+        for pid, readings in by_meter.items()
     }
     return production, consumption
 
