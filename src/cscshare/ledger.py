@@ -12,27 +12,39 @@ and hashes. Payloads are therefore restricted to JSON trees of strings,
 integers, booleans and null; floats are rejected because their textual
 form is not canonical across writers. Render decimals as strings.
 
-A ``Ledger`` is its canonical lines, exactly as the log file holds them,
-and nothing else: ``append`` and ``read_ledger`` are the only ways lines
-get in. ``append`` encodes each payload once and splices the hash
-material and the line from that encoding; writing copies the lines out.
+A ``Ledger`` is its chain's head, record count, last timestamps and
+first break, and where its canonical lines go: ``append`` and
+``read_ledger`` are the only ways lines get in. ``Ledger()`` keeps its
+lines in memory. ``Ledger(path)`` streams them into a new file as they
+are appended, a fixed number per write, so a settlement never holds its
+log; the runner streams into the staged ``audit.log``. ``read_ledger``
+of a path keeps no line of the file, only the SHA-256 of its bytes, and
+``write_ledger`` copies the file only while its bytes are the ones read.
+``append`` encodes each payload once and splices the hash material and
+the line from that encoding.
 A ``PayloadTemplate`` renders payloads of one fixed shape from integer
 columns: its keys and constants are encoded once, and each row's
 integers are filled into the text, which ``append`` takes as it is. The
 lines are byte-identical to appending the payload dicts.
 Reading walks the lines once. It rejects any line that is not its
-record's canonical serialization, decoding and checking each distinct
-payload text once, then checks the line's link and hashes the material
-it splices from the line's own slices. The ledger keeps the first break
-it finds, and ``verify_chain`` reports it. A line is the only form a
-record takes: the file format (README "Audit ledger") is how to read one.
+record's canonical serialization, decoding and checking each payload
+text it has not checked yet (it keeps a bounded set of them), then
+checks the line's link and hashes the material it splices from the
+line's own slices. The ledger keeps the
+first break it finds, and ``verify_chain`` reports it. A line is the
+only form a record takes: the file format (README "Audit ledger") is
+how to read one.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import itertools
 import json
+import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
@@ -42,6 +54,14 @@ from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 from cscshare.model import parse_timestamp
 
 GENESIS_HASH = "0" * 64
+
+# Lines a streamed ledger joins into one write to its file.
+_WRITE_LINES = 256
+# Bytes read from a ledger file at a time.
+_READ_BYTES = 1 << 16
+# Bytes of payload text a read keeps as checked before it starts over.
+# A year of 3 participants has ~4 MiB of distinct payload texts.
+_CHECKED_PAYLOAD_BYTES = 16 << 20
 
 # Reserved counting-point key for repartition coefficient records.
 KOR_COUNTING_POINT = "KOR"
@@ -203,17 +223,40 @@ class ChainReport:
 
 
 class Ledger:
-    """Append-only hash chain, held as its canonical lines. Single writer.
+    """Append-only hash chain. Single writer.
 
-    ``Ledger()`` is empty. A ledger that ``read_ledger`` returns takes its
-    head hash and the last timestamp of each counting point from the
-    checked lines, so it can be appended to as well. ``len`` counts its
-    records; ``write_ledger`` copies its lines out.
+    A ledger is its head hash, its record count, the last timestamp of
+    each counting point, the first break ``read_ledger`` found, and where
+    its lines are:
+
+    - ``Ledger()`` keeps them in memory, each ending in a newline.
+    - ``Ledger(path)`` creates the file ``path`` and streams them into it,
+      a fixed number per write. ``write_ledger(ledger, path)`` writes the
+      last of them and closes the file, as ``close`` and leaving a
+      ``with`` block do; nothing can be appended after.
+    - A ledger ``read_ledger`` read from a path keeps none of the file's
+      lines, only the SHA-256 of its bytes; it keeps the lines appended
+      since in memory. Read from a text stream, it keeps every line.
+
+    A ledger that ``read_ledger`` returns takes its head hash and the last
+    timestamp of each counting point from the checked lines, so it can be
+    appended to as well. ``len`` counts its records.
     """
 
-    def __init__(self):
-        # each line ends in "\n"
+    def __init__(self, path: str | Path | None = None):
+        # lines in no file yet, each ending in "\n"
         self._lines: list[str] = []
+        # the file holding the first _in_file records; _digest is its
+        # SHA-256 when read_ledger read it, None when the ledger streams
+        # into it through _sink
+        self._path = None if path is None else Path(path).absolute()
+        self._in_file = 0
+        self._digest: bytes | None = None
+        # the file's last line lacks its "\n", which writing adds
+        self._unended = False
+        self._sink = None if path is None else open(path, "x", encoding="utf-8", newline="\n")
+        # append writes the held lines to _sink first once this many are held
+        self._flush_at = sys.maxsize if path is None else _WRITE_LINES
         self._head = GENESIS_HASH
         self._head_json = f'"{GENESIS_HASH}"'
         self._last_ts: dict[str, datetime] = {}
@@ -225,25 +268,50 @@ class Ledger:
         # the first break read_ledger found; append never makes one
         self._report = ChainReport(True)
 
-    def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
-        """Keep each line, decoded and ending in a newline, and the first
-        break in the chain: a previous hash that is not the line before's
-        hash (the genesis hash for line 1), or a hash that is not the
-        SHA-256 of the line's hash material. The first line that is not
-        canonical, or not UTF-8, raises ValueError with its number."""
-        kept, last_ts = self._lines, self._last_ts
-        keys: dict[str, str] = {}
-        # records of one slot share one datetime, as they do when appended
-        timestamps: dict[str, datetime] = {}
-        payload_texts: set[str] = set()
+    def __enter__(self) -> Ledger:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Write a streamed ledger's held lines and close its file, also if
+        writing fails. Any other ledger has no file open."""
+        sink = self._sink
+        if sink is None:
+            return
+        try:
+            self._flush()
+        finally:
+            self._sink, self._flush_at = None, 0
+            sink.close()
+
+    def _flush(self) -> None:
+        if self._sink is None:
+            raise ValueError(f"ledger file {self._path} is closed")
+        self._sink.write("".join(self._lines))
+        self._in_file += len(self._lines)
+        self._lines.clear()
+
+    def _load(self, lines: Iterable[str] | Iterable[bytes], keep: bool) -> None:
+        """Walk the lines, keeping each, decoded and ending in a newline,
+        if ``keep``, else counting them, and keep the first break in the
+        chain: a previous hash that is not the line before's hash (the
+        genesis hash for line 1), or a hash that is not the SHA-256 of the
+        line's hash material. The first line that is not canonical, or not
+        UTF-8, raises ValueError with its number."""
+        kept = self._lines.append if keep else None
+        last_ts = self._last_ts
+        checked = _Checked()
         report = None
         head_text = GENESIS_HASH
+        i = -1
         for i, line in enumerate(lines):
             try:
                 if isinstance(line, bytes):
                     line = line.decode("utf-8")
                 stop = len(line) - 1 if line.endswith("\n") else len(line)
-                fields = _split(line, stop, keys, timestamps, payload_texts)
+                fields = _split(line, stop, checked)
                 # a previous hash with the head's text is canonical
                 if fields is None or fields[2] != head_text and _string(fields[2]) is None:
                     _reject(line[:stop])
@@ -258,15 +326,18 @@ class Ledger:
                     report = ChainReport(False, i, f"broken link at record {i}")
                 elif hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
                     report = ChainReport(False, i, f"hash mismatch at record {i}")
-            kept.append(line if stop < len(line) else f"{line}\n")
+            if kept is not None:
+                kept(line if stop < len(line) else f"{line}\n")
             last_ts[key] = timestamp
             head_text = hash_text
+        if kept is None:
+            self._in_file, self._unended = i + 1, i >= 0 and stop == len(line)
         self._head, self._head_json = _string(head_text), f'"{head_text}"'
         if report is not None:
             self._report = report
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._in_file + len(self._lines)
 
     @property
     def head_hash(self) -> str:
@@ -285,6 +356,9 @@ class Ledger:
         Timestamps must not regress within one counting point; equal
         timestamps are allowed (several policies may log the same slot).
         """
+        lines = self._lines
+        if len(lines) >= self._flush_at:
+            self._flush()
         if timestamp is not self._stamp:
             if timestamp.tzinfo is None or timestamp.utcoffset() is None:
                 raise ValueError("record timestamp has no UTC offset")
@@ -307,7 +381,7 @@ class Ledger:
         stamp_json, prev_json = self._stamp_json, self._head_json
         hash_ = _record_hash(key_json, stamp_json, payload, prev_json)
         # _line of the same values; a hex digest is its own JSON text
-        self._lines.append(
+        lines.append(
             f'{{"counting_point_key":{key_json},"hash":"{hash_}","payload":{payload},'
             f'"prev_hash":{prev_json},"timestamp":{stamp_json}}}\n'
         )
@@ -342,12 +416,104 @@ def verify_chain(ledger: Ledger) -> ChainReport:
 
 
 def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
-    """Write one canonical line per record: a ``Ledger``'s lines as they are."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as stream:
-            stream.writelines(ledger._lines)
+    """Write one canonical line per record.
+
+    - A ledger in memory writes its lines as they are.
+    - A ledger streamed into a file is written only to that file: this
+      writes its held lines and closes the file.
+    - A ledger read from a file copies that file, then the lines appended
+      since; written to the file itself, it appends those lines. It first
+      takes the file's SHA-256, and raises ValueError naming the file if
+      its bytes are not the ones read, so a changed file is never copied.
+      A file changed during the copy raises too, and a target path is
+      then removed.
+    """
+    path, lines = ledger._path, ledger._lines
+    if path is None:
+        if isinstance(target, (str, Path)):
+            with open(target, "w", encoding="utf-8", newline="\n") as stream:
+                stream.writelines(lines)
+        else:
+            target.writelines(lines)
+        return
+    own = isinstance(target, (str, Path)) and _same_file(target, path)
+    if ledger._digest is None:
+        if not own:
+            raise ValueError(f"a ledger streamed into {path} is written only to that file")
+        ledger.close()
+        return
+    digest = _copy_read_file(ledger, lambda chunk: None)
+    text = ("\n" if ledger._unended else "") + "".join(lines)
+    if own:
+        with open(path, "a", encoding="utf-8", newline="\n") as stream:
+            stream.write(text)
+        digest.update(text.encode("utf-8"))
+        ledger._digest, ledger._in_file, ledger._unended = digest.digest(), len(ledger), False
+        lines.clear()
+    elif isinstance(target, (str, Path)):
+        with open(target, "wb") as stream:
+            try:
+                _copy_read_file(ledger, stream.write)
+            except ValueError:
+                stream.close()
+                os.unlink(target)
+                raise
+            stream.write(text.encode("utf-8"))
     else:
-        target.writelines(ledger._lines)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        _copy_read_file(ledger, lambda chunk: target.write(decode(chunk)))
+        target.write(text)
+
+
+def _same_file(target: str | Path, path: Path) -> bool:
+    try:
+        return os.path.samefile(target, path)
+    except OSError:  # no file at target
+        return False
+
+
+def _copy_read_file(ledger: Ledger, emit) -> Any:
+    """Hand each chunk of the file ``ledger`` was read from to ``emit``, and
+    return the SHA-256 object of its bytes; raise ValueError if they are
+    not the bytes read."""
+    digest = hashlib.sha256()
+    with open(ledger._path, "rb") as stream:
+        while chunk := stream.read(_READ_BYTES):
+            digest.update(chunk)
+            emit(chunk)
+    if digest.digest() != ledger._digest:
+        raise ValueError(f"ledger file {ledger._path} changed since it was read")
+    return digest
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for reading that takes the SHA-256 of every byte read."""
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self.digest = hashlib.sha256()
+
+    def readinto(self, buffer) -> int | None:
+        n = super().readinto(buffer)
+        if n:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+class _Checked:
+    """The texts a read has checked: every counting-point key (a log has
+    few), the last timestamp, as the records of one slot are adjacent, and
+    payload texts until they pass ``_CHECKED_PAYLOAD_BYTES``, when the set
+    starts over."""
+
+    __slots__ = ("keys", "stamp_text", "stamp", "payloads", "payload_bytes")
+
+    def __init__(self):
+        self.keys: dict[str, str] = {}
+        self.stamp_text: str | None = None
+        self.stamp: datetime | None = None
+        self.payloads: set[str] = set()
+        self.payload_bytes = 0
 
 
 def _string(text: str) -> str | None:
@@ -360,13 +526,7 @@ def _string(text: str) -> str | None:
     return value if _quote(value) == quoted else None
 
 
-def _split(
-    line: str,
-    stop: int,
-    keys: dict[str, str],
-    timestamps: dict[str, datetime],
-    payload_texts: set[str],
-) -> tuple[str, datetime, str, str, str] | None:
+def _split(line: str, stop: int, checked: _Checked) -> tuple[str, datetime, str, str, str] | None:
     """What reading needs of the canonical line ``line[:stop]`` (key,
     timestamp, previous-hash text, hash text and hash material), or None
     for any other line. The caller checks the previous-hash text, which
@@ -383,9 +543,9 @@ def _split(
     canonical form of its value, which is iff the line is ``_line`` of
     those values; the hash material is spliced from the same pieces.
 
-    Keys, timestamps and payload texts repeat: each distinct text is
-    checked once and kept in the caller's dicts and set, so the records
-    that hold a key or a timestamp share one object.
+    Keys, timestamps and payload texts repeat: a text ``checked`` holds is
+    not checked again, and the records that hold a key, or one slot's
+    timestamp, share one object.
     """
     if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
         return None
@@ -405,12 +565,12 @@ def _split(
         return None
 
     key_text = line[len(_HEAD):at_hash]
-    key = keys.get(key_text)
+    key = checked.keys.get(key_text)
     if key is None:
         key = _string(key_text)
         if key is None:
             return None
-        keys[key_text] = key
+        checked.keys[key_text] = key
 
     hash_text = line[at_hash + len(_AT_HASH):at_payload]
     # a hash needing no escape is its own text
@@ -419,8 +579,9 @@ def _split(
     prev_text = line[at_prev_hash + len(_AT_PREV_HASH):at_timestamp]
 
     timestamp_text = line[at_timestamp + len(_AT_TIMESTAMP):end]
-    timestamp = timestamps.get(timestamp_text)
-    if timestamp is None:
+    if timestamp_text == checked.stamp_text:
+        timestamp = checked.stamp
+    else:
         try:
             timestamp = parse_timestamp(timestamp_text)
         except ValueError:
@@ -429,17 +590,22 @@ def _split(
         # any date/time separator); isoformat() needs no JSON escape
         if timestamp.isoformat() != timestamp_text:
             return None
-        timestamps[timestamp_text] = timestamp
+        checked.stamp_text, checked.stamp = timestamp_text, timestamp
 
     payload_text = line[payload_start:at_prev_hash]
-    if payload_text not in payload_texts:
+    payloads = checked.payloads
+    if payload_text not in payloads:
         try:
             payload = _decode(payload_text)
         except ValueError:
             return None
         if not isinstance(payload, dict) or _encode(payload) != payload_text:
             return None
-        payload_texts.add(payload_text)
+        checked.payload_bytes += len(payload_text)
+        if checked.payload_bytes > _CHECKED_PAYLOAD_BYTES:
+            payloads.clear()
+            checked.payload_bytes = len(payload_text)
+        payloads.add(payload_text)
 
     # _record_hash's material, from the texts of the quoted members
     material = f'["{key_text}","{timestamp_text}",{payload_text},"{prev_text}"]'
@@ -471,14 +637,20 @@ def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
     canonical serialization, ending in a newline (the last line may lack
     it). A break in the chain does not fail the read: the ledger keeps
-    the first one for verify_chain to report."""
+    the first one for verify_chain to report.
+
+    Read from a path, the ledger keeps no line, only the file's SHA-256,
+    taken as it is read; read from a text stream, which cannot be read
+    again, it keeps every line."""
     ledger = Ledger()
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
-        with open(source, "rb") as stream:
-            ledger._load(stream)
+        with io.BufferedReader(_HashedFile(source), _READ_BYTES) as stream:
+            ledger._load(stream, keep=False)
+            ledger._path = Path(source).absolute()
+            ledger._digest = stream.raw.digest.digest()
         return ledger
-    ledger._load(source)
+    ledger._load(source, keep=True)
     # a text stream that translates line ends hands "\r\n" over as "\n";
     # it records what it translated
     newlines = getattr(source, "newlines", None) or ()

@@ -3,8 +3,9 @@
 A run is all-or-nothing: every output is staged next to the target
 directory and moved into place only after the whole computation
 succeeded, so downstream figure scripts never see half-written files.
-Identical inputs produce byte-identical output trees, audit chain
-included.
+The audit log is streamed into the staged ``audit.log`` as its records
+are appended, so a run never holds the whole log. Identical inputs
+produce byte-identical output trees, audit chain included.
 """
 
 from __future__ import annotations
@@ -282,14 +283,18 @@ def _build_ledger(
     production: SlotSeries,
     tables: Mapping[str, AllocationTable],
     static_kors: Mapping[str, KorVector],
+    ledger: Ledger | None = None,
 ) -> Ledger:
-    """Appends are ordered by slot, then meters, then policy name.
+    """Append the run's records to ``ledger`` (a new one in memory by
+    default) and return it. Appends are ordered by slot, then meters, then
+    policy name.
 
     Every table must hold one row per production slot, in slot order;
     consumption records are read from the first policy's. Each payload is
     rendered from the columns by a template of its fixed shape.
     """
-    ledger = Ledger()
+    if ledger is None:
+        ledger = Ledger()
     names = sorted(tables)
     consumption = sorted(tables[names[0]].consumption.items())
     produced = PayloadTemplate({"kind": "production", "energy_wh": int})
@@ -401,13 +406,16 @@ def run(config: RunConfig) -> RunResult:
             static_kors[policy.name] = policy.kors
 
     comparison = compare_policies(reports)
-    ledger = _build_ledger(production, tables, static_kors)
-    stamps = [ts.isoformat() for ts in production.starts]
 
     # Stage everything, then move into place.
     config.out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.out_dir.parent))
     try:
+        # the log's file is closed however this block is left
+        with Ledger(staging / "audit.log") as ledger:
+            _build_ledger(production, tables, static_kors, ledger)
+            write_ledger(ledger, staging / "audit.log")
+        stamps = [ts.isoformat() for ts in production.starts]
         emitted: list[str] = []
         ordered_ids = sorted(ids)
         for name in sorted(reports):
@@ -430,7 +438,6 @@ def run(config: RunConfig) -> RunResult:
         emitted.append("comparison.csv")
         _write_json(staging / "comparison.json", comparison.to_json_dict())
         emitted.append("comparison.json")
-        write_ledger(ledger, staging / "audit.log")
         emitted.append("audit.log")
 
         config.out_dir.mkdir(parents=True, exist_ok=True)

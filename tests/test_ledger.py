@@ -30,9 +30,11 @@ from datetime import datetime, timedelta, timezone
 from conftest import DAY, slot_ts
 
 
-def build_ledger(n=10):
-    ledger = Ledger()
-    for k in range(n):
+def build_ledger(n=10, ledger=None):
+    """Records 0 to n - 1 of one production meter, appended to ``ledger``
+    (a new one by default) after the records it holds."""
+    ledger = Ledger() if ledger is None else ledger
+    for k in range(len(ledger), n):
         ledger.append(
             {"kind": "production", "energy_wh": 100 + k},
             counting_point_key="pv1",
@@ -334,6 +336,90 @@ class TestSerialization:
         report = verify_chain(tampered)
         assert not report.intact
         assert report.first_break <= 7
+
+
+
+class TestLogFiles:
+    """A ledger streamed into a file, and one read from a file, write the
+    bytes a ledger in memory writes."""
+
+    def test_streamed_ledger_writes_the_bytes_of_one_in_memory(self, tmp_path):
+        n = 2 * ledger_mod._WRITE_LINES + 5
+        path = tmp_path / "audit.log"
+        with Ledger(path) as streamed:
+            build_ledger(n, streamed)
+            assert (len(streamed), streamed.head_hash) == (n, build_ledger(n).head_hash)
+            with pytest.raises(ValueError, match="written only to that file"):
+                write_ledger(streamed, tmp_path / "other.log")
+            write_ledger(streamed, path)
+        assert path.read_text(encoding="utf-8") == _written(write_ledger, build_ledger(n))
+        assert not (tmp_path / "other.log").exists()
+        with pytest.raises(ValueError, match="is closed"):
+            build_ledger(n + 1, streamed)
+        assert len(streamed) == n
+        with pytest.raises(FileExistsError):
+            Ledger(path)
+
+    @pytest.mark.parametrize("target", ["other file", "stream", "same file"])
+    @pytest.mark.parametrize("ended", [True, False], ids=["ended", "last-line-unended"])
+    def test_read_append_write_gives_the_in_memory_bytes(self, tmp_path, target, ended):
+        expected = _written(write_ledger, build_ledger(40))
+        path = tmp_path / "audit.log"
+        text = _written(write_ledger, build_ledger(30))
+        seed = text if ended else text[:-1]
+        path.write_bytes(seed.encode("utf-8"))
+        ledger = build_ledger(40, read_ledger(path))
+        assert (len(ledger), ledger.head_hash) == (40, build_ledger(40).head_hash)
+        if target == "stream":
+            written = _written(write_ledger, ledger)
+        else:
+            out = path if target == "same file" else tmp_path / "out.log"
+            write_ledger(ledger, out)
+            written = out.read_text(encoding="utf-8")
+        assert written == expected
+        # a second write gives the same bytes: appended lines go out once
+        assert _written(write_ledger, ledger) == expected
+        assert path.read_text(encoding="utf-8") == (expected if target == "same file" else seed)
+
+    @pytest.mark.parametrize("target", ["other file", "stream", "same file"])
+    def test_log_edited_after_the_read_is_not_written(self, tmp_path, target):
+        """A one-digit edit keeps the file's size; the SHA-256 taken while
+        reading still tells the file changed."""
+        path = tmp_path / "audit.log"
+        write_ledger(build_ledger(30), path)
+        ledger = build_ledger(31, read_ledger(path))
+        raw = path.read_bytes()
+        edited = raw.replace(b'"energy_wh":117', b'"energy_wh":118', 1)
+        assert len(edited) == len(raw) and edited != raw
+        path.write_bytes(edited)
+        out = {"other file": tmp_path / "out.log", "stream": io.StringIO(), "same file": path}[target]
+        with pytest.raises(ValueError, match=f"^ledger file {re.escape(str(path))} changed since it was read$"):
+            write_ledger(ledger, out)
+        if target == "other file":
+            assert not out.exists()
+        elif target == "stream":
+            assert out.getvalue() == ""
+        assert path.read_bytes() == edited
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.log"]
+
+    @pytest.mark.parametrize("budget, checks", [(None, 3), (80, 60)])
+    def test_checked_payload_texts_start_over_past_their_budget(self, tmp_path, monkeypatch, budget, checks):
+        """Three payload texts of 38 bytes take turns. Each is checked once
+        under the default budget; under 80 bytes the set starts over at
+        every third new text, and every line is checked. The read is the
+        same."""
+        ledger = Ledger()
+        for k in range(60):
+            ledger.append({"kind": "production", "energy_wh": 100 + k % 3}, "pv1", slot_ts(k % 48, DAY + timedelta(days=k // 48)))
+        path = tmp_path / "audit.log"
+        write_ledger(ledger, path)
+        if budget is not None:
+            monkeypatch.setattr(ledger_mod, "_CHECKED_PAYLOAD_BYTES", budget)
+        encoded = []
+        monkeypatch.setattr(ledger_mod, "_encode", lambda value: encoded.append(value) or _encode(value))
+        reread = read_ledger(path)
+        assert len(encoded) == checks
+        assert (len(reread), reread.head_hash, verify_chain(reread)) == (60, ledger.head_hash, ChainReport(True))
 
 
 @given(

@@ -1,9 +1,12 @@
 """End-to-end runs, output contract, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
+import warnings
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -13,7 +16,7 @@ from click.testing import CliRunner
 
 from cscshare.billing import compute_scr
 from cscshare.cli import main
-from cscshare.ledger import read_ledger, verify_chain
+from cscshare.ledger import Ledger, read_ledger, verify_chain
 from cscshare.model import AllocationTable, DateRange, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
@@ -216,6 +219,71 @@ class TestRun:
         # with b4 first in line it self-consumes more than it would otherwise
         assert Decimal(report["savings"]["per_participant_eur"]["b4"]) > 0
 
+
+def _four_weeks(demo: Path) -> None:
+    """Repeat the demo day's meter rows over 1-28 June 2024 (all +02:00)."""
+    header, *rows = (demo / "meters.csv").read_text(encoding="utf-8").splitlines()
+    days = [row.replace("2024-06-12T", f"2024-06-{d:02d}T") for d in range(1, 29) for row in rows]
+    (demo / "meters.csv").write_text("\n".join([header, *days]) + "\n", encoding="utf-8")
+
+
+class TestStreamedLog:
+    """The run streams its log into staging, and reading a log keeps none
+    of its lines, so neither holds the log in memory."""
+
+    def test_run_and_read_peak_under_a_fraction_of_the_log(self, demo):
+        """Held, the log alone would be above its file's size. Streamed,
+        the run's peak is set by ingestion: the power meter's Decimal values
+        and the file's timestamp cache come near half the log on this
+        input, so the run is held to three quarters of it."""
+        _four_weeks(demo)
+        config = load_run_config(demo / "run_config.json")
+        run(config)  # what a first call allocates once is not the run's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = run(config).out_dir
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ledger = read_ledger(out / "audit.log")
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (out / "audit.log").stat().st_size
+        assert len(ledger) == 28 * 48 * (1 + 3 + 4) and verify_chain(ledger).intact
+        assert run_peak < size * 3 / 4, (run_peak, size)
+        assert read_peak < size / 2, (read_peak, size)
+
+    def test_append_raising_midway_leaves_no_staging_and_no_open_file(self, demo, monkeypatch):
+        """Every ResourceWarning is recorded, as an unclosed file warns
+        when it is freed, and none may be."""
+        _four_weeks(demo)
+        config = load_run_config(demo / "run_config.json")
+        append, calls = Ledger.append, []
+
+        class Boom(Exception):
+            pass
+
+        def failing(self, *args):
+            calls.append(None)
+            if len(calls) == 5000:  # after a few writes to the staged log
+                raise Boom
+            return append(self, *args)
+
+        monkeypatch.setattr(Ledger, "append", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                run(config)
+            except Boom:
+                pass
+            else:
+                pytest.fail("the run did not raise")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert len(calls) == 5000
+        assert sorted(p.name for p in demo.iterdir() if p.name.startswith(".staging-")) == []
+        assert not (demo / "reports").exists()
 
 def _read_allocations(path: Path) -> AllocationTable:
     with open(path, newline="", encoding="utf-8") as fh:
