@@ -7,19 +7,18 @@ process, single chain structure: no consensus, no replication, no payload
 encryption.
 
 Serialization is canonical (fixed field order, integers in decimal, no
-whitespace) so that re-reading a ledger file reproduces the exact bytes
-and hashes. Payloads are therefore restricted to JSON trees of strings,
+whitespace) so that a ledger file read back and continued reproduces
+the exact bytes and hashes. Payloads are therefore restricted to JSON trees of strings,
 integers, booleans and null; floats are rejected because their textual
 form is not canonical across writers. Render decimals as strings.
 
 A ``Ledger`` is its chain's head, record count, last timestamps and
-first break, and where its canonical lines go: ``append`` and
-``read_ledger`` are the only ways lines get in. ``Ledger()`` keeps its
-lines in memory. ``Ledger(path)`` streams them into a new file as they
-are appended, a fixed number per write, so a settlement never holds its
-log; the runner streams into the staged ``audit.log``. ``read_ledger``
-of a path keeps no line of the file, only the SHA-256 of its bytes, and
-``write_ledger`` copies the file only while its bytes are the ones read.
+first break, and it holds only the lines appended to it. ``Ledger()``
+keeps them in a list. ``Ledger(path)`` writes each into a new file as it
+is appended, so a settlement never holds its log; the runner streams
+into the staged ``audit.log``. ``read_ledger`` returns only the chain
+state of what it read, from a path or a text stream alike, so read,
+append and write gives the segment that continues the log read.
 ``append`` encodes each payload once and splices the hash material and
 the line from that encoding.
 A ``PayloadTemplate`` renders payloads of one fixed shape from integer
@@ -38,13 +37,10 @@ how to read one.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
-import io
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
@@ -55,10 +51,6 @@ from cscshare.model import parse_timestamp
 
 GENESIS_HASH = "0" * 64
 
-# Lines a streamed ledger joins into one write to its file.
-_WRITE_LINES = 256
-# Bytes read from a ledger file at a time.
-_READ_BYTES = 1 << 16
 # Bytes of payload text a read keeps as checked before it starts over.
 # A year of 3 participants has ~4 MiB of distinct payload texts.
 _CHECKED_PAYLOAD_BYTES = 16 << 20
@@ -226,37 +218,29 @@ class Ledger:
     """Append-only hash chain. Single writer.
 
     A ledger is its head hash, its record count, the last timestamp of
-    each counting point, the first break ``read_ledger`` found, and where
-    its lines are:
+    each counting point, the first break ``read_ledger`` found, and the
+    lines appended to it, each ending in a newline:
 
-    - ``Ledger()`` keeps them in memory, each ending in a newline.
-    - ``Ledger(path)`` creates the file ``path`` and streams them into it,
-      a fixed number per write. ``write_ledger(ledger, path)`` writes the
-      last of them and closes the file, as ``close`` and leaving a
-      ``with`` block do; nothing can be appended after.
-    - A ledger ``read_ledger`` read from a path keeps none of the file's
-      lines, only the SHA-256 of its bytes; it keeps the lines appended
-      since in memory. Read from a text stream, it keeps every line.
+    - ``Ledger()`` keeps them in a list.
+    - ``Ledger(path)`` creates the file ``path`` and writes each into it
+      through the file's own buffer. ``write_ledger(ledger, path)`` closes
+      the file, as ``close`` and leaving a ``with`` block do; nothing can
+      be appended after.
 
-    A ledger that ``read_ledger`` returns takes its head hash and the last
-    timestamp of each counting point from the checked lines, so it can be
-    appended to as well. ``len`` counts its records.
+    ``read_ledger`` returns a ``Ledger()`` that holds no line, only the
+    chain state of what it read, so it can be appended to; the lines
+    appended since are the segment that continues the log read. ``len``
+    counts every record of the chain, read or appended.
     """
 
     def __init__(self, path: str | Path | None = None):
-        # lines in no file yet, each ending in "\n"
         self._lines: list[str] = []
-        # the file holding the first _in_file records; _digest is its
-        # SHA-256 when read_ledger read it, None when the ledger streams
-        # into it through _sink
+        self._count = 0
+        # a streamed ledger's file, absolute, and the file object
         self._path = None if path is None else Path(path).absolute()
-        self._in_file = 0
-        self._digest: bytes | None = None
-        # the file's last line lacks its "\n", which writing adds
-        self._unended = False
         self._sink = None if path is None else open(path, "x", encoding="utf-8", newline="\n")
-        # append writes the held lines to _sink first once this many are held
-        self._flush_at = sys.maxsize if path is None else _WRITE_LINES
+        # where append sends each line
+        self._write = self._lines.append if path is None else self._sink.write
         self._head = GENESIS_HASH
         self._head_json = f'"{GENESIS_HASH}"'
         self._last_ts: dict[str, datetime] = {}
@@ -275,32 +259,17 @@ class Ledger:
         self.close()
 
     def close(self) -> None:
-        """Write a streamed ledger's held lines and close its file, also if
-        writing fails. Any other ledger has no file open."""
-        sink = self._sink
-        if sink is None:
-            return
-        try:
-            self._flush()
-        finally:
-            self._sink, self._flush_at = None, 0
-            sink.close()
+        """Close a streamed ledger's file, writing what its buffer holds.
+        Any other ledger has no file open."""
+        if self._sink is not None:
+            self._sink.close()
 
-    def _flush(self) -> None:
-        if self._sink is None:
-            raise ValueError(f"ledger file {self._path} is closed")
-        self._sink.write("".join(self._lines))
-        self._in_file += len(self._lines)
-        self._lines.clear()
-
-    def _load(self, lines: Iterable[str] | Iterable[bytes], keep: bool) -> None:
-        """Walk the lines, keeping each, decoded and ending in a newline,
-        if ``keep``, else counting them, and keep the first break in the
+    def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
+        """Walk the lines, counting them, and keep the first break in the
         chain: a previous hash that is not the line before's hash (the
         genesis hash for line 1), or a hash that is not the SHA-256 of the
         line's hash material. The first line that is not canonical, or not
         UTF-8, raises ValueError with its number."""
-        kept = self._lines.append if keep else None
         last_ts = self._last_ts
         checked = _Checked()
         report = None
@@ -326,18 +295,15 @@ class Ledger:
                     report = ChainReport(False, i, f"broken link at record {i}")
                 elif hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
                     report = ChainReport(False, i, f"hash mismatch at record {i}")
-            if kept is not None:
-                kept(line if stop < len(line) else f"{line}\n")
             last_ts[key] = timestamp
             head_text = hash_text
-        if kept is None:
-            self._in_file, self._unended = i + 1, i >= 0 and stop == len(line)
+        self._count = i + 1
         self._head, self._head_json = _string(head_text), f'"{head_text}"'
         if report is not None:
             self._report = report
 
     def __len__(self) -> int:
-        return self._in_file + len(self._lines)
+        return self._count
 
     @property
     def head_hash(self) -> str:
@@ -356,9 +322,6 @@ class Ledger:
         Timestamps must not regress within one counting point; equal
         timestamps are allowed (several policies may log the same slot).
         """
-        lines = self._lines
-        if len(lines) >= self._flush_at:
-            self._flush()
         if timestamp is not self._stamp:
             if timestamp.tzinfo is None or timestamp.utcoffset() is None:
                 raise ValueError("record timestamp has no UTC offset")
@@ -381,10 +344,11 @@ class Ledger:
         stamp_json, prev_json = self._stamp_json, self._head_json
         hash_ = _record_hash(key_json, stamp_json, payload, prev_json)
         # _line of the same values; a hex digest is its own JSON text
-        lines.append(
+        self._write(
             f'{{"counting_point_key":{key_json},"hash":"{hash_}","payload":{payload},'
             f'"prev_hash":{prev_json},"timestamp":{stamp_json}}}\n'
         )
+        self._count += 1
         self._head, self._head_json = hash_, f'"{hash_}"'
         self._last_ts[counting_point_key] = timestamp
         return hash_
@@ -416,53 +380,27 @@ def verify_chain(ledger: Ledger) -> ChainReport:
 
 
 def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
-    """Write one canonical line per record.
+    """Write the lines appended to ``ledger``, one canonical line per record.
 
-    - A ledger in memory writes its lines as they are.
-    - A ledger streamed into a file is written only to that file: this
-      writes its held lines and closes the file.
-    - A ledger read from a file copies that file, then the lines appended
-      since; written to the file itself, it appends those lines. It first
-      takes the file's SHA-256, and raises ValueError naming the file if
-      its bytes are not the ones read, so a changed file is never copied.
-      A file changed during the copy raises too, and a target path is
-      then removed.
+    - A streamed ledger has written its lines into its own file, the only
+      target it takes: this closes the file.
+    - Any other ledger writes the lines appended since ``Ledger()`` or
+      ``read_ledger`` to a text stream, or to ``target`` as a new file, as
+      ``Ledger(path)`` creates one; an existing file is a FileExistsError
+      and is left as it was. After ``read_ledger`` these lines are the
+      segment that continues the log read: the log, ending in a newline,
+      followed by the segment is the whole chain.
     """
-    path, lines = ledger._path, ledger._lines
-    if path is None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="\n") as stream:
-                stream.writelines(lines)
-        else:
-            target.writelines(lines)
-        return
-    own = isinstance(target, (str, Path)) and _same_file(target, path)
-    if ledger._digest is None:
-        if not own:
+    path = ledger._path
+    if path is not None:
+        if not (isinstance(target, (str, Path)) and _same_file(target, path)):
             raise ValueError(f"a ledger streamed into {path} is written only to that file")
         ledger.close()
-        return
-    digest = _copy_read_file(ledger, lambda chunk: None)
-    text = ("\n" if ledger._unended else "") + "".join(lines)
-    if own:
-        with open(path, "a", encoding="utf-8", newline="\n") as stream:
-            stream.write(text)
-        digest.update(text.encode("utf-8"))
-        ledger._digest, ledger._in_file, ledger._unended = digest.digest(), len(ledger), False
-        lines.clear()
     elif isinstance(target, (str, Path)):
-        with open(target, "wb") as stream:
-            try:
-                _copy_read_file(ledger, stream.write)
-            except ValueError:
-                stream.close()
-                os.unlink(target)
-                raise
-            stream.write(text.encode("utf-8"))
+        with open(target, "x", encoding="utf-8", newline="\n") as stream:
+            stream.writelines(ledger._lines)
     else:
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        _copy_read_file(ledger, lambda chunk: target.write(decode(chunk)))
-        target.write(text)
+        target.writelines(ledger._lines)
 
 
 def _same_file(target: str | Path, path: Path) -> bool:
@@ -470,34 +408,6 @@ def _same_file(target: str | Path, path: Path) -> bool:
         return os.path.samefile(target, path)
     except OSError:  # no file at target
         return False
-
-
-def _copy_read_file(ledger: Ledger, emit) -> Any:
-    """Hand each chunk of the file ``ledger`` was read from to ``emit``, and
-    return the SHA-256 object of its bytes; raise ValueError if they are
-    not the bytes read."""
-    digest = hashlib.sha256()
-    with open(ledger._path, "rb") as stream:
-        while chunk := stream.read(_READ_BYTES):
-            digest.update(chunk)
-            emit(chunk)
-    if digest.digest() != ledger._digest:
-        raise ValueError(f"ledger file {ledger._path} changed since it was read")
-    return digest
-
-
-class _HashedFile(io.FileIO):
-    """A file opened for reading that takes the SHA-256 of every byte read."""
-
-    def __init__(self, path: str | Path):
-        super().__init__(path)
-        self.digest = hashlib.sha256()
-
-    def readinto(self, buffer) -> int | None:
-        n = super().readinto(buffer)
-        if n:
-            self.digest.update(memoryview(buffer)[:n])
-        return n
 
 
 class _Checked:
@@ -639,18 +549,15 @@ def read_ledger(source: str | Path | TextIO) -> Ledger:
     it). A break in the chain does not fail the read: the ledger keeps
     the first one for verify_chain to report.
 
-    Read from a path, the ledger keeps no line, only the file's SHA-256,
-    taken as it is read; read from a text stream, which cannot be read
-    again, it keeps every line."""
+    The ledger keeps no line of the source, only its chain state: the
+    record count, the head, the last timestamps and the first break."""
     ledger = Ledger()
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
-        with io.BufferedReader(_HashedFile(source), _READ_BYTES) as stream:
-            ledger._load(stream, keep=False)
-            ledger._path = Path(source).absolute()
-            ledger._digest = stream.raw.digest.digest()
+        with open(source, "rb") as stream:
+            ledger._load(stream)
         return ledger
-    ledger._load(source, keep=True)
+    ledger._load(source)
     # a text stream that translates line ends hands "\r\n" over as "\n";
     # it records what it translated
     newlines = getattr(source, "newlines", None) or ()

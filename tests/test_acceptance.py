@@ -359,15 +359,19 @@ def test_criterion_6_billing_identities():
 # --- 7. audit ledger --------------------------------------------------------------
 
 def test_criterion_7_audit_ledger(tmp_path):
-    with criterion(7, "1000-record chain verifies; every single-bit mutation is caught; round-trip stable"):
-        ledger = Ledger()
+    with criterion(7, "1000-record chain verifies; every single-bit mutation is caught; a read log continues byte for byte"):
         rng = random.Random(7)
-        for k in range(1000):
-            ledger.append(
+        records = [
+            (
                 {"kind": "production", "energy_wh": rng.randint(0, 10**6)},
-                counting_point_key="pv1",
-                timestamp=slot_ts(k % 48, DAY + timedelta(days=k // 48)),
+                "pv1",
+                slot_ts(k % 48, DAY + timedelta(days=k // 48)),
             )
+            for k in range(1000)
+        ]
+        ledger = Ledger()
+        for record in records:
+            ledger.append(*record)
         assert verify_chain(ledger).intact
 
         path = tmp_path / "audit.log"
@@ -377,9 +381,16 @@ def test_criterion_7_audit_ledger(tmp_path):
         reread = read_ledger(path)
         hashes = [json.loads(line)["hash"] for line in original.splitlines()]
         assert (len(reread), reread.head_hash) == (len(hashes), hashes[-1]) == (1000, ledger.head_hash)
-        roundtrip = tmp_path / "roundtrip.log"
-        write_ledger(reread, roundtrip)
-        assert roundtrip.read_bytes() == original
+        # the log's first 600 lines, read back and continued with the rest
+        first = tmp_path / "first.log"
+        first.write_bytes(b"".join(original.splitlines(keepends=True)[:600]))
+        continued = read_ledger(first)
+        for record in records[600:]:
+            continued.append(*record)
+        segment = tmp_path / "segment.log"
+        write_ledger(continued, segment)
+        assert first.read_bytes() + segment.read_bytes() == original
+        assert (len(continued), continued.head_hash, verify_chain(continued).intact) == (1000, ledger.head_hash, True)
 
         lines = original.split(b"\n")[:-1]
         offsets = []

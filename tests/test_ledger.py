@@ -64,14 +64,31 @@ def _record(key, timestamp, payload, prev_hash, hash_):
 
 
 def _records_of(ledger):
-    """The records of a ledger's written lines, as the reference reader
-    parses them."""
+    """The records of the lines a ledger writes, those appended to it, as
+    the reference reader parses them."""
     return list(_reference_parse_lines(io.StringIO(_written(write_ledger, ledger), newline="\n")))
 
 
 def _reread(records):
     """The ledger read back from the lines the reference writer renders."""
     return read_ledger(io.StringIO(_written(_reference_write_ledger, records), newline="\n"))
+
+
+def _chain_state(ledger):
+    return ledger.head_hash, len(ledger), verify_chain(ledger)
+
+
+def _ended(text):
+    """A log's text ending in a newline, as a segment continues it."""
+    return text if not text or text.endswith("\n") else f"{text}\n"
+
+
+def _assert_continues(seed, segment, ledger, whole):
+    """``seed``, a log, followed by ``segment``, the lines ``ledger``
+    appended after reading it, is the text ``whole``, which reads back
+    with the head, count and report ``ledger`` holds."""
+    assert seed + segment == whole
+    assert _chain_state(read_ledger(io.StringIO(whole, newline="\n"))) == _chain_state(ledger)
 
 
 class TestAppend:
@@ -167,11 +184,12 @@ class TestAppend:
         # and hash are checked as it would check them
         report = verify_chain(ledger)
         assert (report.first_break, report.message) == (0, "hash mismatch at record 0")
-        out = tmp_path / "audit.log"
+        out = tmp_path / "segment.log"
         write_ledger(ledger, out)
-        reread = read_ledger(out)
-        assert _written(_reference_write_ledger, _records_of(reread)) == _written(write_ledger, ledger)
-        assert _records_of(reread)[-1].prev_hash == forged.hash
+        _assert_continues(
+            path.read_text(encoding="utf-8"), out.read_text(encoding="utf-8"), ledger,
+            _written(_reference_write_ledger, [forged, record]),
+        )
 
 
 class TestVerify:
@@ -209,17 +227,22 @@ class TestVerify:
 
 
 class TestSerialization:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        ledger = build_ledger(25)
+    def test_continuation_is_byte_identical(self, tmp_path):
+        """A log read back, appended to and written gives the segment that
+        continues it: the log and the segment are the bytes of one ledger
+        that made every append."""
         path = tmp_path / "audit.log"
-        write_ledger(ledger, path)
-        first = path.read_bytes()
-        reread = read_ledger(path)
-        out = io.StringIO()
-        write_ledger(reread, out)
-        assert out.getvalue().encode() == first
-        assert [r.hash for r in _records_of(reread)] == [r.hash for r in _records_of(ledger)]
-        assert verify_chain(reread).intact
+        write_ledger(build_ledger(25), path)
+        ledger = build_ledger(40, read_ledger(path))
+        out = tmp_path / "segment.log"
+        write_ledger(ledger, out)
+        whole = build_ledger(40)
+        _assert_continues(
+            path.read_text(encoding="utf-8"), out.read_text(encoding="utf-8"), ledger,
+            _written(write_ledger, whole),
+        )
+        assert _chain_state(ledger) == _chain_state(whole)
+        assert verify_chain(ledger).intact
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         path = tmp_path / "audit.log"
@@ -228,12 +251,28 @@ class TestSerialization:
             read_ledger(path)
 
     def test_read_from_stream(self):
-        ledger = build_ledger(5)
         buf = io.StringIO()
-        write_ledger(ledger, buf)
+        write_ledger(build_ledger(5), buf)
         buf.seek(0)
-        reread = read_ledger(buf)
-        assert [r.hash for r in _records_of(reread)] == [r.hash for r in _records_of(ledger)]
+        ledger = build_ledger(8, read_ledger(buf))
+        whole = build_ledger(8)
+        _assert_continues(buf.getvalue(), _written(write_ledger, ledger), ledger, _written(write_ledger, whole))
+        assert _chain_state(ledger) == _chain_state(whole)
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_a_just_read_ledger_writes_no_line(self, tmp_path, source):
+        path = tmp_path / "audit.log"
+        write_ledger(build_ledger(5), path)
+        if source == "path":
+            ledger = read_ledger(path)
+        else:
+            with open(path, encoding="utf-8") as stream:
+                ledger = read_ledger(stream)
+        assert _chain_state(ledger) == _chain_state(build_ledger(5))
+        assert _written(write_ledger, ledger) == ""
+        out = tmp_path / "segment.log"
+        write_ledger(ledger, out)
+        assert out.read_bytes() == b""
 
     def test_non_canonical_timestamp_rejected(self, tmp_path):
         # datetime.fromisoformat accepts any date/time separator, so a
@@ -340,11 +379,13 @@ class TestSerialization:
 
 
 class TestLogFiles:
-    """A ledger streamed into a file, and one read from a file, write the
-    bytes a ledger in memory writes."""
+    """A ledger streamed into a file writes the bytes a ledger in memory
+    writes, and one read from a file writes the segment that continues
+    it."""
 
     def test_streamed_ledger_writes_the_bytes_of_one_in_memory(self, tmp_path):
-        n = 2 * ledger_mod._WRITE_LINES + 5
+        # ~150 kB of lines, many times the file object's buffer
+        n = 517
         path = tmp_path / "audit.log"
         with Ledger(path) as streamed:
             build_ledger(n, streamed)
@@ -354,7 +395,7 @@ class TestLogFiles:
             write_ledger(streamed, path)
         assert path.read_text(encoding="utf-8") == _written(write_ledger, build_ledger(n))
         assert not (tmp_path / "other.log").exists()
-        with pytest.raises(ValueError, match="is closed"):
+        with pytest.raises(ValueError, match="closed file"):
             build_ledger(n + 1, streamed)
         assert len(streamed) == n
         with pytest.raises(FileExistsError):
@@ -362,29 +403,41 @@ class TestLogFiles:
 
     @pytest.mark.parametrize("target", ["other file", "stream", "same file"])
     @pytest.mark.parametrize("ended", [True, False], ids=["ended", "last-line-unended"])
-    def test_read_append_write_gives_the_in_memory_bytes(self, tmp_path, target, ended):
+    def test_read_append_write_gives_the_segment(self, tmp_path, target, ended):
+        """The segment is the in-memory log's lines after the seed's. A seed
+        whose last line lacks its newline reads the same and gives the same
+        segment, which continues it once the newline is added. Written over
+        the file read, the segment is a FileExistsError, and the file is
+        left byte for byte as it was rather than replaced by the segment."""
         expected = _written(write_ledger, build_ledger(40))
-        path = tmp_path / "audit.log"
         text = _written(write_ledger, build_ledger(30))
-        seed = text if ended else text[:-1]
-        path.write_bytes(seed.encode("utf-8"))
+        seed = (text if ended else text[:-1]).encode("utf-8")
+        path = tmp_path / "audit.log"
+        path.write_bytes(seed)
         ledger = build_ledger(40, read_ledger(path))
-        assert (len(ledger), ledger.head_hash) == (40, build_ledger(40).head_hash)
+        assert _chain_state(ledger) == _chain_state(build_ledger(40))
+        if target == "same file":
+            with pytest.raises(FileExistsError):
+                write_ledger(ledger, path)
+            assert path.read_bytes() == seed
+            return
         if target == "stream":
-            written = _written(write_ledger, ledger)
+            segment = _written(write_ledger, ledger)
         else:
-            out = path if target == "same file" else tmp_path / "out.log"
+            out = tmp_path / "out.log"
             write_ledger(ledger, out)
-            written = out.read_text(encoding="utf-8")
-        assert written == expected
-        # a second write gives the same bytes: appended lines go out once
-        assert _written(write_ledger, ledger) == expected
-        assert path.read_text(encoding="utf-8") == (expected if target == "same file" else seed)
+            segment = out.read_text(encoding="utf-8")
+        _assert_continues(text, segment, ledger, expected)
+        # a second write gives the same segment
+        assert _written(write_ledger, ledger) == segment
+        assert path.read_bytes() == seed
 
     @pytest.mark.parametrize("target", ["other file", "stream", "same file"])
-    def test_log_edited_after_the_read_is_not_written(self, tmp_path, target):
-        """A one-digit edit keeps the file's size; the SHA-256 taken while
-        reading still tells the file changed."""
+    def test_log_edited_after_the_read_fails_with_its_segment(self, tmp_path, target):
+        """The segment holds only the appended lines, so it copies no edit
+        made to the log after the read: the edited log followed by the
+        segment reads with a hash mismatch at the edited record. Writing
+        over the log itself is refused and leaves the edit in place."""
         path = tmp_path / "audit.log"
         write_ledger(build_ledger(30), path)
         ledger = build_ledger(31, read_ledger(path))
@@ -392,15 +445,21 @@ class TestLogFiles:
         edited = raw.replace(b'"energy_wh":117', b'"energy_wh":118', 1)
         assert len(edited) == len(raw) and edited != raw
         path.write_bytes(edited)
-        out = {"other file": tmp_path / "out.log", "stream": io.StringIO(), "same file": path}[target]
-        with pytest.raises(ValueError, match=f"^ledger file {re.escape(str(path))} changed since it was read$"):
+        if target == "same file":
+            with pytest.raises(FileExistsError):
+                write_ledger(ledger, path)
+            assert path.read_bytes() == edited
+            return
+        if target == "stream":
+            segment = _written(write_ledger, ledger).encode("utf-8")
+        else:
+            out = tmp_path / "out.log"
             write_ledger(ledger, out)
-        if target == "other file":
-            assert not out.exists()
-        elif target == "stream":
-            assert out.getvalue() == ""
-        assert path.read_bytes() == edited
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.log"]
+            segment = out.read_bytes()
+        assert raw + segment == _written(write_ledger, build_ledger(31)).encode("utf-8")
+        continued = tmp_path / "continued.log"
+        continued.write_bytes(edited + segment)
+        assert verify_chain(read_ledger(continued)) == ChainReport(False, 17, "hash mismatch at record 17")
 
     @pytest.mark.parametrize("budget, checks", [(None, 3), (80, 60)])
     def test_checked_payload_texts_start_over_past_their_budget(self, tmp_path, monkeypatch, budget, checks):
@@ -508,13 +567,17 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
         line = _written(write_ledger, ledger).split("\n")[-2]
         assert line == _reference_line(key, iso, payload, record.prev_hash, record.hash)
         direct.append(_record(key, timestamp, payload, record.prev_hash, record.hash))
-    assert _written(_reference_write_ledger, direct) == _written(write_ledger, ledger)
-    buf = io.StringIO()
-    write_ledger(ledger, buf)
-    buf.seek(0)
-    reread = read_ledger(buf)
-    assert _written(_reference_write_ledger, _records_of(reread)) == _written(_reference_write_ledger, _records_of(ledger))
-    assert verify_chain(reread).intact
+    whole = _written(_reference_write_ledger, direct)
+    assert whole == _written(write_ledger, ledger)
+    # the log of the first half, read and continued with the rest
+    cut = len(entries) // 2
+    seed = _written(_reference_write_ledger, direct[:cut])
+    continued = read_ledger(io.StringIO(seed, newline="\n"))
+    for key, payload in entries[cut:]:
+        continued.append(payload, key, timestamp)
+    _assert_continues(seed, _written(write_ledger, continued), continued, whole)
+    assert _chain_state(continued) == _chain_state(ledger)
+    assert verify_chain(continued).intact
 
 
 # Reference reader: the line checker before each distinct payload was
@@ -561,15 +624,16 @@ def _reference_parse_lines(lines):
         yield record
 
 
-def _outcome(read, write=write_ledger):
-    """('ok', (written text, head hash, record count)) or ('error', message)
-    of one read. An accepted log is its canonical lines, so equal written
-    texts are equal record fields."""
+def _outcome(read, text_of):
+    """('ok', (log text, head hash, record count)) or ('error', message)
+    of one read; ``text_of`` gives the text of the log the ledger read
+    holds. An accepted log is its canonical lines, so equal texts are
+    equal record fields."""
     try:
         ledger = read()
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", (_written(write, ledger), ledger.head_hash, len(ledger))
+    return "ok", (text_of(ledger), ledger.head_hash, len(ledger))
 
 
 # Field texts that sit next to, or look like, the separators of the line
@@ -685,10 +749,12 @@ def _mutated_logs(draw):
 @given(text=_mutated_logs())
 @settings(max_examples=400, deadline=None)
 def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
-    """read_ledger accepts exactly the lines the reference accepts, keeps
-    the lines and head hash the reference's records write and hold, and
+    """read_ledger accepts exactly the lines the reference accepts, and
     rejects the others with the same line number and message, reading
-    from a file or from a text stream."""
+    from a file or from a text stream. An accepted text, ended in a
+    newline and followed by the segment the just-read ledger writes, is
+    the reference writer's bytes of its records, so nothing is rewritten,
+    and the head hash and count are the reference's."""
     path = tmp_path_factory.getbasetemp() / "differential.log"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
@@ -697,10 +763,14 @@ def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
         return  # a lone surrogate: not UTF-8, the reference cannot read it
     expected = _outcome(
         lambda: _ReferenceLedger(_reference_parse_lines(io.StringIO(text, newline="\n"))),
-        _reference_write_ledger,
+        lambda reference: _written(_reference_write_ledger, reference),
     )
-    assert _outcome(lambda: read_ledger(path)) == expected
-    assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
+
+    def continued(ledger):
+        return _ended(text) + _written(write_ledger, ledger)
+
+    assert _outcome(lambda: read_ledger(path), continued) == expected
+    assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n")), continued) == expected
 
 
 def test_crlf_log_rejected_through_a_text_stream(tmp_path):
@@ -879,7 +949,8 @@ _FORGED = _record("pv1", slot_ts(0), {"energy_wh": 5}, GENESIS_HASH, 'h"\\é\n\U
 def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
     """Appending, writing and verifying give the bytes, hashes, errors and
     reports of the record-based reference, on the intact log and with any
-    one record replaced."""
+    one record replaced. The seed log followed by the segment the ledger
+    writes is the reference's log."""
     seed = [_FORGED] if forged else []
     ledger, reference = _reread(seed), _ReferenceLedger(seed)
     assert ledger.head_hash == reference.head_hash
@@ -889,8 +960,9 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
         assert _appended(ledger, payload, key, stamps[k]) == _appended(reference, payload, key, stamps[k])
         assert ledger.head_hash == reference.head_hash
         assert len(ledger) == len(reference)
-    assert _written(write_ledger, ledger) == _written(_reference_write_ledger, reference)
-    assert _records_of(ledger) == list(reference)
+    whole = _written(_reference_write_ledger, reference)
+    _assert_continues(_written(_reference_write_ledger, seed), _written(write_ledger, ledger), ledger, whole)
+    assert list(_reference_parse_lines(io.StringIO(whole, newline="\n"))) == list(reference)
     assert verify_chain(ledger) == _reference_verify_chain(reference)
 
     records = list(reference)
@@ -971,10 +1043,10 @@ def test_single_byte_mutation_reads_and_verifies_as_the_reference(at, byte, tmp_
     ),
 )
 @settings(max_examples=300, deadline=None)
-def test_report_survives_appends_and_a_rewrite(text, appended):
+def test_report_survives_appends_and_a_continuation(text, appended):
     """The report a Ledger keeps from reading a tampered log is the
-    reference verifier's report on its lines, after appends, and after the
-    appended log is written and read back."""
+    reference verifier's report on its lines, after appends, and on the
+    log followed by the segment the ledger writes, read back."""
     try:
         expected = _reference_verify_chain(
             list(_reference_parse_lines(io.StringIO(text, newline="\n")))
@@ -988,9 +1060,10 @@ def test_report_survives_appends_and_a_rewrite(text, appended):
     for k, (key, payload) in enumerate(appended):
         ledger.append(payload, key, slot_ts(k, day))
         assert verify_chain(ledger) == expected
-    rewritten = _written(write_ledger, ledger)
-    fresh = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(rewritten, newline="\n"))))
-    assert verify_chain(read_ledger(io.StringIO(rewritten, newline="\n"))) == expected == fresh
+    continued = _ended(text) + _written(write_ledger, ledger)
+    fresh = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(continued, newline="\n"))))
+    assert _chain_state(read_ledger(io.StringIO(continued, newline="\n"))) == _chain_state(ledger)
+    assert verify_chain(ledger) == expected == fresh
 
 
 # A payload shape: constant str, bool, None and int fields and integer

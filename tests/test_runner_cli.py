@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from cscshare.billing import compute_scr
 from cscshare.cli import main
-from cscshare.ledger import Ledger, read_ledger, verify_chain
+from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
 from cscshare.model import AllocationTable, DateRange, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, run
 from cscshare.synth import synthesize_demo_data
@@ -626,6 +626,31 @@ class TestCli:
         ledger = read_ledger(log)
         assert r.output == f"intact ({len(ledger)} records), head {ledger.head_hash}\n"
         assert re.fullmatch("[0-9a-f]{64}", ledger.head_hash)
+
+    def test_a_run_log_continues_by_the_segment_its_reader_writes(self, demo):
+        """The demo log read, appended to and written to a new file: the log
+        followed by that segment is the text of one ledger that made every
+        append, and audit-verify of it is intact with the last head."""
+        log = run(load_run_config(demo / "run_config.json")).out_dir / "audit.log"
+        whole = Ledger()
+        for line in log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            whole.append(record["payload"], record["counting_point_key"], parse_timestamp(record["timestamp"]))
+        ledger = read_ledger(log)
+        next_slot = parse_timestamp(record["timestamp"]) + timedelta(minutes=30)
+        for led in (whole, ledger):
+            led.append({"kind": "production", "energy_wh": 1250}, "pv1", next_slot)
+            head = led.append({"kind": "consumption", "energy_wh": 400}, "b1", next_slot)
+        segment = demo / "segment.log"
+        write_ledger(ledger, segment)
+        continued = demo / "continued.log"
+        continued.write_bytes(log.read_bytes() + segment.read_bytes())
+        write_ledger(whole, demo / "whole.log")
+        assert continued.read_bytes() == (demo / "whole.log").read_bytes()
+        r = CliRunner().invoke(main, ["audit-verify", str(continued)])
+        assert r.exit_code == 0, r.output
+        assert r.output == f"intact ({48 * (1 + 3 + 4) + 2} records), head {head}\n"
+        assert head == ledger.head_hash == whole.head_hash
 
     def test_missing_config_is_io_failure(self):
         r = CliRunner().invoke(main, ["run", "--config", "/nonexistent/config.json"])
