@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
-from itertools import groupby, islice
-from operator import itemgetter, lt
+from itertools import groupby, islice, repeat
+from operator import attrgetter, eq, is_, itemgetter, lt, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -204,24 +204,75 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
 
 
 class _Timestamps(dict):
-    """Timestamp text -> (parsed timestamp, its slot floor), parsing each distinct text once.
+    """Timestamp text -> (parsed timestamp, its slot floor), each distinct text read once per file.
 
     Timestamps with equal UTC offsets share one tzinfo object, so sorting
     and comparing them takes CPython's same-tzinfo path.
+
+    Each hour and offset of the layout ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (or
+    ``-HH:MM``) is parsed once: the first text of it goes through
+    ``parse_timestamp`` and ``_slot_floor`` and records the starts of the
+    hour's two slots. Any later text of that hour is a start plus its
+    ``:MM:SS`` piece; a text on a slot boundary is the start object
+    itself, and every text of a slot has that object as its floor. Any
+    other text (``Z``, a fraction, padding, another layout, a piece that
+    is not two ASCII digits under 60 twice) is parsed on its own, with the
+    same errors.
     """
 
     def __init__(self):
         super().__init__()
         self._zones: dict = {}
+        # text[:13] + offset text -> the starts of the hour's two slots
+        self._hours: dict[str, tuple[datetime, datetime]] = {}
+        # ":MM:SS" -> _piece of it, filled as pieces are met
+        self._pieces: dict[str, tuple[int, timedelta | None] | None] = {}
 
     def __missing__(self, text: str) -> tuple[datetime, datetime]:
+        hour = text[:13] + text[19:] if len(text) == 25 and text[4::3] in _LAYOUT else None
+        starts = self._hours.get(hour)
+        if starts is not None:
+            key = text[13:19]
+            try:
+                piece = self._pieces[key]
+            except KeyError:
+                piece = self._pieces[key] = _piece(key)
+            if piece is not None:
+                slot, into = piece
+                start = starts[slot]
+                self[text] = entry = (start if into is None else start + into, start)
+                return entry
         ts = parse_timestamp(text.strip())
         zone = self._zones.setdefault(ts.tzinfo, ts.tzinfo)
         if zone is not ts.tzinfo:
             # what replace(tzinfo=zone) gives, at a fifth of its cost
             ts = datetime.combine(ts, ts.time(), zone)
-        self[text] = entry = (ts, _slot_floor(ts))
+        floor = _slot_floor(ts)
+        if hour is not None and starts is None:
+            self._hours[hour] = (
+                (floor, floor + SLOT_DURATION)
+                if floor.minute < SLOT_MINUTES
+                else (floor - SLOT_DURATION, floor)
+            )
+        self[text] = entry = (ts, floor)
         return entry
+
+
+# The characters at positions 4, 7, ..., 22 of a 25-character timestamp of
+# the layout _Timestamps reads by the hour.
+_LAYOUT = ("--T::+:", "--T::-:")
+
+
+def _piece(text: str) -> tuple[int, timedelta | None] | None:
+    """The slot of its hour a ":MM:SS" piece falls in (0 or 1) and the time
+    into that slot (None on its start); None unless MM and SS are two
+    ASCII digits under 60."""
+    minutes, seconds = text[1:3], text[4:6]
+    digits = minutes + seconds
+    if not (digits.isascii() and digits.isdigit()) or minutes >= "60" or seconds >= "60":
+        return None
+    slot, into = divmod(int(minutes), SLOT_MINUTES)
+    return slot, timedelta(minutes=into, seconds=int(seconds)) or None
 
 
 def _ingest_stream(stream: TextIO) -> IngestResult:
@@ -352,7 +403,7 @@ def _round_half_even(numerator: int, denominator: int) -> int:
 def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -> SlotSeries:
     """Convert one meter's readings to a 30-minute Wh series.
 
-    One walk over the time-sorted readings groups them by the slot they
+    A walk over the time-sorted readings groups them by the slot they
     fall in; consecutive slots must be exactly 30 minutes apart in UTC.
     Each slot keeps the instant and UTC offset of its own readings, so a
     day across a DST switch has 46 or 50 slots, each in its local offset;
@@ -366,6 +417,10 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     A slot with fewer samples than its class expects is a gap error; a
     missing slot is one too, named by its local start, or by the slots on
     either side of it when those carry different UTC offsets.
+
+    After the sort, duplicate and mark checks, a whole series (see
+    _whole) is normalized by columns, with the walk's arithmetic; any
+    other series is walked slot by slot, and the walk names its fault.
     """
     meter_id, quantity = readings.meter_id, readings.quantity_kind
     stamps, floors, values = readings.timestamps, readings.floors, readings.values
@@ -393,6 +448,10 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
         for ts in stamps:
             if ts.minute % mark or ts.second or ts.microsecond:
                 raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
+
+    whole = _whole(stamps, floors, values, power, index)
+    if whole is not None:
+        return SlotSeries(meter_id, kind, *whole)
 
     starts: list[datetime] = []
     energies: list[int] = []
@@ -441,6 +500,51 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
             energies.append(sum([int(value) for _, _, value in group]))
         opened = start
     return SlotSeries(meter_id, kind, starts, energies)
+
+
+def _whole(stamps, floors, values, power: bool, index: bool):
+    """The starts and energies of a whole series, or None.
+
+    A series is whole when every slot holds exactly the readings its class
+    expects, each slot carries one tzinfo object, and consecutive starts
+    are 30 minutes apart: a Linky or index reading is its own floor, and
+    the three power samples of a slot have the first one's object as their
+    floor. These tests run over column slices; a whole series gives the
+    walk's slots by the walk's arithmetic, and any other goes to the walk,
+    which names the fault.
+    """
+    if power:
+        starts = stamps[0::3]
+        if not (
+            len(stamps) % 3 == 0
+            and all(map(is_, floors[0::3], starts))
+            and all(map(is_, floors[1::3], starts))
+            and all(map(is_, floors[2::3], starts))
+            and all(map(is_, map(_tzinfo, stamps[1::3]), map(_tzinfo, starts)))
+            and all(map(is_, map(_tzinfo, stamps[2::3]), map(_tzinfo, starts)))
+        ):
+            return None
+    else:
+        starts = stamps
+        if not all(map(is_, floors, stamps)):
+            return None
+    if not all(map(eq, map(sub, starts[1:], starts[:-1]), repeat(SLOT_DURATION))):
+        return None
+    if power:
+        sums = map(sum, zip(values[0::3], values[1::3], values[2::3]), repeat(Decimal(0)))
+        return starts, [
+            _round_half_even(n * 500, d * 3) for n, d in map(Decimal.as_integer_ratio, sums)
+        ]
+    if index:
+        ints = list(map(int, values))
+        deltas = list(map(sub, ints[1:], ints[:-1]))
+        if min(deltas) < 0:
+            return None
+        return starts[:-1], [delta * 1000 for delta in deltas]
+    return starts, list(map(int, values))
+
+
+_tzinfo = attrgetter("tzinfo")
 
 
 # Scaled slot energies are computed exactly in 60 digits; one that needs

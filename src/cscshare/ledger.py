@@ -229,8 +229,10 @@ class Ledger:
 
     ``read_ledger`` returns a ``Ledger()`` that holds no line, only the
     chain state of what it read, so it can be appended to; the lines
-    appended since are the segment that continues the log read. ``len``
-    counts every record of the chain, read or appended.
+    appended since are the segment that continues the log read. A log
+    whose last line lacks its newline reads, but its ledger refuses
+    ``append``: the segment would join that line. ``len`` counts every
+    record of the chain, read or appended.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -251,6 +253,8 @@ class Ledger:
         self._key_json: dict[str, str] = {}
         # the first break read_ledger found; append never makes one
         self._report = ChainReport(True)
+        # why append refuses: the log read ends in a line without its newline
+        self._unended: str | None = None
 
     def __enter__(self) -> Ledger:
         return self
@@ -264,12 +268,13 @@ class Ledger:
         if self._sink is not None:
             self._sink.close()
 
-    def _load(self, lines: Iterable[str] | Iterable[bytes]) -> None:
+    def _load(self, lines: Iterable[str] | Iterable[bytes], name: str) -> None:
         """Walk the lines, counting them, and keep the first break in the
         chain: a previous hash that is not the line before's hash (the
         genesis hash for line 1), or a hash that is not the SHA-256 of the
         line's hash material. The first line that is not canonical, or not
-        UTF-8, raises ValueError with its number."""
+        UTF-8, raises ValueError with its number. When the last line lacks
+        its newline, ``append`` refuses, naming the log as ``name``."""
         last_ts = self._last_ts
         checked = _Checked()
         report = None
@@ -299,6 +304,11 @@ class Ledger:
             head_text = hash_text
         self._count = i + 1
         self._head, self._head_json = _string(head_text), f'"{head_text}"'
+        if i >= 0 and stop == len(line):
+            # a segment appended after it would join its last line
+            self._unended = (
+                f"{name} does not end in a newline: a log must end in a newline to be continued"
+            )
         if report is not None:
             self._report = report
 
@@ -321,7 +331,11 @@ class Ledger:
         ``PayloadTemplate.render`` yielded, which is both already.
         Timestamps must not regress within one counting point; equal
         timestamps are allowed (several policies may log the same slot).
+        A ledger read from a log whose last line lacks its newline
+        refuses every append.
         """
+        if self._unended is not None:
+            raise ValueError(self._unended)
         if timestamp is not self._stamp:
             if timestamp.tzinfo is None or timestamp.utcoffset() is None:
                 raise ValueError("record timestamp has no UTC offset")
@@ -546,8 +560,9 @@ def _reject(line: str) -> NoReturn:
 def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
     canonical serialization, ending in a newline (the last line may lack
-    it). A break in the chain does not fail the read: the ledger keeps
-    the first one for verify_chain to report.
+    it, but then the ledger refuses ``append``). A break in the chain does
+    not fail the read: the ledger keeps the first one for verify_chain to
+    report.
 
     The ledger keeps no line of the source, only its chain state: the
     record count, the head, the last timestamps and the first break."""
@@ -555,9 +570,9 @@ def read_ledger(source: str | Path | TextIO) -> Ledger:
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
         with open(source, "rb") as stream:
-            ledger._load(stream)
+            ledger._load(stream, f"ledger {source}")
         return ledger
-    ledger._load(source)
+    ledger._load(source, "the ledger read")
     # a text stream that translates line ends hands "\r\n" over as "\n";
     # it records what it translated
     newlines = getattr(source, "newlines", None) or ()

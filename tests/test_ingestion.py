@@ -19,6 +19,7 @@ from cscshare.ingestion import (
     QuantityKind,
     RawMeterRecord,
     ScenarioConfig,
+    _Timestamps,
     _round_half_even,
     add_constant_load,
     apply_pv_gain,
@@ -172,6 +173,28 @@ class TestNormalize:
         )
         with pytest.raises(ValueError, match="10-minute boundary"):
             normalize_to_slots(_readings([record]))
+
+    @pytest.mark.parametrize("fault", ["floor of another slot", "sample in another offset"])
+    def test_power_columns_that_look_whole_are_walked_for_their_fault(self, fault):
+        """Power columns of two slots whose starts are their own floors, 30
+        minutes apart, are still walked when a sample's floor is the next
+        slot's start, or a sample carries another offset than the start
+        its floor is: the walk names the fault."""
+        start, ten = slot_ts(20), timedelta(minutes=10)
+        after = start + 3 * ten
+        stamps = [start, start + ten, start + 2 * ten, after, after + ten, after + 2 * ten]
+        floors = [start] * 3 + [after] * 3
+        if fault == "floor of another slot":
+            floors[2] = after
+            message = rf"gap at {re.escape(start.isoformat())} \(2/3 ten-minute power samples\)"
+        else:
+            stamps[1] = stamps[1].astimezone(timezone(timedelta(hours=1)))
+            message = rf"readings of slot {re.escape(start.isoformat())} carry two UTC offsets"
+        readings = MeterReadings(
+            "m1", MeterClass.SME_SMI, QuantityKind.POWER_KW_10MIN, stamps, floors, [Decimal(6)] * 6
+        )
+        with pytest.raises(ValueError, match=f"^m1: {message}$"):
+            normalize_to_slots(readings)
 
     def test_linky_sum_within_slot(self):
         records = [
@@ -669,6 +692,118 @@ def _meter_csv(draw):
     return HEADER + "".join(row + "\n" for row in rows)
 
 
+@st.composite
+def _whole_meter_csv(draw):
+    """Meter CSV text whose series are whole: every slot from a meter's
+    first to its last holds exactly the readings its class expects, each
+    in the Paris offset of its instant, so a series may cross the switch
+    to summer time at 2024-03-31T01:00Z. An index may still decrease."""
+    slot = timedelta(minutes=SLOT_MINUTES)
+    rows = []
+    for meter_id in ("m1", "m2", "m3")[: draw(st.integers(1, 3))]:
+        kind = draw(st.sampled_from([k.value for k in QuantityKind]))
+        first = draw(st.integers(0, 8))
+        slots = range(first, first + draw(st.integers(1, 6)))
+        if kind == "energy_wh":
+            for k in slots:
+                wh = draw(st.integers(0, 10**6))
+                rows.append(f"{meter_id},linky,{paris_2024(_BASE + k * slot).isoformat()},{kind},{wh}")
+        elif kind == "power_kw_10min":
+            for k in slots:
+                for j in range(3):
+                    ts = paris_2024(_BASE + k * slot + timedelta(minutes=10 * j)).isoformat()
+                    kw = draw(st.decimals(min_value=0, max_value=1000, places=draw(st.integers(0, 3))))
+                    rows.append(f"{meter_id},sme_smi,{ts},{kind},{kw}")
+        else:
+            index = draw(st.integers(0, 10**6))
+            for k in [*slots, slots[-1] + 1]:
+                rows.append(f"{meter_id},sme_smi,{paris_2024(_BASE + k * slot).isoformat()},{kind},{index}")
+                index = max(0, index + draw(st.integers(-1, 40)))
+    return HEADER + "".join(row + "\n" for row in draw(st.permutations(rows)))
+
+
+# the inputs of the differential tests: any series, and whole ones
+_METER_CSVS = st.one_of(_meter_csv(), _whole_meter_csv())
+
+
+# Pieces of a timestamp text that parse_timestamp refuses
+_BAD_PIECES = {
+    "hour": ["2024-03-31T24", "2024-03-31T2x", "2024-02-30T10", "2024-03-31T\u0661\u0662"],
+    "minute": ["60", "6x", "\u0661\u0662", "1\u0661", "1\u00b2", " 1", "1"],
+    "second": ["60", "x0", "\u0661\u0662", "1\u0661", "1\u00b2", "-1", "5"],
+    "offset": ["+24:00", "+01:6x", "+01:\u0661\u0662", "", "+01:00:0x"],
+}
+
+
+@st.composite
+def _timestamp_text(draw):
+    """A timestamp text of a few hours of 2024-03-31 in +01:00, +02:00,
+    -00:00 or Z, on or off a slot boundary. About one in seven carries a
+    fraction, one in seven padding, and two in seven an hour, minute,
+    second or offset piece that parse_timestamp refuses."""
+    two_digits = st.integers(0, 59).map("{:02d}".format)
+    pieces = {
+        "hour": draw(st.sampled_from(["2024-03-31T00", "2024-03-31T01", "2024-03-31T23"])),
+        "minute": draw(st.sampled_from(["00", "10", "20", "30", "40", "50"]) | two_digits),
+        "second": draw(st.just("00") | two_digits),
+        "offset": draw(st.sampled_from(["+01:00", "+02:00", "-00:00", "Z"])),
+    }
+    fraction = pad = ""
+    change = draw(st.integers(0, 6))
+    if change == 0:
+        fraction = draw(st.sampled_from([".5", ".000000", ".123456"]))
+    elif change == 1:
+        pad = draw(st.sampled_from([" ", "\t"]))
+    elif change in (2, 3):
+        name = draw(st.sampled_from(sorted(_BAD_PIECES)))
+        pieces[name] = draw(st.sampled_from(_BAD_PIECES[name]))
+    return f"{pad}{pieces['hour']}:{pieces['minute']}:{pieces['second']}{fraction}{pieces['offset']}{pad}"
+
+
+_LAYOUT_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}[+-][0-9]{2}:[0-9]{2}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_timestamp_text(), min_size=1, max_size=60))
+@example(
+    texts=[
+        "2024-03-31T01:40:07+02:00",
+        *(f"2024-03-31T01:{piece}+02:00" for piece in ["00:00", "10:00", "30:00", "59:59"]),
+        *(f"2024-03-31T01:{piece}+02:00" for piece in ["60:00", "00:60", "1\u0661:00", "00:1\u00b2"]),
+        "2024-03-31T01:10:00+01:00",
+        "2024-03-31T01:10:00.000000+02:00",
+        " 2024-03-31T01:10:00+02:00",
+        "2024-03-30T23:10:00Z",
+    ]
+)
+def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
+    """Each text, met in any order, gives parse_timestamp's instant and
+    offset and the reference floor of it, with one tzinfo object per
+    offset, or raises parse_timestamp's message. Among texts of the plain
+    layout, each slot start of one offset text is one object, and a text
+    on it is that object."""
+    cache = _Timestamps()
+    zones, starts = {}, {}
+    for text in texts:
+        try:
+            ts = parse_timestamp(text.strip())
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                cache[text]
+            continue
+        entry = cache[text]
+        expected = (ts, _reference_floor(ts))
+        assert [(t.isoformat(), t.utcoffset()) for t in entry] == [
+            (t.isoformat(), t.utcoffset()) for t in expected
+        ]
+        for t in entry:
+            assert zones.setdefault(t.utcoffset(), t.tzinfo) is t.tzinfo
+        if _LAYOUT_TEXT.fullmatch(text):
+            floor = entry[1]
+            assert starts.setdefault((floor.isoformat(), text[19:]), floor) is floor
+            assert (entry[0] is floor) == (ts == floor)
+
+
 def _outcome(normalize, records):
     try:
         series = normalize(records)
@@ -700,7 +835,7 @@ def _columns(result):
 
 class TestAgainstReferenceNormalizer:
     @settings(max_examples=300, deadline=None)
-    @given(text=_meter_csv())
+    @given(text=_METER_CSVS)
     def test_same_records_slots_and_messages(self, text):
         result = ingest_csv(io.StringIO(text))
         records, errors = _reference_ingest(text)
@@ -718,7 +853,7 @@ class TestAgainstReferenceNormalizer:
             )
 
     @settings(max_examples=300, deadline=None)
-    @given(text=_meter_csv(), data=st.data())
+    @given(text=_METER_CSVS, data=st.data())
     def test_rows_split_across_two_files_through_the_runner_columns(self, text, data):
         rows = text.splitlines()[1:]
         in_b = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))

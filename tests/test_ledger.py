@@ -405,14 +405,24 @@ class TestLogFiles:
     @pytest.mark.parametrize("ended", [True, False], ids=["ended", "last-line-unended"])
     def test_read_append_write_gives_the_segment(self, tmp_path, target, ended):
         """The segment is the in-memory log's lines after the seed's. A seed
-        whose last line lacks its newline reads the same and gives the same
-        segment, which continues it once the newline is added. Written over
-        the file read, the segment is a FileExistsError, and the file is
-        left byte for byte as it was rather than replaced by the segment."""
+        whose last line lacks its newline reads the same, but its ledger
+        refuses to append, naming the file, and writes nothing; with the
+        newline added it gives the same segment. Written over the file
+        read, the segment is a FileExistsError, and the file is left byte
+        for byte as it was rather than replaced by the segment."""
         expected = _written(write_ledger, build_ledger(40))
         text = _written(write_ledger, build_ledger(30))
-        seed = (text if ended else text[:-1]).encode("utf-8")
+        seed = text.encode("utf-8")
         path = tmp_path / "audit.log"
+        if not ended:
+            path.write_bytes(seed[:-1])
+            unended = read_ledger(path)
+            message = f"ledger {path} does not end in a newline: a log must end in a newline to be continued"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_ledger(40, unended)
+            assert _chain_state(unended) == _chain_state(build_ledger(30))
+            assert _written(write_ledger, unended) == ""
+            path.unlink()
         path.write_bytes(seed)
         ledger = build_ledger(40, read_ledger(path))
         assert _chain_state(ledger) == _chain_state(build_ledger(40))
@@ -1046,7 +1056,9 @@ def test_single_byte_mutation_reads_and_verifies_as_the_reference(at, byte, tmp_
 def test_report_survives_appends_and_a_continuation(text, appended):
     """The report a Ledger keeps from reading a tampered log is the
     reference verifier's report on its lines, after appends, and on the
-    log followed by the segment the ledger writes, read back."""
+    log followed by the segment the ledger writes, read back. A log whose
+    last line lacks its newline refuses the first append, and is
+    continued once the newline is added."""
     try:
         expected = _reference_verify_chain(
             list(_reference_parse_lines(io.StringIO(text, newline="\n")))
@@ -1055,6 +1067,12 @@ def test_report_survives_appends_and_a_continuation(text, appended):
         return  # not a log; test_reader_agrees_with_the_reference_reader
     ledger = read_ledger(io.StringIO(text, newline="\n"))
     assert verify_chain(ledger) == expected
+    if text != _ended(text):
+        for key, payload in appended[:1]:
+            with pytest.raises(ValueError, match="^the ledger read does not end in a newline: "):
+                ledger.append(payload, key, slot_ts(0, DAY + timedelta(days=2)))
+        ledger = read_ledger(io.StringIO(_ended(text), newline="\n"))
+        assert verify_chain(ledger) == expected
     # a day later than any timestamp the log may hold, in any of its offsets
     day = DAY + timedelta(days=2)
     for k, (key, payload) in enumerate(appended):

@@ -652,6 +652,25 @@ class TestCli:
         assert r.output == f"intact ({48 * (1 + 3 + 4) + 2} records), head {head}\n"
         assert head == ledger.head_hash == whole.head_hash
 
+    def test_a_run_log_cut_before_its_last_newline_refuses_to_continue(self, demo):
+        """The demo log without its last byte reads and verifies intact, but
+        the ledger read from it refuses the append whose segment would join
+        the log's last line, and names the log."""
+        log = run(load_run_config(demo / "run_config.json")).out_dir / "audit.log"
+        cut = demo / "cut.log"
+        cut.write_bytes(log.read_bytes()[:-1])
+        r = CliRunner().invoke(main, ["audit-verify", str(cut)])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith(f"intact ({48 * (1 + 3 + 4)} records)")
+        ledger = read_ledger(cut)
+        record = json.loads(log.read_text(encoding="utf-8").splitlines()[-1])
+        next_slot = parse_timestamp(record["timestamp"]) + timedelta(minutes=30)
+        message = f"ledger {cut} does not end in a newline: a log must end in a newline to be continued"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ledger.append({"kind": "production", "energy_wh": 1250}, "pv1", next_slot)
+        assert len(ledger) == 48 * (1 + 3 + 4)
+        assert ledger.head_hash == record["hash"]
+
     def test_missing_config_is_io_failure(self):
         r = CliRunner().invoke(main, ["run", "--config", "/nonexistent/config.json"])
         assert r.exit_code == 2
