@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -89,12 +88,11 @@ def ingest(csv_paths, out_dir):
     for meter_id, series in normalized.items():
         click.echo(f"{meter_id}: {len(series)} slots, {series.total_wh()} Wh")
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for meter_id, series in normalized.items():
-            rows = [("meter_id", "slot_start", "energy_wh")]
-            rows += [(meter_id, ts.isoformat(), e) for ts, e in zip(series.starts, series.energies)]
-            runner_mod._write_csv(out / f"{meter_id}_slots.csv", rows)
+        with runner_mod.publish(out_dir) as staging:
+            for meter_id, series in normalized.items():
+                rows = [("meter_id", "slot_start", "energy_wh")]
+                rows += [(meter_id, ts.isoformat(), e) for ts, e in zip(series.starts, series.energies)]
+                runner_mod._write_csv(staging / f"{meter_id}_slots.csv", rows)
 
 
 @main.command("derive-kors")
@@ -121,10 +119,9 @@ def derive_kors(config_path, out_path):
 
     window = config.kor_window or runner_mod._full_extent(history)
     kors = derive_static_kors(history, window)
-    Path(out_path).write_text(
-        json.dumps(dict(sorted(kors.entries.items())), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    out_path = Path(out_path)
+    with runner_mod.publish(out_path.parent) as staging:
+        runner_mod._write_json(staging / out_path.name, kors.entries)
     for pid, coeff in sorted(kors.entries.items()):
         click.echo(f"{pid}: {coeff}")
 

@@ -1,15 +1,18 @@
 """Orchestration: load data and config, run policies, emit reports.
 
-A run is all-or-nothing: every output is staged next to the target
-directory and moved into place only after the whole computation
-succeeded, so downstream figure scripts never see half-written files.
-The audit log is streamed into the staged ``audit.log`` as its records
-are appended, so a run never holds the whole log. Identical inputs
-produce byte-identical output trees, audit chain included.
+A run is all-or-nothing: every output is staged in a directory inside
+the target directory and moved into place by ``publish`` only after the
+whole computation succeeded, so downstream figure scripts never see
+half-written files or a mix of two runs. ``publish`` is the one way every
+command writes its files. The audit log is streamed into the staged
+``audit.log`` as its records are appended, so a run never holds the whole
+log. Identical inputs produce byte-identical output trees, audit chain
+included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import shutil
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
@@ -329,6 +332,10 @@ def _allocation_csv_rows(
     return [header, *zip(stamps, table.production, *columns, table.surplus, strict=True)]
 
 
+def _policy_files(names: Iterable[str]) -> list[str]:
+    return [f"{name}_{suffix}" for name in names for suffix in ("report.json", "allocations.csv")]
+
+
 def _write_csv(path: Path, rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -337,6 +344,60 @@ def _write_csv(path: Path, rows: Sequence[Sequence]) -> None:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def publish(out_dir: str | Path, stale: Iterable[str] = ()) -> Iterator[Path]:
+    """Yield a new staging directory inside ``out_dir``; when the block
+    succeeds, move each file written there into ``out_dir`` and remove the
+    ``stale`` names from it. Either all of that happens or none of it.
+
+    The staging directory is removed however the block is left, and so is
+    ``out_dir`` if this call made it and published nothing.
+    """
+    out_dir = Path(out_dir)
+    created = not out_dir.is_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    published = False
+    try:
+        yield staging
+        _move_in(staging, out_dir, stale)
+        published = True
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if created and not published:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+
+
+def _move_in(staging: Path, out_dir: Path, stale: Iterable[str]) -> None:
+    """Move each file replaced or removed into a second staging directory
+    first, and put those back if any move raises. A file that cannot be
+    put back stays there, as that directory is then kept."""
+    names = sorted(p.name for p in staging.iterdir())
+    old = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    moved_out: list[str] = []
+    placed: list[str] = []
+    try:
+        for name in [*names, *stale]:
+            target = out_dir / name
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(f"{target} is a directory")
+            if target.exists() or target.is_symlink():
+                target.replace(old / name)
+                moved_out.append(name)
+        for name in names:
+            (staging / name).replace(out_dir / name)
+            placed.append(name)
+    except BaseException:
+        for name in placed:
+            (out_dir / name).unlink()
+        for name in moved_out:
+            (old / name).replace(out_dir / name)
+        old.rmdir()
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -407,16 +468,14 @@ def run(config: RunConfig) -> RunResult:
 
     comparison = compare_policies(reports)
 
-    # Stage everything, then move into place.
-    config.out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.out_dir.parent))
-    try:
+    # a narrower rerun must not leave another policy's outputs behind
+    stale = _policy_files(name for name in POLICY_NAMES if name not in reports)
+    with publish(config.out_dir, stale) as staging:
         # the log's file is closed however this block is left
         with Ledger(staging / "audit.log") as ledger:
             _build_ledger(production, tables, static_kors, ledger)
             write_ledger(ledger, staging / "audit.log")
         stamps = [ts.isoformat() for ts in production.starts]
-        emitted: list[str] = []
         ordered_ids = sorted(ids)
         for name in sorted(reports):
             scr_report, savings_report = reports[name]
@@ -428,30 +487,12 @@ def run(config: RunConfig) -> RunResult:
                     "savings": savings_report.to_json_dict(),
                 },
             )
-            emitted.append(f"{name}_report.json")
             _write_csv(
                 staging / f"{name}_allocations.csv",
                 _allocation_csv_rows(tables[name], ordered_ids, stamps),
             )
-            emitted.append(f"{name}_allocations.csv")
         _write_csv(staging / "comparison.csv", comparison.to_csv_rows())
-        emitted.append("comparison.csv")
         _write_json(staging / "comparison.json", comparison.to_json_dict())
-        emitted.append("comparison.json")
-        emitted.append("audit.log")
 
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for name in emitted:
-            target = config.out_dir / name
-            (staging / name).replace(target)
-            files.append(target)
-        # a narrower rerun must not leave another policy's outputs behind
-        for name in POLICY_NAMES:
-            if name not in reports:
-                for stale in (f"{name}_report.json", f"{name}_allocations.csv"):
-                    (config.out_dir / stale).unlink(missing_ok=True)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-
-    return RunResult(out_dir=config.out_dir, files=files, comparison=comparison)
+    emitted = [*_policy_files(sorted(reports)), "comparison.csv", "comparison.json", "audit.log"]
+    return RunResult(config.out_dir, [config.out_dir / name for name in emitted], comparison)

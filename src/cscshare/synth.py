@@ -13,7 +13,7 @@ Output is reproducible byte for byte for a given profile and seed.
 
 from __future__ import annotations
 
-import json
+import io
 import math
 import random
 from datetime import date, datetime, time, timedelta, timezone
@@ -29,6 +29,7 @@ from cscshare.ingestion import (
     readings_by_meter,
 )
 from cscshare.model import DAY_SLOTS, DateRange, Kind, SLOT_MINUTES
+from cscshare.runner import _write_json, publish
 
 PROFILES = ("low_radiation", "high_radiation")
 
@@ -79,8 +80,6 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(f"{profile}:{seed}")
     day = _DAY[profile]
 
@@ -138,8 +137,7 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
         for k in range(DAY_SLOTS):
             ts = _slot_ts(day, k).isoformat()
             rows.append(f"{pid},linky,{ts},energy_wh,{consumption[pid][k]}")
-    meters_csv = out / "meters.csv"
-    meters_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    meters = "\n".join(rows) + "\n"
 
     community = {
         "participants": [
@@ -166,42 +164,16 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
         "feed_in_eur_per_kwh": "0.06",
         "datacentre_meter": "b4",
     }
-    community_json = out / "community.json"
-    community_json.write_text(
-        json.dumps(community, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-    scenario = out / "scenario.cfg"
-    scenario.write_text(
-        "# emulated panels and optional data centre\n"
-        f"pv_gain = {DEMO_PV_GAIN}\n"
-        f"datacentre_load_kw = {DEMO_DC_LOAD_KW}\n"
-        "include_datacentre = false\n",
-        encoding="utf-8",
-    )
-    scenario_dc = out / "scenario_dc.cfg"
-    scenario_dc.write_text(
-        "# emulated panels with the data centre in the operation\n"
-        f"pv_gain = {DEMO_PV_GAIN}\n"
-        f"datacentre_load_kw = {DEMO_DC_LOAD_KW}\n"
-        "include_datacentre = true\n",
-        encoding="utf-8",
-    )
 
     # Static coefficients derived from this day's consumption, the same
     # derivation a year of history would get.
-    ingested = ingest_csv(meters_csv)
+    ingested = ingest_csv(io.StringIO(meters))
     assert not ingested.errors
     by_meter = readings_by_meter([ingested])
     history = [
         normalize_to_slots(by_meter[pid], kind=Kind.CONSUMPTION) for pid in _PARTICIPANTS
     ]
     kors = derive_static_kors(history, DateRange.single_day(day))
-    kors_json = out / "kors.json"
-    kors_json.write_text(
-        json.dumps(dict(sorted(kors.entries.items())), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
 
     run_config = {
         "meter_csvs": ["meters.csv"],
@@ -211,16 +183,26 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
         "policies": ["static", "static33", "default-dynamic", "custom-dynamic"],
         "out_dir": "reports",
     }
-    run_json = out / "run_config.json"
-    run_json.write_text(
-        json.dumps(run_config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-    return {
-        "meters": meters_csv,
-        "community": community_json,
-        "scenario": scenario,
-        "scenario_dc": scenario_dc,
-        "kors": kors_json,
-        "run_config": run_json,
-    }
+    out = Path(out_dir)
+    with publish(out) as staging:
+        (staging / "meters.csv").write_text(meters, encoding="utf-8")
+        _write_json(staging / "community.json", community)
+        (staging / "scenario.cfg").write_text(
+            "# emulated panels and optional data centre\n"
+            f"pv_gain = {DEMO_PV_GAIN}\n"
+            f"datacentre_load_kw = {DEMO_DC_LOAD_KW}\n"
+            "include_datacentre = false\n",
+            encoding="utf-8",
+        )
+        (staging / "scenario_dc.cfg").write_text(
+            "# emulated panels with the data centre in the operation\n"
+            f"pv_gain = {DEMO_PV_GAIN}\n"
+            f"datacentre_load_kw = {DEMO_DC_LOAD_KW}\n"
+            "include_datacentre = true\n",
+            encoding="utf-8",
+        )
+        _write_json(staging / "kors.json", kors.entries)
+        _write_json(staging / "run_config.json", run_config)
+        # each file's role is its name's stem
+        paths = {p.stem: out / p.name for p in staging.iterdir()}
+    return paths

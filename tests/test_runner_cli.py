@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import re
+import shutil
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
@@ -30,12 +31,10 @@ def demo(tmp_path):
     return tmp_path
 
 
-def _tree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+def _tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes; a directory, even
+    an empty one, shows as None."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 class TestRun:
@@ -284,6 +283,165 @@ class TestStreamedLog:
         assert len(calls) == 5000
         assert sorted(p.name for p in demo.iterdir() if p.name.startswith(".staging-")) == []
         assert not (demo / "reports").exists()
+
+
+def _failing_replace(monkeypatch, k: int) -> list:
+    """Make the k-th ``Path.replace`` from now raise (none, for k = 0);
+    the returned list grows by one per call."""
+    replace, calls = Path.replace, []
+
+    def failing(self, target):
+        calls.append(None)
+        if len(calls) == k:
+            raise OSError(f"replace {k} failed")
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", failing)
+    return calls
+
+
+class TestPublish:
+    """Every command publishes its files through one stage-then-move step,
+    which leaves the old tree or the new one, byte for byte."""
+
+    def _each_failing_replace(self, monkeypatch, root, setup, args):
+        """Make each ``Path.replace`` of the command ``args`` raise in
+        turn, over a fresh ``setup(root)``. Return how many it makes and
+        the tree it leaves when none raises."""
+        setup(root)
+        old = _tree_bytes(root)
+        with monkeypatch.context() as m:
+            calls = _failing_replace(m, 0)
+            r = CliRunner().invoke(main, args)
+        assert r.exit_code == 0, r.output
+        assert not list(root.rglob(".staging-*"))
+        new = _tree_bytes(root)
+        assert new != old
+        for k in range(1, len(calls) + 1):
+            shutil.rmtree(root)
+            setup(root)
+            with monkeypatch.context() as m:
+                _failing_replace(m, k)
+                r = CliRunner().invoke(main, args)
+            assert r.exit_code == 2, (k, r.output)
+            assert f"I/O error: replace {k} failed" in r.output
+            assert _tree_bytes(root) == old, k
+        return len(calls), new
+
+    def test_a_rerun_leaves_the_old_tree_or_the_new(self, tmp_path, monkeypatch):
+        root = tmp_path / "demo"
+
+        def setup(root):
+            synthesize_demo_data("high_radiation", 7, root)
+            run(load_run_config(root / "run_config.json"))
+            (root / "reports" / "notes.txt").write_text("kept by the user\n")
+            _edit_json(root / "run_config.json", lambda raw: raw.update(scenario="scenario_dc.cfg"))
+
+        args = ["run", "--config", str(root / "run_config.json"),
+                "--policy", "custom-dynamic", "--policy", "static33"]
+        moves, new = self._each_failing_replace(monkeypatch, root, setup, args)
+        # 7 old files and 4 of the policies not rerun moved aside, 7 moved in
+        assert moves == 18
+        assert new["reports/notes.txt"] == b"kept by the user\n"
+        assert "reports/static_report.json" not in new
+
+    def test_a_first_run_leaves_no_out_dir_or_the_new(self, tmp_path, monkeypatch):
+        root = tmp_path / "demo"
+        args = ["run", "--config", str(root / "run_config.json")]
+        setup = lambda root: synthesize_demo_data("high_radiation", 7, root)  # noqa: E731
+        assert self._each_failing_replace(monkeypatch, root, setup, args)[0] == 11
+
+    def test_derive_kors_over_its_file_leaves_the_old_or_the_new(self, tmp_path, monkeypatch):
+        root = tmp_path / "demo"
+
+        def setup(root):
+            synthesize_demo_data("high_radiation", 7, root)
+            (root / "kors.json").write_text('{"b1": 1.0, "b2": 0.0, "b4": 0.0}\n')
+            (root / "notes.txt").write_text("kept by the user\n")
+
+        args = ["derive-kors", "--config", str(root / "run_config.json"),
+                "--out", str(root / "kors.json")]
+        moves, new = self._each_failing_replace(monkeypatch, root, setup, args)
+        assert moves == 2 and new["notes.txt"] == b"kept by the user\n"
+
+    def test_ingest_over_its_directory_leaves_the_old_or_the_new(self, tmp_path, monkeypatch):
+        root = tmp_path / "demo"
+
+        def setup(root):
+            synthesize_demo_data("high_radiation", 8, root / "seed8")
+            r = CliRunner().invoke(main, ["ingest", str(root / "seed8" / "meters.csv"),
+                                          "--out", str(root / "slots")])
+            assert r.exit_code == 0, r.output
+            synthesize_demo_data("high_radiation", 7, root)
+            (root / "slots" / "notes.txt").write_text("kept by the user\n")
+
+        args = ["ingest", str(root / "meters.csv"), "--out", str(root / "slots")]
+        moves, new = self._each_failing_replace(monkeypatch, root, setup, args)
+        assert moves == 8 and new["slots/notes.txt"] == b"kept by the user\n"
+
+    def test_synth_data_over_its_directory_leaves_the_old_or_the_new(self, tmp_path, monkeypatch):
+        root = tmp_path / "demo"
+
+        def setup(root):
+            synthesize_demo_data("high_radiation", 8, root)
+            run(load_run_config(root / "run_config.json"))
+            (root / "notes.txt").write_text("kept by the user\n")
+
+        args = ["synth-data", "high_radiation", "--out", str(root), "--seed", "7"]
+        moves, new = self._each_failing_replace(monkeypatch, root, setup, args)
+        assert moves == 12 and new["notes.txt"] == b"kept by the user\n"
+        assert "reports/audit.log" in new
+
+    def test_derive_kors_write_failing_part_way_keeps_the_old_file(self, demo, monkeypatch):
+        (demo / "kors.json").write_text('{"b1": 1.0, "b2": 0.0, "b4": 0.0}\n')
+        old = _tree_bytes(demo)
+        write_text = Path.write_text
+
+        def cut(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut)
+        r = CliRunner().invoke(main, [
+            "derive-kors", "--config", str(demo / "run_config.json"),
+            "--out", str(demo / "kors.json"),
+        ])
+        assert r.exit_code == 2, r.output
+        assert _tree_bytes(demo) == old
+
+    def test_a_file_that_cannot_be_put_back_is_kept(self, demo, monkeypatch):
+        """If putting a replaced file back fails too, the file stays in the
+        staging directory it was moved to, not deleted with it."""
+        kept = b'{"b1": 1.0, "b2": 0.0, "b4": 0.0}\n'
+        (demo / "kors.json").write_bytes(kept)
+        replace, calls = Path.replace, []
+
+        def failing_after_the_first(self, target):
+            calls.append(None)
+            if len(calls) > 1:
+                raise OSError("no more moves")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing_after_the_first)
+        r = CliRunner().invoke(main, [
+            "derive-kors", "--config", str(demo / "run_config.json"),
+            "--out", str(demo / "kors.json"),
+        ])
+        assert r.exit_code == 2, r.output
+        assert not (demo / "kors.json").exists()
+        assert [p.read_bytes() for p in demo.glob(".staging-*/kors.json")] == [kept]
+
+    def test_a_directory_in_place_of_an_output_is_kept(self, demo):
+        out = run(load_run_config(demo / "run_config.json")).out_dir
+        (out / "audit.log").unlink()
+        (out / "audit.log").mkdir()
+        (out / "audit.log" / "notes.txt").write_text("kept by the user\n")
+        _edit_json(demo / "run_config.json", lambda raw: raw.update(scenario="scenario_dc.cfg"))
+        old = _tree_bytes(demo)
+        with pytest.raises(IsADirectoryError, match="audit.log is a directory"):
+            run(load_run_config(demo / "run_config.json"))
+        assert _tree_bytes(demo) == old
+
 
 def _read_allocations(path: Path) -> AllocationTable:
     with open(path, newline="", encoding="utf-8") as fh:
@@ -775,7 +933,7 @@ class TestCli:
         runner = CliRunner()
         out = tmp_path / "demo"
         runner.invoke(main, ["synth-data", "high_radiation", "--out", str(out)])
-        kors_path = tmp_path / "kors_out.json"
+        kors_path = tmp_path / "missing" / "kors_out.json"  # its directory is created
         r = runner.invoke(main, [
             "derive-kors", "--config", str(out / "run_config.json"),
             "--out", str(kors_path),

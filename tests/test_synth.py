@@ -1,5 +1,6 @@
 """Demo-day generator: determinism and the shape guarantees."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,27 @@ def test_same_seed_same_bytes(tmp_path):
     synthesize_demo_data("low_radiation", 13, a)
     synthesize_demo_data("low_radiation", 13, b)
     assert _tree_bytes(a) == _tree_bytes(b)
+
+
+def test_demo_files_bytes_pinned(tmp_path):
+    paths = synthesize_demo_data("high_radiation", 7, tmp_path)
+    assert {role: path.name for role, path in paths.items()} == {
+        "community": "community.json",
+        "kors": "kors.json",
+        "meters": "meters.csv",
+        "run_config": "run_config.json",
+        "scenario": "scenario.cfg",
+        "scenario_dc": "scenario_dc.cfg",
+    }
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == {
+        "community.json": "859b7c50c027e8a30756c75335f795d194770b3a313946baa34c5b4a3363c4dc",
+        "kors.json": "f9693e92196f60c7903e01654f448257f6cc5384de85fc57b70dfeabb31c97e7",
+        "meters.csv": "789c79bf72c32d8912375652927fd70fedae6e922354d7252d6a7a837a012eb7",
+        "run_config.json": "9b8d02e6a1adeb0648c6ec17addf8270b1fce0da6eb41f8f5405f676d4235371",
+        "scenario.cfg": "a9fe3a5f24d7a3255c8d98775ee16f7309f08ce0d7a212bc3e8c65b95afb94fd",
+        "scenario_dc.cfg": "9a39119fd2dacd336d11381f39b4301cb77b20f68e7ee242c79424b84ee14abc",
+    }
 
 
 def test_different_seed_different_bytes(tmp_path):
