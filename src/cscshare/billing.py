@@ -103,7 +103,7 @@ def _in_window(table: AllocationTable, window: DateRange | None) -> AllocationTa
         return table
     if None in table.slot_starts:
         raise ValueError("allocation without slot_start cannot be windowed")
-    keep = [window.contains(ts) for ts in table.slot_starts]
+    keep = window.mask(table.slot_starts)
     if all(keep):
         return table
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
-from itertools import groupby, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import attrgetter, eq, is_, itemgetter, lt, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
@@ -291,6 +291,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     # as they stand in the file, to their columns and value parser
     routes: dict[tuple[str, str, str], tuple[MeterReadings, Callable]] = {}
     timestamps = _Timestamps()
+    parsers = {**_ENERGY_PARSERS, QuantityKind.POWER_KW_10MIN: _Powers().__getitem__}
     for line, row in enumerate(reader, start=2):
         try:
             try:
@@ -299,7 +300,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
             except (ValueError, KeyError):
                 if not "".join(row).strip():
                     continue
-                readings, parse_value = _route(row, routes, meters, timestamps)
+                readings, parse_value = _route(row, routes, meters, timestamps, parsers)
             ts, floor = timestamps[ts_text]
             value = parse_value(value_text)
         except ValueError as exc:
@@ -312,7 +313,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     return result
 
 
-def _route(row: Sequence[str], routes: dict, meters: dict, timestamps: _Timestamps):
+def _route(row: Sequence[str], routes: dict, meters: dict, timestamps: _Timestamps, parsers: dict):
     """Check the first row of a meter, class and kind text triple, and route it.
 
     Raises the row's error when the triple is malformed; a known but
@@ -325,7 +326,7 @@ def _route(row: Sequence[str], routes: dict, meters: dict, timestamps: _Timestam
     if not meter_id:
         raise ValueError("empty meter_id")
     meter_class, kind = _members(klass, kind_text)
-    parse_value = _VALUE_PARSERS[kind]
+    parse_value = parsers[kind]
     if kind not in _CLASS_KINDS[meter_class]:
         timestamps[ts_text]
         parse_value(value_text)
@@ -377,10 +378,24 @@ def _parse_power(text: str) -> Decimal:
     return value
 
 
-_VALUE_PARSERS = {
+class _Powers(dict):
+    """Power text -> its Decimal, each distinct text parsed once per file.
+
+    SME/SMI power comes at 1 kW resolution, so a file holds few distinct
+    power texts. Equal texts share one immutable Decimal. A bad text
+    raises _parse_power's error and is never stored, so each of its rows
+    is reported.
+    """
+
+    def __missing__(self, text: str) -> Decimal:
+        self[text] = value = _parse_power(text)
+        return value
+
+
+# Energy and index values are parsed row by row: their texts rarely repeat.
+_ENERGY_PARSERS = {
     QuantityKind.ENERGY_WH: _energy_parser("Wh"),
     QuantityKind.ENERGY_KWH_INDEX: _energy_parser("kWh"),
-    QuantityKind.POWER_KW_10MIN: _parse_power,
 }
 
 
@@ -445,9 +460,15 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
             if power
             else (SLOT_MINUTES, "index reading", "a slot boundary")
         )
-        for ts in stamps:
-            if ts.minute % mark or ts.second or ts.microsecond:
-                raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
+        if not (
+            set(map(_minute, stamps)) <= set(range(0, 60, mark))
+            and not any(map(_second, stamps))
+            and not any(map(_microsecond, stamps))
+        ):
+            # some reading is off the mark: name the first in time order
+            for ts in stamps:
+                if ts.minute % mark or ts.second or ts.microsecond:
+                    raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
 
     whole = _whole(stamps, floors, values, power, index)
     if whole is not None:
@@ -545,6 +566,9 @@ def _whole(stamps, floors, values, power: bool, index: bool):
 
 
 _tzinfo = attrgetter("tzinfo")
+_minute = attrgetter("minute")
+_second = attrgetter("second")
+_microsecond = attrgetter("microsecond")
 
 
 # Scaled slot energies are computed exactly in 60 digits; one that needs
@@ -654,16 +678,10 @@ def derive_static_kors(history: Iterable[SlotSeries], window: DateRange) -> KorV
     """
     totals: dict[str, int] = {}
     covered: dict[str, bool] = {}
-    contains = window.contains
     for s in history:
-        total = 0
-        has_data = False
-        for ts, energy in zip(s.starts, s.energies):
-            if contains(ts):
-                total += energy
-                has_data = True
-        totals[s.meter_id] = totals.get(s.meter_id, 0) + total
-        covered[s.meter_id] = covered.get(s.meter_id, False) or has_data
+        keep = window.mask(s.starts)
+        totals[s.meter_id] = totals.get(s.meter_id, 0) + sum(compress(s.energies, keep))
+        covered[s.meter_id] = covered.get(s.meter_id, False) or any(keep)
     if not totals:
         raise ValueError("no history series given")
     for pid, has_data in sorted(covered.items()):

@@ -9,11 +9,11 @@ be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from itertools import groupby, islice
-from operator import attrgetter, gt, lt, methodcaller
+from itertools import compress, groupby, islice, repeat
+from operator import and_, attrgetter, gt, le, lt, methodcaller
 from typing import Iterable, Mapping, Sequence
 
 SLOT_MINUTES = 30
@@ -101,6 +101,15 @@ class DateRange:
     def contains(self, ts: datetime) -> bool:
         return self.start <= ts.date() < self.end
 
+    def mask(self, starts: Iterable[datetime]) -> list[bool]:
+        """Whether each timestamp's local date lies in the window, as one list."""
+        dates = list(map(datetime.date, starts))
+        # a window holding every date, as a run's full extent does, is
+        # told by the first and last date alone
+        if not dates or (self.start <= min(dates) and max(dates) < self.end):
+            return [True] * len(dates)
+        return list(map(and_, map(le, repeat(self.start), dates), map(lt, dates, repeat(self.end))))
+
     @classmethod
     def single_day(cls, day: date) -> "DateRange":
         return cls(day, day + timedelta(days=1))
@@ -129,7 +138,12 @@ class SlotSeries:
         if len(starts) != len(energies):
             raise ValueError("value count does not match slot count")
         if not (
-            None not in map(methodcaller("utcoffset"), starts)
+            # a fixed-offset timezone never returns None; the types are
+            # tested, not the zones, as a tzinfo may be unhashable
+            (
+                set(map(type, map(attrgetter("tzinfo"), starts))) == {timezone}
+                or None not in map(methodcaller("utcoffset"), starts)
+            )
             and set(map(attrgetter("minute"), starts)) <= _SLOT_MINUTES_OF_HOUR
             and not any(map(attrgetter("second"), starts))
             and not any(map(attrgetter("microsecond"), starts))
@@ -147,7 +161,7 @@ class SlotSeries:
     def total_wh(self, window: DateRange | None = None) -> int:
         if window is None:
             return sum(self.energies)
-        return sum(e for ts, e in zip(self.starts, self.energies) if window.contains(ts))
+        return sum(compress(self.energies, window.mask(self.starts)))
 
     def replace_values(self, values: Sequence[int]) -> "SlotSeries":
         """The same slots with new energies; the starts column is shared."""

@@ -174,6 +174,33 @@ class TestNormalize:
         with pytest.raises(ValueError, match="10-minute boundary"):
             normalize_to_slots(_readings([record]))
 
+    @pytest.mark.parametrize("first", ["minute", "second", "microsecond"])
+    @pytest.mark.parametrize("quantity", [QuantityKind.POWER_KW_10MIN, QuantityKind.ENERGY_KWH_INDEX])
+    def test_off_mark_reading_named_first_in_time_order(self, quantity, first):
+        """Two readings off the mark, given latest first: the earlier one
+        in time is named, whichever field puts it off the mark."""
+        power = quantity is QuantityKind.POWER_KW_10MIN
+        step = timedelta(minutes=10 if power else SLOT_MINUTES)
+        stamps = [slot_ts(20) + k * step for k in range(6)]
+        off = {
+            "minute": timedelta(minutes=5 if power else 10),
+            "second": timedelta(seconds=1),
+            "microsecond": timedelta(microseconds=1),
+        }
+        later = "second" if first == "minute" else "minute"
+        stamps[2] += off[first]
+        stamps[4] += off[later]
+        records = [
+            RawMeterRecord("m1", MeterClass.SME_SMI, ts, quantity, Decimal(6) if power else 100 + k)
+            for k, ts in enumerate(stamps)
+        ]
+        what, where = (
+            ("power sample", "a 10-minute boundary") if power else ("index reading", "a slot boundary")
+        )
+        message = f"m1: {what} at {stamps[2].isoformat()} is not on {where}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalize_to_slots(_readings(records[::-1]))
+
     @pytest.mark.parametrize("fault", ["floor of another slot", "sample in another offset"])
     def test_power_columns_that_look_whole_are_walked_for_their_fault(self, fault):
         """Power columns of two slots whose starts are their own floors, 30
@@ -524,13 +551,22 @@ def _reference_row(row):
         if value < 0:
             raise ValueError("negative energy")
     else:
-        try:
-            value = Decimal(value_text)
-        except ArithmeticError:
-            raise ValueError(f"bad power value {value_text!r}") from None
-        if value < 0:
-            raise ValueError("negative power")
+        value = _reference_power(value_text)
     return RawMeterRecord(meter_id, meter_class, ts, kind, value)
+
+
+def _reference_power(text):
+    """A power text's value or error, parsed on its own as each row once was."""
+    text = text.strip()
+    try:
+        value = Decimal(text)
+    except ArithmeticError:
+        raise ValueError(f"bad power value {text!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"bad power value {text!r}")
+    if value < 0:
+        raise ValueError("negative power")
+    return value
 
 
 def _reference_floor(ts):
@@ -802,6 +838,52 @@ def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
             floor = entry[1]
             assert starts.setdefault((floor.isoformat(), text[19:]), floor) is floor
             assert (entry[0] is floor) == (ts == floor)
+
+
+_POWER_TEXTS = st.sampled_from(["6", "6.0", "1.5", "0", "26", "NaN", "x", "-1", "-0.5", "1e3"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["m1", "m2"]),
+            _POWER_TEXTS | st.decimals(0, 50, places=1).map(str),
+            st.sampled_from(["", " ", "\t"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(rows=[("m1", "x", ""), ("m2", "x", ""), ("m1", "6", " "), ("m2", "6", " "), ("m1", "6", "")])
+def test_power_texts_parse_once_per_file_as_each_row_alone(rows):
+    """Power texts, padded, repeated, bad and valid, across two meters:
+    each row gives the per-row parse's value, or its error with the row's
+    own line; rows with equal text share one Decimal."""
+    texts = [f"{pad}{text}{pad}" for _, text, pad in rows]
+    body = "".join(
+        f"{meter_id},sme_smi,{(_BASE + k * timedelta(minutes=10)).isoformat()},power_kw_10min,{text}\n"
+        for k, ((meter_id, _, _), text) in enumerate(zip(rows, texts))
+    )
+    result = ingest_csv(io.StringIO(HEADER + body))
+
+    expected, errors = {}, []
+    for line, ((meter_id, _, _), text) in enumerate(zip(rows, texts), start=2):
+        try:
+            value = _reference_power(text)
+        except ValueError as exc:
+            errors.append(f"line {line}: {exc}")
+        else:
+            expected.setdefault(meter_id, []).append((text, value))
+    assert [str(e) for e in result.errors] == errors
+    values = {m.meter_id: m.values for m in result.meters}
+    assert {
+        meter_id: [(type(v), str(v)) for v in column] for meter_id, column in values.items()
+    } == {meter_id: [(Decimal, str(v)) for _, v in pairs] for meter_id, pairs in expected.items()}
+    shared = {}
+    for meter_id, pairs in expected.items():
+        for (text, _), value in zip(pairs, values[meter_id]):
+            assert shared.setdefault(text, value) is value
 
 
 def _outcome(normalize, records):

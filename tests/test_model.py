@@ -1,6 +1,6 @@
 """Core type invariants."""
 
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from decimal import Decimal
 from fractions import Fraction
 
@@ -98,6 +98,58 @@ class TestSlotSeries:
         s = SlotSeries("m", Kind.CONSUMPTION, (slot_ts(0), slot_ts(1)), (10, 20))
         assert s.total_wh() == 30
         assert s.total_wh(DateRange.single_day(DAY)) == 30
+        assert s.total_wh(DateRange.single_day(DAY + timedelta(days=1))) == 0
+        late = SlotSeries("m", Kind.CONSUMPTION, (slot_ts(47), slot_ts(0, DAY + timedelta(days=1))), (10, 20))
+        assert late.total_wh(DateRange.single_day(DAY)) == 10
+
+    def test_starts_of_an_unhashable_tzinfo_are_checked_one_by_one(self):
+        zone = _Zone(timedelta(hours=2))
+        with pytest.raises(TypeError):
+            hash(zone)
+        starts = tuple(ts.replace(tzinfo=zone) for ts in (slot_ts(0), slot_ts(1)))
+        assert SlotSeries("m", Kind.CONSUMPTION, starts, (10, 20)).starts == starts
+
+    def test_a_start_whose_tzinfo_gives_no_offset_is_named(self):
+        zone = _Zone(timedelta(hours=2), none_at=slot_ts(1).replace(tzinfo=None))
+        starts = tuple(slot_ts(k).replace(tzinfo=zone) for k in range(3))
+        with pytest.raises(ValueError, match=r"^timestamp 2022-05-04T00:30:00 has no UTC offset$"):
+            SlotSeries("m", Kind.CONSUMPTION, starts, (10, 20, 30))
+
+
+class _Zone(tzinfo):
+    """A fixed offset that is not a datetime.timezone, unhashable, and
+    without an offset at one local time if ``none_at`` names it."""
+
+    __hash__ = None
+
+    def __init__(self, offset: timedelta, none_at: datetime | None = None):
+        self.offset, self.none_at = offset, none_at
+
+    def utcoffset(self, dt):
+        return None if dt.replace(tzinfo=None) == self.none_at else self.offset
+
+    def dst(self, dt):
+        return timedelta(0)
+
+
+class TestDateRange:
+    @given(
+        instants=st.lists(st.datetimes(datetime(2024, 1, 1), datetime(2024, 1, 9)), max_size=40),
+        hours=st.lists(st.integers(-23, 23), min_size=1, max_size=4),
+        first=st.dates(date(2024, 1, 1), date(2024, 1, 9)),
+        days=st.integers(1, 4),
+    )
+    def test_mask_is_contains_of_each_start(self, instants, hours, first, days):
+        """Each start is taken at its own local date, in any offset."""
+        window = DateRange(first, first + timedelta(days=days))
+        starts = [
+            t.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(hours=hours[k % len(hours)])))
+            for k, t in enumerate(instants)
+        ]
+        assert window.mask(starts) == [window.contains(ts) for ts in starts]
+        assert window.mask(iter(starts)) == window.mask(tuple(starts))
+        wide = DateRange(date(2023, 12, 30), date(2024, 1, 11))
+        assert wide.mask(starts) == [True] * len(starts)
 
 
 class TestParticipant:
