@@ -36,6 +36,7 @@ from cscshare.model import (
     SlotSeries,
     SLOT_DURATION,
     SLOT_MINUTES,
+    _SLOT_MINUTES_OF_HOUR,
     as_decimal,
     parse_timestamp,
 )
@@ -96,18 +97,16 @@ class MeterReadings:
     """One meter's readings of one quantity, as columns in arrival order.
 
     This is the one form of a meter's readings, from ingest_csv through
-    readings_by_meter to normalize_to_slots. ``floors`` holds each
-    timestamp's slot start: the timestamp floored to the 30-minute grid in
-    its own UTC offset. Ingestion fills the columns row by row, taking each
-    floor from the per-file timestamp cache. ``readings[k]`` builds row k
-    as a RawMeterRecord.
+    readings_by_meter to normalize_to_slots: a reading is its timestamp
+    and its value. Ingestion fills the columns row by row, taking each
+    timestamp from the per-file timestamp cache. ``readings[k]`` builds
+    row k as a RawMeterRecord.
     """
 
     meter_id: str
     meter_class: MeterClass
     quantity_kind: QuantityKind
     timestamps: list[datetime] = field(default_factory=list)
-    floors: list[datetime] = field(default_factory=list)
     values: list[int | Decimal] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -186,7 +185,6 @@ def _joined(parts: list[MeterReadings]) -> MeterReadings:
     return MeterReadings(
         first.meter_id, first.meter_class, first.quantity_kind,
         [ts for p in parts for ts in p.timestamps],
-        [floor for p in parts for floor in p.floors],
         [value for p in parts for value in p.values],
     )
 
@@ -204,58 +202,49 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
 
 
 class _Timestamps(dict):
-    """Timestamp text -> (parsed timestamp, its slot floor), each distinct text read once per file.
+    """Timestamp text -> its parsed timestamp, each distinct text read once per file.
 
     Timestamps with equal UTC offsets share one tzinfo object, so sorting
     and comparing them takes CPython's same-tzinfo path.
 
     Each hour and offset of the layout ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (or
     ``-HH:MM``) is parsed once: the first text of it goes through
-    ``parse_timestamp`` and ``_slot_floor`` and records the starts of the
-    hour's two slots. Any later text of that hour is a start plus its
-    ``:MM:SS`` piece; a text on a slot boundary is the start object
-    itself, and every text of a slot has that object as its floor. Any
-    other text (``Z``, a fraction, padding, another layout, a piece that
-    is not two ASCII digits under 60 twice) is parsed on its own, with the
-    same errors.
+    ``parse_timestamp`` and records the hour's start. Any later text of
+    that hour is the start plus its ``:MM:SS`` piece. Any other text
+    (``Z``, a fraction, padding, another layout, a piece that is not two
+    ASCII digits under 60 twice) is parsed on its own, with the same
+    errors.
     """
 
     def __init__(self):
         super().__init__()
         self._zones: dict = {}
-        # text[:13] + offset text -> the starts of the hour's two slots
-        self._hours: dict[str, tuple[datetime, datetime]] = {}
+        # text[:13] + offset text -> the hour's start
+        self._hours: dict[str, datetime] = {}
         # ":MM:SS" -> _piece of it, filled as pieces are met
-        self._pieces: dict[str, tuple[int, timedelta | None] | None] = {}
+        self._pieces: dict[str, timedelta | None] = {}
 
-    def __missing__(self, text: str) -> tuple[datetime, datetime]:
+    def __missing__(self, text: str) -> datetime:
         hour = text[:13] + text[19:] if len(text) == 25 and text[4::3] in _LAYOUT else None
-        starts = self._hours.get(hour)
-        if starts is not None:
+        start = self._hours.get(hour)
+        if start is not None:
             key = text[13:19]
             try:
-                piece = self._pieces[key]
+                into = self._pieces[key]
             except KeyError:
-                piece = self._pieces[key] = _piece(key)
-            if piece is not None:
-                slot, into = piece
-                start = starts[slot]
-                self[text] = entry = (start if into is None else start + into, start)
-                return entry
+                into = self._pieces[key] = _piece(key)
+            if into is not None:
+                self[text] = ts = start + into
+                return ts
         ts = parse_timestamp(text.strip())
         zone = self._zones.setdefault(ts.tzinfo, ts.tzinfo)
         if zone is not ts.tzinfo:
             # what replace(tzinfo=zone) gives, at a fifth of its cost
             ts = datetime.combine(ts, ts.time(), zone)
-        floor = _slot_floor(ts)
-        if hour is not None and starts is None:
-            self._hours[hour] = (
-                (floor, floor + SLOT_DURATION)
-                if floor.minute < SLOT_MINUTES
-                else (floor - SLOT_DURATION, floor)
-            )
-        self[text] = entry = (ts, floor)
-        return entry
+        if hour is not None and start is None:
+            self._hours[hour] = ts - timedelta(minutes=ts.minute, seconds=ts.second)
+        self[text] = ts
+        return ts
 
 
 # The characters at positions 4, 7, ..., 22 of a 25-character timestamp of
@@ -263,16 +252,14 @@ class _Timestamps(dict):
 _LAYOUT = ("--T::+:", "--T::-:")
 
 
-def _piece(text: str) -> tuple[int, timedelta | None] | None:
-    """The slot of its hour a ":MM:SS" piece falls in (0 or 1) and the time
-    into that slot (None on its start); None unless MM and SS are two
-    ASCII digits under 60."""
+def _piece(text: str) -> timedelta | None:
+    """The time into its hour of a ":MM:SS" piece; None unless MM and SS
+    are two ASCII digits under 60."""
     minutes, seconds = text[1:3], text[4:6]
     digits = minutes + seconds
     if not (digits.isascii() and digits.isdigit()) or minutes >= "60" or seconds >= "60":
         return None
-    slot, into = divmod(int(minutes), SLOT_MINUTES)
-    return slot, timedelta(minutes=into, seconds=int(seconds)) or None
+    return timedelta(minutes=int(minutes), seconds=int(seconds))
 
 
 def _ingest_stream(stream: TextIO) -> IngestResult:
@@ -301,13 +288,12 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
                 if not "".join(row).strip():
                     continue
                 readings, parse_value = _route(row, routes, meters, timestamps, parsers)
-            ts, floor = timestamps[ts_text]
+            ts = timestamps[ts_text]
             value = parse_value(value_text)
         except ValueError as exc:
             errors.append(RowError(line, str(exc)))
             continue
         readings.timestamps.append(ts)
-        readings.floors.append(floor)
         readings.values.append(value)
     result.meters = [readings for readings in meters.values() if readings]
     return result
@@ -436,16 +422,17 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     After the sort, duplicate and mark checks, a whole series (see
     _whole) is normalized by columns, with the walk's arithmetic; any
     other series is walked slot by slot, and the walk names its fault.
+    The walk derives each reading's slot start from its timestamp.
     """
     meter_id, quantity = readings.meter_id, readings.quantity_kind
-    stamps, floors, values = readings.timestamps, readings.floors, readings.values
+    stamps, values = readings.timestamps, readings.values
     if not stamps:
         raise ValueError("no records to normalize")
     if not all(map(lt, stamps, islice(stamps, 1, None))):
         # a stable sort: readings of one instant keep their arrival order;
         # there are at least two readings here, so each pick is a tuple
         pick = itemgetter(*sorted(range(len(stamps)), key=stamps.__getitem__))
-        stamps, floors, values = pick(stamps), pick(floors), pick(values)
+        stamps, values = pick(stamps), pick(values)
         for prev, cur in zip(stamps, stamps[1:]):
             if cur == prev:
                 raise ValueError(f"{meter_id}: duplicate reading at {cur.isoformat()}")
@@ -454,26 +441,32 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     index = quantity is QuantityKind.ENERGY_KWH_INDEX
     if index and len(stamps) < 2:
         raise ValueError(f"{meter_id}: index series needs at least two readings")
-    if power or index:
+    whole_minutes = not any(map(_second, stamps)) and not any(map(_microsecond, stamps))
+    # every reading on its class's marks: power samples on the 10-minute
+    # marks, any other reading on the slot marks
+    on_marks = whole_minutes and set(map(_minute, stamps)) <= (
+        _TEN_MINUTE_MARKS if power else _SLOT_MINUTES_OF_HOUR
+    )
+    if not on_marks and (power or index):
         mark, what, where = (
             (10, "power sample", "a 10-minute boundary")
             if power
             else (SLOT_MINUTES, "index reading", "a slot boundary")
         )
-        if not (
-            set(map(_minute, stamps)) <= set(range(0, 60, mark))
-            and not any(map(_second, stamps))
-            and not any(map(_microsecond, stamps))
-        ):
-            # some reading is off the mark: name the first in time order
-            for ts in stamps:
-                if ts.minute % mark or ts.second or ts.microsecond:
-                    raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
+        # some reading is off the mark: name the first in time order
+        for ts in stamps:
+            if ts.minute % mark or ts.second or ts.microsecond:
+                raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
 
-    whole = _whole(stamps, floors, values, power, index)
+    whole = _whole(stamps, values, power, index) if on_marks else None
     if whole is not None:
         return SlotSeries(meter_id, kind, *whole)
 
+    floors = (
+        map(sub, stamps, map(_INTO_SLOT.__getitem__, map(_minute, stamps)))
+        if whole_minutes
+        else map(_slot_floor, stamps)
+    )
     starts: list[datetime] = []
     energies: list[int] = []
     opened = opener = None  # start and first value of the slot before
@@ -523,32 +516,32 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     return SlotSeries(meter_id, kind, starts, energies)
 
 
-def _whole(stamps, floors, values, power: bool, index: bool):
+def _whole(stamps, values, power: bool, index: bool):
     """The starts and energies of a whole series, or None.
 
-    A series is whole when every slot holds exactly the readings its class
-    expects, each slot carries one tzinfo object, and consecutive starts
-    are 30 minutes apart: a Linky or index reading is its own floor, and
-    the three power samples of a slot have the first one's object as their
-    floor. These tests run over column slices; a whole series gives the
-    walk's slots by the walk's arithmetic, and any other goes to the walk,
-    which names the fault.
+    Every reading is on its class's marks here. A series is whole when
+    every slot holds exactly the readings its class expects, each slot
+    carries one tzinfo object, and consecutive starts are 30 minutes
+    apart. A Linky or index reading on a slot mark is its own slot start.
+    The power samples of a slot are whole when the first is on a slot
+    mark, the third is 20 minutes after it, and both later ones carry its
+    tzinfo object: samples in strict order on 10-minute marks then leave
+    the middle one at +10. These tests run over column slices; a whole
+    series gives the walk's slots by the walk's arithmetic, and any other
+    goes to the walk, which names the fault.
     """
     if power:
         starts = stamps[0::3]
         if not (
             len(stamps) % 3 == 0
-            and all(map(is_, floors[0::3], starts))
-            and all(map(is_, floors[1::3], starts))
-            and all(map(is_, floors[2::3], starts))
+            and set(map(_minute, starts)) <= _SLOT_MINUTES_OF_HOUR
+            and all(map(eq, map(sub, stamps[2::3], starts), repeat(_TWENTY_MINUTES)))
             and all(map(is_, map(_tzinfo, stamps[1::3]), map(_tzinfo, starts)))
             and all(map(is_, map(_tzinfo, stamps[2::3]), map(_tzinfo, starts)))
         ):
             return None
     else:
         starts = stamps
-        if not all(map(is_, floors, stamps)):
-            return None
     if not all(map(eq, map(sub, starts[1:], starts[:-1]), repeat(SLOT_DURATION))):
         return None
     if power:
@@ -569,6 +562,10 @@ _tzinfo = attrgetter("tzinfo")
 _minute = attrgetter("minute")
 _second = attrgetter("second")
 _microsecond = attrgetter("microsecond")
+_TEN_MINUTE_MARKS = frozenset(range(0, 60, 10))
+_TWENTY_MINUTES = timedelta(minutes=20)
+# minute of the hour -> the time from its slot's start
+_INTO_SLOT = tuple(timedelta(minutes=minute % SLOT_MINUTES) for minute in range(60))
 
 
 # Scaled slot energies are computed exactly in 60 digits; one that needs

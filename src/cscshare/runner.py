@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -351,6 +352,8 @@ def publish(out_dir: str | Path, stale: Iterable[str] = ()) -> Iterator[Path]:
     """Yield a new staging directory inside ``out_dir``; when the block
     succeeds, move each file written there into ``out_dir`` and remove the
     ``stale`` names from it. Either all of that happens or none of it.
+    Each staged file is synced to disk before the first move, and
+    ``out_dir`` after the last, so a crash leaves no half-written file.
 
     The staging directory is removed however the block is left, and so is
     ``out_dir`` if this call made it and published nothing.
@@ -376,6 +379,8 @@ def _move_in(staging: Path, out_dir: Path, stale: Iterable[str]) -> None:
     first, and put those back if any move raises. A file that cannot be
     put back stays there, as that directory is then kept."""
     names = sorted(p.name for p in staging.iterdir())
+    for name in names:
+        _fsync(staging / name)
     old = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     moved_out: list[str] = []
     placed: list[str] = []
@@ -390,6 +395,7 @@ def _move_in(staging: Path, out_dir: Path, stale: Iterable[str]) -> None:
         for name in names:
             (staging / name).replace(out_dir / name)
             placed.append(name)
+        _fsync(out_dir)
     except BaseException:
         for name in placed:
             (out_dir / name).unlink()
@@ -398,6 +404,14 @@ def _move_in(staging: Path, out_dir: Path, stale: Iterable[str]) -> None:
         old.rmdir()
         raise
     shutil.rmtree(old, ignore_errors=True)
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def run(config: RunConfig) -> RunResult:

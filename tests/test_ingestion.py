@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cscshare import ingestion
 from cscshare.ingestion import (
     IngestResult,
     MeterClass,
@@ -47,14 +48,9 @@ def _readings(records) -> MeterReadings:
     """One meter's records as the columns ingestion fills, in the given order."""
     records = list(records)
     first = records[0]
-    stamps = [r.timestamp for r in records]
-    floors = [
-        ts.replace(minute=ts.minute - ts.minute % SLOT_MINUTES, second=0, microsecond=0)
-        for ts in stamps
-    ]
     return MeterReadings(
         first.meter_id, first.meter_class, first.quantity_kind,
-        stamps, floors, [r.value for r in records],
+        [r.timestamp for r in records], [r.value for r in records],
     )
 
 
@@ -115,7 +111,7 @@ class TestIngestCsv:
         result = ingest_csv(io.StringIO(HEADER + "\n".join(rows) + "\n"))
         m1, m2 = result.meters
         assert (m1.meter_id, m1.values, len(m1)) == ("m1", [1, 3], 2)
-        assert (m2.meter_id, m2.values, m2.floors) == ("m2", [7, 9], m2.timestamps)
+        assert (m2.meter_id, m2.values) == ("m2", [7, 9])
         records = result.records
         assert len(records) == 4
         assert [(r.meter_id, r.value) for r in records] == [("m1", 1), ("m1", 3), ("m2", 7), ("m2", 9)]
@@ -201,24 +197,30 @@ class TestNormalize:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             normalize_to_slots(_readings(records[::-1]))
 
-    @pytest.mark.parametrize("fault", ["floor of another slot", "sample in another offset"])
+    @pytest.mark.parametrize(
+        "fault", ["a sample on the next slot's start", "a last sample in the slot after", "sample in another offset"]
+    )
     def test_power_columns_that_look_whole_are_walked_for_their_fault(self, fault):
-        """Power columns of two slots whose starts are their own floors, 30
-        minutes apart, are still walked when a sample's floor is the next
-        slot's start, or a sample carries another offset than the start
-        its floor is: the walk names the fault."""
+        """Six power samples in two runs of three, 30 minutes apart, are
+        walked when the first slot's samples end on the next slot's start,
+        the last sample falls in the slot after the last, or a sample
+        carries another offset than its slot's start: the walk names the
+        fault."""
         start, ten = slot_ts(20), timedelta(minutes=10)
         after = start + 3 * ten
         stamps = [start, start + ten, start + 2 * ten, after, after + ten, after + 2 * ten]
-        floors = [start] * 3 + [after] * 3
-        if fault == "floor of another slot":
-            floors[2] = after
-            message = rf"gap at {re.escape(start.isoformat())} \(2/3 ten-minute power samples\)"
+        gap = r"gap at {} \(2/3 ten-minute power samples\)"
+        if fault == "a sample on the next slot's start":
+            stamps = [start + ten, start + 2 * ten, after, after + ten, after + 2 * ten, after + 3 * ten]
+            message = gap.format(re.escape(start.isoformat()))
+        elif fault == "a last sample in the slot after":
+            stamps[5] = after + 3 * ten
+            message = gap.format(re.escape(after.isoformat()))
         else:
             stamps[1] = stamps[1].astimezone(timezone(timedelta(hours=1)))
             message = rf"readings of slot {re.escape(start.isoformat())} carry two UTC offsets"
         readings = MeterReadings(
-            "m1", MeterClass.SME_SMI, QuantityKind.POWER_KW_10MIN, stamps, floors, [Decimal(6)] * 6
+            "m1", MeterClass.SME_SMI, QuantityKind.POWER_KW_10MIN, stamps, [Decimal(6)] * 6
         )
         with pytest.raises(ValueError, match=f"^m1: {message}$"):
             normalize_to_slots(readings)
@@ -796,9 +798,6 @@ def _timestamp_text(draw):
     return f"{pad}{pieces['hour']}:{pieces['minute']}:{pieces['second']}{fraction}{pieces['offset']}{pad}"
 
 
-_LAYOUT_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}[+-][0-9]{2}:[0-9]{2}")
-
-
 @settings(max_examples=300, deadline=None)
 @given(texts=st.lists(_timestamp_text(), min_size=1, max_size=60))
 @example(
@@ -814,12 +813,10 @@ _LAYOUT_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2
 )
 def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
     """Each text, met in any order, gives parse_timestamp's instant and
-    offset and the reference floor of it, with one tzinfo object per
-    offset, or raises parse_timestamp's message. Among texts of the plain
-    layout, each slot start of one offset text is one object, and a text
-    on it is that object."""
+    offset, with one tzinfo object per offset, or raises parse_timestamp's
+    message."""
     cache = _Timestamps()
-    zones, starts = {}, {}
+    zones = {}
     for text in texts:
         try:
             ts = parse_timestamp(text.strip())
@@ -827,17 +824,9 @@ def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 cache[text]
             continue
-        entry = cache[text]
-        expected = (ts, _reference_floor(ts))
-        assert [(t.isoformat(), t.utcoffset()) for t in entry] == [
-            (t.isoformat(), t.utcoffset()) for t in expected
-        ]
-        for t in entry:
-            assert zones.setdefault(t.utcoffset(), t.tzinfo) is t.tzinfo
-        if _LAYOUT_TEXT.fullmatch(text):
-            floor = entry[1]
-            assert starts.setdefault((floor.isoformat(), text[19:]), floor) is floor
-            assert (entry[0] is floor) == (ts == floor)
+        got = cache[text]
+        assert (got.isoformat(), got.utcoffset()) == (ts.isoformat(), ts.utcoffset())
+        assert zones.setdefault(got.utcoffset(), got.tzinfo) is got.tzinfo
 
 
 _POWER_TEXTS = st.sampled_from(["6", "6.0", "1.5", "0", "26", "NaN", "x", "-1", "-0.5", "1e3"])
@@ -973,6 +962,73 @@ class TestAgainstReferenceNormalizer:
             assert _outcome(normalize_to_slots, by_meter[meter_id]) == _outcome(
                 _reference_normalize, reference_records
             )
+
+    @pytest.mark.parametrize("quantity", list(QuantityKind), ids=lambda q: q.value)
+    def test_a_whole_series_across_both_switches_is_normalized_by_columns(self, quantity, monkeypatch):
+        """A whole series of fresh datetimes, one tzinfo object per offset
+        as ingestion gives, from before the 2024 spring switch to after the
+        autumn one: no slot start is derived and no slot is walked."""
+        zones = {h: timezone(timedelta(hours=h)) for h in (1, 2)}
+
+        def fresh(utc):
+            local = paris_2024(utc)
+            return local.replace(tzinfo=zones[local.utcoffset() // timedelta(hours=1)])
+
+        first, slot = parse_timestamp("2024-03-30T22:00:00Z"), timedelta(minutes=SLOT_MINUTES)
+        n = (parse_timestamp("2024-10-27T04:00:00Z") - first) // slot
+        if quantity is QuantityKind.ENERGY_WH:
+            rows = [("linky", fresh(first + k * slot), k * 7919 % 1000) for k in range(n)]
+        elif quantity is QuantityKind.POWER_KW_10MIN:
+            rows = [
+                ("sme_smi", fresh(first + k * slot + j * timedelta(minutes=10)), Decimal(k % 97) / 4)
+                for k in range(n)
+                for j in range(3)
+            ]
+        else:
+            rows = [("sme_smi", fresh(first + k * slot), k * (k + 1) // 2) for k in range(n + 1)]
+        records = [RawMeterRecord("m1", MeterClass(c), ts, quantity, v) for c, ts, v in rows]
+        expected = _outcome(_reference_normalize, records)
+        assert expected[0] == "slots" and len(expected[1]) == n
+        assert {start[-6:] for start, _ in expected[1]} == {"+01:00", "+02:00"}
+
+        def walked(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(ingestion, "_slot_floor", walked)
+        monkeypatch.setattr(ingestion, "groupby", walked)
+        assert _outcome(normalize_to_slots, _readings(records)) == expected
+
+    def test_the_walk_sums_linky_readings_with_seconds_per_slot(self, monkeypatch):
+        """Linky readings off the minute, across the spring switch, are
+        summed per slot as the reference sums them; their slot starts
+        come from _slot_floor."""
+        texts = {
+            "2024-03-31T01:00:00+01:00": 5,
+            "2024-03-31T01:10:07+01:00": 7,
+            "2024-03-31T01:29:59.999999+01:00": 11,
+            "2024-03-31T01:30:00+01:00": 13,
+            "2024-03-31T01:45:00.5+01:00": 17,
+            "2024-03-31T03:00:01+02:00": 19,
+            "2024-03-31T03:20:00+02:00": 23,
+        }
+        records = [
+            RawMeterRecord("m1", MeterClass.LINKY, parse_timestamp(t), QuantityKind.ENERGY_WH, v)
+            for t, v in texts.items()
+        ]
+        floor, floored = ingestion._slot_floor, []
+
+        def counted(ts):
+            floored.append(ts)
+            return floor(ts)
+
+        monkeypatch.setattr(ingestion, "_slot_floor", counted)
+        got = _outcome(normalize_to_slots, _readings(reversed(records)))
+        assert got == _outcome(_reference_normalize, records) == ("slots", [
+            ("2024-03-31T01:00:00+01:00", 23),
+            ("2024-03-31T01:30:00+01:00", 30),
+            ("2024-03-31T03:00:00+02:00", 42),
+        ])
+        assert len(floored) == len(records)
 
     @pytest.mark.parametrize("pad", [" ", "\t", "\u00a0", "\u2003", "\x1c"], ids=repr)
     def test_padded_cells_parse_as_the_reference(self, pad):

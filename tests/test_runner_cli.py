@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import re
 import shutil
 import tracemalloc
@@ -19,7 +20,7 @@ from cscshare.billing import compute_scr
 from cscshare.cli import main
 from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
 from cscshare.model import AllocationTable, DateRange, parse_timestamp
-from cscshare.runner import POLICY_NAMES, load_run_config, run
+from cscshare.runner import POLICY_NAMES, load_run_config, publish, run
 from cscshare.synth import synthesize_demo_data
 
 from conftest import paris_2024
@@ -430,6 +431,36 @@ class TestPublish:
         assert r.exit_code == 2, r.output
         assert not (demo / "kors.json").exists()
         assert [p.read_bytes() for p in demo.glob(".staging-*/kors.json")] == [kept]
+
+    def test_staged_files_are_synced_before_the_moves_and_the_directory_after(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("old\n")
+        events = []
+        fsync, replace = os.fsync, Path.replace
+
+        def synced(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def moved(self, target):
+            events.append(("replace", Path(target).name))
+            return replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(Path, "replace", moved)
+        with publish(out) as staging:
+            for name in ("a.txt", "b.txt"):
+                (staging / name).write_text(f"new {name}\n")
+            staged = [(staging / name).stat().st_ino for name in ("a.txt", "b.txt")]
+        assert events == [
+            *(("fsync", inode) for inode in staged),
+            ("replace", "a.txt"),  # the old file, moved aside
+            ("replace", "a.txt"),
+            ("replace", "b.txt"),
+            ("fsync", out.stat().st_ino),
+        ]
+        assert [(out / name).read_text() for name in ("a.txt", "b.txt")] == ["new a.txt\n", "new b.txt\n"]
 
     def test_a_directory_in_place_of_an_output_is_kept(self, demo):
         out = run(load_run_config(demo / "run_config.json")).out_dir
