@@ -19,14 +19,15 @@ allocation downstream.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
-from itertools import compress, groupby, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter, eq, is_, itemgetter, lt, sub
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from cscshare.kernels import apportion
 from cscshare.model import (
@@ -193,12 +194,72 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
     """Parse a meter CSV into per-meter columns, in one pass.
 
     A malformed header is a hard error; a malformed row is collected into
-    the error report with its line number and skipped.
+    the error report with its line number and skipped. A file named by
+    its path is read in blocks (see _file_blocks); a text stream is read
+    by csv.reader, whose line splitting follows the stream's own newline
+    setting.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _ingest_stream(fh)
-    return _ingest_stream(source)
+            return _ingest_rows(chain.from_iterable(_file_blocks(fh)))
+    return _ingest_rows(_csv_rows(source))
+
+
+# The characters of a file read at once (256 KiB of ASCII text), before
+# the block is completed to its line end.
+_BLOCK = 1 << 18
+
+
+def _file_blocks(fh: TextIO) -> Iterator[Iterator[list[str] | _Refused]]:
+    """The rows of a file opened with newline="", block by block, as
+    csv.reader gives them.
+
+    Each block of the file is completed to a line end. A block without a
+    quote, a carriage return, a NUL (which csv.reader refuses before
+    Python 3.11) or a line longer than csv.field_size_limit() has no
+    cell that csv.reader would read other than as the text between
+    commas, so its lines are split on commas. An empty line gives [""]
+    where csv.reader gives [], and the row loop skips both. The first
+    block that fails this test, and the rest of the file after it, go to
+    csv.reader, since a quoted cell may span lines.
+    """
+    limit = csv.field_size_limit()
+    while block := fh.read(_BLOCK):
+        block += fh.readline()
+        if '"' in block or "\r" in block or "\0" in block:
+            break
+        lines = block.split("\n")
+        if not lines[-1]:
+            lines.pop()  # after the block's last line end
+        if max(map(len, lines)) > limit:
+            break
+        yield map(str.split, lines, repeat(","))
+    else:
+        return
+    yield _csv_rows(chain(io.StringIO(block, newline=""), fh))
+
+
+class _Refused:
+    """A record csv.reader refused: reading its cells raises the reader's
+    message, which the row loop reports as the row's error."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __iter__(self):
+        raise ValueError(self.message)
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str] | _Refused]:
+    """csv.reader's rows of lines, a record it refuses (a cell over the
+    field size limit) as a _Refused row; the reader reads on after it."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error as exc:
+            yield _Refused(str(exc))
 
 
 class _Timestamps(dict):
@@ -207,67 +268,38 @@ class _Timestamps(dict):
     Timestamps with equal UTC offsets share one tzinfo object, so sorting
     and comparing them takes CPython's same-tzinfo path.
 
-    Each hour and offset of the layout ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (or
-    ``-HH:MM``) is parsed once: the first text of it goes through
-    ``parse_timestamp`` and records the hour's start. Any later text of
-    that hour is the start plus its ``:MM:SS`` piece. Any other text
-    (``Z``, a fraction, padding, another layout, a piece that is not two
-    ASCII digits under 60 twice) is parsed on its own, with the same
-    errors.
+    A text is read by datetime.fromisoformat first. A text it refuses or
+    reads without an offset (padding, a ``z``, a ``Z`` before Python
+    3.11, a naive or date-only text) goes to parse_timestamp, which gives
+    the instant, offset and error it always gives.
     """
 
     def __init__(self):
         super().__init__()
         self._zones: dict = {}
-        # text[:13] + offset text -> the hour's start
-        self._hours: dict[str, datetime] = {}
-        # ":MM:SS" -> _piece of it, filled as pieces are met
-        self._pieces: dict[str, timedelta | None] = {}
 
     def __missing__(self, text: str) -> datetime:
-        hour = text[:13] + text[19:] if len(text) == 25 and text[4::3] in _LAYOUT else None
-        start = self._hours.get(hour)
-        if start is not None:
-            key = text[13:19]
-            try:
-                into = self._pieces[key]
-            except KeyError:
-                into = self._pieces[key] = _piece(key)
-            if into is not None:
-                self[text] = ts = start + into
-                return ts
-        ts = parse_timestamp(text.strip())
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            ts = None
+        if ts is None or ts.tzinfo is None:
+            ts = parse_timestamp(text.strip())
         zone = self._zones.setdefault(ts.tzinfo, ts.tzinfo)
         if zone is not ts.tzinfo:
             # what replace(tzinfo=zone) gives, at a fifth of its cost
             ts = datetime.combine(ts, ts.time(), zone)
-        if hour is not None and start is None:
-            self._hours[hour] = ts - timedelta(minutes=ts.minute, seconds=ts.second)
         self[text] = ts
         return ts
 
 
-# The characters at positions 4, 7, ..., 22 of a 25-character timestamp of
-# the layout _Timestamps reads by the hour.
-_LAYOUT = ("--T::+:", "--T::-:")
-
-
-def _piece(text: str) -> timedelta | None:
-    """The time into its hour of a ":MM:SS" piece; None unless MM and SS
-    are two ASCII digits under 60."""
-    minutes, seconds = text[1:3], text[4:6]
-    digits = minutes + seconds
-    if not (digits.isascii() and digits.isdigit()) or minutes >= "60" or seconds >= "60":
-        return None
-    return timedelta(minutes=int(minutes), seconds=int(seconds))
-
-
-def _ingest_stream(stream: TextIO) -> IngestResult:
-    reader = csv.reader(stream)
+def _ingest_rows(rows: Iterator[Sequence[str]]) -> IngestResult:
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ValueError("empty input: missing CSV header") from None
+    if isinstance(header, _Refused):
+        raise ValueError(f"malformed header: {header.message}")
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
@@ -279,7 +311,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     routes: dict[tuple[str, str, str], tuple[MeterReadings, Callable]] = {}
     timestamps = _Timestamps()
     parsers = {**_ENERGY_PARSERS, QuantityKind.POWER_KW_10MIN: _Powers().__getitem__}
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         try:
             try:
                 meter_id, klass, ts_text, kind_text, value_text = row
@@ -493,11 +525,8 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
                     f"{meter_id}: gap at {start.isoformat()} "
                     f"({len(group)}/3 ten-minute power samples)"
                 )
-            # mean kW x 0.5 h x 1000 Wh/kWh == sum_kW x 500 / 3, the sum taken
-            # in Decimal arithmetic even when a record holds an int
-            n, d = sum([value for _, _, value in group], Decimal(0)).as_integer_ratio()
             starts.append(start)
-            energies.append(_round_half_even(n * 500, d * 3))
+            energies.append(_power_wh([value for _, _, value in group]))
         elif index:
             # boundary readings are distinct instants: one reading per slot,
             # whose delta to the next one is the energy of the slot it opens
@@ -528,7 +557,9 @@ def _whole(stamps, values, power: bool, index: bool):
     tzinfo object: samples in strict order on 10-minute marks then leave
     the middle one at +10. These tests run over column slices; a whole
     series gives the walk's slots by the walk's arithmetic, and any other
-    goes to the walk, which names the fault.
+    goes to the walk, which names the fault. A power slot's energy is
+    looked up by its (v0, v1, v2) samples in a table local to the call,
+    so each distinct triple is converted once.
     """
     if power:
         starts = stamps[0::3]
@@ -545,10 +576,8 @@ def _whole(stamps, values, power: bool, index: bool):
     if not all(map(eq, map(sub, starts[1:], starts[:-1]), repeat(SLOT_DURATION))):
         return None
     if power:
-        sums = map(sum, zip(values[0::3], values[1::3], values[2::3]), repeat(Decimal(0)))
-        return starts, [
-            _round_half_even(n * 500, d * 3) for n, d in map(Decimal.as_integer_ratio, sums)
-        ]
+        energy = _SlotEnergies().__getitem__
+        return starts, list(map(energy, zip(values[0::3], values[1::3], values[2::3])))
     if index:
         ints = list(map(int, values))
         deltas = list(map(sub, ints[1:], ints[:-1]))
@@ -556,6 +585,26 @@ def _whole(stamps, values, power: bool, index: bool):
             return None
         return starts[:-1], [delta * 1000 for delta in deltas]
     return starts, list(map(int, values))
+
+
+def _power_wh(samples) -> int:
+    """A slot's Wh from its kW samples: mean kW x 0.5 h x 1000 Wh/kWh ==
+    sum_kW x 500 / 3, the sum taken in Decimal arithmetic even when a
+    record holds an int, rounded half to even."""
+    n, d = sum(samples, Decimal(0)).as_integer_ratio()
+    return _round_half_even(n * 500, d * 3)
+
+
+class _SlotEnergies(dict):
+    """(v0, v1, v2) power samples -> their slot's Wh, each triple converted once.
+
+    Equal samples are equal keys whatever their exponents (6, 6.0, 6.00),
+    and give one energy, since the Decimal sum depends on values alone.
+    """
+
+    def __missing__(self, samples: tuple) -> int:
+        self[samples] = energy = _power_wh(samples)
+        return energy
 
 
 _tzinfo = attrgetter("tzinfo")

@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -131,6 +132,32 @@ class TestIngestCsv:
         ))
         assert len(result.records) == 1
         assert [str(e) for e in result.errors] == [f"line 3: bad power value {text!r}"]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_a_field_over_the_size_limit_is_its_rows_error(self, tmp_path, source, quoted):
+        big = "1" * 140_000
+        cell = f'"{big}"' if quoted else big
+        text = (
+            HEADER
+            + "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1\n"
+            + f"m1,linky,2022-05-04T10:30:00+02:00,energy_wh,{cell}\n"
+            + "m1,linky,2022-05-04T11:00:00+02:00,energy_wh,3\n"
+        )
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        result = ingest_csv(path if source == "path" else io.StringIO(text))
+        assert [str(e) for e in result.errors] == ["line 3: field larger than field limit (131072)"]
+        (m1,) = result.meters
+        assert m1.values == [1, 3]
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_a_header_over_the_size_limit_is_malformed(self, tmp_path, source):
+        text = "meter_id" + "x" * 140_000 + HEADER[len("meter_id"):]
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^malformed header: field larger than field limit \(131072\)$"):
+            ingest_csv(path if source == "path" else io.StringIO(text))
 
 
 class TestNormalize:
@@ -515,18 +542,28 @@ class TestDeriveStaticKors:
 # code must agree with it on every record, slot, isoformat() and message.
 
 
-def _reference_ingest(text):
-    rows = csv.reader(io.StringIO(text))
+def _reference_ingest(source):
+    """The records and row errors of a meter CSV text or file, read row by
+    row by csv.reader; a record the reader refuses is that row's error."""
+    rows = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     next(rows)
     records, errors = [], []
-    for line, row in enumerate(rows, start=2):
+    line = 1
+    while True:
+        line += 1
+        try:
+            row = next(rows)
+        except StopIteration:
+            return records, errors
+        except csv.Error as exc:
+            errors.append(f"line {line}: {exc}")
+            continue
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
             records.append(_reference_row(row))
         except ValueError as exc:
             errors.append(f"line {line}: {exc}")
-    return records, errors
 
 
 def _reference_row(row):
@@ -809,6 +846,10 @@ def _timestamp_text(draw):
         "2024-03-31T01:10:00.000000+02:00",
         " 2024-03-31T01:10:00+02:00",
         "2024-03-30T23:10:00Z",
+        "2024-03-30T23:20:00z",
+        "2024-03-31",
+        "2024-03-31 01:10:00+02:00",
+        "2024-03-31T01:10:00",
     ]
 )
 def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
@@ -827,6 +868,52 @@ def test_timestamp_cache_parses_each_text_as_parse_timestamp(texts):
         got = cache[text]
         assert (got.isoformat(), got.utcoffset()) == (ts.isoformat(), ts.utcoffset())
         assert zones.setdefault(got.utcoffset(), got.tzinfo) is got.tzinfo
+
+
+# Pieces of a meter CSV's body: text that csv.reader reads in every way it
+# can (quotes, CR and CRLF line ends, empty lines, NUL), and whole rows,
+# one quoted and spanning two lines, one with a 60-digit value
+_BLOCK_ROWS = [
+    "m1,linky,2024-03-31T01:00:00+01:00,energy_wh,5\n",
+    '"m1","linky","2024-03-31T01:30:00+01:00","energy_wh","7"\r\n',
+    "m2,sme_smi,2024-03-31T01:00:00+01:00,power_kw_10min,6.0\r",
+    '"m2",sme_smi,"2024-03-31T01:10:00+01:00",power_kw_10min,"1\n2"\n',
+    "m3,linky,2024-03-31T03:00:00+02:00,energy_wh," + "1" * 60 + "\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.text(alphabet='a1,"\r\n \x00', max_size=12) | st.sampled_from(_BLOCK_ROWS), max_size=12),
+    header_end=st.sampled_from(["\n", "\r\n", "\r"]),
+    block=st.integers(1, 16),
+    limit=st.sampled_from([50, 131072]),
+)
+# a block read up to the \r of a \r\n
+@example(pieces=["a,a,a,a,a,a,a,a\r\n", _BLOCK_ROWS[0]], header_end="\n", block=16, limit=131072)
+# a quoted cell across a block's line end
+@example(pieces=[_BLOCK_ROWS[0], _BLOCK_ROWS[3], _BLOCK_ROWS[0]], header_end="\n", block=1, limit=131072)
+# a line over the field size limit after a block split on commas
+@example(pieces=[_BLOCK_ROWS[0], _BLOCK_ROWS[4], _BLOCK_ROWS[0]], header_end="\n", block=4, limit=50)
+def test_the_block_reader_reads_a_file_as_csv_reader(pieces, header_end, block, limit):
+    """A file read in blocks of 1-16 characters, so that cuts land
+    everywhere, gives the meters, row errors, line numbers and messages
+    of csv.reader reading it row by row, under a field size limit that
+    the header fits and some cells may not."""
+    text = HEADER[:-1] + header_end + "".join(pieces)
+    saved = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "meters.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(ingestion, "_BLOCK", block):
+                result = ingest_csv(path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                records, errors = _reference_ingest(fh)
+    finally:
+        csv.field_size_limit(saved)
+    assert [str(e) for e in result.errors] == errors
+    assert _columns(result) == {key: list(map(_view, group)) for key, group in _by_meter(records).items()}
 
 
 _POWER_TEXTS = st.sampled_from(["6", "6.0", "1.5", "0", "26", "NaN", "x", "-1", "-0.5", "1e3"])
@@ -904,9 +991,27 @@ def _columns(result):
     }
 
 
+def _power_csv(triples):
+    """A whole power series of meter m1 from _BASE on, across the spring
+    switch: one slot per triple of value texts."""
+    ten = timedelta(minutes=10)
+    return HEADER + "".join(
+        f"m1,sme_smi,{paris_2024(_BASE + (3 * k + j) * ten).isoformat()},power_kw_10min,{value}\n"
+        for k, triple in enumerate(triples)
+        for j, value in enumerate(triple)
+    )
+
+
 class TestAgainstReferenceNormalizer:
     @settings(max_examples=300, deadline=None)
     @given(text=_METER_CSVS)
+    # equal values of other exponents: equal triples, one conversion
+    @example(text=_power_csv([
+        ("6", "6.0", "6.00"), ("6.00", "6", "6.0"), ("6", "6", "6.000"), ("0.1", "0.10", "0.100"),
+        ("6.0", "6.00", "6"), ("0.10", "0.1", "0.100"), ("0", "0.0", "0.00"), ("0.00", "0", "0.0"),
+    ]))
+    # every triple distinct, half-way energies among them
+    @example(text=_power_csv([(f"{k}", f"{k}.5", f"{k + 1}.25") for k in range(12)]))
     def test_same_records_slots_and_messages(self, text):
         result = ingest_csv(io.StringIO(text))
         records, errors = _reference_ingest(text)

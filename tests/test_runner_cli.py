@@ -891,6 +891,24 @@ class TestCli:
         assert isinstance(r.exception, SystemExit)
         assert f"{csv_path}: line 2: bad power value 'NaN'" in r.output
 
+    @pytest.mark.parametrize("command", ["ingest", "run", "derive-kors"])
+    def test_a_field_over_the_size_limit_is_a_row_error(self, demo, command):
+        meters, config = demo / "meters.csv", str(demo / "run_config.json")
+        with meters.open("a") as fh:
+            fh.write("b1,linky,2024-06-12T07:00:00+02:00,energy_wh," + "1" * 140_000 + "\n")
+        line = len(meters.read_text().splitlines())
+        args = {
+            "ingest": ["ingest", str(meters)],
+            "run": ["run", "--config", config],
+            "derive-kors": ["derive-kors", "--config", config, "--out", str(demo / "derived.json")],
+        }[command]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert f"line {line}: field larger than field limit (131072)" in r.output
+        assert "Traceback" not in r.output
+        assert not (demo / "reports").exists() and not (demo / "derived.json").exists()
+
     @pytest.mark.parametrize("files", [1, 2])
     @pytest.mark.parametrize(
         "first, message",
