@@ -25,27 +25,31 @@ A ``PayloadTemplate`` renders payloads of one fixed shape from integer
 columns: its keys and constants are encoded once, and each row's
 integers are filled into the text, which ``append`` takes as it is. The
 lines are byte-identical to appending the payload dicts.
-Reading walks the lines once. It rejects any line that is not its
+Reading walks each line once. It rejects any line that is not its
 record's canonical serialization, decoding and checking each payload
 text it has not checked yet (it keeps a bounded set of them), then
 checks the line's link and hashes the material it splices from the
-line's own slices. The ledger keeps the
-first break it finds, and ``verify_chain`` reports it. A line is the
-only form a record takes: the file format (README "Audit ledger") is
-how to read one.
+line's own slices. A walk covers a range of lines; a log file large
+enough is cut at line ends into one range per core, each walked in its
+own process, and the walks are stitched in order, checking the link at
+each cut. The ledger keeps the first break, and ``verify_chain``
+reports it. A line is the only form a record takes: the file format
+(README "Audit ledger") is how to read one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from cscshare.model import parse_timestamp
 
@@ -54,6 +58,13 @@ GENESIS_HASH = "0" * 64
 # Bytes of payload text a read keeps as checked before it starts over.
 # A year of 3 participants has ~4 MiB of distinct payload texts.
 _CHECKED_PAYLOAD_BYTES = 16 << 20
+
+# A log file of this many bytes or more is read in ranges, one per core,
+# up to _MAX_RANGES. In a fresh CLI process on 2 cores, which pays the
+# multiprocessing import and the fork, two ranges broke even at 2-4 MB;
+# this keeps a margin above that (measurements in CHANGES.md).
+_RANGED_BYTES = 8 << 20
+_MAX_RANGES = 4
 
 # Reserved counting-point key for repartition coefficient records.
 KOR_COUNTING_POINT = "KOR"
@@ -267,50 +278,6 @@ class Ledger:
         Any other ledger has no file open."""
         if self._sink is not None:
             self._sink.close()
-
-    def _load(self, lines: Iterable[str] | Iterable[bytes], name: str) -> None:
-        """Walk the lines, counting them, and keep the first break in the
-        chain: a previous hash that is not the line before's hash (the
-        genesis hash for line 1), or a hash that is not the SHA-256 of the
-        line's hash material. The first line that is not canonical, or not
-        UTF-8, raises ValueError with its number. When the last line lacks
-        its newline, ``append`` refuses, naming the log as ``name``."""
-        last_ts = self._last_ts
-        checked = _Checked()
-        report = None
-        head_text = GENESIS_HASH
-        i = -1
-        for i, line in enumerate(lines):
-            try:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")
-                stop = len(line) - 1 if line.endswith("\n") else len(line)
-                fields = _split(line, stop, checked)
-                # a previous hash with the head's text is canonical
-                if fields is None or fields[2] != head_text and _string(fields[2]) is None:
-                    _reject(line[:stop])
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                # RecursionError: a payload nested too deep for the decoder
-                raise ValueError(f"ledger line {i + 1}: malformed record ({exc})") from None
-            key, timestamp, prev_text, hash_text, material = fields
-            if report is None:
-                # canonical quoting is one-to-one, so a previous hash is
-                # the head iff its text is the head's text
-                if prev_text != head_text:
-                    report = ChainReport(False, i, f"broken link at record {i}")
-                elif hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
-                    report = ChainReport(False, i, f"hash mismatch at record {i}")
-            last_ts[key] = timestamp
-            head_text = hash_text
-        self._count = i + 1
-        self._head, self._head_json = _string(head_text), f'"{head_text}"'
-        if i >= 0 and stop == len(line):
-            # a segment appended after it would join its last line
-            self._unended = (
-                f"{name} does not end in a newline: a log must end in a newline to be continued"
-            )
-        if report is not None:
-            self._report = report
 
     def __len__(self) -> int:
         return self._count
@@ -557,6 +524,193 @@ def _reject(line: str) -> NoReturn:
     raise ValueError("non-canonical line: its bytes differ from the record's")
 
 
+@dataclass
+class _Walk:
+    """What one walk over consecutive lines of a log found.
+
+    The first line's link is not the walk's to check: ``first_prev`` is
+    its previous-hash text, checked only to be canonical, and ``_stitch``
+    compares it with the last hash text before it. Breaks and the
+    malformed line are indexed from the walk's first line; a walk stops
+    at its malformed line, and ``count`` counts the lines before it."""
+
+    count: int
+    first_prev: str | None
+    last_hash: str | None
+    # (index, kind) of the first link or hash break within the lines
+    first_break: tuple[int, str] | None
+    last_ts: dict[str, datetime]
+    ended: bool
+    # (index, why) of the first line that is not canonical or not UTF-8
+    malformed: tuple[int, str] | None
+
+
+def _walk(lines: Iterable[str] | Iterable[bytes]) -> _Walk:
+    """Walk the lines once: check that each is its record's canonical
+    serialization, decoding it first if it is bytes, then check its link
+    to the line before (not the first line's) and its hash, the SHA-256
+    of the hash material it splices from the line's own slices."""
+    last_ts: dict[str, datetime] = {}
+    checked = _Checked()
+    first_prev = head_text = first_break = None
+    i = -1
+    for i, line in enumerate(lines):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            stop = len(line) - 1 if line.endswith("\n") else len(line)
+            fields = _split(line, stop, checked)
+            if fields is None:
+                _reject(line[:stop])
+            key, timestamp, prev_text, hash_text, material = fields
+            # canonical quoting is one-to-one, so a previous hash is the
+            # last line's hash iff its text is that line's checked text
+            if prev_text != head_text:
+                if _string(prev_text) is None:
+                    _reject(line[:stop])
+                if head_text is None:
+                    first_prev = prev_text
+                elif first_break is None:
+                    first_break = (i, "broken link")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # RecursionError: a payload nested too deep for the decoder
+            return _Walk(i, first_prev, head_text, first_break, last_ts, True, (i, str(exc)))
+        if first_break is None and hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
+            first_break = (i, "hash mismatch")
+        last_ts[key] = timestamp
+        head_text = hash_text
+    return _Walk(i + 1, first_prev, head_text, first_break, last_ts, i < 0 or stop < len(line), None)
+
+
+def _stitch(walks: Iterable[_Walk], name: str) -> Ledger:
+    """The ledger of a log from the walks of its consecutive ranges, in
+    order: the counts add up, each range's first previous hash is linked
+    to the last hash before it (the genesis hash for the first), and the
+    earliest break is kept. The earliest malformed line raises ValueError
+    with its number in the whole log. When the last line lacks its
+    newline, ``append`` refuses, naming the log as ``name``."""
+    ledger = Ledger()
+    count, head_text, report, ended = 0, GENESIS_HASH, None, True
+    for walk in walks:
+        if walk.malformed is not None:
+            index, why = walk.malformed
+            raise ValueError(f"ledger line {count + index + 1}: malformed record ({why})")
+        if not walk.count:
+            continue
+        if report is None:
+            if walk.first_prev != head_text:
+                report = (count, "broken link")
+            elif walk.first_break is not None:
+                index, kind = walk.first_break
+                report = (count + index, kind)
+        ledger._last_ts.update(walk.last_ts)
+        count += walk.count
+        head_text, ended = walk.last_hash, walk.ended
+    ledger._count = count
+    ledger._head, ledger._head_json = _string(head_text), f'"{head_text}"'
+    if not ended:
+        # a segment appended after it would join its last line
+        ledger._unended = (
+            f"{name} does not end in a newline: a log must end in a newline to be continued"
+        )
+    if report is not None:
+        index, kind = report
+        ledger._report = ChainReport(False, index, f"{kind} at record {index}")
+    return ledger
+
+
+def _lines_to(stream: BinaryIO, stop: int) -> Iterator[bytes]:
+    """The lines of ``stream`` from where it is to the line end at byte ``stop``."""
+    left = stop - stream.tell()
+    for line in stream:
+        yield line
+        left -= len(line)
+        if left <= 0:
+            return
+
+
+def _cuts(stream: BinaryIO) -> list[int]:
+    """Byte offsets, from 0 to the end, that cut the log file ``stream`` at
+    line ends into one range per core it is walked on: one range unless
+    the log has ``_RANGED_BYTES`` or more and a forked worker may walk a
+    range, up to ``_MAX_RANGES``."""
+    size = os.fstat(stream.fileno()).st_size
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # forking while another thread runs may copy a lock that thread holds
+    if size < _RANGED_BYTES or cores < 2 or threading.active_count() > 1:
+        return [0, size]
+    import multiprocessing  # here: its import costs a small log's read
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [0, size]
+    parts = min(cores, _MAX_RANGES)
+    cuts = [0]
+    for k in range(1, parts):
+        stream.seek(size * k // parts - 1)
+        stream.readline()
+        if cuts[-1] < stream.tell() < size:
+            cuts.append(stream.tell())
+    stream.seek(0)
+    return [*cuts, size]
+
+
+def _send_walk(sender, path: str | Path, file: tuple[int, int], start: int, stop: int) -> None:
+    """In a forked worker: walk the lines of ``path`` from byte ``start``
+    to the line end at ``stop``, and send the walk. If ``path`` no longer
+    names the ``(st_dev, st_ino)`` file the caller reads, send nothing."""
+    with open(path, "rb") as stream:
+        opened = os.fstat(stream.fileno())
+        if (opened.st_dev, opened.st_ino) == file:
+            stream.seek(start)
+            sender.send(_walk(_lines_to(stream, stop)))
+
+
+def _file_walks(stream: BinaryIO, path: str | Path) -> Iterator[_Walk]:
+    """The walks of the log file ``stream`` (at ``path``), range by range.
+
+    The caller walks the first range itself while a worker forked for
+    each other range opens the file again, walks that range and sends
+    back only its walk. A worker that ends without sending one, as when
+    the path was replaced meanwhile, has its range walked here. Every
+    worker is joined before this ends; one still running when this ends
+    early, on an error or a malformed line, is terminated first.
+    """
+    cuts = _cuts(stream)
+    if len(cuts) == 2:
+        yield _walk(stream)
+        return
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    file = os.fstat(stream.fileno())
+    workers = []
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            receiver, sender = fork.Pipe(duplex=False)
+            worker = fork.Process(
+                target=_send_walk, args=(sender, path, (file.st_dev, file.st_ino), start, stop)
+            )
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        yield _walk(_lines_to(stream, cuts[1]))
+        for (worker, receiver), start, stop in zip(workers, cuts[1:], cuts[2:]):
+            try:
+                walk = receiver.recv()
+            except EOFError:  # the worker ended without a walk
+                stream.seek(start)
+                walk = _walk(_lines_to(stream, stop))
+            yield walk
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+
+
 def read_ledger(source: str | Path | TextIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
     canonical serialization, ending in a newline (the last line may lack
@@ -564,15 +718,18 @@ def read_ledger(source: str | Path | TextIO) -> Ledger:
     not fail the read: the ledger keeps the first one for verify_chain to
     report.
 
+    A log file of ``_RANGED_BYTES`` or more is cut at line ends into one
+    range per core, up to ``_MAX_RANGES``, each walked in its own process;
+    a text stream, a smaller log, or a log on one core is walked whole.
+    The ledger, and any error, is the same either way.
+
     The ledger keeps no line of the source, only its chain state: the
     record count, the head, the last timestamps and the first break."""
-    ledger = Ledger()
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
-        with open(source, "rb") as stream:
-            ledger._load(stream, f"ledger {source}")
-        return ledger
-    ledger._load(source, "the ledger read")
+        with open(source, "rb") as stream, contextlib.closing(_file_walks(stream, source)) as walks:
+            return _stitch(walks, f"ledger {source}")
+    ledger = _stitch([_walk(source)], "the ledger read")
     # a text stream that translates line ends hands "\r\n" over as "\n";
     # it records what it translated
     newlines = getattr(source, "newlines", None) or ()

@@ -4,7 +4,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 from decimal import Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -1182,3 +1188,252 @@ def test_template_renders_what_append_encodes(shape, rows, data, odd):
 def test_template_refuses_what_append_refuses(shape, columns, message):
     with pytest.raises(ValueError, match=message):
         PayloadTemplate(shape).render(*columns)
+
+
+# Ranged reads: a log file cut at line ends, each range walked on its own
+# and the walks stitched, reads as the whole log walked at once.
+
+
+def _read_state(read):
+    """('ok', everything a read ledger holds) or ('error', message)."""
+    try:
+        ledger = read()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", (ledger.head_hash, len(ledger), verify_chain(ledger), ledger._last_ts, ledger._unended)
+
+
+def _flip(line, at, bit):
+    """A line's byte ``at`` (of its text before the newline) with one bit flipped."""
+    at %= max(len(line) - 1, 1)
+    return line[:at] + bytes([line[at] ^ (1 << bit)]) + line[at + 1:]
+
+
+@st.composite
+def _faulted_logs(draw):
+    """The lines of a log of a few keys, payloads and slots, with one or
+    two faults, and the indices of the lines the faults touched."""
+    ledger = Ledger()
+    for k in range(draw(st.integers(2, 14))):
+        ledger.append(
+            {"kind": "production", "energy_wh": draw(st.integers(0, 2))},
+            draw(st.sampled_from(["pv1", "b1", "KOR", "b\\é"])),
+            slot_ts(k % 48, DAY + timedelta(days=k // 48)),
+        )
+    lines = list(io.BytesIO(_written(write_ledger, ledger).encode("utf-8")))
+    touched = []
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(["edit", "flip", "drop", "swap", "non-canonical", "not-utf8", "unended"]))
+        if fault == "edit":
+            # a canonical line still, whose hash is not its material's
+            lines[i] = lines[i].replace(b'"energy_wh":', b'"energy_wh":7', 1)
+        elif fault == "flip":
+            lines[i] = _flip(lines[i], draw(st.integers(0, 400)), draw(st.integers(0, 6)))
+        elif fault == "drop" and len(lines) > 1:
+            del lines[i]
+            i = min(i, len(lines) - 1)
+        elif fault == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif fault == "non-canonical":
+            lines[i] = lines[i].replace(b'"energy_wh":', b'"energy_wh": ', 1)
+        elif fault == "not-utf8":
+            at = draw(st.integers(0, len(lines[i]) - 2))
+            lines[i] = lines[i][:at] + b"\xff" + lines[i][at + 1:]
+        elif fault == "unended":
+            i = len(lines) - 1
+            lines[i] = lines[i].rstrip(b"\n")
+        touched.append(i)
+    # a flipped bit may make a newline of another byte, or the other way round
+    lines = list(io.BytesIO(b"".join(lines)))
+    return lines, [min(i, len(lines) - 1) for i in touched]
+
+
+@given(log=_faulted_logs(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_walks_of_any_ranges_stitch_to_the_serial_read(log, data, tmp_path_factory):
+    """Cut at 1-7 line ends, at and next to the faulty lines among them,
+    and walked range by range, a faulted log stitches to what the serial
+    read gives: its count, head, first break, last timestamps and refusal
+    to append, or its malformed line's number and message."""
+    lines, touched = log
+    path = tmp_path_factory.getbasetemp() / "ranged.log"
+    path.write_bytes(b"".join(lines))
+    near = sorted({j for i in touched for j in (i - 1, i, i + 1, i + 2) if 0 < j < len(lines)})
+    candidates = list(range(1, len(lines)))
+    cuts = set(data.draw(st.lists(st.sampled_from(near), max_size=3))) if near else set()
+    if candidates:
+        cuts |= set(data.draw(st.lists(st.sampled_from(candidates), max_size=7)))
+    bounds = [0, *sorted(cuts)[:7], len(lines)]
+
+    def ranged():
+        walks = [ledger_mod._walk(iter(lines[a:b])) for a, b in zip(bounds, bounds[1:])]
+        return ledger_mod._stitch(walks, f"ledger {path}")
+
+    assert _read_state(ranged) == _read_state(lambda: read_ledger(path))
+
+
+def _long_log(path, n=360):
+    """Write a log of ``n`` records of three counting points into ``path``;
+    return its lines."""
+    with Ledger(path) as ledger:
+        for k in range(n):
+            stamp = slot_ts(k // 3 % 48, DAY + timedelta(days=k // 144))
+            ledger.append({"kind": "production", "energy_wh": k}, ("pv1", "b1", "KOR")[k % 3], stamp)
+        write_ledger(ledger, path)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+@pytest.fixture
+def ranged_on(monkeypatch):
+    """Set reads of any log file to go in ranges on ``cores`` cores; return
+    the cuts each read makes and the walks the calling process makes."""
+    made = {"cuts": [], "walks": 0}
+
+    def on(cores):
+        monkeypatch.setattr(ledger_mod, "_RANGED_BYTES", 0)
+        monkeypatch.setattr(ledger_mod.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        cuts, walk = ledger_mod._cuts, ledger_mod._walk
+
+        def recorded_cuts(stream):
+            made["cuts"].append(cuts(stream))
+            return made["cuts"][-1]
+
+        def counted_walk(lines):
+            made["walks"] += 1  # a forked worker counts in its own copy
+            return walk(lines)
+
+        monkeypatch.setattr(ledger_mod, "_cuts", recorded_cuts)
+        monkeypatch.setattr(ledger_mod, "_walk", counted_walk)
+        return made
+
+    return on
+
+
+_LOG_FAULTS = {
+    "intact": lambda lines: lines,
+    "hash mismatch in the last range": lambda lines: [*lines[:-5], lines[-5].replace(b'"energy_wh":', b'"energy_wh":9', 1), *lines[-4:]],
+    "line dropped": lambda lines: [*lines[:120], *lines[121:]],
+    "malformed in a worker's range": lambda lines: [*lines[:300], b"{}\n", *lines[301:]],
+    "not UTF-8 in the caller's range": lambda lines: [*lines[:7], b"\xff\n", *lines[8:]],
+    "unended": lambda lines: [*lines[:-1], lines[-1].rstrip(b"\n")],
+}
+
+
+@pytest.mark.parametrize("cores", [2, 3, 4, 6])
+@pytest.mark.parametrize("fault", list(_LOG_FAULTS))
+def test_forked_workers_read_as_the_serial_read(tmp_path, ranged_on, cores, fault):
+    """Cut into one range per core, up to four, and walked by the caller
+    and a forked worker for each other range, a log reads as it does
+    serially, through its file and, but for the name the refusal to
+    append gives the log, through a text stream. No worker is left."""
+    path = tmp_path / "audit.log"
+    path.write_bytes(b"".join(_LOG_FAULTS[fault](_long_log(path))))
+    serial = _read_state(lambda: read_ledger(path))
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as stream:
+        streamed = _read_state(lambda: read_ledger(stream))
+    made = ranged_on(cores)
+    assert _read_state(lambda: read_ledger(path)) == serial
+    assert made["cuts"][0][0] == 0 and len(made["cuts"][0]) == min(cores, 4) + 1
+    assert made["walks"] == 1
+    assert multiprocessing.active_children() == []
+    if serial[0] == "ok":
+        name = f"ledger {path}"
+        assert streamed[1][:4] == serial[1][:4]
+        assert (streamed[1][4] or "").replace("the ledger read", name) == (serial[1][4] or "")
+    elif "utf-8" not in serial[1]:
+        assert streamed == serial
+
+
+def test_a_worker_that_sends_no_walk_has_its_range_walked_by_the_caller(tmp_path, ranged_on, monkeypatch):
+    """A worker that ends without sending its walk neither hangs the read
+    nor passes its range unread: the caller walks it."""
+    path = tmp_path / "audit.log"
+    path.write_bytes(b"".join(_LOG_FAULTS["line dropped"](_long_log(path))))
+    serial = _read_state(lambda: read_ledger(path))
+    made = ranged_on(3)
+    monkeypatch.setattr(ledger_mod, "_send_walk", lambda *args: None)
+    assert _read_state(lambda: read_ledger(path)) == serial
+    assert made["walks"] == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_a_log_replaced_during_the_read_is_read_whole_from_the_file_opened(tmp_path, ranged_on):
+    """A worker opens the log again by its path; when the path names
+    another file by then, the worker sends nothing, and the caller walks
+    the range from the file it opened."""
+    path = tmp_path / "audit.log"
+    _long_log(path)
+    serial = _read_state(lambda: read_ledger(path))
+    other = tmp_path / "other.log"
+    _long_log(other, 200)
+    made = ranged_on(2)
+    with open(path, "rb") as stream:
+        os.replace(other, path)
+        assert _read_state(lambda: ledger_mod._stitch(ledger_mod._file_walks(stream, path), f"ledger {path}")) == serial
+    assert made["walks"] == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_a_malformed_line_in_the_callers_range_terminates_the_workers(tmp_path, ranged_on, monkeypatch):
+    """The caller's range holds the earliest malformed line, so the read
+    raises without waiting for its workers, still running: it terminates
+    and joins them."""
+    path = tmp_path / "audit.log"
+    path.write_bytes(b"".join(_LOG_FAULTS["not UTF-8 in the caller's range"](_long_log(path))))
+    serial = _read_state(lambda: read_ledger(path))
+    ranged_on(3)
+    monkeypatch.setattr(ledger_mod, "_send_walk", lambda *args: time.sleep(60))
+    start = time.monotonic()
+    assert _read_state(lambda: read_ledger(path)) == serial
+    assert time.monotonic() - start < 30
+    assert serial[1].startswith("ledger line 8: malformed record ('utf-8' codec")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_log_is_read_serially_where_a_fork_may_not_pay_or_be_safe(tmp_path, monkeypatch):
+    """Below the size, on one core, with another thread running, or where
+    fork is not a start method, a log file is one range."""
+    path = tmp_path / "audit.log"
+    _long_log(path)
+    size = path.stat().st_size
+
+    def cuts():
+        with open(path, "rb") as stream:
+            return ledger_mod._cuts(stream)
+
+    monkeypatch.setattr(ledger_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ledger_mod, "_RANGED_BYTES", size + 1)
+    assert cuts() == [0, size]
+    monkeypatch.setattr(ledger_mod, "_RANGED_BYTES", size)
+    assert len(cuts()) == 3
+    monkeypatch.setattr(ledger_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cuts() == [0, size]
+    monkeypatch.setattr(ledger_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cuts() == [0, size]
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cuts() == [0, size]
+
+
+def test_reading_a_small_log_imports_no_multiprocessing(tmp_path):
+    """``multiprocessing`` costs the command line's start-up more than a
+    small log's read, so neither the CLI's import nor such a read loads it."""
+    path = tmp_path / "audit.log"
+    write_ledger(build_ledger(20), path)
+    code = (
+        "import sys; import cscshare.cli; loaded = ['multiprocessing' in sys.modules]; "
+        "from cscshare.ledger import read_ledger; assert len(read_ledger(sys.argv[1])) == 20; "
+        "loaded.append('multiprocessing' in sys.modules); print(loaded)"
+    )
+    src = str(Path(ledger_mod.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[False, False]\n"
