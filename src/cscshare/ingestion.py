@@ -685,23 +685,28 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        """Load from a flat key=value file ('#' starts a comment)."""
-        values: dict[str, str] = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        """Load from a flat key=value file ('#' starts a comment). An error
+        names the file and the line it is on."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"scenario config {path}: {exc}") from None
+        kwargs: dict = {}
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"scenario config: bad line {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in ("pv_gain", "datacentre_load_kw", "include_datacentre"):
-                raise ValueError(f"scenario config: unknown key {key!r}")
-            values[key] = value.strip()
-        # the decimal texts are checked by as_decimal in __post_init__
-        kwargs: dict = dict(values)
-        if "include_datacentre" in values:
-            kwargs["include_datacentre"] = _parse_bool(values["include_datacentre"])
+            try:
+                if "=" not in line:
+                    raise ValueError(f"bad line {raw!r}")
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key not in ("pv_gain", "datacentre_load_kw", "include_datacentre"):
+                    raise ValueError(f"unknown key {key!r}")
+                kwargs[key] = _parse_bool(value) if key == "include_datacentre" else value
+                cls(**{key: kwargs[key]})  # the value alone, checked as __post_init__ checks it
+            except ValueError as exc:
+                raise ValueError(f"scenario config {path} line {number}: {exc}") from None
         return cls(**kwargs)
 
 

@@ -30,10 +30,11 @@ record's canonical serialization, decoding and checking each payload
 text it has not checked yet (it keeps a bounded set of them), then
 checks the line's link and hashes the material it splices from the
 line's own slices. A walk covers a range of lines; a log file large
-enough is cut at line ends into one range per core, each walked in its
-own process, and the walks are stitched in order, checking the link at
-each cut. The ledger keeps the first break, and ``verify_chain``
-reports it. A line is the only form a record takes: the file format
+enough is cut at line ends into one range per core, the caller walking
+the first and a child forked by ``cscshare._fork`` each other one, which
+sends back its walk as JSON, and the walks are stitched in order,
+checking the link at each cut. The ledger keeps the first break, and
+``verify_chain`` reports it. A line is the only form a record takes: the file format
 (README "Audit ledger") is how to read one.
 """
 
@@ -44,13 +45,13 @@ import hashlib
 import itertools
 import json
 import os
-import threading
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
+from cscshare import _fork
 from cscshare.model import parse_timestamp
 
 GENESIS_HASH = "0" * 64
@@ -61,9 +62,9 @@ _CHECKED_PAYLOAD_BYTES = 16 << 20
 
 # A log file of this many bytes or more is read in ranges, one per core,
 # up to _MAX_RANGES. In a fresh CLI process on 2 cores, which pays the
-# multiprocessing import and the fork, two ranges broke even at 2-4 MB;
-# this keeps a margin above that (measurements in CHANGES.md).
-_RANGED_BYTES = 8 << 20
+# fork, two ranges broke even between 1 and 2 MB (measurements in
+# CHANGES.md).
+_RANGED_BYTES = 2 << 20
 _MAX_RANGES = 4
 
 # Reserved counting-point key for repartition coefficient records.
@@ -308,7 +309,11 @@ class Ledger:
                 raise ValueError("record timestamp has no UTC offset")
             self._stamp = timestamp
             self._stamp_json = _quote(timestamp.isoformat())
-        if type(payload) is not _Rendered:
+        if type(payload) is _Rendered:
+            # one exact str copy, which the f-strings below take as it is;
+            # they would format a str subclass through __format__, twice
+            payload = str(payload)
+        else:
             if not isinstance(payload, dict):
                 payload = dict(payload)
             _check_payload(payload)
@@ -635,15 +640,9 @@ def _cuts(stream: BinaryIO) -> list[int]:
     the log has ``_RANGED_BYTES`` or more and a forked worker may walk a
     range, up to ``_MAX_RANGES``."""
     size = os.fstat(stream.fileno()).st_size
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # forking while another thread runs may copy a lock that thread holds
-    if size < _RANGED_BYTES or cores < 2 or threading.active_count() > 1:
+    parts = min(_fork.cores(), _MAX_RANGES)
+    if size < _RANGED_BYTES or parts < 2:
         return [0, size]
-    import multiprocessing  # here: its import costs a small log's read
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [0, size]
-    parts = min(cores, _MAX_RANGES)
     cuts = [0]
     for k in range(1, parts):
         stream.seek(size * k // parts - 1)
@@ -654,15 +653,28 @@ def _cuts(stream: BinaryIO) -> list[int]:
     return [*cuts, size]
 
 
-def _send_walk(sender, path: str | Path, file: tuple[int, int], start: int, stop: int) -> None:
-    """In a forked worker: walk the lines of ``path`` from byte ``start``
-    to the line end at ``stop``, and send the walk. If ``path`` no longer
-    names the ``(st_dev, st_ino)`` file the caller reads, send nothing."""
+def _send_walk(path: str | Path, file: tuple[int, int], start: int, stop: int) -> bytes | None:
+    """In a forked worker: the walk of the lines of ``path`` from byte
+    ``start`` to the line end at ``stop``, as JSON, or None if ``path`` no
+    longer names the ``(st_dev, st_ino)`` file the caller reads."""
     with open(path, "rb") as stream:
         opened = os.fstat(stream.fileno())
-        if (opened.st_dev, opened.st_ino) == file:
-            stream.seek(start)
-            sender.send(_walk(_lines_to(stream, stop)))
+        if (opened.st_dev, opened.st_ino) != file:
+            return None
+        stream.seek(start)
+        walk = _walk(_lines_to(stream, stop))
+    last_ts = {key: ts.isoformat() for key, ts in walk.last_ts.items()}
+    fields = [walk.count, walk.first_prev, walk.last_hash, walk.first_break, last_ts, walk.ended, walk.malformed]
+    return json.dumps(fields).encode("utf-8")
+
+
+def _sent_walk(sent: bytes) -> _Walk:
+    """The walk ``_send_walk`` sent."""
+    count, first_prev, last_hash, first_break, last_ts, ended, malformed = json.loads(sent)
+    return _Walk(
+        count, first_prev, last_hash, first_break and tuple(first_break),
+        {key: parse_timestamp(text) for key, text in last_ts.items()}, ended, malformed and tuple(malformed),
+    )
 
 
 def _file_walks(stream: BinaryIO, path: str | Path) -> Iterator[_Walk]:
@@ -670,45 +682,30 @@ def _file_walks(stream: BinaryIO, path: str | Path) -> Iterator[_Walk]:
 
     The caller walks the first range itself while a worker forked for
     each other range opens the file again, walks that range and sends
-    back only its walk. A worker that ends without sending one, as when
-    the path was replaced meanwhile, has its range walked here. Every
-    worker is joined before this ends; one still running when this ends
-    early, on an error or a malformed line, is terminated first.
+    back only its walk. A range whose worker sends no walk, as when the
+    path was replaced meanwhile, is walked here. Every worker is reaped
+    before this ends; one still running when this ends early, on an
+    error or a malformed line, is killed first.
     """
     cuts = _cuts(stream)
     if len(cuts) == 2:
         yield _walk(stream)
         return
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
     file = os.fstat(stream.fileno())
-    workers = []
-    try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            receiver, sender = fork.Pipe(duplex=False)
-            worker = fork.Process(
-                target=_send_walk, args=(sender, path, (file.st_dev, file.st_ino), start, stop)
-            )
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
+    ranges = list(zip(cuts[1:], cuts[2:]))
+    with contextlib.ExitStack() as workers:
+        sends = [
+            workers.enter_context(_fork.Child(_send_walk, path, (file.st_dev, file.st_ino), start, stop))
+            for start, stop in ranges
+        ]
         yield _walk(_lines_to(stream, cuts[1]))
-        for (worker, receiver), start, stop in zip(workers, cuts[1:], cuts[2:]):
-            try:
-                walk = receiver.recv()
-            except EOFError:  # the worker ended without a walk
+        for send, (start, stop) in zip(sends, ranges):
+            sent = send.result()
+            if sent is None:
                 stream.seek(start)
-                walk = _walk(_lines_to(stream, stop))
-            yield walk
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
+                yield _walk(_lines_to(stream, stop))
+            else:
+                yield _sent_walk(sent)
 
 
 def read_ledger(source: str | Path | TextIO) -> Ledger:

@@ -6,7 +6,10 @@ whole computation succeeded, so downstream figure scripts never see
 half-written files or a mix of two runs. ``publish`` is the one way every
 command writes its files. The audit log is streamed into the staged
 ``audit.log`` as its records are appended, so a run never holds the whole
-log. Identical inputs produce byte-identical output trees, audit chain
+log. A run large enough to pay for a fork has its report files written
+into the staging directory by a forked child while it builds the log;
+if the child does not report success, the run writes them itself.
+Identical inputs produce byte-identical output trees, audit chain
 included.
 """
 
@@ -19,11 +22,12 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from cscshare import _fork
 from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
     PolicyComparison,
@@ -60,6 +64,11 @@ from cscshare.model import (
 )
 
 POLICY_NAMES = ("static", "static33", "default-dynamic", "custom-dynamic")
+
+# A run whose allocation CSVs hold this many cells (slots x columns x
+# policies) or more has its report files written by a forked child while
+# it builds the log; a smaller one writes them after.
+_FORKED_REPORT_CELLS = 25_000
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,7 @@ def load_run_config(
     """Read a run-config JSON file; relative paths resolve against it.
     ``run`` requires an ``out_dir``, and reads a ``kors`` file itself."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "run config")
     base = path.parent
 
     def _resolve(p) -> Path:
@@ -179,6 +187,19 @@ def load_run_config(
     )
 
 
+def _read_json(path: str | Path, name: str, **options):
+    """The JSON value in the file ``path``; invalid JSON is a ValueError
+    that names the file, as ``name`` and the path, and its line and
+    column, and so is invalid UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, **options)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name} {path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name} {path}: {exc}") from None
+
+
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -196,8 +217,7 @@ def _static_kors(config: RunConfig) -> Mapping[str, float] | None:
         return None
     if not isinstance(config.kors, Path):
         return config.kors
-    with open(config.kors, "r", encoding="utf-8") as fh:
-        return _coefficients(json.load(fh))
+    return _coefficients(_read_json(config.kors, "kors file"))
 
 
 def load_community(path: str | Path) -> tuple[Community, str | None]:
@@ -206,8 +226,7 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
     Returns the community plus the optional meter the data-centre load
     attaches to. Rates may be JSON numbers or strings; both parse exactly.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=Decimal)
+    raw = _read_json(path, "community file", parse_float=Decimal)
     if not isinstance(raw, dict):
         raise ValueError(f"community file {path}: must be a JSON object")
     entries = raw.get("participants")
@@ -347,6 +366,37 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_reports(
+    staging: Path,
+    starts: Sequence[datetime],
+    tables: Mapping[str, AllocationTable],
+    reports: Mapping[str, tuple[ScrReport, SavingsReport]],
+    comparison: PolicyComparison,
+    participant_ids: Sequence[str],
+) -> None:
+    """Write each policy's report and allocations and the comparison into
+    ``staging``."""
+    stamps = [ts.isoformat() for ts in starts]
+    for name in sorted(reports):
+        scr_report, savings_report = reports[name]
+        _write_json(
+            staging / f"{name}_report.json",
+            {"policy": name, "scr": scr_report.to_json_dict(), "savings": savings_report.to_json_dict()},
+        )
+        _write_csv(
+            staging / f"{name}_allocations.csv",
+            _allocation_csv_rows(tables[name], participant_ids, stamps),
+        )
+    _write_csv(staging / "comparison.csv", comparison.to_csv_rows())
+    _write_json(staging / "comparison.json", comparison.to_json_dict())
+
+
+def _reports_written(*args) -> bytes:
+    """In a forked child: ``_write_reports(*args)``, then say so."""
+    _write_reports(*args)
+    return b"written"
+
+
 @contextlib.contextmanager
 def publish(out_dir: str | Path, stale: Iterable[str] = ()) -> Iterator[Path]:
     """Yield a new staging directory inside ``out_dir``; when the block
@@ -484,29 +534,19 @@ def run(config: RunConfig) -> RunResult:
 
     # a narrower rerun must not leave another policy's outputs behind
     stale = _policy_files(name for name in POLICY_NAMES if name not in reports)
-    with publish(config.out_dir, stale) as staging:
+    report_data = (production.starts, tables, reports, comparison, sorted(ids))
+    cells = len(production) * (3 + 2 * len(ids)) * len(tables)
+    with publish(config.out_dir, stale) as staging, (
+        _fork.Child(_reports_written, staging, *report_data)
+        if cells >= _FORKED_REPORT_CELLS
+        else contextlib.nullcontext()
+    ) as writer:
         # the log's file is closed however this block is left
         with Ledger(staging / "audit.log") as ledger:
             _build_ledger(production, tables, static_kors, ledger)
             write_ledger(ledger, staging / "audit.log")
-        stamps = [ts.isoformat() for ts in production.starts]
-        ordered_ids = sorted(ids)
-        for name in sorted(reports):
-            scr_report, savings_report = reports[name]
-            _write_json(
-                staging / f"{name}_report.json",
-                {
-                    "policy": name,
-                    "scr": scr_report.to_json_dict(),
-                    "savings": savings_report.to_json_dict(),
-                },
-            )
-            _write_csv(
-                staging / f"{name}_allocations.csv",
-                _allocation_csv_rows(tables[name], ordered_ids, stamps),
-            )
-        _write_csv(staging / "comparison.csv", comparison.to_csv_rows())
-        _write_json(staging / "comparison.json", comparison.to_json_dict())
+        if writer is None or writer.result() is None:
+            _write_reports(staging, *report_data)
 
     emitted = [*_policy_files(sorted(reports)), "comparison.csv", "comparison.json", "audit.log"]
     return RunResult(config.out_dir, [config.out_dir / name for name in emitted], comparison)

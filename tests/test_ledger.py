@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -1284,6 +1283,12 @@ def _long_log(path, n=360):
     return path.read_bytes().splitlines(keepends=True)
 
 
+def _assert_no_child_left():
+    """This process has no child, running or exited and not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def ranged_on(monkeypatch):
     """Set reads of any log file to go in ranges on ``cores`` cores; return
@@ -1336,7 +1341,7 @@ def test_forked_workers_read_as_the_serial_read(tmp_path, ranged_on, cores, faul
     assert _read_state(lambda: read_ledger(path)) == serial
     assert made["cuts"][0][0] == 0 and len(made["cuts"][0]) == min(cores, 4) + 1
     assert made["walks"] == 1
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     if serial[0] == "ok":
         name = f"ledger {path}"
         assert streamed[1][:4] == serial[1][:4]
@@ -1355,7 +1360,7 @@ def test_a_worker_that_sends_no_walk_has_its_range_walked_by_the_caller(tmp_path
     monkeypatch.setattr(ledger_mod, "_send_walk", lambda *args: None)
     assert _read_state(lambda: read_ledger(path)) == serial
     assert made["walks"] == 3
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_a_log_replaced_during_the_read_is_read_whole_from_the_file_opened(tmp_path, ranged_on):
@@ -1372,13 +1377,13 @@ def test_a_log_replaced_during_the_read_is_read_whole_from_the_file_opened(tmp_p
         os.replace(other, path)
         assert _read_state(lambda: ledger_mod._stitch(ledger_mod._file_walks(stream, path), f"ledger {path}")) == serial
     assert made["walks"] == 2
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_a_malformed_line_in_the_callers_range_terminates_the_workers(tmp_path, ranged_on, monkeypatch):
     """The caller's range holds the earliest malformed line, so the read
-    raises without waiting for its workers, still running: it terminates
-    and joins them."""
+    raises without waiting for its workers, still running: it kills and
+    reaps them."""
     path = tmp_path / "audit.log"
     path.write_bytes(b"".join(_LOG_FAULTS["not UTF-8 in the caller's range"](_long_log(path))))
     serial = _read_state(lambda: read_ledger(path))
@@ -1388,12 +1393,12 @@ def test_a_malformed_line_in_the_callers_range_terminates_the_workers(tmp_path, 
     assert _read_state(lambda: read_ledger(path)) == serial
     assert time.monotonic() - start < 30
     assert serial[1].startswith("ledger line 8: malformed record ('utf-8' codec")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_a_log_is_read_serially_where_a_fork_may_not_pay_or_be_safe(tmp_path, monkeypatch):
     """Below the size, on one core, with another thread running, or where
-    fork is not a start method, a log file is one range."""
+    there is no ``os.fork``, a log file is one range."""
     path = tmp_path / "audit.log"
     _long_log(path)
     size = path.stat().st_size
@@ -1418,22 +1423,33 @@ def test_a_log_is_read_serially_where_a_fork_may_not_pay_or_be_safe(tmp_path, mo
     finally:
         release.set()
         thread.join()
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert cuts() == [0, size]
 
 
 def test_reading_a_small_log_imports_no_multiprocessing(tmp_path):
     """``multiprocessing`` costs the command line's start-up more than a
-    small log's read, so neither the CLI's import nor such a read loads it."""
+    small log's read, and its modules stay loaded: neither the CLI's
+    import, nor a small log's read, nor a ranged read, nor a run whose
+    report files a forked child writes loads it or ``pickle``, which its
+    workers would send results through. The ranged read and the run
+    both fork."""
     path = tmp_path / "audit.log"
     write_ledger(build_ledger(20), path)
     code = (
-        "import sys; import cscshare.cli; loaded = ['multiprocessing' in sys.modules]; "
+        "import os, sys; import cscshare.cli; loaded = ['multiprocessing' in sys.modules]; "
         "from cscshare.ledger import read_ledger; assert len(read_ledger(sys.argv[1])) == 20; "
-        "loaded.append('multiprocessing' in sys.modules); print(loaded)"
+        "loaded.append('multiprocessing' in sys.modules); "
+        "from cscshare import ledger, runner, synth; forks = []; os.register_at_fork(before=lambda: forks.append(1)); "
+        "os.sched_getaffinity = lambda pid: {0, 1}; ledger._RANGED_BYTES = runner._FORKED_REPORT_CELLS = 0; "
+        "cscshare.cli.main(['audit-verify', sys.argv[1]], standalone_mode=False); "
+        "synth.synthesize_demo_data('high_radiation', 7, sys.argv[2]); "
+        "cscshare.cli.main(['run', '--config', sys.argv[2] + '/run_config.json'], standalone_mode=False); "
+        "print(loaded, len(forks), [name in sys.modules for name in ('multiprocessing', 'pickle')])"
     )
     src = str(Path(ledger_mod.__file__).parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code, str(path)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(path), str(tmp_path / "demo")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "[False, False]\n"
+    assert out.stdout.splitlines()[-1] == "[False, False] 2 [False, False]"

@@ -3,10 +3,12 @@
 import csv
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import shutil
+import time
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cscshare import runner as runner_mod
 from cscshare.billing import compute_scr
 from cscshare.cli import main
 from cscshare.ledger import Ledger, read_ledger, verify_chain, write_ledger
@@ -284,6 +287,96 @@ class TestStreamedLog:
         assert len(calls) == 5000
         assert sorted(p.name for p in demo.iterdir() if p.name.startswith(".staging-")) == []
         assert not (demo / "reports").exists()
+
+
+def _synthdata_month(directory: Path) -> Path:
+    """The benchmark's month-40p inputs, shortened to 4 days of 40
+    participants (63,744 report cells), in ``directory``; the run config."""
+    spec = importlib.util.spec_from_file_location(
+        "synthdata", Path(__file__).parents[1] / "settlebench" / "synthdata.py"
+    )
+    synthdata = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthdata)
+    return Path(synthdata.generate("month-40p", 5, directory, scale=4 / 31)["run_config"])
+
+
+class TestForkedReports:
+    """A run of ``_FORKED_REPORT_CELLS`` or more has its report files
+    written by a forked child while it builds the log; the tree is the one
+    written in the same process."""
+
+    @pytest.fixture
+    def settle(self, monkeypatch):
+        """Run a config into ``out`` with the report files written by a
+        forked child, or not; return the tree and whether this process
+        wrote them."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        write, calls = runner_mod._write_reports, []
+
+        def counted(*args):
+            calls.append(None)  # a forked child counts in its own copy
+            return write(*args)
+
+        monkeypatch.setattr(runner_mod, "_write_reports", counted)
+
+        def settle(config: Path, out: Path, forked: bool):
+            monkeypatch.setattr(runner_mod, "_FORKED_REPORT_CELLS", 0 if forked else float("inf"))
+            calls.clear()
+            run(load_run_config(config, out_override=out))
+            return _tree_bytes(out), len(calls) == 1
+
+        return settle
+
+    @pytest.mark.parametrize("source", ["demo", "synthdata month"])
+    def test_forked_and_serial_writes_give_the_same_tree(self, tmp_path, settle, source):
+        if source == "demo":
+            synthesize_demo_data("high_radiation", 7, tmp_path / "in")
+            config = tmp_path / "in" / "run_config.json"
+        else:
+            config = _synthdata_month(tmp_path / "in")
+        forked, written_here = settle(config, tmp_path / "forked", True)
+        assert not written_here
+        assert settle(config, tmp_path / "serial", False) == (forked, True)
+        assert len(forked) == 11 and all(forked.values())
+        _assert_no_child_left()
+
+    def test_a_child_that_sends_nothing_leaves_the_same_tree(self, demo, settle, monkeypatch):
+        """The parent writes the files itself, over any the child left."""
+        config = demo / "run_config.json"
+        serial = settle(config, demo / "serial", False)
+
+        def partial(staging, *args):
+            (staging / "comparison.csv").write_text("half a file")
+
+        monkeypatch.setattr(runner_mod, "_reports_written", partial)
+        assert settle(config, demo / "forked", True) == serial
+        _assert_no_child_left()
+
+    def test_a_failing_log_kills_the_child_and_keeps_the_old_tree(self, demo, settle, monkeypatch):
+        config = demo / "run_config.json"
+        old, _ = settle(config, demo / "out", True)
+
+        class Boom(Exception):
+            pass
+
+        def failing(*args):
+            raise Boom
+
+        monkeypatch.setattr(runner_mod, "_reports_written", lambda *args: time.sleep(60))
+        monkeypatch.setattr(runner_mod, "_build_ledger", failing)
+        start = time.monotonic()
+        with pytest.raises(Boom):
+            settle(config, demo / "out", True)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+        assert _tree_bytes(demo / "out") == old
+        assert not any(p.name.startswith(".staging-") for p in (demo / "out").iterdir())
+
+
+def _assert_no_child_left():
+    """This process has no child, running or exited and not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _failing_replace(monkeypatch, k: int) -> list:
@@ -630,6 +723,31 @@ class TestConfigValidation:
     def test_bad_run_config_shape(self, demo, edit, message):
         _edit_json(demo / "run_config.json", edit)
         assert message in self._run(demo)
+
+    @pytest.mark.parametrize(
+        "file, text, message",
+        [
+            ("run_config.json", '{\n  "meter_csvs": [,\n', "run config {}: line 2 column 18: Expecting value"),
+            ("community.json", '{\n  "participants": x\n}\n', "community file {}: line 2 column 19: Expecting value"),
+            ("kors.json", '{"b1": 0.5,}\n', "kors file {}: line 1 column 12: Expecting property name"),
+            ("scenario.cfg", "pv_gain = 1.1\n# a comment\ndatacentre_load_kw 3\n", "scenario config {} line 3: bad line"),
+            ("scenario.cfg", "include_datacentre = maybe\n", "scenario config {} line 1: bad boolean 'maybe'"),
+            ("scenario.cfg", "pv_gain = 1.1\ndatacentre_load_kw = -3\n", "scenario config {} line 2: datacentre_load_kw must be >= 0"),
+            ("kors.json", b'{"b1": "\xff"}\n', "kors file {}: 'utf-8' codec can't decode byte 0xff in position 8"),
+            ("scenario.cfg", b"pv_gain = 1.1 \xff\n", "scenario config {}: 'utf-8' codec can't decode byte 0xff in position 14"),
+        ],
+        ids=[
+            "run-config", "community", "kors", "scenario-line", "scenario-bool", "scenario-value",
+            "kors-not-utf8", "scenario-not-utf8",
+        ],
+    )
+    def test_a_malformed_file_is_named_with_its_line(self, demo, file, text, message):
+        """Invalid JSON is named with its line and column, a bad scenario
+        line with its line, and invalid UTF-8 with its byte."""
+        (demo / file).write_bytes(text if isinstance(text, bytes) else text.encode())
+        output = self._run(demo)
+        assert message.format(demo / file) in output
+        assert "Traceback" not in output
 
     def test_kors_file_must_hold_an_object(self, demo):
         (demo / "kors.json").write_text("[0.25, 0.5, 0.25]\n")
