@@ -19,6 +19,7 @@ from cscshare.model import (
     Kind,
     KorVector,
     Participant,
+    SlotGrid,
     SlotSeries,
     StaticPolicy,
     validate_community,
@@ -60,6 +61,7 @@ __all__ = [
     "SavingsReport",
     "ScenarioConfig",
     "ScrReport",
+    "SlotGrid",
     "SlotSeries",
     "StaticPolicy",
     "add_constant_load",

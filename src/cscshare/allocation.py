@@ -74,7 +74,8 @@ def allocate_series(
     Every consumption series must cover exactly the production slot set;
     a missing or extra slot would silently shift energy between buildings,
     so a mismatch is a hard error naming the earliest slot that only one
-    of the two series has. The series' value tuples are the table's columns.
+    of the two series has; series on the production's grid match at once.
+    The series' value tuples are the table's columns.
     """
     if production.kind is not Kind.PRODUCTION:
         raise ValueError(f"series {production.meter_id} is not a production series")
@@ -86,7 +87,7 @@ def allocate_series(
         if s.meter_id in columns:
             raise ValueError(f"duplicate consumption series for {s.meter_id}")
         theirs = s.starts
-        if theirs != prod_slots:
+        if theirs is not prod_slots and theirs != prod_slots:
             mismatch = min(set(prod_slots) ^ set(theirs))
             raise ValueError(
                 f"slot set of {s.meter_id} does not match production: "

@@ -13,7 +13,7 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from itertools import compress
 from typing import Mapping
 
-from cscshare.model import AllocationTable, Community, DateRange
+from cscshare.model import AllocationTable, Community, DateRange, SlotGrid
 
 CENT = Decimal("0.01")
 _PCT_PLACES = Decimal("0.01")
@@ -98,10 +98,14 @@ class SavingsReport:
 
 def _in_window(table: AllocationTable, window: DateRange | None) -> AllocationTable:
     """The window's slots as one table; with no slot in the window every
-    column is empty, and so is a savings report's per_participant."""
+    column is empty, and so is a savings report's per_participant. A table
+    on a grid that the window holds is returned as it is."""
     if window is None:
         return table
-    if None in table.slot_starts:
+    if isinstance(table.slot_starts, SlotGrid):
+        if window.holds(table.slot_starts):
+            return table
+    elif None in table.slot_starts:
         raise ValueError("allocation without slot_start cannot be windowed")
     keep = window.mask(table.slot_starts)
     if all(keep):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
@@ -34,6 +35,7 @@ from cscshare.model import (
     DateRange,
     Kind,
     KorVector,
+    SlotGrid,
     SlotSeries,
     SLOT_DURATION,
     SLOT_MINUTES,
@@ -100,8 +102,9 @@ class MeterReadings:
     This is the one form of a meter's readings, from ingest_csv through
     readings_by_meter to normalize_to_slots: a reading is its timestamp
     and its value. Ingestion fills the columns row by row, taking each
-    timestamp from the per-file timestamp cache. ``readings[k]`` builds
-    row k as a RawMeterRecord.
+    timestamp from the per-file timestamp cache, and gives each meter its
+    file's grids (see _Grids); readings joined across files have none.
+    ``readings[k]`` builds row k as a RawMeterRecord.
     """
 
     meter_id: str
@@ -109,6 +112,7 @@ class MeterReadings:
     quantity_kind: QuantityKind
     timestamps: list[datetime] = field(default_factory=list)
     values: list[int | Decimal] = field(default_factory=list)
+    grids: _Grids | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -194,13 +198,14 @@ def ingest_csv(source: str | Path | TextIO) -> IngestResult:
     """Parse a meter CSV into per-meter columns, in one pass.
 
     A malformed header is a hard error; a malformed row is collected into
-    the error report with its line number and skipped. A file named by
-    its path is read in blocks (see _file_blocks); a text stream is read
-    by csv.reader, whose line splitting follows the stream's own newline
+    the error report with its line number and skipped, and so is a row
+    holding a byte that is not UTF-8 (see _decoded). A file named by its
+    path is read in blocks (see _file_blocks); a text stream is read by
+    csv.reader, whose line splitting follows the stream's own newline
     setting.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             return _ingest_rows(chain.from_iterable(_file_blocks(fh)))
     return _ingest_rows(_csv_rows(source))
 
@@ -221,7 +226,8 @@ def _file_blocks(fh: TextIO) -> Iterator[Iterator[list[str] | _Refused]]:
     commas, so its lines are split on commas. An empty line gives [""]
     where csv.reader gives [], and the row loop skips both. The first
     block that fails this test, and the rest of the file after it, go to
-    csv.reader, since a quoted cell may span lines.
+    csv.reader, since a quoted cell may span lines. Only the rows of a
+    block holding an escaped byte go through _decoded.
     """
     limit = csv.field_size_limit()
     while block := fh.read(_BLOCK):
@@ -233,15 +239,17 @@ def _file_blocks(fh: TextIO) -> Iterator[Iterator[list[str] | _Refused]]:
             lines.pop()  # after the block's last line end
         if max(map(len, lines)) > limit:
             break
-        yield map(str.split, lines, repeat(","))
+        rows = map(str.split, lines, repeat(","))
+        yield rows if block.isascii() or not _ESCAPED.search(block) else map(_decoded, rows)
     else:
         return
     yield _csv_rows(chain(io.StringIO(block, newline=""), fh))
 
 
 class _Refused:
-    """A record csv.reader refused: reading its cells raises the reader's
-    message, which the row loop reports as the row's error."""
+    """A record refused before its cells are read, by csv.reader or for a
+    byte that is not UTF-8: reading its cells raises the message, which
+    the row loop reports as the row's error."""
 
     def __init__(self, message: str):
         self.message = message
@@ -251,22 +259,39 @@ class _Refused:
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[list[str] | _Refused]:
-    """csv.reader's rows of lines, a record it refuses (a cell over the
-    field size limit) as a _Refused row; the reader reads on after it."""
+    """csv.reader's rows of lines, each through _decoded, a record it
+    refuses (a cell over the field size limit) as a _Refused row; the
+    reader reads on after it."""
     reader = csv.reader(lines)
     while True:
         try:
-            yield from reader
+            yield from map(_decoded, reader)
             return
         except csv.Error as exc:
             yield _Refused(str(exc))
+
+
+# A file is decoded with errors="surrogateescape", which gives each byte
+# that is not valid UTF-8 as a lone surrogate, U+DC80 to U+DCFF.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _decoded(row: list[str]) -> list[str] | _Refused:
+    """The row, or, if a cell holds an escaped byte, a _Refused row
+    naming the first such byte."""
+    for cell in row:
+        if not cell.isascii() and (escaped := _ESCAPED.search(cell)):
+            return _Refused(f"invalid UTF-8 byte 0x{ord(escaped[0]) - 0xDC00:02x}")
+    return row
 
 
 class _Timestamps(dict):
     """Timestamp text -> its parsed timestamp, each distinct text read once per file.
 
     Timestamps with equal UTC offsets share one tzinfo object, so sorting
-    and comparing them takes CPython's same-tzinfo path.
+    and comparing them takes CPython's same-tzinfo path. Equal texts give
+    one object, so meters read at the same instants have columns of the
+    same objects; ``grids`` records the columns checked (see _Grids).
 
     A text is read by datetime.fromisoformat first. A text it refuses or
     reads without an offset (padding, a ``z``, a ``Z`` before Python
@@ -277,6 +302,7 @@ class _Timestamps(dict):
     def __init__(self):
         super().__init__()
         self._zones: dict = {}
+        self.grids = _Grids()
 
     def __missing__(self, text: str) -> datetime:
         try:
@@ -351,7 +377,7 @@ def _route(row: Sequence[str], routes: dict, meters: dict, timestamps: _Timestam
         raise ValueError(f"{meter_class.value} meters do not report {kind.value}")
     key = (meter_id, meter_class, kind)
     if key not in meters:
-        meters[key] = MeterReadings(meter_id, meter_class, kind)
+        meters[key] = MeterReadings(meter_id, meter_class, kind, grids=timestamps.grids)
     routes[row[0], row[1], row[3]] = route = (meters[key], parse_value)
     return route
 
@@ -452,15 +478,28 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     either side of it when those carry different UTC offsets.
 
     After the sort, duplicate and mark checks, a whole series (see
-    _whole) is normalized by columns, with the walk's arithmetic; any
-    other series is walked slot by slot, and the walk names its fault.
+    _whole_starts) is normalized by columns, with the walk's arithmetic;
+    any other series is walked slot by slot, and the walk names its fault.
     The walk derives each reading's slot start from its timestamp.
+
+    A column of timestamps that its file's grids hold as checked for the
+    same quantity kind (see _Grids) is not checked again: the series
+    takes that column's grid, and only its energies are computed.
     """
     meter_id, quantity = readings.meter_id, readings.quantity_kind
     stamps, values = readings.timestamps, readings.values
     if not stamps:
         raise ValueError("no records to normalize")
-    if not all(map(lt, stamps, islice(stamps, 1, None))):
+    power = quantity is QuantityKind.POWER_KW_10MIN
+    index = quantity is QuantityKind.ENERGY_KWH_INDEX
+    grids = readings.grids
+    grid = grids.find(quantity, stamps) if grids is not None else None
+    energies = _energies(values, power, index) if grid is not None else None
+    if energies is not None:
+        return SlotSeries(meter_id, kind, grid, energies)
+
+    in_order = all(map(lt, stamps, islice(stamps, 1, None)))
+    if not in_order:
         # a stable sort: readings of one instant keep their arrival order;
         # there are at least two readings here, so each pick is a tuple
         pick = itemgetter(*sorted(range(len(stamps)), key=stamps.__getitem__))
@@ -469,8 +508,6 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
             if cur == prev:
                 raise ValueError(f"{meter_id}: duplicate reading at {cur.isoformat()}")
 
-    power = quantity is QuantityKind.POWER_KW_10MIN
-    index = quantity is QuantityKind.ENERGY_KWH_INDEX
     if index and len(stamps) < 2:
         raise ValueError(f"{meter_id}: index series needs at least two readings")
     whole_minutes = not any(map(_second, stamps)) and not any(map(_microsecond, stamps))
@@ -490,9 +527,13 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
             if ts.minute % mark or ts.second or ts.microsecond:
                 raise ValueError(f"{meter_id}: {what} at {ts.isoformat()} is not on {where}")
 
-    whole = _whole(stamps, values, power, index) if on_marks else None
-    if whole is not None:
-        return SlotSeries(meter_id, kind, *whole)
+    starts = _whole_starts(stamps, power, index) if on_marks else None
+    if starts is not None:
+        if grids is not None and grid is None and in_order:
+            starts = grids.checked(quantity, stamps, starts)
+        energies = _energies(values, power, index)
+        if energies is not None:
+            return SlotSeries(meter_id, kind, starts, energies)
 
     floors = (
         map(sub, stamps, map(_INTO_SLOT.__getitem__, map(_minute, stamps)))
@@ -545,21 +586,20 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     return SlotSeries(meter_id, kind, starts, energies)
 
 
-def _whole(stamps, values, power: bool, index: bool):
-    """The starts and energies of a whole series, or None.
+def _whole_starts(stamps, power: bool, index: bool):
+    """The slot starts of a whole series, or None.
 
     Every reading is on its class's marks here. A series is whole when
     every slot holds exactly the readings its class expects, each slot
     carries one tzinfo object, and consecutive starts are 30 minutes
-    apart. A Linky or index reading on a slot mark is its own slot start.
-    The power samples of a slot are whole when the first is on a slot
-    mark, the third is 20 minutes after it, and both later ones carry its
-    tzinfo object: samples in strict order on 10-minute marks then leave
-    the middle one at +10. These tests run over column slices; a whole
-    series gives the walk's slots by the walk's arithmetic, and any other
-    goes to the walk, which names the fault. A power slot's energy is
-    looked up by its (v0, v1, v2) samples in a table local to the call,
-    so each distinct triple is converted once.
+    apart. A Linky or index reading on a slot mark is its own slot start;
+    an index's last reading closes the slot before it. The power samples
+    of a slot are whole when the first is on a slot mark, the third is 20
+    minutes after it, and both later ones carry its tzinfo object:
+    samples in strict order on 10-minute marks then leave the middle one
+    at +10. These tests run over column slices; a whole series gives the
+    walk's slots by the walk's arithmetic (see _energies), and any other
+    goes to the walk, which names the fault.
     """
     if power:
         starts = stamps[0::3]
@@ -575,16 +615,63 @@ def _whole(stamps, values, power: bool, index: bool):
         starts = stamps
     if not all(map(eq, map(sub, starts[1:], starts[:-1]), repeat(SLOT_DURATION))):
         return None
+    return starts[:-1] if index else starts
+
+
+def _energies(values, power: bool, index: bool) -> list[int] | None:
+    """The slot energies of a whole series' values, or None where an index
+    decreases, which the walk names.
+
+    A power slot's energy is looked up by its (v0, v1, v2) samples in a
+    table local to the call, so each distinct triple is converted once.
+    """
     if power:
         energy = _SlotEnergies().__getitem__
-        return starts, list(map(energy, zip(values[0::3], values[1::3], values[2::3])))
+        return list(map(energy, zip(values[0::3], values[1::3], values[2::3])))
     if index:
         ints = list(map(int, values))
         deltas = list(map(sub, ints[1:], ints[:-1]))
         if min(deltas) < 0:
             return None
-        return starts[:-1], [delta * 1000 for delta in deltas]
-    return starts, list(map(int, values))
+        return [delta * 1000 for delta in deltas]
+    return list(map(int, values))
+
+
+class _Grids:
+    """The timestamp columns of one file that normalize_to_slots checked
+    whole, and the grids of slot starts they gave.
+
+    A column is recorded under its quantity kind once it is found whole
+    and in time order. A later column of the same kind that holds the
+    same timestamp objects in the same order takes the recorded grid
+    without a check; the file's _Timestamps makes equal texts one object,
+    so meters read at the same instants have such columns. Grids of the
+    same start objects are one grid, whatever kind gave them.
+    """
+
+    def __init__(self):
+        self._columns: list[tuple[QuantityKind, tuple[datetime, ...], SlotGrid]] = []
+
+    def find(self, quantity: QuantityKind, stamps: Sequence[datetime]) -> SlotGrid | None:
+        """The grid of a checked ``quantity`` column of the objects of ``stamps``, or None."""
+        for kind, column, grid in self._columns:
+            if kind is quantity and len(column) == len(stamps) and all(map(is_, column, stamps)):
+                return grid
+        return None
+
+    def checked(self, quantity: QuantityKind, stamps: Sequence[datetime], starts):
+        """Record ``stamps`` as a checked ``quantity`` column whose series
+        starts at ``starts``, and return the grid of those starts; if they
+        fail the grid's checks, record nothing and return them as they are."""
+        for _, _, grid in self._columns:
+            if len(grid) == len(starts) and all(map(is_, grid, starts)):
+                break
+        else:
+            grid = SlotGrid.of(starts)
+            if grid is None:
+                return starts
+        self._columns.append((quantity, tuple(stamps), grid))
+        return grid
 
 
 def _power_wh(samples) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from functools import cached_property
 from itertools import compress, groupby, islice, repeat
 from operator import and_, attrgetter, gt, le, lt, methodcaller
 from typing import Iterable, Mapping, Sequence
@@ -101,8 +102,15 @@ class DateRange:
     def contains(self, ts: datetime) -> bool:
         return self.start <= ts.date() < self.end
 
+    def holds(self, grid: SlotGrid) -> bool:
+        """Whether the local date of every start of ``grid`` lies in the
+        window, told by the grid's date bounds alone."""
+        return grid.dates is None or (self.start <= grid.dates[0] and grid.dates[1] < self.end)
+
     def mask(self, starts: Iterable[datetime]) -> list[bool]:
         """Whether each timestamp's local date lies in the window, as one list."""
+        if isinstance(starts, SlotGrid) and self.holds(starts):
+            return [True] * len(starts)
         dates = list(map(datetime.date, starts))
         # a window holding every date, as a run's full extent does, is
         # told by the first and last date alone
@@ -118,41 +126,70 @@ class DateRange:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
-@dataclass(frozen=True)
-class SlotSeries:
-    """Per-meter energy on the 30-minute grid, integer Wh per slot.
+class SlotGrid(tuple):
+    """Slot starts, checked once as a whole: every start carries a UTC
+    offset and sits on the 30-minute grid, and the starts strictly
+    increase.
 
-    Held as two columns, the slot starts and their energies (any sequences,
-    kept as tuples), and checked once as a whole: every start carries a UTC
-    offset and sits on the grid, starts strictly increase, and every energy
-    is an int >= 0. The first bad slot's error is raised.
+    ``SlotGrid.of`` checks and builds one; the constructor does not
+    check. Series on the same slots can share one grid, so what compares
+    the slots of two series, or windows them, tests identity first.
+    ``dates`` bounds the starts' local dates, computed once.
     """
 
-    meter_id: str
-    kind: Kind
-    starts: tuple[datetime, ...]
-    energies: tuple[int, ...]
-
-    def __post_init__(self):
-        starts, energies = tuple(self.starts), tuple(self.energies)
-        if len(starts) != len(energies):
-            raise ValueError("value count does not match slot count")
+    @classmethod
+    def of(cls, starts: Iterable[datetime]) -> SlotGrid | None:
+        """The starts as a grid, or None if one of them fails a check."""
+        grid = cls(starts)
         if not (
             # a fixed-offset timezone never returns None; the types are
             # tested, not the zones, as a tzinfo may be unhashable
             (
-                set(map(type, map(attrgetter("tzinfo"), starts))) == {timezone}
-                or None not in map(methodcaller("utcoffset"), starts)
+                set(map(type, map(attrgetter("tzinfo"), grid))) == {timezone}
+                or None not in map(methodcaller("utcoffset"), grid)
             )
-            and set(map(attrgetter("minute"), starts)) <= _SLOT_MINUTES_OF_HOUR
-            and not any(map(attrgetter("second"), starts))
-            and not any(map(attrgetter("microsecond"), starts))
-            and all(map(lt, starts, islice(starts, 1, None)))
-            and set(map(type, energies)) <= {int}
-            and min(energies, default=0) >= 0
+            and set(map(attrgetter("minute"), grid)) <= _SLOT_MINUTES_OF_HOUR
+            and not any(map(attrgetter("second"), grid))
+            and not any(map(attrgetter("microsecond"), grid))
+            and all(map(lt, grid, islice(grid, 1, None)))
         ):
+            return None
+        return grid
+
+    @cached_property
+    def dates(self) -> tuple[date, date] | None:
+        """The first and last local dates of the starts, or None without
+        starts. A start's local date may precede the first start's, where
+        its UTC offset puts it before local midnight, so each is read."""
+        dates = set(map(datetime.date, self))
+        return (min(dates), max(dates)) if dates else None
+
+
+@dataclass(frozen=True)
+class SlotSeries:
+    """Per-meter energy on the 30-minute grid, integer Wh per slot.
+
+    Held as two columns, the slot starts as a SlotGrid and their energies
+    as a tuple, and checked once as a whole: the starts as a grid, unless
+    they are one already, and every energy an int >= 0. The first bad
+    slot's error is raised.
+    """
+
+    meter_id: str
+    kind: Kind
+    starts: SlotGrid
+    energies: tuple[int, ...]
+
+    def __post_init__(self):
+        starts = self.starts if type(self.starts) is SlotGrid else tuple(self.starts)
+        energies = tuple(self.energies)
+        if len(starts) != len(energies):
+            raise ValueError("value count does not match slot count")
+        grid = starts if type(starts) is SlotGrid else SlotGrid.of(starts)
+        if grid is None or not (set(map(type, energies)) <= {int} and min(energies, default=0) >= 0):
+            # raises for every start SlotGrid.of refuses, so grid is set after it
             _check_each_slot(self.meter_id, starts, energies)
-        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "starts", grid)
         object.__setattr__(self, "energies", energies)
 
     def __len__(self) -> int:
@@ -164,7 +201,7 @@ class SlotSeries:
         return sum(compress(self.energies, window.mask(self.starts)))
 
     def replace_values(self, values: Sequence[int]) -> "SlotSeries":
-        """The same slots with new energies; the starts column is shared."""
+        """The same slots with new energies; the grid is shared."""
         return SlotSeries(self.meter_id, self.kind, self.starts, values)
 
 
@@ -448,7 +485,7 @@ def validate_community(
             continue
         if s.kind is not Kind.CONSUMPTION:
             findings.append(f"participant {pid} series is not consumption kind")
-        if production is not None:
+        if production is not None and s.starts is not production.starts:
             # one finding per run of consecutive production slots missing here
             have = set(s.starts)
             for missing, run in groupby(production.starts, key=lambda ts: ts not in have):

@@ -275,13 +275,10 @@ def _ingest_meters(paths: Sequence[Path]) -> dict[str, MeterReadings]:
 
 
 def _full_extent(series: Iterable[SlotSeries]) -> DateRange:
-    """The local dates the slots of ``series`` fall on, first to last.
-
-    A slot's local date may precede the first slot's, where its UTC
-    offset puts it before local midnight, so every slot is looked at.
-    """
-    dates = {ts.date() for s in series for ts in s.starts}
-    return DateRange(min(dates), max(dates) + timedelta(days=1))
+    """The local dates the slots of ``series`` fall on, first to last,
+    from the date bounds of their grids, each read once (SlotGrid.dates)."""
+    bounds = [s.starts.dates for s in series if s.starts]
+    return DateRange(min(first for first, _ in bounds), max(last for _, last in bounds) + timedelta(days=1))
 
 
 def _build_policies(config: RunConfig, community: Community, kors: Mapping[str, float] | None):

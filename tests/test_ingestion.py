@@ -1,9 +1,11 @@
 """CSV ingestion, grid normalization and scenario transformations."""
 
 import csv
+import gc
 import io
 import re
 import tempfile
+import weakref
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -544,7 +546,9 @@ class TestDeriveStaticKors:
 
 def _reference_ingest(source):
     """The records and row errors of a meter CSV text or file, read row by
-    row by csv.reader; a record the reader refuses is that row's error."""
+    row by csv.reader; a record the reader refuses is that row's error, and
+    so is a row holding a byte that is not UTF-8, which a file opened with
+    errors="surrogateescape" gives as a lone surrogate."""
     rows = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     next(rows)
     records, errors = [], []
@@ -557,6 +561,10 @@ def _reference_ingest(source):
             return records, errors
         except csv.Error as exc:
             errors.append(f"line {line}: {exc}")
+            continue
+        escaped = [ch for ch in "".join(row) if "\udc80" <= ch <= "\udcff"]
+        if escaped:
+            errors.append(f"line {line}: invalid UTF-8 byte 0x{ord(escaped[0]) - 0xDC00:02x}")
             continue
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -884,7 +892,11 @@ _BLOCK_ROWS = [
 
 @settings(max_examples=300, deadline=None)
 @given(
-    pieces=st.lists(st.text(alphabet='a1,"\r\n \x00', max_size=12) | st.sampled_from(_BLOCK_ROWS), max_size=12),
+    # "\udcff" and "\udcc3" are written as the bytes 0xff and 0xc3, which
+    # are not UTF-8 before any byte of this alphabet
+    pieces=st.lists(
+        st.text(alphabet='a1,"\r\n \x00\udcff\udcc3', max_size=12) | st.sampled_from(_BLOCK_ROWS), max_size=12
+    ),
     header_end=st.sampled_from(["\n", "\r\n", "\r"]),
     block=st.integers(1, 16),
     limit=st.sampled_from([50, 131072]),
@@ -895,20 +907,24 @@ _BLOCK_ROWS = [
 @example(pieces=[_BLOCK_ROWS[0], _BLOCK_ROWS[3], _BLOCK_ROWS[0]], header_end="\n", block=1, limit=131072)
 # a line over the field size limit after a block split on commas
 @example(pieces=[_BLOCK_ROWS[0], _BLOCK_ROWS[4], _BLOCK_ROWS[0]], header_end="\n", block=4, limit=50)
+# bytes that are not UTF-8 in a block split on commas, and in a quoted cell
+@example(pieces=[_BLOCK_ROWS[0], "m1,\udcff\n", "\udcc3a,1\n", _BLOCK_ROWS[0]], header_end="\n", block=16, limit=131072)
+@example(pieces=[_BLOCK_ROWS[3][:-1], "\udcc3\n", _BLOCK_ROWS[0]], header_end="\n", block=16, limit=131072)
 def test_the_block_reader_reads_a_file_as_csv_reader(pieces, header_end, block, limit):
     """A file read in blocks of 1-16 characters, so that cuts land
     everywhere, gives the meters, row errors, line numbers and messages
     of csv.reader reading it row by row, under a field size limit that
-    the header fits and some cells may not."""
+    the header fits and some cells may not, with bytes that are not UTF-8
+    anywhere."""
     text = HEADER[:-1] + header_end + "".join(pieces)
     saved = csv.field_size_limit(limit)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "meters.csv"
-            path.write_text(text, encoding="utf-8", newline="")
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             with mock.patch.object(ingestion, "_BLOCK", block):
                 result = ingest_csv(path)
-            with open(path, encoding="utf-8", newline="") as fh:
+            with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
                 records, errors = _reference_ingest(fh)
     finally:
         csv.field_size_limit(saved)
@@ -1158,3 +1174,141 @@ class TestAgainstReferenceNormalizer:
         assert [(r.meter_id, r.timestamp, type(r.value), r.value) for r in result.records] == [
             (r.meter_id, r.timestamp, type(r.value), r.value) for r in records
         ]
+
+
+_FAULTS = ("off-mark", "duplicate", "gap", "offset", "decrease", "split")
+
+
+def _grid_files(first, n, meters):
+    """The texts of two meter CSVs, a and b, for meters that read on the
+    Paris slots from ``first`` slots after _BASE, which may cross the
+    spring switch. Each meter is (kind, extra, fault, pos): it covers n
+    slots, or n + 1 with ``extra``, and carries at most one fault at an
+    interior reading or slot picked by ``pos``. A meter with the fault
+    "split" has every other row in b; every other row is in a."""
+    slot, ten = timedelta(minutes=SLOT_MINUTES), timedelta(minutes=10)
+    a, b = [], []
+    for number, (kind, extra, fault, pos) in enumerate(meters, 1):
+        slots = range(first, first + n + extra)
+        if kind is QuantityKind.POWER_KW_10MIN:
+            instants = [_BASE + k * slot + j * ten for k in slots for j in range(3)]
+            values = [str(Decimal(13 * k % 40) / 2) for k in range(len(instants))]
+        elif kind is QuantityKind.ENERGY_KWH_INDEX:
+            instants = [_BASE + k * slot for k in [*slots, slots[-1] + 1]]
+            values = [str(100 + 3 * k) for k in range(len(instants))]
+        else:
+            instants = [_BASE + k * slot for k in slots]
+            values = [str(7 * k % 50) for k in range(len(instants))]
+        texts = [paris_2024(t).isoformat() for t in instants]
+        i = 1 + pos % (len(texts) - 2)
+        if fault == "off-mark":
+            texts[i] = paris_2024(instants[i] + timedelta(minutes=5)).isoformat()
+        elif fault == "offset":
+            hours = 3 - paris_2024(instants[i]).utcoffset() // timedelta(hours=1)
+            texts[i] = instants[i].astimezone(timezone(timedelta(hours=hours))).isoformat()
+        elif fault == "decrease":
+            values[i] = "0"
+        klass = "linky" if kind is QuantityKind.ENERGY_WH else "sme_smi"
+        rows = [f"m{number},{klass},{t},{kind.value},{v}" for t, v in zip(texts, values)]
+        if fault == "duplicate":
+            rows.insert(i + 1, rows[i])
+        elif fault == "gap":
+            per_slot = 3 if kind is QuantityKind.POWER_KW_10MIN else 1
+            gap = 1 + pos % (len(rows) // per_slot - 2)
+            del rows[gap * per_slot:(gap + 1) * per_slot]
+        a += rows[0::2] if fault == "split" else rows
+        b += rows[1::2] if fault == "split" else []
+    return [HEADER + "".join(row + "\n" for row in rows) for rows in (a, b)]
+
+
+_GRID_METERS = st.lists(
+    st.tuples(
+        st.sampled_from(list(QuantityKind)),
+        st.integers(0, 1),
+        st.sampled_from([None, None, None, *_FAULTS]),
+        st.integers(0, 10),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSharedGrids:
+    """Meters of one file read at the same instants share one checked
+    column per quantity kind and one grid of slot starts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.integers(0, 8), n=st.integers(3, 5), meters=_GRID_METERS)
+    # a column of the same length and ends as a checked one, one reading
+    # in the middle in the other offset
+    @example(first=4, n=3, meters=[(QuantityKind.ENERGY_WH, 0, None, 0), (QuantityKind.ENERGY_WH, 0, "offset", 0)])
+    @example(first=0, n=4, meters=[(QuantityKind.POWER_KW_10MIN, 0, None, 0), (QuantityKind.POWER_KW_10MIN, 0, "off-mark", 4)])
+    # one column read as Linky Wh over n + 1 slots and as an index over n
+    @example(first=4, n=3, meters=[(QuantityKind.ENERGY_WH, 1, None, 0), (QuantityKind.ENERGY_KWH_INDEX, 0, None, 0)])
+    @example(first=4, n=3, meters=[(QuantityKind.ENERGY_KWH_INDEX, 0, None, 0), (QuantityKind.ENERGY_WH, 1, None, 0)])
+    # a checked index column whose values decrease in a later meter
+    @example(first=4, n=3, meters=[(QuantityKind.ENERGY_KWH_INDEX, 0, None, 0), (QuantityKind.ENERGY_KWH_INDEX, 0, "decrease", 0)])
+    @example(first=4, n=3, meters=[(QuantityKind.ENERGY_WH, 0, None, 0), (QuantityKind.ENERGY_WH, 0, "split", 0)])
+    def test_sharing_normalizes_as_fresh_unshared_columns(self, first, n, meters):
+        """Each meter normalizes, in the order run takes them, to the
+        series or error of fresh copies of its columns that no file's
+        grids hold, and of the reference; whole series on equal slots of
+        one file share one grid, and a meter joined across files holds no
+        file's grids."""
+        texts = _grid_files(first, n, meters)
+        by_meter = readings_by_meter([ingest_csv(io.StringIO(text)) for text in texts])
+        on_grids = {}
+        for meter_id in sorted(by_meter):
+            readings = by_meter[meter_id]
+            kind, _, fault, _ = meters[int(meter_id[1:]) - 1]
+            assert (readings.grids is None) == (fault == "split")
+            fresh = MeterReadings(
+                readings.meter_id, readings.meter_class, readings.quantity_kind,
+                list(readings.timestamps), list(readings.values),
+            )
+            records = [readings[k] for k in range(len(readings))]
+            got = _outcome(normalize_to_slots, readings)
+            assert got == _outcome(normalize_to_slots, fresh) == _outcome(_reference_normalize, records)
+            if fault is None:
+                assert got[0] == "slots"
+                series = normalize_to_slots(by_meter[meter_id])
+                on_grids.setdefault(tuple(got[1][k][0] for k in range(len(series))), set()).add(id(series.starts))
+        assert all(len(grids) == 1 for grids in on_grids.values())
+
+    def test_a_files_whole_series_share_one_grid_each_column_checked_once(self, monkeypatch):
+        """Five meters of the three kinds over the spring switch: one grid,
+        and each kind's column checked whole once."""
+        meters = [
+            (QuantityKind.ENERGY_WH, 0, None, 0),
+            (QuantityKind.POWER_KW_10MIN, 0, None, 0),
+            (QuantityKind.ENERGY_KWH_INDEX, 0, None, 0),
+            (QuantityKind.ENERGY_WH, 0, None, 0),
+            (QuantityKind.POWER_KW_10MIN, 0, None, 0),
+            (QuantityKind.ENERGY_KWH_INDEX, 0, None, 0),
+        ]
+        text, _ = _grid_files(4, 5, meters)
+        checked = []
+        whole_starts = ingestion._whole_starts
+        monkeypatch.setattr(
+            ingestion, "_whole_starts", lambda stamps, *kinds: checked.append(kinds) or whole_starts(stamps, *kinds)
+        )
+        by_meter = readings_by_meter([ingest_csv(io.StringIO(text))])
+        series = [normalize_to_slots(by_meter[m]) for m in sorted(by_meter)]
+        assert len(checked) == 3
+        assert len({id(s.starts) for s in series}) == 1
+        assert {start.isoformat()[-6:] for start in series[0].starts} == {"+01:00", "+02:00"}
+
+    def test_grids_are_the_files_and_go_with_its_readings(self):
+        """Two files of the same text give equal series on two grids, and
+        a file's grids are freed with its readings."""
+        text, _ = _grid_files(0, 4, [(QuantityKind.ENERGY_WH, 0, None, 0), (QuantityKind.ENERGY_WH, 0, None, 0)])
+        results = [ingest_csv(io.StringIO(text)) for _ in range(2)]
+        series = [normalize_to_slots(readings) for result in results for readings in result.meters]
+        assert series[0] == series[2] and series[1] == series[3]
+        assert series[0].starts is series[1].starts
+        assert series[2].starts is series[3].starts and series[2].starts is not series[0].starts
+        grids = weakref.ref(results[0].meters[0].grids)
+        assert grids() is not results[1].meters[0].grids
+        del results, series
+        gc.collect()
+        assert grids() is None

@@ -8,14 +8,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cscshare
+from cscshare import model
+from cscshare.allocation import allocate_series
+from cscshare.billing import _in_window
 from cscshare.model import (
     AllocationTable,
     Community,
     CustomDynamicPolicy,
     DateRange,
+    DefaultDynamicPolicy,
     Kind,
     KorVector,
     Participant,
+    SlotGrid,
     SlotSeries,
     parse_timestamp,
     validate_community,
@@ -78,8 +83,10 @@ class TestSlotSeries:
     def test_columns_are_checked_as_the_pairs(self):
         starts, energies = (slot_ts(0), slot_ts(1)), (10, 20)
         s = SlotSeries("m", Kind.CONSUMPTION, starts, energies)
-        # tuples are kept as they are; other sequences become tuples
-        assert s.starts is starts and s.energies is energies
+        # energy tuples and grids are kept as they are; starts become a
+        # grid, other energy sequences tuples
+        assert type(s.starts) is SlotGrid and s.starts == starts and s.energies is energies
+        assert SlotSeries("m", Kind.CONSUMPTION, s.starts, energies).starts is s.starts
         assert s == SlotSeries("m", Kind.CONSUMPTION, list(starts), iter(energies))
         with pytest.raises(ValueError, match="strictly increasing at 2022-05-04T00:00:00"):
             SlotSeries("m", Kind.CONSUMPTION, starts[::-1], energies)
@@ -116,6 +123,80 @@ class TestSlotSeries:
             SlotSeries("m", Kind.CONSUMPTION, starts, (10, 20, 30))
 
 
+class TestSlotGrid:
+    def test_a_series_on_a_grid_does_not_check_its_starts_again(self, monkeypatch):
+        grid = SlotGrid.of(slot_ts(k) for k in range(3))
+        assert type(grid) is SlotGrid
+
+        def checked(*args):
+            raise AssertionError("starts checked again")
+
+        monkeypatch.setattr(SlotGrid, "of", checked)
+        monkeypatch.setattr(model, "_check_each_slot", checked)
+        s = SlotSeries("m", Kind.CONSUMPTION, grid, [1, 2, 3])
+        assert s.starts is grid and s.energies == (1, 2, 3)
+        assert s.replace_values([4, 5, 6]).starts is grid
+
+    def test_a_bad_energy_on_a_grid_is_named_with_its_slot(self):
+        grid = SlotGrid.of(slot_ts(k) for k in range(3))
+        with pytest.raises(ValueError) as excinfo:
+            SlotSeries("m7", Kind.CONSUMPTION, grid, (1, -1, 3))
+        assert str(excinfo.value) == "slot 2022-05-04T00:30:00+02:00 of meter m7 must be >= 0 Wh, got -1"
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            [slot_ts(0), slot_ts(0) + timedelta(minutes=10)],
+            [slot_ts(0), slot_ts(0) + timedelta(seconds=1)],
+            [slot_ts(1), slot_ts(0)],
+            [slot_ts(0), slot_ts(0)],
+            [slot_ts(0).replace(tzinfo=None)],
+        ],
+        ids=["off-mark", "second", "decreasing", "repeated", "naive"],
+    )
+    def test_starts_a_series_refuses_make_no_grid(self, starts):
+        assert SlotGrid.of(starts) is None
+        with pytest.raises(ValueError):
+            SlotSeries("m", Kind.CONSUMPTION, starts, [1] * len(starts))
+
+    def test_dates_bound_every_starts_local_date(self):
+        """A later start may fall on an earlier local date; the bounds are
+        read once."""
+        late = datetime(2024, 1, 2, 0, 0, tzinfo=timezone(timedelta(hours=1)))
+        earlier_date = (late + timedelta(minutes=30)).astimezone(timezone(timedelta(hours=-1)))
+        grid = SlotGrid.of([late, earlier_date, late + timedelta(hours=2)])
+        assert [ts.date() for ts in grid] == [date(2024, 1, 2), date(2024, 1, 1), date(2024, 1, 2)]
+        assert grid.dates == (date(2024, 1, 1), date(2024, 1, 2))
+        assert grid.__dict__["dates"] is grid.dates
+        assert SlotGrid.of([]).dates is None
+        assert DateRange.single_day(date(2024, 1, 5)).holds(SlotGrid.of([]))
+
+    def test_series_on_one_grid_match_at_once(self, monkeypatch):
+        """Allocation takes series on the production's grid without
+        comparing slots, a window that holds the grid keeps the table, and
+        validation finds no gap; equal grids that are not one object are
+        compared, and a mismatch is still named."""
+        grid = SlotGrid.of(slot_ts(k) for k in range(4))
+        pv = SlotSeries("pv", Kind.PRODUCTION, grid, (10, 20, 30, 40))
+        shared = SlotSeries("b1", Kind.CONSUMPTION, grid, (5, 5, 5, 5))
+        equal = SlotSeries("b2", Kind.CONSUMPTION, list(grid), (5, 5, 5, 5))
+        assert equal.starts == grid and equal.starts is not grid
+        table = allocate_series(DefaultDynamicPolicy(), pv, [shared, equal])
+        assert table.slot_starts is grid
+        assert _in_window(table, DateRange.single_day(DAY)) is table
+        assert len(_in_window(table, DateRange.single_day(DAY + timedelta(days=1)))) == 0
+        community = Community(
+            (Participant("b1", Decimal("0.1")), Participant("b2", Decimal("0.1"))), "pv", Decimal("0.06")
+        )
+        assert validate_community(community, [pv, shared, equal]).ok
+        short = SlotSeries("b2", Kind.CONSUMPTION, grid[:3], (5, 5, 5))
+        assert validate_community(community, [pv, shared, short]).findings == (
+            "participant b2: gap at 2022-05-04T01:30:00+02:00",
+        )
+        with pytest.raises(ValueError, match="earliest slot in only one of them is 2022-05-04T01:30"):
+            allocate_series(DefaultDynamicPolicy(), pv, [shared, short])
+
+
 class _Zone(tzinfo):
     """A fixed offset that is not a datetime.timezone, unhashable, and
     without an offset at one local time if ``none_at`` names it."""
@@ -148,8 +229,14 @@ class TestDateRange:
         ]
         assert window.mask(starts) == [window.contains(ts) for ts in starts]
         assert window.mask(iter(starts)) == window.mask(tuple(starts))
+        # a grid's date bounds tell a window that holds it; the constructor
+        # does not check, so any starts make a grid here
+        grid = SlotGrid(starts)
+        assert window.mask(grid) == window.mask(starts)
+        assert window.holds(grid) == all(map(window.contains, starts))
         wide = DateRange(date(2023, 12, 30), date(2024, 1, 11))
-        assert wide.mask(starts) == [True] * len(starts)
+        assert wide.mask(starts) == wide.mask(grid) == [True] * len(starts)
+        assert wide.holds(grid)
 
 
 class TestParticipant:

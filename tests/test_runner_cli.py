@@ -1027,6 +1027,28 @@ class TestCli:
         assert "Traceback" not in r.output
         assert not (demo / "reports").exists() and not (demo / "derived.json").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "run", "derive-kors"])
+    def test_a_byte_that_is_not_utf8_is_its_rows_error(self, demo, command):
+        """A 0xff byte and a lone 0xc3 lead byte make their rows' errors,
+        named by file and line; the rows between them are read."""
+        meters, config = demo / "meters.csv", str(demo / "run_config.json")
+        lines = meters.read_bytes().split(b"\n")
+        lines[60] += b"\xff"
+        lines[70] = lines[70].replace(b"b", b"\xc3", 1)
+        meters.write_bytes(b"\n".join(lines))
+        args = {
+            "ingest": ["ingest", str(meters)],
+            "run": ["run", "--config", config],
+            "derive-kors": ["derive-kors", "--config", config, "--out", str(demo / "derived.json")],
+        }[command]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        name = str(meters) + ": " if command == "ingest" else "meters.csv:"
+        assert f"{name}line 61: invalid UTF-8 byte 0xff\n{name}line 71: invalid UTF-8 byte 0xc3\n" in r.output
+        assert "line 62" not in r.output and "Traceback" not in r.output
+        assert not (demo / "reports").exists() and not (demo / "derived.json").exists()
+
     @pytest.mark.parametrize("files", [1, 2])
     @pytest.mark.parametrize(
         "first, message",
