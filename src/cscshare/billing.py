@@ -8,12 +8,11 @@ when a report is rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from itertools import compress
 from typing import Mapping
 
-from cscshare.model import AllocationTable, Community, DateRange, SlotGrid
+from cscshare.model import AllocationTable, Community, DateRange, Record, SlotGrid
 
 CENT = Decimal("0.01")
 _PCT_PLACES = Decimal("0.01")
@@ -25,19 +24,17 @@ def eur_str(amount: Decimal) -> str:
     return str(amount.quantize(CENT, rounding=ROUND_HALF_EVEN))
 
 
-@dataclass(frozen=True)
-class ScrReport:
+class ScrReport(Record):
     """Self-consumption rate: community-consumed share of production."""
 
-    self_consumed_total: int
-    production_total: int
-    window: DateRange | None = None
+    _fields = ("self_consumed_total", "production_total", "window")
 
-    def __post_init__(self):
-        if not 0 <= self.self_consumed_total <= max(self.production_total, 0):
+    def __init__(self, self_consumed_total: int, production_total: int, window: DateRange | None = None):
+        if not 0 <= self_consumed_total <= max(production_total, 0):
             raise ValueError("self-consumed total outside [0, production total]")
-        if self.production_total < 0:
+        if production_total < 0:
             raise ValueError("negative production total")
+        self._set(self_consumed_total=self_consumed_total, production_total=production_total, window=window)
 
     @property
     def defined(self) -> bool:
@@ -71,19 +68,22 @@ class ScrReport:
         }
 
 
-@dataclass(frozen=True)
-class SavingsReport:
+class SavingsReport(Record):
     """Per-building, feed-in and total savings for a window, in EUR."""
 
-    per_participant: Mapping[str, Decimal]
-    feed_in: Decimal
-    total: Decimal
-    window: DateRange | None = None
+    _fields = ("per_participant", "feed_in", "total", "window")
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_participant", dict(self.per_participant))
-        if sum(self.per_participant.values(), Decimal(0)) + self.feed_in != self.total:
+    def __init__(
+        self,
+        per_participant: Mapping[str, Decimal],
+        feed_in: Decimal,
+        total: Decimal,
+        window: DateRange | None = None,
+    ):
+        per_participant = dict(per_participant)
+        if sum(per_participant.values(), Decimal(0)) + feed_in != total:
             raise ValueError("savings total does not equal parts plus feed-in")
+        self._set(per_participant=per_participant, feed_in=feed_in, total=total, window=window)
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,28 +168,36 @@ def compute_savings(
     )
 
 
-@dataclass(frozen=True)
-class PolicyRow:
-    policy: str
-    scr: ScrReport
-    savings: SavingsReport
+class PolicyRow(Record):
+    _fields = ("policy", "scr", "savings")
+
+    def __init__(self, policy: str, scr: ScrReport, savings: SavingsReport):
+        self._set(policy=policy, scr=scr, savings=savings)
 
 
-@dataclass(frozen=True)
-class PairwiseDiff:
+class PairwiseDiff(Record):
     """Relative difference of a against base b, in percent: (a-b)/b x 100."""
 
-    policy_a: str
-    policy_b: str
-    scr_rel_diff_pct: Decimal | None
-    savings_rel_diff_pct: Decimal | None
+    _fields = ("policy_a", "policy_b", "scr_rel_diff_pct", "savings_rel_diff_pct")
+
+    def __init__(
+        self,
+        policy_a: str,
+        policy_b: str,
+        scr_rel_diff_pct: Decimal | None,
+        savings_rel_diff_pct: Decimal | None,
+    ):
+        self._set(
+            policy_a=policy_a, policy_b=policy_b,
+            scr_rel_diff_pct=scr_rel_diff_pct, savings_rel_diff_pct=savings_rel_diff_pct,
+        )
 
 
-@dataclass(frozen=True)
-class PolicyComparison:
-    rows: tuple[PolicyRow, ...]
-    pairwise: tuple[PairwiseDiff, ...]
-    window: DateRange | None
+class PolicyComparison(Record):
+    _fields = ("rows", "pairwise", "window")
+
+    def __init__(self, rows: tuple[PolicyRow, ...], pairwise: tuple[PairwiseDiff, ...], window: DateRange | None):
+        self._set(rows=rows, pairwise=pairwise, window=window)
 
     def participant_columns(self) -> list[str]:
         ids: set[str] = set()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Context, Decimal, Overflow, ROUND_HALF_EVEN, localcontext
 from enum import Enum
@@ -35,6 +34,8 @@ from cscshare.model import (
     DateRange,
     Kind,
     KorVector,
+    MutableRecord,
+    Record,
     SlotGrid,
     SlotSeries,
     SLOT_DURATION,
@@ -67,36 +68,40 @@ _CLASS_KINDS = {
     MeterClass.SME_SMI: {QuantityKind.ENERGY_KWH_INDEX, QuantityKind.POWER_KW_10MIN},
 }
 
-@dataclass(frozen=True, slots=True)
-class RawMeterRecord:
+class RawMeterRecord(Record):
     """One reading as it came off the meter, before normalization."""
 
-    meter_id: str
-    meter_class: MeterClass
-    timestamp: datetime
-    quantity_kind: QuantityKind
-    value: int | Decimal
+    _fields = ("meter_id", "meter_class", "timestamp", "quantity_kind", "value")
 
-    def __post_init__(self):
-        if self.quantity_kind not in _CLASS_KINDS[self.meter_class]:
-            raise ValueError(
-                f"{self.meter_class.value} meters do not report {self.quantity_kind.value}"
-            )
-        if self.value < 0:
+    def __init__(
+        self,
+        meter_id: str,
+        meter_class: MeterClass,
+        timestamp: datetime,
+        quantity_kind: QuantityKind,
+        value: int | Decimal,
+    ):
+        if quantity_kind not in _CLASS_KINDS[meter_class]:
+            raise ValueError(f"{meter_class.value} meters do not report {quantity_kind.value}")
+        if value < 0:
             raise ValueError("meter values are never negative in this model")
+        self._set(
+            meter_id=meter_id, meter_class=meter_class, timestamp=timestamp,
+            quantity_kind=quantity_kind, value=value,
+        )
 
 
-@dataclass(frozen=True)
-class RowError:
-    line: int
-    message: str
+class RowError(Record):
+    _fields = ("line", "message")
+
+    def __init__(self, line: int, message: str):
+        self._set(line=line, message=message)
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.message}"
 
 
-@dataclass(eq=False)
-class MeterReadings:
+class MeterReadings(MutableRecord):
     """One meter's readings of one quantity, as columns in arrival order.
 
     This is the one form of a meter's readings, from ingest_csv through
@@ -104,15 +109,29 @@ class MeterReadings:
     and its value. Ingestion fills the columns row by row, taking each
     timestamp from the per-file timestamp cache, and gives each meter its
     file's grids (see _Grids); readings joined across files have none.
-    ``readings[k]`` builds row k as a RawMeterRecord.
+    ``readings[k]`` builds row k as a RawMeterRecord. Readings compare
+    and hash by identity, and their grids are not shown.
     """
 
-    meter_id: str
-    meter_class: MeterClass
-    quantity_kind: QuantityKind
-    timestamps: list[datetime] = field(default_factory=list)
-    values: list[int | Decimal] = field(default_factory=list)
-    grids: _Grids | None = field(default=None, repr=False)
+    _fields = ("meter_id", "meter_class", "quantity_kind", "timestamps", "values")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        meter_id: str,
+        meter_class: MeterClass,
+        quantity_kind: QuantityKind,
+        timestamps: list[datetime] | None = None,
+        values: list[int | Decimal] | None = None,
+        grids: _Grids | None = None,
+    ):
+        self.meter_id = meter_id
+        self.meter_class = meter_class
+        self.quantity_kind = quantity_kind
+        self.timestamps = [] if timestamps is None else timestamps
+        self.values = [] if values is None else values
+        self.grids = grids
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,8 +156,7 @@ class _Rows:
             yield from readings
 
 
-@dataclass
-class IngestResult:
+class IngestResult(MutableRecord):
     """One meter CSV's accepted rows and its row errors.
 
     ``meters`` holds the rows as one MeterReadings per (meter_id,
@@ -147,8 +165,11 @@ class IngestResult:
     len() counts them without building any.
     """
 
-    meters: list[MeterReadings] = field(default_factory=list)
-    errors: list[RowError] = field(default_factory=list)
+    _fields = ("meters", "errors")
+
+    def __init__(self, meters: list[MeterReadings] | None = None, errors: list[RowError] | None = None):
+        self.meters = [] if meters is None else meters
+        self.errors = [] if errors is None else errors
 
     @property
     def records(self) -> _Rows:
@@ -326,6 +347,9 @@ def _ingest_rows(rows: Iterator[Sequence[str]]) -> IngestResult:
         raise ValueError("empty input: missing CSV header") from None
     if isinstance(header, _Refused):
         raise ValueError(f"malformed header: {header.message}")
+    if header:
+        # the byte-order mark spreadsheet tools put before "CSV UTF-8"
+        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
@@ -494,7 +518,7 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     index = quantity is QuantityKind.ENERGY_KWH_INDEX
     grids = readings.grids
     grid = grids.find(quantity, stamps) if grids is not None else None
-    energies = _energies(values, power, index) if grid is not None else None
+    energies = _energies(values, power, index, grids) if grid is not None else None
     if energies is not None:
         return SlotSeries(meter_id, kind, grid, energies)
 
@@ -531,7 +555,7 @@ def normalize_to_slots(readings: MeterReadings, kind: Kind = Kind.CONSUMPTION) -
     if starts is not None:
         if grids is not None and grid is None and in_order:
             starts = grids.checked(quantity, stamps, starts)
-        energies = _energies(values, power, index)
+        energies = _energies(values, power, index, grids)
         if energies is not None:
             return SlotSeries(meter_id, kind, starts, energies)
 
@@ -618,15 +642,17 @@ def _whole_starts(stamps, power: bool, index: bool):
     return starts[:-1] if index else starts
 
 
-def _energies(values, power: bool, index: bool) -> list[int] | None:
+def _energies(values, power: bool, index: bool, grids: _Grids | None) -> list[int] | None:
     """The slot energies of a whole series' values, or None where an index
     decreases, which the walk names.
 
-    A power slot's energy is looked up by its (v0, v1, v2) samples in a
-    table local to the call, so each distinct triple is converted once.
+    A power slot's energy is looked up by its (v0, v1, v2) samples in the
+    table of the file's ``grids``, so each distinct triple of a file is
+    converted once; readings joined across files have a table local to
+    the call.
     """
     if power:
-        energy = _SlotEnergies().__getitem__
+        energy = (grids.powers if grids is not None else _SlotEnergies()).__getitem__
         return list(map(energy, zip(values[0::3], values[1::3], values[2::3])))
     if index:
         ints = list(map(int, values))
@@ -646,11 +672,13 @@ class _Grids:
     same timestamp objects in the same order takes the recorded grid
     without a check; the file's _Timestamps makes equal texts one object,
     so meters read at the same instants have such columns. Grids of the
-    same start objects are one grid, whatever kind gave them.
+    same start objects are one grid, whatever kind gave them. ``powers``
+    holds the energies of the power triples the file's meters converted.
     """
 
     def __init__(self):
         self._columns: list[tuple[QuantityKind, tuple[datetime, ...], SlotGrid]] = []
+        self.powers = _SlotEnergies()
 
     def find(self, quantity: QuantityKind, stamps: Sequence[datetime]) -> SlotGrid | None:
         """The grid of a checked ``quantity`` column of the objects of ``stamps``, or None."""
@@ -750,25 +778,24 @@ def add_constant_load(series: SlotSeries, power_kw) -> SlotSeries:
     return series.replace_values([e + extra for e in series.energies])
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Scenario transformations applied between ingestion and allocation."""
 
-    pv_gain: Decimal = Decimal(1)
-    datacentre_load_kw: Decimal = Decimal(0)
-    include_datacentre: bool = False
+    _fields = ("pv_gain", "datacentre_load_kw", "include_datacentre")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pv_gain", as_decimal(self.pv_gain, "pv_gain"))
-        object.__setattr__(
-            self,
-            "datacentre_load_kw",
-            as_decimal(self.datacentre_load_kw, "datacentre_load_kw"),
-        )
-        if self.pv_gain <= 0:
+    def __init__(
+        self,
+        pv_gain: Decimal = Decimal(1),
+        datacentre_load_kw: Decimal = Decimal(0),
+        include_datacentre: bool = False,
+    ):
+        pv_gain = as_decimal(pv_gain, "pv_gain")
+        datacentre_load_kw = as_decimal(datacentre_load_kw, "datacentre_load_kw")
+        if pv_gain <= 0:
             raise ValueError("pv_gain must be > 0")
-        if self.datacentre_load_kw < 0:
+        if datacentre_load_kw < 0:
             raise ValueError("datacentre_load_kw must be >= 0")
+        self._set(pv_gain=pv_gain, datacentre_load_kw=datacentre_load_kw, include_datacentre=include_datacentre)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -791,7 +818,7 @@ class ScenarioConfig:
                 if key not in ("pv_gain", "datacentre_load_kw", "include_datacentre"):
                     raise ValueError(f"unknown key {key!r}")
                 kwargs[key] = _parse_bool(value) if key == "include_datacentre" else value
-                cls(**{key: kwargs[key]})  # the value alone, checked as __post_init__ checks it
+                cls(**{key: kwargs[key]})  # the value alone, checked as __init__ checks it
             except ValueError as exc:
                 raise ValueError(f"scenario config {path} line {number}: {exc}") from None
         return cls(**kwargs)

@@ -45,14 +45,13 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from cscshare import _fork
-from cscshare.model import parse_timestamp
+from cscshare.model import Record, parse_timestamp
 
 GENESIS_HASH = "0" * 64
 
@@ -219,11 +218,11 @@ def _line(
     )
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    intact: bool
-    first_break: int | None = None
-    message: str = "intact"
+class ChainReport(Record):
+    _fields = ("intact", "first_break", "message")
+
+    def __init__(self, intact: bool, first_break: int | None = None, message: str = "intact"):
+        self._set(intact=intact, first_break=first_break, message=message)
 
 
 class Ledger:
@@ -529,32 +528,27 @@ def _reject(line: str) -> NoReturn:
     raise ValueError("non-canonical line: its bytes differ from the record's")
 
 
-@dataclass
-class _Walk:
-    """What one walk over consecutive lines of a log found.
-
-    The first line's link is not the walk's to check: ``first_prev`` is
-    its previous-hash text, checked only to be canonical, and ``_stitch``
-    compares it with the last hash text before it. Breaks and the
-    malformed line are indexed from the walk's first line; a walk stops
-    at its malformed line, and ``count`` counts the lines before it."""
-
-    count: int
-    first_prev: str | None
-    last_hash: str | None
-    # (index, kind) of the first link or hash break within the lines
-    first_break: tuple[int, str] | None
-    last_ts: dict[str, datetime]
-    ended: bool
-    # (index, why) of the first line that is not canonical or not UTF-8
-    malformed: tuple[int, str] | None
+# What one walk over consecutive lines of a log found, as the tuple
+# (count, first_prev, last_hash, first_break, last_ts, ended, malformed):
+# the lines counted, the first line's previous-hash text, the last line's
+# hash text, the (index, kind) of the first link or hash break, each
+# counting point's last timestamp, whether the last line ends in a
+# newline, and the (index, why) of the first line that is not canonical
+# or not UTF-8.
+_Walk = tuple
 
 
 def _walk(lines: Iterable[str] | Iterable[bytes]) -> _Walk:
     """Walk the lines once: check that each is its record's canonical
     serialization, decoding it first if it is bytes, then check its link
     to the line before (not the first line's) and its hash, the SHA-256
-    of the hash material it splices from the line's own slices."""
+    of the hash material it splices from the line's own slices.
+
+    The first line's link is not the walk's to check: ``first_prev`` is
+    its previous-hash text, checked only to be canonical, and ``_stitch``
+    compares it with the last hash text before it. Breaks and the
+    malformed line are indexed from the walk's first line; a walk stops
+    at its malformed line, and ``count`` counts the lines before it."""
     last_ts: dict[str, datetime] = {}
     checked = _Checked()
     first_prev = head_text = first_break = None
@@ -579,12 +573,12 @@ def _walk(lines: Iterable[str] | Iterable[bytes]) -> _Walk:
                     first_break = (i, "broken link")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # RecursionError: a payload nested too deep for the decoder
-            return _Walk(i, first_prev, head_text, first_break, last_ts, True, (i, str(exc)))
+            return (i, first_prev, head_text, first_break, last_ts, True, (i, str(exc)))
         if first_break is None and hashlib.sha256(material.encode("utf-8")).hexdigest() != hash_text:
             first_break = (i, "hash mismatch")
         last_ts[key] = timestamp
         head_text = hash_text
-    return _Walk(i + 1, first_prev, head_text, first_break, last_ts, i < 0 or stop < len(line), None)
+    return (i + 1, first_prev, head_text, first_break, last_ts, i < 0 or stop < len(line), None)
 
 
 def _stitch(walks: Iterable[_Walk], name: str) -> Ledger:
@@ -596,21 +590,21 @@ def _stitch(walks: Iterable[_Walk], name: str) -> Ledger:
     newline, ``append`` refuses, naming the log as ``name``."""
     ledger = Ledger()
     count, head_text, report, ended = 0, GENESIS_HASH, None, True
-    for walk in walks:
-        if walk.malformed is not None:
-            index, why = walk.malformed
+    for walked, first_prev, last_hash, first_break, last_ts, walk_ended, malformed in walks:
+        if malformed is not None:
+            index, why = malformed
             raise ValueError(f"ledger line {count + index + 1}: malformed record ({why})")
-        if not walk.count:
+        if not walked:
             continue
         if report is None:
-            if walk.first_prev != head_text:
+            if first_prev != head_text:
                 report = (count, "broken link")
-            elif walk.first_break is not None:
-                index, kind = walk.first_break
+            elif first_break is not None:
+                index, kind = first_break
                 report = (count + index, kind)
-        ledger._last_ts.update(walk.last_ts)
-        count += walk.count
-        head_text, ended = walk.last_hash, walk.ended
+        ledger._last_ts.update(last_ts)
+        count += walked
+        head_text, ended = last_hash, walk_ended
     ledger._count = count
     ledger._head, ledger._head_json = _string(head_text), f'"{head_text}"'
     if not ended:
@@ -663,18 +657,15 @@ def _send_walk(path: str | Path, file: tuple[int, int], start: int, stop: int) -
             return None
         stream.seek(start)
         walk = _walk(_lines_to(stream, stop))
-    last_ts = {key: ts.isoformat() for key, ts in walk.last_ts.items()}
-    fields = [walk.count, walk.first_prev, walk.last_hash, walk.first_break, last_ts, walk.ended, walk.malformed]
-    return json.dumps(fields).encode("utf-8")
+    # the last timestamps go as their ISO texts
+    return json.dumps(walk, default=datetime.isoformat).encode("utf-8")
 
 
 def _sent_walk(sent: bytes) -> _Walk:
-    """The walk ``_send_walk`` sent."""
-    count, first_prev, last_hash, first_break, last_ts, ended, malformed = json.loads(sent)
-    return _Walk(
-        count, first_prev, last_hash, first_break and tuple(first_break),
-        {key: parse_timestamp(text) for key, text in last_ts.items()}, ended, malformed and tuple(malformed),
-    )
+    """The walk ``_send_walk`` sent, its pairs as JSON lists."""
+    walk = json.loads(sent)
+    walk[4] = {key: parse_timestamp(text) for key, text in walk[4].items()}
+    return tuple(walk)
 
 
 def _file_walks(stream: BinaryIO, path: str | Path) -> Iterator[_Walk]:

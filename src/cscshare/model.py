@@ -8,7 +8,6 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -88,19 +87,60 @@ def as_decimal(value, what: str = "value") -> Decimal:
     return number
 
 
-@dataclass(frozen=True)
-class DateRange:
+class Record:
+    """What the package's record classes share, written out once rather
+    than generated at import: ``==`` over the fields named in ``_fields``,
+    only against a record of the same class; ``hash()`` over the same
+    fields; a ``Name(field=value, ...)`` repr; and an AttributeError for
+    any assignment or deletion, so each ``__init__`` sets its fields once
+    through ``_set``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MutableRecord(Record):
+    """A record whose fields can be assigned; it compares by them, so it
+    is unhashable."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class DateRange(Record):
     """Half-open local-date window [start, end)."""
 
-    start: date
-    end: date
+    _fields = ("start", "end")
 
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"empty date range {self.start}..{self.end}")
-
-    def contains(self, ts: datetime) -> bool:
-        return self.start <= ts.date() < self.end
+    def __init__(self, start: date, end: date):
+        if start >= end:
+            raise ValueError(f"empty date range {start}..{end}")
+        self._set(start=start, end=end)
 
     def holds(self, grid: SlotGrid) -> bool:
         """Whether the local date of every start of ``grid`` lies in the
@@ -165,8 +205,7 @@ class SlotGrid(tuple):
         return (min(dates), max(dates)) if dates else None
 
 
-@dataclass(frozen=True)
-class SlotSeries:
+class SlotSeries(Record):
     """Per-meter energy on the 30-minute grid, integer Wh per slot.
 
     Held as two columns, the slot starts as a SlotGrid and their energies
@@ -175,22 +214,18 @@ class SlotSeries:
     slot's error is raised.
     """
 
-    meter_id: str
-    kind: Kind
-    starts: SlotGrid
-    energies: tuple[int, ...]
+    _fields = ("meter_id", "kind", "starts", "energies")
 
-    def __post_init__(self):
-        starts = self.starts if type(self.starts) is SlotGrid else tuple(self.starts)
-        energies = tuple(self.energies)
+    def __init__(self, meter_id: str, kind: Kind, starts: Iterable[datetime], energies: Iterable[int]):
+        starts = starts if type(starts) is SlotGrid else tuple(starts)
+        energies = tuple(energies)
         if len(starts) != len(energies):
             raise ValueError("value count does not match slot count")
         grid = starts if type(starts) is SlotGrid else SlotGrid.of(starts)
         if grid is None or not (set(map(type, energies)) <= {int} and min(energies, default=0) >= 0):
             # raises for every start SlotGrid.of refuses, so grid is set after it
-            _check_each_slot(self.meter_id, starts, energies)
-        object.__setattr__(self, "starts", grid)
-        object.__setattr__(self, "energies", energies)
+            _check_each_slot(meter_id, starts, energies)
+        self._set(meter_id=meter_id, kind=kind, starts=grid, energies=energies)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -225,8 +260,7 @@ def _check_each_slot(meter_id: str, starts, energies) -> None:
         prev = ts
 
 
-@dataclass(frozen=True)
-class Participant:
+class Participant(Record):
     """A consuming building taking part in the sharing operation.
 
     tariff_eur_per_kwh is the supply rate its self-consumed energy avoids;
@@ -234,27 +268,25 @@ class Participant:
     additionally avoided under the ownership rules of the operation.
     """
 
-    id: str
-    tariff_eur_per_kwh: Decimal
-    grid_uplift_pct: Decimal = Decimal(0)
-    tax_uplift_pct: Decimal = Decimal(0)
+    _fields = ("id", "tariff_eur_per_kwh", "grid_uplift_pct", "tax_uplift_pct")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "tariff_eur_per_kwh", as_decimal(self.tariff_eur_per_kwh, "tariff")
-        )
-        object.__setattr__(
-            self, "grid_uplift_pct", as_decimal(self.grid_uplift_pct, "grid uplift")
-        )
-        object.__setattr__(
-            self, "tax_uplift_pct", as_decimal(self.tax_uplift_pct, "tax uplift")
-        )
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        tariff_eur_per_kwh: Decimal,
+        grid_uplift_pct: Decimal = Decimal(0),
+        tax_uplift_pct: Decimal = Decimal(0),
+    ):
+        tariff = as_decimal(tariff_eur_per_kwh, "tariff")
+        grid_uplift = as_decimal(grid_uplift_pct, "grid uplift")
+        tax_uplift = as_decimal(tax_uplift_pct, "tax uplift")
+        if not id:
             raise ValueError("participant id must be non-empty")
-        if self.tariff_eur_per_kwh <= 0:
-            raise ValueError(f"participant {self.id}: tariff must be > 0")
-        if self.grid_uplift_pct < 0 or self.tax_uplift_pct < 0:
-            raise ValueError(f"participant {self.id}: uplift percentages must be >= 0")
+        if tariff <= 0:
+            raise ValueError(f"participant {id}: tariff must be > 0")
+        if grid_uplift < 0 or tax_uplift < 0:
+            raise ValueError(f"participant {id}: uplift percentages must be >= 0")
+        self._set(id=id, tariff_eur_per_kwh=tariff, grid_uplift_pct=grid_uplift, tax_uplift_pct=tax_uplift)
 
     @property
     def effective_value_eur_per_kwh(self) -> Decimal:
@@ -263,51 +295,44 @@ class Participant:
         return self.tariff_eur_per_kwh * (1 + uplift)
 
 
-@dataclass(frozen=True)
-class Community:
+class Community(Record):
     """The participants behind one shared production meter."""
 
-    participants: tuple[Participant, ...]
-    production_meter: str
-    feed_in_eur_per_kwh: Decimal
+    _fields = ("participants", "production_meter", "feed_in_eur_per_kwh")
 
-    def __post_init__(self):
-        object.__setattr__(self, "participants", tuple(self.participants))
-        object.__setattr__(
-            self,
-            "feed_in_eur_per_kwh",
-            as_decimal(self.feed_in_eur_per_kwh, "feed-in rate"),
-        )
-        if not self.participants:
+    def __init__(self, participants: Iterable[Participant], production_meter: str, feed_in_eur_per_kwh: Decimal):
+        participants = tuple(participants)
+        feed_in = as_decimal(feed_in_eur_per_kwh, "feed-in rate")
+        if not participants:
             raise ValueError("community needs at least one participant")
-        ids = [p.id for p in self.participants]
+        ids = [p.id for p in participants]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate participant ids")
-        if self.production_meter in ids:
+        if production_meter in ids:
             raise ValueError("production meter must be distinct from participant meters")
-        if self.feed_in_eur_per_kwh < 0:
+        if feed_in < 0:
             raise ValueError("feed-in rate must be >= 0")
+        self._set(participants=participants, production_meter=production_meter, feed_in_eur_per_kwh=feed_in)
 
     def participant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.participants)
 
 
-@dataclass(frozen=True)
-class KorVector:
+class KorVector(Record):
     """Static repartition coefficients, one per participant, summing to 1.
 
     ``weights`` holds each coefficient's decimal text (``texts()``, the
     form the audit ledger records) as an integer over one power-of-ten
     denominator, e.g. 0.5 and 0.25 -> 50 and 25. Static splits apportion
     along these weights, so each one can be recomputed from the ledger.
+    The weights are not compared, hashed or shown.
     """
 
-    entries: Mapping[str, float]
-    weights: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = dict(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Mapping[str, float]):
+        entries = dict(entries)
+        self._set(entries=entries)
         if not entries:
             raise ValueError("repartition vector must not be empty")
         for pid, coeff in entries.items():
@@ -321,16 +346,13 @@ class KorVector:
         # a float's text has at most 17 significant digits: scaleb is exact
         exact = {pid: as_decimal(text) for pid, text in self.texts().items()}
         places = max(0, *(-d.as_tuple().exponent for d in exact.values()))
-        object.__setattr__(self, "weights", {p: int(d.scaleb(places)) for p, d in exact.items()})
+        self._set(weights={p: int(d.scaleb(places)) for p, d in exact.items()})
 
     @classmethod
     def equal(cls, participant_ids: Iterable[str]) -> "KorVector":
         ids = list(participant_ids)
         share = 1.0 / len(ids)
         return cls({pid: share for pid in ids})
-
-    def coefficient(self, participant_id: str) -> float:
-        return self.entries[participant_id]
 
     def texts(self) -> dict[str, str]:
         """Each coefficient as the shortest decimal text that round-trips."""
@@ -340,60 +362,71 @@ class KorVector:
         return set(self.entries)
 
 
-@dataclass(frozen=True)
-class StaticPolicy:
+class StaticPolicy(Record):
     """Fixed coefficients per slot; over-allocation is lost to the grid."""
 
-    kors: KorVector
-    name: str = "static"
+    _fields = ("kors", "name")
+
+    def __init__(self, kors: KorVector, name: str = "static"):
+        self._set(kors=kors, name=name)
 
 
-@dataclass(frozen=True)
-class DefaultDynamicPolicy:
+class DefaultDynamicPolicy(Record):
     """Per-slot coefficients proportional to each participant's consumption."""
 
-    name: str = "default-dynamic"
+    _fields = ("name",)
+
+    def __init__(self, name: str = "default-dynamic"):
+        self._set(name=name)
 
 
-@dataclass(frozen=True)
-class CustomDynamicPolicy:
+class CustomDynamicPolicy(Record):
     """Priority waterfall, first-ranked participant served first."""
 
-    order: tuple[str, ...]
-    name: str = "custom-dynamic"
+    _fields = ("order", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if len(set(self.order)) != len(self.order):
+    def __init__(self, order: Iterable[str], name: str = "custom-dynamic"):
+        order = tuple(order)
+        if len(set(order)) != len(order):
             raise ValueError("priority order contains duplicates")
+        self._set(order=order, name=name)
 
 
 AllocationPolicy = StaticPolicy | DefaultDynamicPolicy | CustomDynamicPolicy
 
 
-@dataclass(frozen=True, eq=False)
-class AllocationTable:
+class AllocationTable(Record):
     """One policy's allocations over a slot series, one column per quantity
     and participant, checked once as a whole: in every slot each energy is
     an int >= 0, no participant self-consumes more than it consumes, and
     self-consumed energy plus the surplus fed to the grid equals production,
-    exactly, in integer Wh. The first bad slot's error is raised."""
+    exactly, in integer Wh. The first bad slot's error is raised. Tables
+    compare and hash by identity."""
 
-    slot_starts: Sequence[datetime | None]
-    production: Sequence[int]
-    consumption: Mapping[str, Sequence[int]]
-    self_consumed: Mapping[str, Sequence[int]]
-    surplus: Sequence[int]
+    _fields = ("slot_starts", "production", "consumption", "self_consumed", "surplus")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        n, shares = len(self.production), self.self_consumed.values()
-        columns = (self.production, self.surplus, *self.consumption.values(), *shares)
+    def __init__(
+        self,
+        slot_starts: Sequence[datetime | None],
+        production: Sequence[int],
+        consumption: Mapping[str, Sequence[int]],
+        self_consumed: Mapping[str, Sequence[int]],
+        surplus: Sequence[int],
+    ):
+        self._set(
+            slot_starts=slot_starts, production=production, consumption=consumption,
+            self_consumed=self_consumed, surplus=surplus,
+        )
+        n, shares = len(production), self_consumed.values()
+        columns = (production, surplus, *consumption.values(), *shares)
         if not (
-            set(self.consumption) == set(self.self_consumed)
-            and len(self.slot_starts) == n
+            set(consumption) == set(self_consumed)
+            and len(slot_starts) == n
             and all(len(c) == n and set(map(type, c)) <= {int} and min(c, default=0) >= 0 for c in columns)
-            and not any(any(map(gt, self.self_consumed[p], c)) for p, c in self.consumption.items())
-            and list(map(sum, zip(*shares, self.surplus))) == list(self.production)
+            and not any(any(map(gt, self_consumed[p], c)) for p, c in consumption.items())
+            and list(map(sum, zip(*shares, surplus))) == list(production)
         ):
             _check_each_row(self)
             raise ValueError("allocation columns must be equally long and hold plain ints")
@@ -433,11 +466,13 @@ def _check_each_row(table: AllocationTable) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Findings from validate_community; empty means the inputs line up."""
 
-    findings: tuple[str, ...] = field(default_factory=tuple)
+    _fields = ("findings",)
+
+    def __init__(self, findings: tuple[str, ...] = ()):
+        self._set(findings=findings)
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -55,7 +54,9 @@ from cscshare.model import (
     DefaultDynamicPolicy,
     Kind,
     KorVector,
+    MutableRecord,
     Participant,
+    Record,
     SlotSeries,
     StaticPolicy,
     as_decimal,
@@ -71,34 +72,47 @@ POLICY_NAMES = ("static", "static33", "default-dynamic", "custom-dynamic")
 _FORKED_REPORT_CELLS = 25_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    meter_csvs: tuple[Path, ...]
-    community_file: Path
-    # None when the config names none; run requires it
-    out_dir: Path | None
-    policies: tuple[str, ...]
-    scenario_file: Path | None = None
-    # a kors file is read only when the static policy runs
-    kors: Mapping[str, float] | Path | None = None
-    priority_order: tuple[str, ...] | None = None
-    kor_window: DateRange | None = None
+class RunConfig(Record):
+    _fields = (
+        "meter_csvs", "community_file", "out_dir", "policies", "scenario_file", "kors",
+        "priority_order", "kor_window",
+    )
 
-    def __post_init__(self):
-        if not self.policies:
+    def __init__(
+        self,
+        meter_csvs: tuple[Path, ...],
+        community_file: Path,
+        # None when the config names none; run requires it
+        out_dir: Path | None,
+        policies: tuple[str, ...],
+        scenario_file: Path | None = None,
+        # a kors file is read only when the static policy runs
+        kors: Mapping[str, float] | Path | None = None,
+        priority_order: tuple[str, ...] | None = None,
+        kor_window: DateRange | None = None,
+    ):
+        if not policies:
             raise ValueError("at least one policy must be selected")
-        unknown = [p for p in self.policies if p not in POLICY_NAMES]
+        unknown = [p for p in policies if p not in POLICY_NAMES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; choose from {POLICY_NAMES}")
-        if len(set(self.policies)) != len(self.policies):
+        if len(set(policies)) != len(policies):
             raise ValueError("duplicate policy selection")
+        self._set(
+            meter_csvs=meter_csvs, community_file=community_file, out_dir=out_dir, policies=policies,
+            scenario_file=scenario_file, kors=kors, priority_order=priority_order, kor_window=kor_window,
+        )
 
 
-@dataclass
-class RunResult:
-    out_dir: Path
-    files: list[Path] = field(default_factory=list)
-    comparison: PolicyComparison | None = None
+class RunResult(MutableRecord):
+    _fields = ("out_dir", "files", "comparison")
+
+    def __init__(
+        self, out_dir: Path, files: list[Path] | None = None, comparison: PolicyComparison | None = None
+    ):
+        self.out_dir = out_dir
+        self.files = [] if files is None else files
+        self.comparison = comparison
 
 
 def load_run_config(

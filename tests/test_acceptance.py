@@ -75,11 +75,11 @@ def test_criterion_1_constants_reproduction():
         window = DateRange.single_day(DAY)
         first = derive_static_kors(annual({"b1": 424500, "b2": 503900, "b4": 71600}), window)
         for pid, expected in [("b1", 0.4245), ("b2", 0.5039), ("b4", 0.0716)]:
-            assert abs(first.coefficient(pid) - expected) <= 1e-4  # 0.01 pp
+            assert abs(first.entries[pid] - expected) <= 1e-4  # 0.01 pp
 
         second = derive_static_kors(annual({"b1": 94400, "b2": 112000, "b4": 793600}), window)
         for pid, expected in [("b1", 0.0944), ("b2", 0.1120), ("b4", 0.7936)]:
-            assert abs(second.coefficient(pid) - expected) <= 1e-4
+            assert abs(second.entries[pid] - expected) <= 1e-4
 
         b1, b2, b4 = buildings = make_buildings()
         assert derive_priority_order(buildings) == ["b1", "b2", "b4"]

@@ -161,6 +161,29 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=r"^malformed header: field larger than field limit \(131072\)$"):
             ingest_csv(path if source == "path" else io.StringIO(text))
 
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_a_byte_order_mark_before_the_header_is_read_past(self, tmp_path, source):
+        """A file saved as "CSV UTF-8" starts with EF BB BF: it reads as
+        the file without them, with the same rows, errors and line numbers."""
+        text = (
+            HEADER
+            + "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1\n"
+            + "m1,linky,not-a-time,energy_wh,2\n"
+            + "m1,linky,2022-05-04T10:30:00+02:00,energy_wh,3\n"
+        )
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        if source == "path":
+            result = ingest_csv(path)
+        else:
+            with open(path, encoding="utf-8", newline="") as stream:
+                result = ingest_csv(stream)
+        plain = ingest_csv(io.StringIO(text))
+        assert [str(e) for e in result.errors] == [str(e) for e in plain.errors]
+        assert [e.line for e in result.errors] == [3]
+        (m1,) = result.meters
+        assert (m1.meter_id, m1.timestamps, m1.values) == ("m1", plain.meters[0].timestamps, [1, 3])
+
 
 class TestNormalize:
     def _power_records(self, kws_by_slot):
@@ -1297,6 +1320,30 @@ class TestSharedGrids:
         assert len(checked) == 3
         assert len({id(s.starts) for s in series}) == 1
         assert {start.isoformat()[-6:] for start in series[0].starts} == {"+01:00", "+02:00"}
+
+    def test_a_files_power_meters_convert_each_triple_once(self, monkeypatch):
+        """Two power meters of one file with the same samples, two distinct
+        (v0, v1, v2) triples over four slots: each triple is converted
+        once for the file, and each meter's energies are those of its
+        columns normalized alone."""
+        rows = [
+            f"{meter},sme_smi,{ten_min_ts(slot, sample).isoformat()},power_kw_10min,{kw}"
+            for meter in ("b1", "b2")
+            for slot in range(4)
+            for sample, kw in enumerate((slot % 2, 1, 2))
+        ]
+        converted = []
+        power_wh = ingestion._power_wh
+        monkeypatch.setattr(ingestion, "_power_wh", lambda samples: converted.append(samples) or power_wh(samples))
+        meters = ingest_csv(io.StringIO(HEADER + "\n".join(rows) + "\n")).meters
+        series = [normalize_to_slots(readings) for readings in meters]
+        assert len(converted) == 2
+        alone = [
+            normalize_to_slots(MeterReadings(r.meter_id, r.meter_class, r.quantity_kind, r.timestamps, r.values))
+            for r in meters
+        ]
+        assert series == alone
+        assert [s.energies for s in series] == [(500, 667, 500, 667)] * 2
 
     def test_grids_are_the_files_and_go_with_its_readings(self):
         """Two files of the same text give equal series on two grids, and

@@ -100,7 +100,7 @@ def _reference_allocation_csv_rows(
 
 
 def _reference_reports(allocations, participants, community, window):
-    selected = [a for a in allocations if window is None or window.contains(a.slot_start)]
+    selected = [a for a in allocations if window is None or window.start <= a.slot_start.date() < window.end]
     scr = ScrReport(
         self_consumed_total=sum(sum(a.self_consumed.values()) for a in selected),
         production_total=sum(a.production for a in selected),
