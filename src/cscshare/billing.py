@@ -40,14 +40,8 @@ class ScrReport(Record):
     def defined(self) -> bool:
         return self.production_total > 0
 
-    @property
-    def scr(self) -> float | None:
-        """Fraction in [0, 1], or None when nothing was produced."""
-        if not self.defined:
-            return None
-        return self.self_consumed_total / self.production_total
-
     def scr_decimal(self) -> Decimal | None:
+        """Fraction in [0, 1], or None when nothing was produced."""
         if not self.defined:
             return None
         with localcontext() as ctx:
@@ -100,22 +94,15 @@ def _in_window(table: AllocationTable, window: DateRange | None) -> AllocationTa
     """The window's slots as one table; with no slot in the window every
     column is empty, and so is a savings report's per_participant. A table
     on a grid that the window holds is returned as it is."""
-    if window is None:
+    if window is None or window.holds(table.slot_starts):
         return table
-    if isinstance(table.slot_starts, SlotGrid):
-        if window.holds(table.slot_starts):
-            return table
-    elif None in table.slot_starts:
-        raise ValueError("allocation without slot_start cannot be windowed")
     keep = window.mask(table.slot_starts)
-    if all(keep):
-        return table
 
     def cut(column):
         return tuple(compress(column, keep))
 
     return AllocationTable(
-        cut(table.slot_starts), cut(table.production),
+        SlotGrid(compress(table.slot_starts, keep)), cut(table.production),
         {pid: cut(c) for pid, c in table.consumption.items()},
         {pid: cut(c) for pid, c in table.self_consumed.items()},
         cut(table.surplus),
@@ -168,98 +155,65 @@ def compute_savings(
     )
 
 
-class PolicyRow(Record):
-    _fields = ("policy", "scr", "savings")
-
-    def __init__(self, policy: str, scr: ScrReport, savings: SavingsReport):
-        self._set(policy=policy, scr=scr, savings=savings)
-
-
-class PairwiseDiff(Record):
-    """Relative difference of a against base b, in percent: (a-b)/b x 100."""
-
-    _fields = ("policy_a", "policy_b", "scr_rel_diff_pct", "savings_rel_diff_pct")
-
-    def __init__(
-        self,
-        policy_a: str,
-        policy_b: str,
-        scr_rel_diff_pct: Decimal | None,
-        savings_rel_diff_pct: Decimal | None,
-    ):
-        self._set(
-            policy_a=policy_a, policy_b=policy_b,
-            scr_rel_diff_pct=scr_rel_diff_pct, savings_rel_diff_pct=savings_rel_diff_pct,
-        )
-
-
 class PolicyComparison(Record):
-    _fields = ("rows", "pairwise", "window")
+    """Each policy's reports, by policy name in name order, over one window."""
 
-    def __init__(self, rows: tuple[PolicyRow, ...], pairwise: tuple[PairwiseDiff, ...], window: DateRange | None):
-        self._set(rows=rows, pairwise=pairwise, window=window)
+    _fields = ("reports", "window")
 
-    def participant_columns(self) -> list[str]:
-        ids: set[str] = set()
-        for row in self.rows:
-            ids.update(row.savings.per_participant)
-        return sorted(ids)
+    def __init__(self, reports: Mapping[str, tuple[ScrReport, SavingsReport]], window: DateRange | None):
+        self._set(reports=dict(sorted(reports.items())), window=window)
 
     def to_csv_rows(self) -> list[list[str]]:
-        ids = self.participant_columns()
+        ids = sorted({pid for _, savings in self.reports.values() for pid in savings.per_participant})
         header = ["policy", "scr", "savings_total_eur"]
         header += [f"savings_{pid}_eur" for pid in ids]
         header += ["feed_in_eur"]
         out = [header]
-        for row in self.rows:
-            line = [row.policy, row.scr.scr_text(), eur_str(row.savings.total)]
-            line += [
-                eur_str(row.savings.per_participant.get(pid, Decimal(0))) for pid in ids
-            ]
-            line += [eur_str(row.savings.feed_in)]
+        for name, (scr, savings) in self.reports.items():
+            line = [name, scr.scr_text(), eur_str(savings.total)]
+            line += [eur_str(savings.per_participant.get(pid, Decimal(0))) for pid in ids]
+            line += [eur_str(savings.feed_in)]
             out.append(line)
         return out
 
     def to_json_dict(self) -> dict:
+        """The reports, and for each ordered pair of policies the relative
+        difference of a against base b in percent, (a-b)/b x 100, at two
+        decimals, or None where b's SCR is undefined or its figure 0."""
+        reports = self.reports.items()
         return {
             "window": str(self.window) if self.window else None,
             "policies": {
-                row.policy: {
-                    "scr": row.scr.to_json_dict(),
-                    "savings": row.savings.to_json_dict(),
-                }
-                for row in self.rows
+                name: {"scr": scr.to_json_dict(), "savings": savings.to_json_dict()}
+                for name, (scr, savings) in reports
             },
             "pairwise_rel_diff_pct": [
                 {
-                    "policy_a": d.policy_a,
-                    "policy_b": d.policy_b,
-                    "scr": _pct_text(d.scr_rel_diff_pct),
-                    "savings": _pct_text(d.savings_rel_diff_pct),
+                    "policy_a": a,
+                    "policy_b": b,
+                    "scr": _pct_diff(scr_a.scr_decimal(), scr_b.scr_decimal()),
+                    "savings": _pct_diff(savings_a.total, savings_b.total),
                 }
-                for d in self.pairwise
+                for a, (scr_a, savings_a) in reports
+                for b, (scr_b, savings_b) in reports
+                if a != b
             ],
         }
 
 
-def _pct_text(value: Decimal | None) -> str | None:
-    if value is None:
-        return None
-    return str(value.quantize(_PCT_PLACES, rounding=ROUND_HALF_EVEN))
-
-
-def _rel_diff(a: Decimal | None, b: Decimal | None) -> Decimal | None:
+def _pct_diff(a: Decimal | None, b: Decimal | None) -> str | None:
     if a is None or b is None or b == 0:
         return None
     with localcontext() as ctx:
         ctx.prec = 28
-        return (a - b) / b * 100
+        diff = (a - b) / b * 100
+    return str(diff.quantize(_PCT_PLACES, rounding=ROUND_HALF_EVEN))
 
 
 def compare_policies(
     reports: Mapping[str, tuple[ScrReport, SavingsReport]]
 ) -> PolicyComparison:
-    """Build the cross-policy table with pairwise relative differences.
+    """The policies' reports as one comparison.
 
     All reports must cover the same window; comparing figures computed on
     different data would be meaningless, so that is a hard error.
@@ -274,22 +228,4 @@ def compare_policies(
     (window_pair,) = windows
     if window_pair[0] != window_pair[1]:
         raise ValueError("scr and savings reports cover different windows")
-
-    rows = tuple(
-        PolicyRow(policy=name, scr=reports[name][0], savings=reports[name][1])
-        for name in sorted(reports)
-    )
-    pairwise = []
-    for a in rows:
-        for b in rows:
-            if a.policy == b.policy:
-                continue
-            pairwise.append(
-                PairwiseDiff(
-                    policy_a=a.policy,
-                    policy_b=b.policy,
-                    scr_rel_diff_pct=_rel_diff(a.scr.scr_decimal(), b.scr.scr_decimal()),
-                    savings_rel_diff_pct=_rel_diff(a.savings.total, b.savings.total),
-                )
-            )
-    return PolicyComparison(rows=rows, pairwise=tuple(pairwise), window=window_pair[0])
+    return PolicyComparison(reports, window_pair[0])

@@ -38,8 +38,11 @@ def check_slot_aligned(ts: datetime) -> datetime:
     """Validate that a timestamp sits on the 30-minute settlement grid.
 
     Timestamps must carry an explicit UTC offset; slot positions are
-    local-time based, so naive datetimes are rejected outright.
+    local-time based, so naive datetimes are rejected outright, and so is
+    a start that is not a datetime.
     """
+    if not isinstance(ts, datetime):
+        raise ValueError(f"slot start {ts!r} is not a datetime")
     if ts.tzinfo is None or ts.utcoffset() is None:
         raise ValueError(f"timestamp {ts.isoformat()} has no UTC offset")
     if ts.minute % SLOT_MINUTES or ts.second or ts.microsecond:
@@ -147,15 +150,11 @@ class DateRange(Record):
         window, told by the grid's date bounds alone."""
         return grid.dates is None or (self.start <= grid.dates[0] and grid.dates[1] < self.end)
 
-    def mask(self, starts: Iterable[datetime]) -> list[bool]:
-        """Whether each timestamp's local date lies in the window, as one list."""
-        if isinstance(starts, SlotGrid) and self.holds(starts):
-            return [True] * len(starts)
-        dates = list(map(datetime.date, starts))
-        # a window holding every date, as a run's full extent does, is
-        # told by the first and last date alone
-        if not dates or (self.start <= min(dates) and max(dates) < self.end):
-            return [True] * len(dates)
+    def mask(self, grid: SlotGrid) -> list[bool]:
+        """Whether each start's local date lies in the window, as one list."""
+        if self.holds(grid):
+            return [True] * len(grid)
+        dates = list(map(datetime.date, grid))
         return list(map(and_, map(le, repeat(self.start), dates), map(lt, dates, repeat(self.end))))
 
     @classmethod
@@ -167,9 +166,9 @@ class DateRange(Record):
 
 
 class SlotGrid(tuple):
-    """Slot starts, checked once as a whole: every start carries a UTC
-    offset and sits on the 30-minute grid, and the starts strictly
-    increase.
+    """Slot starts, checked once as a whole: every start is a datetime
+    that carries a UTC offset and sits on the 30-minute grid, and the
+    starts strictly increase.
 
     ``SlotGrid.of`` checks and builds one; the constructor does not
     check. Series on the same slots can share one grid, so what compares
@@ -179,12 +178,14 @@ class SlotGrid(tuple):
 
     @classmethod
     def of(cls, starts: Iterable[datetime]) -> SlotGrid | None:
-        """The starts as a grid, or None if one of them fails a check."""
+        """The starts as a grid, or None if one of them is not a datetime
+        or fails a check."""
         grid = cls(starts)
         if not (
+            all(issubclass(t, datetime) for t in set(map(type, grid)))
             # a fixed-offset timezone never returns None; the types are
             # tested, not the zones, as a tzinfo may be unhashable
-            (
+            and (
                 set(map(type, map(attrgetter("tzinfo"), grid))) == {timezone}
                 or None not in map(methodcaller("utcoffset"), grid)
             )
@@ -400,8 +401,10 @@ class AllocationTable(Record):
     and participant, checked once as a whole: in every slot each energy is
     an int >= 0, no participant self-consumes more than it consumes, and
     self-consumed energy plus the surplus fed to the grid equals production,
-    exactly, in integer Wh. The first bad slot's error is raised. Tables
-    compare and hash by identity."""
+    exactly, in integer Wh. The slot starts are kept as a SlotGrid,
+    checked as a series' starts are unless they are one already. The
+    first bad slot's error is raised. Tables compare and hash by
+    identity."""
 
     _fields = ("slot_starts", "production", "consumption", "self_consumed", "surplus")
     __eq__ = object.__eq__
@@ -409,48 +412,51 @@ class AllocationTable(Record):
 
     def __init__(
         self,
-        slot_starts: Sequence[datetime | None],
+        slot_starts: Sequence[datetime],
         production: Sequence[int],
         consumption: Mapping[str, Sequence[int]],
         self_consumed: Mapping[str, Sequence[int]],
         surplus: Sequence[int],
     ):
+        grid = slot_starts if type(slot_starts) is SlotGrid else SlotGrid.of(slot_starts)
         self._set(
-            slot_starts=slot_starts, production=production, consumption=consumption,
+            slot_starts=grid, production=production, consumption=consumption,
             self_consumed=self_consumed, surplus=surplus,
         )
         n, shares = len(production), self_consumed.values()
         columns = (production, surplus, *consumption.values(), *shares)
         if not (
-            set(consumption) == set(self_consumed)
+            grid is not None
+            and set(consumption) == set(self_consumed)
             and len(slot_starts) == n
             and all(len(c) == n and set(map(type, c)) <= {int} and min(c, default=0) >= 0 for c in columns)
             and not any(any(map(gt, self_consumed[p], c)) for p, c in consumption.items())
             and list(map(sum, zip(*shares, surplus))) == list(production)
         ):
-            _check_each_row(self)
+            # raises for every start SlotGrid.of refuses, on equally long columns
+            _check_each_row(self, slot_starts)
             raise ValueError("allocation columns must be equally long and hold plain ints")
 
     def __len__(self) -> int:
         return len(self.production)
 
 
-def _check_each_row(table: AllocationTable) -> None:
-    """Check the slots every column reaches one by one and raise the first
-    bad slot's error.
+def _check_each_row(table: AllocationTable, starts: Sequence[datetime]) -> None:
+    """Check the slots every column, ``starts`` included, reaches one by
+    one and raise the first bad slot's error.
 
-    Runs when the whole-column checks fail. It also checks that each slot
-    start sits on the grid, which they do not; an energy of an int
-    subclass, which they reject, passes here.
+    Runs when the whole-column checks fail; an energy of an int subclass,
+    which they reject, passes here.
     """
-    starts, production, surplus = table.slot_starts, table.production, table.surplus
+    production, surplus = table.production, table.surplus
     consumption, self_consumed = table.consumption, table.self_consumed
     columns = (starts, production, surplus, *consumption.values(), *self_consumed.values())
     for k in range(min(map(len, columns))):
         check_energy_wh(production[k], "production")
         check_energy_wh(surplus[k], "surplus")
-        if starts[k] is not None:
-            check_slot_aligned(starts[k])
+        check_slot_aligned(starts[k])
+        if k and starts[k] <= starts[k - 1]:
+            raise ValueError(f"slots not strictly increasing at {starts[k].isoformat()}")
         if set(consumption) != set(self_consumed):
             raise ValueError("self_consumed keys differ from consumption keys")
         for pid, c in consumption.items():

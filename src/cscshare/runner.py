@@ -381,15 +381,13 @@ def _write_reports(
     staging: Path,
     starts: Sequence[datetime],
     tables: Mapping[str, AllocationTable],
-    reports: Mapping[str, tuple[ScrReport, SavingsReport]],
     comparison: PolicyComparison,
     participant_ids: Sequence[str],
 ) -> None:
     """Write each policy's report and allocations and the comparison into
     ``staging``."""
     stamps = [ts.isoformat() for ts in starts]
-    for name in sorted(reports):
-        scr_report, savings_report = reports[name]
+    for name, (scr_report, savings_report) in comparison.reports.items():
         _write_json(
             staging / f"{name}_report.json",
             {"policy": name, "scr": scr_report.to_json_dict(), "savings": savings_report.to_json_dict()},
@@ -545,7 +543,7 @@ def run(config: RunConfig) -> RunResult:
 
     # a narrower rerun must not leave another policy's outputs behind
     stale = _policy_files(name for name in POLICY_NAMES if name not in reports)
-    report_data = (production.starts, tables, reports, comparison, sorted(ids))
+    report_data = (production.starts, tables, comparison, sorted(ids))
     cells = len(production) * (3 + 2 * len(ids)) * len(tables)
     with publish(config.out_dir, stale) as staging, (
         _fork.Child(_reports_written, staging, *report_data)

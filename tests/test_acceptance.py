@@ -313,7 +313,7 @@ def test_criterion_5_scenario_properties(tmp_path):
                 allocations = allocate_series(policy, production, list(augmented.values()))
                 report = compute_scr(allocations, window)
                 assert report.self_consumed_total == report.production_total, policy.name
-                assert report.scr == 1.0
+                assert report.scr_decimal() == 1
 
             if profile == "high_radiation":
                 plain = derive_static_kors(list(consumption.values()), window)

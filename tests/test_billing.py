@@ -1,10 +1,11 @@
 """SCR and savings arithmetic, report identities, policy comparison."""
 
+from collections import namedtuple
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal
+from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
@@ -53,13 +54,13 @@ def _table(*slots):
 class TestScr:
     def test_full_self_consumption_is_exactly_one(self):
         report = compute_scr(_table(_alloc(10_000, {"b1": 10_000}, {"b1": 12_000})))
-        assert report.scr == 1.0
+        assert report.scr_decimal() == Decimal(1)
         assert report.scr_text() == "1.000000"
 
     def test_zero_production_undefined(self):
         report = compute_scr(_table(_alloc(0, {"b1": 0})))
         assert not report.defined
-        assert report.scr is None
+        assert report.scr_decimal() is None
         assert report.scr_text() == "undefined"
 
     def test_two_slot_example(self):
@@ -67,7 +68,7 @@ class TestScr:
             _alloc(1000, {"b1": 500}, {"b1": 500}, k=0),
             _alloc(1000, {"b1": 1000}, {"b1": 1000}, k=1),
         )
-        assert compute_scr(allocations).scr == 0.75
+        assert compute_scr(allocations).scr_decimal() == Decimal("0.75")
 
     def test_window_filters_slots(self):
         allocations = _table(
@@ -76,20 +77,13 @@ class TestScr:
         )
         report = compute_scr(allocations, DateRange.single_day(DAY))
         assert report.production_total == 1000
-        assert report.scr == 0.0
-
-    def test_window_needs_slot_starts(self, community):
-        table = AllocationTable((slot_ts(0), None), (10, 0), {"b1": (4, 0)}, {"b1": (4, 0)}, (6, 0))
-        assert compute_scr(table).production_total == 10
-        for report in (compute_scr, lambda t, w: compute_savings(t, community, w)):
-            with pytest.raises(ValueError, match="allocation without slot_start cannot be windowed"):
-                report(table, DateRange.single_day(DAY))
+        assert report.scr_decimal() == Decimal(0)
 
     def test_monotone_in_self_consumption(self):
         first = _alloc(1000, {"b1": 400}, {"b1": 900}, k=0)
         base = _table(first, _alloc(1000, {"b1": 500}, {"b1": 900}, k=1))
         better = _table(first, _alloc(1000, {"b1": 600}, {"b1": 900}, k=1))
-        assert compute_scr(better).scr > compute_scr(base).scr
+        assert compute_scr(better).scr_decimal() > compute_scr(base).scr_decimal()
 
 
 class TestSavings:
@@ -165,7 +159,7 @@ class TestSavings:
         assert scaled.total == base.total * lam
         for pid in base.per_participant:
             assert scaled.per_participant[pid] == base.per_participant[pid] * lam
-        assert scr_scaled.scr == scr_base.scr
+        assert scr_scaled.scr_decimal() == scr_base.scr_decimal()
 
     @given(case=st.lists(
         st.tuples(st.integers(0, 10**5), st.integers(0, 10**5), st.integers(0, 10**5),
@@ -214,33 +208,25 @@ class TestComparePolicies:
             {"a": (500, 1000), "b": (500, 1000)},
             {"a": ({"x": "1.00"}, "0.10"), "b": ({"x": "1.00"}, "0.10")},
         )
-        comparison = compare_policies(reports)
-        for diff in comparison.pairwise:
-            assert diff.scr_rel_diff_pct == 0
-            assert diff.savings_rel_diff_pct == 0
+        assert _pairwise(compare_policies(reports)) == {
+            ("a", "b"): ("0.00", "0.00"),
+            ("b", "a"): ("0.00", "0.00"),
+        }
 
     def test_savings_gap_example(self):
         reports = self._reports(
             {"custom": (1, 1), "static": (1, 1)},
             {"custom": ({"x": "104.84"}, "0"), "static": ({"x": "100.00"}, "0")},
         )
-        comparison = compare_policies(reports)
-        gap = {
-            (d.policy_a, d.policy_b): d.savings_rel_diff_pct for d in comparison.pairwise
-        }[("custom", "static")]
-        assert gap == Decimal("4.84")
+        assert _pairwise(compare_policies(reports))[("custom", "static")][1] == "4.84"
 
     def test_scr_gap_example(self):
         reports = self._reports(
             {"dyn": (884, 1000), "stat": (851, 1000)},
             {"dyn": ({}, "0"), "stat": ({}, "0")},
         )
-        comparison = compare_policies(reports)
-        gap = {
-            (d.policy_a, d.policy_b): d.scr_rel_diff_pct for d in comparison.pairwise
-        }[("dyn", "stat")]
         # (0.884 - 0.851) / 0.851 x 100 = 3.8778..., 3.88 at two decimals
-        assert gap.quantize(Decimal("0.01")) == Decimal("3.88")
+        assert _pairwise(compare_policies(reports))[("dyn", "stat")][0] == "3.88"
 
     def test_mismatched_windows_hard_error(self):
         w1 = DateRange.single_day(DAY)
@@ -273,13 +259,136 @@ class TestComparePolicies:
             {"a": (1, 2), "b": (0, 0)},
             {"a": ({"x": "1"}, "0"), "b": ({}, "0")},
         )
-        comparison = compare_policies(reports)
-        by_pair = {(d.policy_a, d.policy_b): d for d in comparison.pairwise}
-        diff = by_pair[("a", "b")]
-        assert diff.scr_rel_diff_pct is None  # b's SCR is undefined
-        assert diff.savings_rel_diff_pct is None  # b's savings are zero
-        rendered = comparison.to_json_dict()["pairwise_rel_diff_pct"]
-        assert any(d["scr"] is None and d["savings"] is None for d in rendered)
+        scr, savings = _pairwise(compare_policies(reports))[("a", "b")]
+        assert scr is None  # b's SCR is undefined
+        assert savings is None  # b's savings are zero
+
+
+# The comparison files as rendered from one PolicyRow per policy and one
+# PairwiseDiff per ordered pair of policies, the records a comparison held
+# besides its reports: the reference the rendering from the reports alone
+# must equal.
+_PolicyRow = namedtuple("_PolicyRow", "policy scr savings")
+_PairwiseDiff = namedtuple("_PairwiseDiff", "policy_a policy_b scr_rel_diff_pct savings_rel_diff_pct")
+
+
+def _ref_rel_diff(a, b):
+    if a is None or b is None or b == 0:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = 28
+        return (a - b) / b * 100
+
+
+def _ref_pct_text(value):
+    if value is None:
+        return None
+    return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
+
+
+def _reference_files(reports, window):
+    """(comparison.csv rows, comparison.json object) of the reports."""
+    rows = tuple(
+        _PolicyRow(policy=name, scr=reports[name][0], savings=reports[name][1])
+        for name in sorted(reports)
+    )
+    pairwise = []
+    for a in rows:
+        for b in rows:
+            if a.policy == b.policy:
+                continue
+            pairwise.append(
+                _PairwiseDiff(
+                    policy_a=a.policy,
+                    policy_b=b.policy,
+                    scr_rel_diff_pct=_ref_rel_diff(a.scr.scr_decimal(), b.scr.scr_decimal()),
+                    savings_rel_diff_pct=_ref_rel_diff(a.savings.total, b.savings.total),
+                )
+            )
+    ids: set[str] = set()
+    for row in rows:
+        ids.update(row.savings.per_participant)
+    ids = sorted(ids)
+    header = ["policy", "scr", "savings_total_eur"]
+    header += [f"savings_{pid}_eur" for pid in ids]
+    header += ["feed_in_eur"]
+    csv_rows = [header]
+    for row in rows:
+        line = [row.policy, row.scr.scr_text(), eur_str(row.savings.total)]
+        line += [eur_str(row.savings.per_participant.get(pid, Decimal(0))) for pid in ids]
+        line += [eur_str(row.savings.feed_in)]
+        csv_rows.append(line)
+    json_dict = {
+        "window": str(window) if window else None,
+        "policies": {
+            row.policy: {"scr": row.scr.to_json_dict(), "savings": row.savings.to_json_dict()}
+            for row in rows
+        },
+        "pairwise_rel_diff_pct": [
+            {
+                "policy_a": d.policy_a,
+                "policy_b": d.policy_b,
+                "scr": _ref_pct_text(d.scr_rel_diff_pct),
+                "savings": _ref_pct_text(d.savings_rel_diff_pct),
+            }
+            for d in pairwise
+        ],
+    }
+    return csv_rows, json_dict
+
+
+_EUR = st.sampled_from(
+    [Decimal(0), Decimal("0.0001"), Decimal("0.125"), Decimal("0.135"), Decimal("1.5"), Decimal("104.84")]
+)
+
+
+def _reports_of(window=None, **policies):
+    """Policy name -> its reports, from (self-consumed Wh, production Wh,
+    per-participant EUR, feed-in EUR)."""
+    return {
+        name: (ScrReport(sc, prod, window), SavingsReport(parts, feed, sum(parts.values(), feed), window))
+        for name, (sc, prod, parts, feed) in policies.items()
+    }
+
+
+@st.composite
+def _policy_reports(draw):
+    """1-4 policies' reports over one window, in any order: some SCRs
+    undefined, some savings totals zero, and each policy's savings naming
+    only some of the participants."""
+    names = draw(st.lists(
+        st.sampled_from(["custom-dynamic", "default-dynamic", "static", "static33"]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    policies = {}
+    for name in names:
+        production = draw(st.one_of(st.just(0), st.integers(1, 10**6)))
+        parts = draw(st.dictionaries(st.sampled_from(["b1", "b2", "b4"]), _EUR))
+        policies[name] = (draw(st.integers(0, production)), production, parts, draw(_EUR))
+    return _reports_of(draw(st.sampled_from([None, DateRange.single_day(DAY)])), **policies)
+
+
+@given(reports=_policy_reports())
+@example(reports=_reports_of(
+    static=(0, 0, {}, Decimal(0)),
+    static33=(3, 7, {"b1": Decimal("1.5")}, Decimal("0.125")),
+    **{"default-dynamic": (5, 10, {"b2": Decimal("0.135"), "b4": Decimal(0)}, Decimal(0))},
+))
+@settings(max_examples=200)
+def test_comparison_files_equal_the_reference(reports):
+    comparison = compare_policies(reports)
+    csv_rows, json_dict = _reference_files(reports, comparison.window)
+    assert comparison.to_csv_rows() == csv_rows
+    assert comparison.to_json_dict() == json_dict
+    assert len(json_dict["pairwise_rel_diff_pct"]) == len(reports) * (len(reports) - 1)
+
+
+def _pairwise(comparison) -> dict:
+    """(policy_a, policy_b) -> the rendered SCR and savings differences."""
+    return {
+        (d["policy_a"], d["policy_b"]): (d["scr"], d["savings"])
+        for d in comparison.to_json_dict()["pairwise_rel_diff_pct"]
+    }
 
 
 def test_eur_str_rounds_half_even():

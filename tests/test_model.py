@@ -1,5 +1,6 @@
 """Core type invariants."""
 
+import re
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from decimal import Decimal
 from fractions import Fraction
@@ -34,6 +35,27 @@ BAD_ENERGY = [
     (-1, "must be >= 0 Wh, got -1"),
     (1.0, "must be an integer Wh amount, got 1.0"),
 ]
+
+# Slot starts that make no grid, series or table, each with the error that
+# names the bad start.
+REFUSED_STARTS = {
+    "off-mark": (
+        [slot_ts(0), slot_ts(0) + timedelta(minutes=10)],
+        "timestamp 2022-05-04T00:10:00+02:00 is not 30-minute aligned",
+    ),
+    "second": (
+        [slot_ts(0), slot_ts(0) + timedelta(seconds=1)],
+        "timestamp 2022-05-04T00:00:01+02:00 is not 30-minute aligned",
+    ),
+    "decreasing": ([slot_ts(1), slot_ts(0)], "slots not strictly increasing at 2022-05-04T00:00:00+02:00"),
+    "repeated": ([slot_ts(0), slot_ts(0)], "slots not strictly increasing at 2022-05-04T00:00:00+02:00"),
+    "naive": ([slot_ts(0).replace(tzinfo=None)], "timestamp 2022-05-04T00:00:00 has no UTC offset"),
+    "none": ([slot_ts(0), None], "slot start None is not a datetime"),
+    "text": (
+        [slot_ts(0), "2022-05-04T00:30:00+02:00"],
+        "slot start '2022-05-04T00:30:00+02:00' is not a datetime",
+    ),
+}
 
 
 class TestTimeGrid:
@@ -143,21 +165,35 @@ class TestSlotGrid:
             SlotSeries("m7", Kind.CONSUMPTION, grid, (1, -1, 3))
         assert str(excinfo.value) == "slot 2022-05-04T00:30:00+02:00 of meter m7 must be >= 0 Wh, got -1"
 
-    @pytest.mark.parametrize(
-        "starts",
-        [
-            [slot_ts(0), slot_ts(0) + timedelta(minutes=10)],
-            [slot_ts(0), slot_ts(0) + timedelta(seconds=1)],
-            [slot_ts(1), slot_ts(0)],
-            [slot_ts(0), slot_ts(0)],
-            [slot_ts(0).replace(tzinfo=None)],
-        ],
-        ids=["off-mark", "second", "decreasing", "repeated", "naive"],
-    )
-    def test_starts_a_series_refuses_make_no_grid(self, starts):
+    @pytest.mark.parametrize("starts, message", REFUSED_STARTS.values(), ids=REFUSED_STARTS)
+    def test_starts_a_series_refuses_make_no_grid(self, starts, message):
+        """SlotGrid.of, a series and a table refuse the same starts; the
+        series and the table name the first bad one."""
         assert SlotGrid.of(starts) is None
-        with pytest.raises(ValueError):
-            SlotSeries("m", Kind.CONSUMPTION, starts, [1] * len(starts))
+        ones = [1] * len(starts)
+        with pytest.raises(ValueError, match=f"^(meter m: )?{re.escape(message)}$"):
+            SlotSeries("m", Kind.CONSUMPTION, starts, ones)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AllocationTable(starts, ones, {"b1": ones}, {"b1": ones}, [0] * len(starts))
+
+    def test_a_datetime_subclass_is_a_start(self):
+        starts = [_Instant(2022, 5, 4, 0, 30 * k, tzinfo=TZ) for k in range(2)]
+        assert SlotGrid.of(starts) == tuple(starts)
+        assert SlotSeries("m", Kind.CONSUMPTION, starts, (1, 2)).starts == tuple(starts)
+        table = AllocationTable(starts, (1, 2), {"b1": (1, 2)}, {"b1": (1, 2)}, (0, 0))
+        assert type(table.slot_starts) is SlotGrid and table.slot_starts == tuple(starts)
+
+    def test_a_table_on_a_grid_does_not_check_its_starts_again(self, monkeypatch):
+        grid = SlotGrid.of(slot_ts(k) for k in range(2))
+        listed = AllocationTable(list(grid), (10, 20), {"b1": (4, 5)}, {"b1": (4, 5)}, (6, 15))
+        assert type(listed.slot_starts) is SlotGrid and listed.slot_starts == grid
+
+        def checked(*args):
+            raise AssertionError("starts checked again")
+
+        monkeypatch.setattr(SlotGrid, "of", checked)
+        table = AllocationTable(grid, (10, 20), {"b1": (4, 5)}, {"b1": (4, 5)}, (6, 15))
+        assert table.slot_starts is grid
 
     def test_dates_bound_every_starts_local_date(self):
         """A later start may fall on an earlier local date; the bounds are
@@ -197,6 +233,10 @@ class TestSlotGrid:
             allocate_series(DefaultDynamicPolicy(), pv, [shared, short])
 
 
+class _Instant(datetime):
+    """A datetime of its own class."""
+
+
 class _Zone(tzinfo):
     """A fixed offset that is not a datetime.timezone, unhashable, and
     without an offset at one local time if ``none_at`` names it."""
@@ -232,15 +272,13 @@ class TestDateRange:
             t.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(hours=hours[k % len(hours)])))
             for k, t in enumerate(instants)
         ]
-        assert window.mask(starts) == [_contains(window, ts) for ts in starts]
-        assert window.mask(iter(starts)) == window.mask(tuple(starts))
         # a grid's date bounds tell a window that holds it; the constructor
         # does not check, so any starts make a grid here
         grid = SlotGrid(starts)
-        assert window.mask(grid) == window.mask(starts)
+        assert window.mask(grid) == [_contains(window, ts) for ts in starts]
         assert window.holds(grid) == all(_contains(window, ts) for ts in starts)
         wide = DateRange(date(2023, 12, 30), date(2024, 1, 11))
-        assert wide.mask(starts) == wide.mask(grid) == [True] * len(starts)
+        assert wide.mask(grid) == [True] * len(starts)
         assert wide.holds(grid)
 
 

@@ -71,7 +71,6 @@ def _cases() -> dict:
     kors = model.KorVector({"b1": 0.5, "b2": 0.5})
     scr = billing.ScrReport(5, 10)
     savings = billing.SavingsReport({"b1": Decimal("1")}, Decimal("0.5"), Decimal("1.5"))
-    diff = billing.PairwiseDiff("static", "default-dynamic", Decimal("-2.5"), None)
     linky, wh = ingestion.MeterClass.LINKY, ingestion.QuantityKind.ENERGY_WH
     return {
         "DateRange": (
@@ -134,20 +133,10 @@ def _cases() -> dict:
             lambda: billing.SavingsReport({"b1": Decimal("1")}, Decimal("0.5"), Decimal("1.5")),
             lambda: billing.SavingsReport({"b1": Decimal("1")}, Decimal("0.5"), Decimal("1.5"), JUNE),
         ),
-        "PolicyRow": (
-            ("policy", "scr", "savings"),
-            lambda: billing.PolicyRow("static", scr, savings),
-            lambda: billing.PolicyRow("static33", scr, savings),
-        ),
-        "PairwiseDiff": (
-            ("policy_a", "policy_b", "scr_rel_diff_pct", "savings_rel_diff_pct"),
-            lambda: billing.PairwiseDiff("static", "default-dynamic", Decimal("-2.5"), None),
-            lambda: billing.PairwiseDiff("static", "default-dynamic", None, None),
-        ),
         "PolicyComparison": (
-            ("rows", "pairwise", "window"),
-            lambda: billing.PolicyComparison((), (diff,), None),
-            lambda: billing.PolicyComparison((), (diff,), JUNE),
+            ("reports", "window"),
+            lambda: billing.PolicyComparison({"static": (scr, savings)}, None),
+            lambda: billing.PolicyComparison({"static": (scr, savings)}, JUNE),
         ),
         "RawMeterRecord": (
             ("meter_id", "meter_class", "timestamp", "quantity_kind", "value"),
@@ -259,7 +248,6 @@ _T1 = _T0.replace("7, 0,", "7, 30,")
 _KORS = "KorVector(entries={'b1': 0.5, 'b2': 0.5})"
 _SCR = "ScrReport(self_consumed_total=5, production_total=10, window=None)"
 _SAVINGS = "SavingsReport(per_participant={'b1': Decimal('1')}, feed_in=Decimal('0.5'), total=Decimal('1.5'), window=None)"
-_DIFF = "PairwiseDiff(policy_a='static', policy_b='default-dynamic', scr_rel_diff_pct=Decimal('-2.5'), savings_rel_diff_pct=None)"
 _PARTICIPANT = "Participant(id='b1', tariff_eur_per_kwh=Decimal('0.2'), grid_uplift_pct=Decimal('0'), tax_uplift_pct=Decimal('0'))"
 # Class -> (compares by its fields, its hash, frozen, its repr), as each
 # class behaved when it was a dataclass. A field that holds a dict makes a
@@ -289,9 +277,9 @@ RECORDS = {
     "ValidationReport": (True, "fields", True, "ValidationReport(findings=('no series for production meter pv',))"),
     "ScrReport": (True, "fields", True, _SCR),
     "SavingsReport": (True, "unhashable", True, _SAVINGS),
-    "PolicyRow": (True, "unhashable", True, f"PolicyRow(policy='static', scr={_SCR}, savings={_SAVINGS})"),
-    "PairwiseDiff": (True, "fields", True, _DIFF),
-    "PolicyComparison": (True, "fields", True, f"PolicyComparison(rows=(), pairwise=({_DIFF},), window=None)"),
+    "PolicyComparison": (
+        True, "unhashable", True, f"PolicyComparison(reports={{'static': ({_SCR}, {_SAVINGS})}}, window=None)"
+    ),
     "RawMeterRecord": (
         True, "fields", True,
         f"RawMeterRecord(meter_id='m1', meter_class=<MeterClass.LINKY: 'linky'>, timestamp={_T0}, "

@@ -79,8 +79,8 @@ class TestRun:
     def test_scr_ordering_across_policies(self, demo):
         comparison = run(load_run_config(demo / "run_config.json")).comparison
         scr = {
-            row.policy: (row.scr.self_consumed_total, row.scr.production_total)
-            for row in comparison.rows
+            name: (report.self_consumed_total, report.production_total)
+            for name, (report, _) in comparison.reports.items()
         }
         def frac(name):
             sc, prod = scr[name]
