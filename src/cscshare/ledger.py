@@ -26,8 +26,10 @@ columns: its keys and constants are encoded once, and each row's
 integers are filled into the text, which ``append`` takes as it is. The
 lines are byte-identical to appending the payload dicts.
 Reading walks each line once. It rejects any line that is not its
-record's canonical serialization, decoding and checking each payload
-text it has not checked yet (it keeps a bounded set of them), then
+record's canonical serialization, checking each payload text it has not
+checked yet (it keeps a bounded set of them): a text that the template
+of a shape it checked before matches is canonical, and any other is
+decoded, encoded and compared, and teaches the walk its shape. It then
 checks the line's link and hashes the material it splices from the
 line's own slices. A walk covers a range of lines; a log file large
 enough is cut at line ends into one range per core, the caller walking
@@ -45,10 +47,13 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import sys
+from collections import deque
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from cscshare import _fork
 from cscshare.model import Record, parse_timestamp
@@ -58,6 +63,11 @@ GENESIS_HASH = "0" * 64
 # Bytes of payload text a read keeps as checked before it starts over.
 # A year of 3 participants has ~4 MiB of distinct payload texts.
 _CHECKED_PAYLOAD_BYTES = 16 << 20
+
+# A read learns the templates of at most this many payload shapes (a
+# settlement's log has 6), and drops them once they have missed this many
+# texts more than they matched.
+_SHAPES = 8
 
 # A log file of this many bytes or more is read in ranges, one per core,
 # up to _MAX_RANGES. In a fresh CLI process on 2 cores, which pays the
@@ -165,6 +175,8 @@ class PayloadTemplate:
     integer field, in the shape's own order, and yields each row's payload
     text: the canonical text of the shape with that row's values filled
     in, which ``append`` then takes without checking or encoding it again.
+    ``matcher()`` compiles the same text into a pattern that matches what
+    ``render`` yields, with which a read checks payloads of the shape.
     """
 
     def __init__(self, shape: Mapping[str, Any]):
@@ -194,6 +206,30 @@ class PayloadTemplate:
                 raise ValueError(f"column {k} ({name}): {type(odd).__name__} is not a plain int")
         rows = zip(*[columns[i] for i in self._order], strict=True)
         return map(_Rendered, map(self._format.__mod__, rows))
+
+    def matcher(self) -> Callable[[str], re.Match | None]:
+        """The ``fullmatch`` of a pattern compiled from the template: a text
+        matches iff ``render`` yields it for some row of plain ints. Each
+        ``%d`` of the format matches the decimal text of an int that
+        converts to text (``sys.get_int_max_str_digits()``, 0 for any
+        length, bounds its digits); every other piece, ``%%`` as ``%``, is
+        literal."""
+        digits = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0
+        integer = f"(?:0|-?[1-9][0-9]{{0,{digits - 1}}})" if digits else "(?:0|-?[1-9][0-9]*)"
+        pattern = "".join(
+            integer if piece == "%d" else re.escape("%" if piece == "%%" else piece)
+            for piece in re.split("(%[%d])", self._format)
+        )
+        return re.compile(pattern).fullmatch
+
+
+def _shape(payload: dict) -> dict:
+    """``payload`` with the type ``int`` in place of each plain int of its
+    objects, at any depth; lists, and what they hold, are constants."""
+    return {
+        key: int if type(value) is int else _shape(value) if type(value) is dict else value
+        for key, value in payload.items()
+    }
 
 
 def _record_hash(key_json: str, timestamp_json: str, payload_json: str, prev_json: str) -> str:
@@ -399,9 +435,9 @@ class _Checked:
     """The texts a read has checked: every counting-point key (a log has
     few), the last timestamp, as the records of one slot are adjacent, and
     payload texts until they pass ``_CHECKED_PAYLOAD_BYTES``, when the set
-    starts over."""
+    starts over; and the templates of the payload shapes it has checked."""
 
-    __slots__ = ("keys", "stamp_text", "stamp", "payloads", "payload_bytes")
+    __slots__ = ("keys", "stamp_text", "stamp", "payloads", "payload_bytes", "shapes", "spare")
 
     def __init__(self):
         self.keys: dict[str, str] = {}
@@ -409,6 +445,51 @@ class _Checked:
         self.stamp: datetime | None = None
         self.payloads: set[str] = set()
         self.payload_bytes = 0
+        # each learned shape's PayloadTemplate.matcher, None once dropped
+        self.shapes: deque | None = deque()
+        # how many more texts the templates may miss than they match
+        self.spare = _SHAPES
+
+    def payload(self, text: str) -> bool:
+        """Whether the payload text ``text``, which ``payloads`` does not
+        hold, is canonical; if it is, ``payloads`` holds it after.
+
+        The text is tried against the templates learned, first the one
+        after the template that matched last, as the records of a slot
+        come in a fixed order of shapes. A match means the text is
+        ``_encode(_decode(text))``. A text that no template matches is
+        decoded, encoded and compared, and if it passes, its shape is
+        learned. Past ``_SHAPES`` templates none is learned; once they
+        have missed ``_SHAPES`` texts more than they matched, none is
+        tried again."""
+        shapes = self.shapes
+        for k, match in enumerate(shapes or ()):
+            if match(text) is not None:
+                shapes.rotate(-1 - k)
+                self.spare += 1
+                break
+        else:
+            try:
+                payload = _decode(text)
+            except ValueError:
+                return False
+            if not isinstance(payload, dict) or _encode(payload) != text:
+                return False
+            if shapes is not None:
+                self.spare -= 1
+                if self.spare < 0:
+                    self.shapes = None
+                elif len(shapes) < _SHAPES:
+                    try:
+                        shapes.append(PayloadTemplate(_shape(payload)).matcher())
+                    except RecursionError:  # a payload too deep to template
+                        pass
+        self.payload_bytes += len(text)
+        if self.payload_bytes > _CHECKED_PAYLOAD_BYTES:
+            self.payloads.clear()
+            self.payload_bytes = len(text)
+        self.payloads.add(text)
+        return True
 
 
 def _string(text: str) -> str | None:
@@ -440,7 +521,9 @@ def _split(line: str, stop: int, checked: _Checked) -> tuple[str, datetime, str,
 
     Keys, timestamps and payload texts repeat: a text ``checked`` holds is
     not checked again, and the records that hold a key, or one slot's
-    timestamp, share one object.
+    timestamp, share one object. A payload text it does not hold is
+    matched against the templates of the shapes it checked before it is
+    decoded (``_Checked.payload``).
     """
     if not (line.startswith(_HEAD) and line.endswith(_TAIL, 0, stop)):
         return None
@@ -488,19 +571,8 @@ def _split(line: str, stop: int, checked: _Checked) -> tuple[str, datetime, str,
         checked.stamp_text, checked.stamp = timestamp_text, timestamp
 
     payload_text = line[payload_start:at_prev_hash]
-    payloads = checked.payloads
-    if payload_text not in payloads:
-        try:
-            payload = _decode(payload_text)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict) or _encode(payload) != payload_text:
-            return None
-        checked.payload_bytes += len(payload_text)
-        if checked.payload_bytes > _CHECKED_PAYLOAD_BYTES:
-            payloads.clear()
-            checked.payload_bytes = len(payload_text)
-        payloads.add(payload_text)
+    if payload_text not in checked.payloads and not checked.payload(payload_text):
+        return None
 
     # _record_hash's material, from the texts of the quoted members
     material = f'["{key_text}","{timestamp_text}",{payload_text},"{prev_text}"]'

@@ -13,9 +13,10 @@ import time
 from decimal import Decimal
 from enum import IntEnum
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cscshare import ledger as ledger_mod
 from cscshare.ledger import (
@@ -478,9 +479,11 @@ class TestLogFiles:
 
     @pytest.mark.parametrize("budget, checks", [(None, 3), (80, 60)])
     def test_checked_payload_texts_start_over_past_their_budget(self, tmp_path, monkeypatch, budget, checks):
-        """Three payload texts of 38 bytes take turns. Each is checked once
-        under the default budget; under 80 bytes the set starts over at
-        every third new text, and every line is checked. The read is the
+        """Three payload texts of 38 bytes, all of one shape, take turns.
+        Each is checked once under the default budget; under 80 bytes the
+        set starts over at every third new text, and every line is
+        checked. Only the first text is decoded: the other two, and every
+        later check, match the template learned from it. The read is the
         same."""
         ledger = Ledger()
         for k in range(60):
@@ -489,10 +492,13 @@ class TestLogFiles:
         write_ledger(ledger, path)
         if budget is not None:
             monkeypatch.setattr(ledger_mod, "_CHECKED_PAYLOAD_BYTES", budget)
-        encoded = []
-        monkeypatch.setattr(ledger_mod, "_encode", lambda value: encoded.append(value) or _encode(value))
+        checked, decoded = [], []
+        check, decode = ledger_mod._Checked.payload, ledger_mod._decode
+        monkeypatch.setattr(ledger_mod._Checked, "payload", lambda self, text: checked.append(text) or check(self, text))
+        monkeypatch.setattr(ledger_mod, "_decode", lambda text: decoded.append(text) or decode(text))
         reread = read_ledger(path)
-        assert len(encoded) == checks
+        assert len(checked) == checks
+        assert [text for text in decoded if text in checked] == ['{"energy_wh":100,"kind":"production"}']
         assert (len(reread), reread.head_hash, verify_chain(reread)) == (60, ledger.head_hash, ChainReport(True))
 
 
@@ -1172,6 +1178,8 @@ def test_template_renders_what_append_encodes(shape, rows, data, odd):
     expected = [ledger_mod._encode(p) for p in payloads]
     assert list(template.render(*columns)) == expected
     assert expected == [_reference_canonical(p) for p in payloads]
+    match = template.matcher()
+    assert all(match(text) for text in expected)
 
 
 @pytest.mark.parametrize(
@@ -1187,6 +1195,168 @@ def test_template_renders_what_append_encodes(shape, rows, data, odd):
 def test_template_refuses_what_append_refuses(shape, columns, message):
     with pytest.raises(ValueError, match=message):
         PayloadTemplate(shape).render(*columns)
+
+
+# Template checks: a read matches a payload text against the templates of
+# the shapes it has checked before it decodes the text. A text that only
+# looks like such a shape must read as the reference reads it.
+
+# The value of the int field a mutation rewrites, found by its text
+_MARK = 31415926535
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
+_INT_FORMS = {
+    "leading-zero": "017", "minus-zero": "-0", "plus": "+1", "minus-leading-zero": "-07",
+    "zeros": "00", "fraction": "1.0", "exponent": "1e2", "upper-exponent": "1E2",
+    "minus-fraction": "-1.5", "space-before": " 1", "space-after": "1 ", "tab": "\t1",
+    "true": "true", "false": "false", "null": "null", "string": '"1"', "list": "[1]",
+    "zero": "0", "minus": "-1", "wide": str(2**70), "most-digits": "9" * _DIGITS,
+    "minus-most-digits": "-" + "9" * _DIGITS, "a-digit-too-many": "1" * (_DIGITS + 1),
+    "minus-a-digit-too-many": "-" + "1" * (_DIGITS + 1),
+}
+
+
+_TEXT_EDITS = ["reorder", "duplicate", "escape", "raw", "percent", "digit", "space"]
+
+
+@st.composite
+def _template_logs(draw, edit):
+    """A log of six records of one payload shape, the 3rd and 6th mutated
+    alike by ``edit``, chained so that only the canonical check can refuse
+    a line; and the four canonical payload texts. ``edit`` is one of
+    ``_TEXT_EDITS`` or names, in ``_INT_FORMS``, the text an int field
+    takes. The shape has nested objects at times, and a list of ints
+    among its constants."""
+    shape = draw(_shapes())
+    if draw(st.booleans()):
+        shape[draw(_shape_text)] = draw(st.lists(st.integers(-20, 20), max_size=3))
+    if not list(_int_fields(shape)):
+        shape[draw(_shape_text)] = int
+    fields = len(list(_int_fields(shape)))
+    value = st.integers(0, 9) | st.integers(-(2**70), 2**70)
+    rows = [draw(st.lists(value, min_size=fields, max_size=fields)) for _ in range(5)]
+    rows[2][draw(st.integers(0, fields - 1))] = _MARK
+    canonical = [_reference_canonical(_filled(shape, iter(row))) for row in rows]
+    text = canonical.pop(2)
+    assume(text.count(str(_MARK)) == 1)
+    if edit in _INT_FORMS:
+        mutated = text.replace(str(_MARK), _INT_FORMS[edit])
+    elif edit in ("reorder", "duplicate"):
+        items = list(json.loads(text).items())
+        items = items[::-1] if edit == "reorder" else items + items[:1]
+        mutated = "{" + ",".join(f"{_quote(k)}:{_reference_canonical(v)}" for k, v in items) + "}"
+    elif edit == "escape":
+        # one character, written as a \u escape
+        j = draw(st.integers(0, len(text) - 1))
+        mutated = text[:j] + "\\u%04x" % ord(text[j]) + text[j + 1:]
+    elif edit == "raw":
+        # a \u escape, written as its character
+        escapes = [m for m in re.finditer(r"\\u([0-9a-f]{4})", text) if not 0xD800 <= int(m[1], 16) < 0xE000]
+        assume(escapes)
+        m = draw(st.sampled_from(escapes))
+        mutated = text[:m.start()] + chr(int(m[1], 16)) + text[m.end():]
+    elif edit == "percent":
+        assume("%" in text)
+        mutated = text.replace(draw(st.sampled_from(["%d", "%%", "%"])), draw(st.sampled_from(["5", "%", "%d", ""])), 1)
+    elif edit == "digit":
+        digits = [j for j, c in enumerate(text) if c.isdigit()]
+        j = draw(st.sampled_from(digits))
+        mutated = text[:j] + draw(st.sampled_from("0123456789")) + text[j + 1:]
+    else:
+        j = draw(st.integers(0, len(text)))
+        mutated = text[:j] + draw(st.sampled_from([" ", "\t", "\n", "\r"])) + text[j:]
+    return _chained([*canonical[:2], mutated, *canonical[2:], mutated]), canonical
+
+
+def _chained(payloads):
+    """The log of one record per payload text, each linked to the one
+    before and hashed over its own text, one slot apart."""
+    lines, prev = [], GENESIS_HASH
+    for k, payload in enumerate(payloads):
+        iso = slot_ts(k).isoformat()
+        hash_ = _reference_record_hash(_quote("KOR"), _quote(iso), payload, prev)
+        lines.append(f"{_line('KOR', hash_, payload, prev, iso)}\n")
+        prev = hash_
+    return "".join(lines)
+
+
+def _reference_read(text):
+    """('ok', (head hash, count, chain report)) or ('error', message) of
+    the reference reader and verifier."""
+    try:
+        records = list(_reference_parse_lines(io.StringIO(text, newline="\n")))
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", (records[-1].hash if records else GENESIS_HASH, len(records), _reference_verify_chain(records))
+
+
+@pytest.mark.parametrize("edit", [*_TEXT_EDITS, *_INT_FORMS])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_template_check_reads_as_the_reference(edit, data, tmp_path_factory):
+    """A payload text mutated after two texts of its shape, with a leading
+    zero, a sign, a fraction or exponent, whitespace, a bool, an int of
+    the most digits an int may have or one more, keys reordered or
+    repeated, an escape added or removed, a %-sequence or any digit
+    changed, reads as the reference reads it, serially and in forked
+    ranges alike. The serial read decodes only the first canonical text:
+    each later one matches its template."""
+    text, canonical = data.draw(_template_logs(edit))
+    path = tmp_path_factory.getbasetemp() / "template.log"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _reference_read(text)
+    decoded, decode = [], ledger_mod._decode
+    with mock.patch.object(ledger_mod, "_RANGED_BYTES", float("inf")), \
+            mock.patch.object(ledger_mod, "_decode", lambda text: decoded.append(text) or decode(text)):
+        serial = _read_state(lambda: read_ledger(path))
+    assert [t for t in decoded if t in canonical] == canonical[:1]
+    with mock.patch.object(ledger_mod, "_RANGED_BYTES", 0), \
+            mock.patch.object(ledger_mod.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        ranged = _read_state(lambda: read_ledger(path))
+    assert ranged == serial
+    outcome, state = serial
+    assert (outcome, state if outcome == "error" else state[:3]) == expected
+
+
+@pytest.mark.parametrize("new_shapes", [True, False])
+def test_templates_that_keep_missing_are_dropped(monkeypatch, new_shapes):
+    """Where every payload has a new shape, a read learns ``_SHAPES``
+    templates, each tried on the texts after it, and once they have
+    missed ``_SHAPES`` more texts than they matched it learns and tries
+    none. Where the payloads share one shape, one template matches every
+    text after the first."""
+    ledger = Ledger()
+    for k in range(100):
+        payload = {"energy_wh": k, "kind": "production"}
+        if new_shapes:
+            payload["note"] = f"n{k}"
+        ledger.append(payload, "pv1", slot_ts(k % 48, DAY + timedelta(days=k // 48)))
+    text = _written(write_ledger, ledger)
+    learned, tried = [], []
+    matcher = PayloadTemplate.matcher
+
+    def counted(template):
+        match = matcher(template)
+        learned.append(match)
+        return lambda text: tried.append(text) or match(text)
+
+    monkeypatch.setattr(PayloadTemplate, "matcher", counted)
+    reread = read_ledger(io.StringIO(text, newline="\n"))
+    assert (len(reread), reread.head_hash, verify_chain(reread)) == (100, ledger.head_hash, ChainReport(True))
+    shapes = ledger_mod._SHAPES
+    if new_shapes:
+        assert (len(learned), len(tried)) == (shapes, shapes * (shapes + 1) // 2)
+    else:
+        assert (len(learned), len(tried)) == (1, 99)
+
+
+def test_a_payload_too_deep_to_template_reads_as_the_reference():
+    """Payloads nested about as deep as the decoder takes, too deep for
+    a template to be made of their shape where Python frames are few,
+    read as the reference reads them."""
+    text = _chained(['{"a":' * 900 + str(k) + "}" * 900 for k in range(3)])
+    ledger = read_ledger(io.StringIO(text, newline="\n"))
+    assert ("ok", (ledger.head_hash, len(ledger), verify_chain(ledger))) == _reference_read(text)
+    assert verify_chain(ledger).intact
 
 
 # Ranged reads: a log file cut at line ends, each range walked on its own
