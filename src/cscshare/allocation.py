@@ -57,9 +57,11 @@ def derive_priority_order(participants: Sequence[Participant]) -> list[str]:
 
     Highest ``effective_value_eur_per_kwh`` (tariff plus avoided uplifts,
     the rate ``compute_savings`` prices with) first; ties break
-    lexicographically on id so the order is reproducible.
+    lexicographically on id so the order is reproducible. The values are
+    exact, and so is their negation by ``copy_negate``, where ``-`` would
+    round them to the ambient context's precision.
     """
-    ranked = sorted(participants, key=lambda p: (-p.effective_value_eur_per_kwh, p.id))
+    ranked = sorted(participants, key=lambda p: (p.effective_value_eur_per_kwh.copy_negate(), p.id))
     return [p.id for p in ranked]
 
 

@@ -1,27 +1,39 @@
 """Self-consumption rate and savings over a settlement window.
 
-Money is exact all the way through: integer Wh sums convert to kWh by an
-exact decimal shift and multiply finite decimal rates, so every figure in
-a report is an exact product. Rounding half-even to cents happens only
-when a report is rendered.
+Money is exact all the way through. Every EUR figure is computed in the
+one ``model.MONEY`` context, where any rounding traps: integer Wh sums
+convert to kWh by an exact decimal shift and multiply finite decimal
+rates, so every figure in a report is an exact product, and so is every
+sum. The SCR and the pairwise differences are ratios, not money: they
+are divided at 28 significant digits in ``_RATIO``. Rounding, half-even
+to cents or to the SCR's places, is the one step that rounds; it happens
+only when a report is rendered, in ``_RENDER``, whose precision holds
+any figure of in-bound rates.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import compress
 from typing import Mapping
 
-from cscshare.model import AllocationTable, Community, DateRange, Record, SlotGrid
+from cscshare.model import MONEY, AllocationTable, Community, DateRange, Record, SlotGrid
 
 CENT = Decimal("0.01")
-_PCT_PLACES = Decimal("0.01")
 _SCR_PLACES = Decimal("0.000001")
+_RATIO = Context(prec=28, rounding=ROUND_HALF_EVEN)
+_RENDER = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+
+
+def _rounded(value: Decimal, places: Decimal) -> str:
+    """The value rounded half-even to the places, as text."""
+    with localcontext(_RENDER):
+        return str(value.quantize(places))
 
 
 def eur_str(amount: Decimal) -> str:
     """Render an amount in EUR, rounded half-even to cents."""
-    return str(amount.quantize(CENT, rounding=ROUND_HALF_EVEN))
+    return _rounded(amount, CENT)
 
 
 class ScrReport(Record):
@@ -44,14 +56,13 @@ class ScrReport(Record):
         """Fraction in [0, 1], or None when nothing was produced."""
         if not self.defined:
             return None
-        with localcontext() as ctx:
-            ctx.prec = 28
+        with localcontext(_RATIO):
             return Decimal(self.self_consumed_total) / Decimal(self.production_total)
 
     def scr_text(self) -> str:
         if not self.defined:
             return "undefined"
-        return str(self.scr_decimal().quantize(_SCR_PLACES, rounding=ROUND_HALF_EVEN))
+        return _rounded(self.scr_decimal(), _SCR_PLACES)
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,8 +86,9 @@ class SavingsReport(Record):
         window: DateRange | None = None,
     ):
         per_participant = dict(per_participant)
-        if sum(per_participant.values(), Decimal(0)) + feed_in != total:
-            raise ValueError("savings total does not equal parts plus feed-in")
+        with localcontext(MONEY):
+            if sum(per_participant.values(), Decimal(0)) + feed_in != total:
+                raise ValueError("savings total does not equal parts plus feed-in")
         self._set(per_participant=per_participant, feed_in=feed_in, total=total, window=window)
 
     def to_json_dict(self) -> dict:
@@ -139,16 +151,14 @@ def compute_savings(
     table = _in_window(table, window)
     wh_per_participant = {pid: sum(col) for pid, col in table.self_consumed.items() if col}
 
-    with localcontext() as ctx:
-        ctx.prec = 60  # plenty for exact Wh x rate products
-        per_participant: dict[str, Decimal] = {}
+    per_participant: dict[str, Decimal] = {}
+    with localcontext(MONEY):
         for pid, wh in sorted(wh_per_participant.items()):
             p = by_id.get(pid)
             if p is None:
                 raise ValueError(f"unknown participant id {pid!r} in allocations")
-            kwh = Decimal(wh) / 1000
-            per_participant[pid] = kwh * p.effective_value_eur_per_kwh
-        feed_in = (Decimal(sum(table.surplus)) / 1000) * community.feed_in_eur_per_kwh
+            per_participant[pid] = Decimal(wh).scaleb(-3) * p.effective_value_eur_per_kwh
+        feed_in = Decimal(sum(table.surplus)).scaleb(-3) * community.feed_in_eur_per_kwh
         total = sum(per_participant.values(), Decimal(0)) + feed_in
     return SavingsReport(
         per_participant=per_participant, feed_in=feed_in, total=total, window=window
@@ -204,10 +214,9 @@ class PolicyComparison(Record):
 def _pct_diff(a: Decimal | None, b: Decimal | None) -> str | None:
     if a is None or b is None or b == 0:
         return None
-    with localcontext() as ctx:
-        ctx.prec = 28
+    with localcontext(_RATIO):
         diff = (a - b) / b * 100
-    return str(diff.quantize(_PCT_PLACES, rounding=ROUND_HALF_EVEN))
+    return _rounded(diff, CENT)
 
 
 def compare_policies(

@@ -2,14 +2,16 @@
 
 Energy is carried as non-negative integer watt-hours on an aligned
 30-minute grid, which keeps every allocation identity exact. Currency
-rates are decimals. All types are immutable after construction and can
-be shared freely between threads.
+rates are finite decimals within RATE_PLACES, and money is exact: every
+EUR figure is computed in the one MONEY context. All types are immutable
+after construction and can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero
+from decimal import Inexact, InvalidOperation, Overflow, Rounded, localcontext
 from enum import Enum
 from functools import cached_property
 from itertools import compress, groupby, islice, repeat
@@ -25,6 +27,24 @@ SLOT_DURATION = timedelta(minutes=SLOT_MINUTES)
 # apportioned by largest remainder over the recorded decimal texts of the
 # coefficients (KorVector.weights), which need not sum to exactly 1.
 KOR_SUM_TOLERANCE = 1e-9
+
+# The one context of money: every EUR figure (effective rate, kWh x rate
+# product, feed-in, sum, identity check) is computed in it. Its precision
+# is unlimited and any rounding traps, so a figure is exact or the
+# operation raises. It never divides: kWh and percentages are shifts
+# (scaleb), because a division that does not terminate would exhaust
+# memory at this precision. Rounding to cents happens only in rendering.
+MONEY = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, Overflow, DivisionByZero],
+)
+
+# Every digit of a rate, uplift percentage or feed-in rate lies between
+# the 10^RATE_PLACES and the 10^-RATE_PLACES place. Exact figures carry
+# every digit of their rates, so this bound keeps each figure, sum and
+# rendered text a few hundred digits long, where 1e999999999 would take
+# a billion.
+RATE_PLACES = 100
 
 
 class Kind(str, Enum):
@@ -88,6 +108,12 @@ def as_decimal(value, what: str = "value") -> Decimal:
     if number is None or not number.is_finite():
         raise ValueError(f"{what} is not a decimal-compatible number: {value!r}")
     return number
+
+
+def check_rate(rate: Decimal, what: str) -> None:
+    """Refuse a rate with a digit outside RATE_PLACES, naming ``what``."""
+    if rate.adjusted() > RATE_PLACES or rate.as_tuple().exponent < -RATE_PLACES:
+        raise ValueError(f"{what} has a digit outside the places 10^-{RATE_PLACES} to 10^{RATE_PLACES}")
 
 
 class Record:
@@ -287,13 +313,16 @@ class Participant(Record):
             raise ValueError(f"participant {id}: tariff must be > 0")
         if grid_uplift < 0 or tax_uplift < 0:
             raise ValueError(f"participant {id}: uplift percentages must be >= 0")
+        check_rate(tariff, f"participant {id}: tariff")
+        check_rate(grid_uplift, f"participant {id}: grid uplift")
+        check_rate(tax_uplift, f"participant {id}: tax uplift")
         self._set(id=id, tariff_eur_per_kwh=tariff, grid_uplift_pct=grid_uplift, tax_uplift_pct=tax_uplift)
 
     @property
     def effective_value_eur_per_kwh(self) -> Decimal:
-        """Value of one self-consumed kWh, uplifts included."""
-        uplift = (self.grid_uplift_pct + self.tax_uplift_pct) / Decimal(100)
-        return self.tariff_eur_per_kwh * (1 + uplift)
+        """Value of one self-consumed kWh, uplifts included, exact."""
+        with localcontext(MONEY):
+            return self.tariff_eur_per_kwh * (1 + (self.grid_uplift_pct + self.tax_uplift_pct).scaleb(-2))
 
 
 class Community(Record):
@@ -313,6 +342,7 @@ class Community(Record):
             raise ValueError("production meter must be distinct from participant meters")
         if feed_in < 0:
             raise ValueError("feed-in rate must be >= 0")
+        check_rate(feed_in, "feed-in rate")
         self._set(participants=participants, production_meter=production_meter, feed_in_eur_per_kwh=feed_in)
 
     def participant_ids(self) -> tuple[str, ...]:

@@ -238,7 +238,8 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
     """Load the community and tariff file.
 
     Returns the community plus the optional meter the data-centre load
-    attaches to. Rates may be JSON numbers or strings; both parse exactly.
+    attaches to. Rates may be JSON numbers or strings; both parse exactly,
+    and Participant and Community coerce and bound them.
     """
     raw = _read_json(path, "community file", parse_float=Decimal)
     if not isinstance(raw, dict):
@@ -257,16 +258,16 @@ def load_community(path: str | Path) -> tuple[Community, str | None]:
         participants = tuple(
             Participant(
                 id=text(entry, "id"),
-                tariff_eur_per_kwh=as_decimal(entry["tariff_eur_per_kwh"], "tariff"),
-                grid_uplift_pct=as_decimal(entry.get("grid_uplift_pct", 0), "grid uplift"),
-                tax_uplift_pct=as_decimal(entry.get("tax_uplift_pct", 0), "tax uplift"),
+                tariff_eur_per_kwh=entry["tariff_eur_per_kwh"],
+                grid_uplift_pct=entry.get("grid_uplift_pct", 0),
+                tax_uplift_pct=entry.get("tax_uplift_pct", 0),
             )
             for entry in entries
         )
         community = Community(
             participants=participants,
             production_meter=text(raw, "production_meter"),
-            feed_in_eur_per_kwh=as_decimal(raw["feed_in_eur_per_kwh"], "feed-in rate"),
+            feed_in_eur_per_kwh=raw["feed_in_eur_per_kwh"],
         )
     except KeyError as exc:
         raise ValueError(f"community file {path}: missing key {exc}") from None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,12 @@ from cscshare.model import Community, Kind, Participant, SlotSeries
 
 TZ = timezone(timedelta(hours=2))
 DAY = date(2022, 5, 4)
+
+
+def cents(value: Fraction) -> str:
+    """A non-negative amount rounded half-even to cents, as text."""
+    whole = round(value * 100)
+    return f"{whole // 100}.{whole % 100:02d}"
 
 
 def slot_ts(k: int, day: date = DAY) -> datetime:

@@ -109,6 +109,14 @@ class TestPriorityOrder:
         p = Participant(id="solo", tariff_eur_per_kwh=Decimal("0.1"))
         assert derive_priority_order([p]) == ["solo"]
 
+    def test_values_beyond_28_digits_rank_exactly(self):
+        # b2's value exceeds b1's only in the 29th digit: negating it in
+        # a 28-digit context would make the two tie, and b1 win on id
+        b1 = Participant("b1", Decimal("0.1"), Decimal(28), Decimal(38))
+        b2 = Participant("b2", Decimal("0.10000000000000000000000000001"), Decimal(28), Decimal(38))
+        assert b2.effective_value_eur_per_kwh > b1.effective_value_eur_per_kwh
+        assert derive_priority_order([b1, b2]) == ["b2", "b1"]
+
     @given(
         ids=st.lists(st.text("abxyz", min_size=1, max_size=2), min_size=1, max_size=6, unique=True),
         data=st.data(),

@@ -2,21 +2,25 @@
 
 from collections import namedtuple
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, Inexact, ROUND_HALF_EVEN, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cscshare.allocation import allocate_series, derive_priority_order
 from cscshare.billing import (
+    CENT,
     SavingsReport,
     ScrReport,
+    _pct_diff,
     compare_policies,
     compute_savings,
     compute_scr,
     eur_str,
 )
 from cscshare.model import (
+    MONEY,
     AllocationTable,
     Community,
     CustomDynamicPolicy,
@@ -29,7 +33,7 @@ from cscshare.model import (
     StaticPolicy,
 )
 
-from conftest import DAY, make_buildings, paris_2024, slot_ts
+from conftest import DAY, cents, make_buildings, paris_2024, slot_ts
 
 
 def _alloc(production, self_consumed, consumption=None, k=0, day=DAY):
@@ -38,6 +42,18 @@ def _alloc(production, self_consumed, consumption=None, k=0, day=DAY):
     consumption = consumption or dict(self_consumed)
     surplus = production - sum(self_consumed.values())
     return slot_ts(k, day), production, consumption, self_consumed, surplus
+
+
+@st.composite
+def _exact_rates(draw):
+    """A rate of 1-60 significant digits, its first at 10^-40 to 10^6."""
+    digits = draw(st.integers(1, 60))
+    coefficient = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    return Decimal(f"{coefficient}E{draw(st.integers(-40, 6)) - digits + 1}")
+
+
+_RATES = _exact_rates()
+_RATES_OR_ZERO = st.just(Decimal(0)) | _RATES
 
 
 def _table(*slots):
@@ -120,11 +136,8 @@ class TestSavings:
     @given(
         wh=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
                               st.integers(0, 10**6)), min_size=1, max_size=40),
-        tariffs=st.tuples(
-            st.decimals(min_value="0.01", max_value="2", places=4),
-            st.decimals(min_value="0.01", max_value="2", places=4),
-        ),
-        feed=st.decimals(min_value="0", max_value="1", places=4),
+        tariffs=st.tuples(_RATES, _RATES),
+        feed=_RATES_OR_ZERO,
     )
     @settings(max_examples=100)
     def test_total_equals_parts_plus_feed_in_fuzzed(self, wh, tariffs, feed):
@@ -136,7 +149,48 @@ class TestSavings:
             _alloc(a + b + extra, {"x": a, "y": b}, k=k % 48) for k, (a, b, extra) in enumerate(wh[:40])
         ))
         report = compute_savings(allocations, community)
-        assert report.total == sum(report.per_participant.values()) + report.feed_in
+        parts = sum(map(Fraction, report.per_participant.values()))
+        assert Fraction(report.total) == parts + Fraction(report.feed_in)
+
+    @given(
+        tariffs=st.tuples(_RATES, _RATES),
+        uplifts=st.tuples(_RATES_OR_ZERO, _RATES_OR_ZERO, _RATES_OR_ZERO, _RATES_OR_ZERO),
+        feed=_RATES_OR_ZERO,
+        wh=st.tuples(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12)),
+    )
+    @example(  # each rate alone made the identity check refuse a valid input
+        tariffs=(Decimal("0.1333333333333333333333"), Decimal("1e30")),
+        uplifts=(Decimal(28), Decimal(38), Decimal(0), Decimal(38)),
+        feed=Decimal("1e-40"),
+        wh=(123456, 654321, 10**12),
+    )
+    @settings(max_examples=300)
+    def test_figures_equal_the_fraction_recomputation(self, tariffs, uplifts, feed, wh):
+        x = Participant("x", tariffs[0], uplifts[0], uplifts[1])
+        y = Participant("y", tariffs[1], uplifts[2], uplifts[3])
+        report = compute_savings(_table(_alloc(sum(wh), {"x": wh[0], "y": wh[1]})), Community((x, y), "pv", feed))
+
+        def value(wh, tariff, grid, tax):
+            return Fraction(wh, 1000) * Fraction(tariff) * (1 + (Fraction(grid) + Fraction(tax)) / 100)
+
+        expected = {"x": value(wh[0], tariffs[0], *uplifts[:2]), "y": value(wh[1], tariffs[1], *uplifts[2:])}
+        feed_in = Fraction(wh[2], 1000) * Fraction(feed)
+        total = sum(expected.values()) + feed_in
+        assert {pid: Fraction(v) for pid, v in report.per_participant.items()} == expected
+        assert (Fraction(report.feed_in), Fraction(report.total)) == (feed_in, total)
+        assert report.to_json_dict() == {
+            "per_participant_eur": {pid: cents(v) for pid, v in expected.items()},
+            "feed_in_eur": cents(feed_in),
+            "total_eur": cents(total),
+            "window": None,
+        }
+
+    def test_figures_ignore_the_ambient_context(self, community):
+        allocations = _table(_alloc(4321, {"b1": 1234, "b2": 2000, "b4": 1}))
+        report = compute_savings(allocations, community)
+        for ambient in (Context(prec=3), MONEY):
+            with localcontext(ambient):
+                assert compute_savings(allocations, community) == report
 
     @given(
         lam=st.sampled_from([Decimal(2), Decimal(3), Decimal("0.5"), Decimal(10)]),
@@ -394,6 +448,21 @@ def _pairwise(comparison) -> dict:
 def test_eur_str_rounds_half_even():
     assert eur_str(Decimal("0.125")) == "0.12"
     assert eur_str(Decimal("0.135")) == "0.14"
+
+
+def test_rendering_holds_figures_beyond_28_digits():
+    assert eur_str(Decimal("1e30")) == "1" + "0" * 30 + ".00"
+    assert _pct_diff(Decimal(1), Decimal("1e-40")) == "1" + "0" * 42 + ".00"
+
+
+def test_rendering_ignores_the_ambient_context():
+    with localcontext(MONEY):
+        # rounding to cents is inexact, so it cannot run in the money context
+        with pytest.raises(Inexact):
+            Decimal("0.125").quantize(CENT)
+        assert eur_str(Decimal("0.125")) == "0.12"
+        assert ScrReport(1, 3).scr_text() == "0.333333"
+        assert _pct_diff(Decimal(1), Decimal(3)) == "-66.67"
 
 
 # First instants, in UTC, of Paris local days: before spring forward, when

@@ -297,11 +297,38 @@ class TestParticipant:
         with pytest.raises(ValueError, match="uplift"):
             Participant(id="x", tariff_eur_per_kwh=Decimal("0.1"), grid_uplift_pct=Decimal(-1))
 
+    def test_effective_value_is_exact(self):
+        p = Participant("x", Decimal("0.1234567890123456789012345678901"), Decimal("28.3"), Decimal(38))
+        assert p.effective_value_eur_per_kwh == Decimal("0.2053086401275308640127530864012363")
+
+    @pytest.mark.parametrize("text", ["1E+100", "9.9E+100", "1E-100", "0.1333E-96"])
+    def test_rates_within_the_bound_accepted(self, text):
+        for zero in (Decimal(0), Decimal("0E-100"), Decimal("0E+100")):
+            Participant("x", Decimal(text), Decimal(text), zero)
+            Community([Participant("x", Decimal(1), zero, Decimal(text))], "pv", zero)
+            Community([Participant("x", Decimal(1))], "pv", Decimal(text))
+
+    @pytest.mark.parametrize("field, text", [
+        *((field, text) for field in ("tariff", "grid uplift", "tax uplift")
+          for text in ("1E+101", "1E-101", "0.1333E-97", "1e999999999", "1e-999999999")),
+        ("grid uplift", "0E-101"), ("tax uplift", "0E+101"),
+    ])
+    def test_rates_beyond_the_bound_refused_by_name(self, field, text):
+        rates = {"tariff": Decimal(1), "grid uplift": Decimal(0), "tax uplift": Decimal(0), field: Decimal(text)}
+        message = f"^participant b1: {field} has a digit outside the places 10\\^-100 to 10\\^100$"
+        with pytest.raises(ValueError, match=message):
+            Participant("b1", *rates.values())
+
 
 class TestCommunity:
     def test_production_meter_must_differ(self, buildings):
         with pytest.raises(ValueError, match="distinct"):
             Community(buildings, "b1", Decimal("0.06"))
+
+    @pytest.mark.parametrize("text", ["1E+101", "1E-101", "0E-101"])
+    def test_feed_in_beyond_the_bound_refused(self, buildings, text):
+        with pytest.raises(ValueError, match="^feed-in rate has a digit outside the places"):
+            Community(buildings, "pv", Decimal(text))
 
 
 class TestKorVector:

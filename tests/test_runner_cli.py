@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from cscshare.model import AllocationTable, DateRange, parse_timestamp
 from cscshare.runner import POLICY_NAMES, load_run_config, publish, run
 from cscshare.synth import synthesize_demo_data
 
-from conftest import paris_2024
+from conftest import cents, paris_2024
 
 
 @pytest.fixture
@@ -703,6 +704,13 @@ class TestConfigValidation:
         _edit_json(demo / "community.json", _set_tariff(value))
         assert f"tariff is not a decimal-compatible number: {value!r}" in self._run(demo)
 
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999"])
+    def test_tariff_beyond_the_rate_bound(self, demo, value):
+        _edit_json(demo / "community.json", _set_tariff(value))
+        output = self._run(demo)
+        assert "participant b1: tariff has a digit outside the places 10^-100 to 10^100" in output
+        assert "Traceback" not in output
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -881,6 +889,36 @@ class TestConfigValidation:
         _edit_json(demo / "run_config.json", _set_kor("1.0"))
         config = load_run_config(demo / "run_config.json")
         assert config.kors == {"b1": 1.0, "b2": 0.0, "b4": 0.0}
+
+
+class TestExactMoney:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set_tariff("0.1333333333333333333333"),
+            _set_tariff("1e30"),
+            _set_run_key("feed_in_eur_per_kwh", "1e-40"),
+        ],
+        ids=["long-tariff", "huge-tariff", "tiny-feed-in"],
+    )
+    def test_long_rates_settle_to_the_exact_figures(self, demo, edit):
+        _edit_json(demo / "community.json", edit)
+        r = CliRunner().invoke(main, ["run", "--config", str(demo / "run_config.json")])
+        assert r.exit_code == 0, r.output
+        community = json.loads((demo / "community.json").read_text())
+        value = {
+            p["id"]: Fraction(p["tariff_eur_per_kwh"])
+            * (1 + (Fraction(p["grid_uplift_pct"]) + Fraction(p["tax_uplift_pct"])) / 100)
+            for p in community["participants"]
+        }
+        for policy in POLICY_NAMES:
+            table = _read_allocations(demo / "reports" / f"{policy}_allocations.csv")
+            parts = {pid: Fraction(sum(c), 1000) * value[pid] for pid, c in table.self_consumed.items()}
+            feed_in = Fraction(sum(table.surplus), 1000) * Fraction(community["feed_in_eur_per_kwh"])
+            savings = json.loads((demo / "reports" / f"{policy}_report.json").read_text())["savings"]
+            assert savings["per_participant_eur"] == {pid: cents(v) for pid, v in parts.items()}
+            assert savings["feed_in_eur"] == cents(feed_in)
+            assert savings["total_eur"] == cents(sum(parts.values()) + feed_in)
 
 
 class TestCli:
