@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter, eq, is_, itemgetter, lt, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from cscshare.kernels import apportion
 from cscshare.model import (
@@ -215,20 +215,26 @@ def _joined(parts: list[MeterReadings]) -> MeterReadings:
     )
 
 
-def ingest_csv(source: str | Path | TextIO) -> IngestResult:
-    """Parse a meter CSV into per-meter columns, in one pass.
+def ingest_csv(source: str | Path | BinaryIO) -> IngestResult:
+    """Parse a meter CSV, from its path or a binary stream, into per-meter
+    columns, in one pass.
 
     A malformed header is a hard error; a malformed row is collected into
     the error report with its line number and skipped, and so is a row
-    holding a byte that is not UTF-8 (see _decoded). A file named by its
-    path is read in blocks (see _file_blocks); a text stream is read by
-    csv.reader, whose line splitting follows the stream's own newline
-    setting.
+    holding a byte that is not UTF-8 (see _decoded). A path is opened as a
+    binary stream, and a stream is read in blocks (see _file_blocks) and
+    left open. A text stream is a TypeError, raised before anything is read.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            return _ingest_rows(chain.from_iterable(_file_blocks(fh)))
-    return _ingest_rows(_csv_rows(source))
+        with open(source, "rb") as stream:
+            return ingest_csv(stream)
+    if isinstance(source, io.TextIOBase):
+        raise TypeError("ingest_csv reads a path or a binary stream, not a text stream")
+    fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+    try:
+        return _ingest_rows(chain.from_iterable(_file_blocks(fh)))
+    finally:
+        fh.detach()  # the caller's stream stays open
 
 
 # The characters of a file read at once (256 KiB of ASCII text), before
@@ -799,10 +805,11 @@ class ScenarioConfig(Record):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        """Load from a flat key=value file ('#' starts a comment). An error
-        names the file and the line it is on."""
+        """Load from a flat key=value file ('#' starts a comment), read past
+        a UTF-8 byte-order mark. An error names the file and the line it is
+        on."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValueError(f"scenario config {path}: {exc}") from None
         kwargs: dict = {}

@@ -17,8 +17,8 @@ first break, and it holds only the lines appended to it. ``Ledger()``
 keeps them in a list. ``Ledger(path)`` writes each into a new file as it
 is appended, so a settlement never holds its log; the runner streams
 into the staged ``audit.log``. ``read_ledger`` returns only the chain
-state of what it read, from a path or a text stream alike, so read,
-append and write gives the segment that continues the log read.
+state of what it read, so read, append and write gives the segment that
+continues the log read.
 ``append`` encodes each payload once and splices the hash material and
 the line from that encoding.
 A ``PayloadTemplate`` renders payloads of one fixed shape from integer
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -53,7 +54,7 @@ from collections import deque
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from cscshare import _fork
 from cscshare.model import Record, parse_timestamp
@@ -400,13 +401,13 @@ def verify_chain(ledger: Ledger) -> ChainReport:
     return ledger._report
 
 
-def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
+def write_ledger(ledger: Ledger, target: str | Path | BinaryIO) -> None:
     """Write the lines appended to ``ledger``, one canonical line per record.
 
     - A streamed ledger has written its lines into its own file, the only
       target it takes: this closes the file.
     - Any other ledger writes the lines appended since ``Ledger()`` or
-      ``read_ledger`` to a text stream, or to ``target`` as a new file, as
+      ``read_ledger`` to a binary stream, or to ``target`` as a new file, as
       ``Ledger(path)`` creates one; an existing file is a FileExistsError
       and is left as it was. After ``read_ledger`` these lines are the
       segment that continues the log read: the log, ending in a newline,
@@ -418,10 +419,10 @@ def write_ledger(ledger: Ledger, target: str | Path | TextIO) -> None:
             raise ValueError(f"a ledger streamed into {path} is written only to that file")
         ledger.close()
     elif isinstance(target, (str, Path)):
-        with open(target, "x", encoding="utf-8", newline="\n") as stream:
-            stream.writelines(ledger._lines)
+        with open(target, "xb") as stream:
+            stream.writelines(map(str.encode, ledger._lines))
     else:
-        target.writelines(ledger._lines)
+        target.writelines(map(str.encode, ledger._lines))
 
 
 def _same_file(target: str | Path, path: Path) -> bool:
@@ -610,9 +611,9 @@ def _reject(line: str) -> NoReturn:
 _Walk = tuple
 
 
-def _walk(lines: Iterable[str] | Iterable[bytes]) -> _Walk:
+def _walk(lines: Iterable[bytes]) -> _Walk:
     """Walk the lines once: check that each is its record's canonical
-    serialization, decoding it first if it is bytes, then check its link
+    serialization, decoded from its UTF-8 bytes, then check its link
     to the line before (not the first line's) and its hash, the SHA-256
     of the hash material it splices from the line's own slices.
 
@@ -627,8 +628,7 @@ def _walk(lines: Iterable[str] | Iterable[bytes]) -> _Walk:
     i = -1
     for i, line in enumerate(lines):
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
+            line = line.decode("utf-8")
             stop = len(line) - 1 if line.endswith("\n") else len(line)
             fields = _split(line, stop, checked)
             if fields is None:
@@ -771,7 +771,7 @@ def _file_walks(stream: BinaryIO, path: str | Path) -> Iterator[_Walk]:
                 yield _sent_walk(sent)
 
 
-def read_ledger(source: str | Path | TextIO) -> Ledger:
+def read_ledger(source: str | Path | BinaryIO) -> Ledger:
     """Parse a ledger file, line by line. Every line must be its record's
     canonical serialization, ending in a newline (the last line may lack
     it, but then the ledger refuses ``append``). A break in the chain does
@@ -780,24 +780,16 @@ def read_ledger(source: str | Path | TextIO) -> Ledger:
 
     A log file of ``_RANGED_BYTES`` or more is cut at line ends into one
     range per core, up to ``_MAX_RANGES``, each walked in its own process;
-    a text stream, a smaller log, or a log on one core is walked whole.
-    The ledger, and any error, is the same either way.
+    a binary stream, a smaller log, or a log on one core is walked whole.
+    The ledger, and any error, is the same either way. A text stream is a
+    TypeError, raised before anything is read.
 
     The ledger keeps no line of the source, only its chain state: the
     record count, the head, the last timestamps and the first break."""
+    if isinstance(source, io.TextIOBase):
+        raise TypeError("read_ledger reads a path or a binary stream, not a text stream")
     if isinstance(source, (str, Path)):
         # as bytes, so that invalid UTF-8 is reported with its line number
         with open(source, "rb") as stream, contextlib.closing(_file_walks(stream, source)) as walks:
             return _stitch(walks, f"ledger {source}")
-    ledger = _stitch([_walk(source)], "the ledger read")
-    # a text stream that translates line ends hands "\r\n" over as "\n";
-    # it records what it translated
-    newlines = getattr(source, "newlines", None) or ()
-    if isinstance(newlines, str):
-        newlines = (newlines,)
-    ends = [end for end in newlines if end != "\n"]
-    if ends:
-        raise ValueError(
-            f"non-canonical line end {', '.join(map(repr, ends))}: ledger lines end in '\\n'"
-        )
-    return ledger
+    return _stitch([_walk(source)], "the ledger read")

@@ -202,10 +202,10 @@ def load_run_config(
 
 
 def _read_json(path: str | Path, name: str, **options):
-    """The JSON value in the file ``path``; invalid JSON is a ValueError
-    that names the file, as ``name`` and the path, and its line and
-    column, and so is invalid UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON value in the file ``path``, read past a UTF-8 byte-order
+    mark; invalid JSON is a ValueError that names the file, as ``name``
+    and the path, and its line and column, and so is invalid UTF-8."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh, **options)
         except json.JSONDecodeError as exc:
@@ -484,6 +484,11 @@ def run(config: RunConfig) -> RunResult:
         raise ValueError("run config: out_dir is required (or pass --out)")
     kors = _static_kors(config)
     community, datacentre_meter = load_community(config.community_file)
+    if KOR_COUNTING_POINT in (community.production_meter, *community.participant_ids()):
+        raise ValueError(
+            f"community file {config.community_file}: meter id {KOR_COUNTING_POINT!r} is "
+            "reserved for the coefficient records of the audit log"
+        )
     scenario = (
         ScenarioConfig.from_file(config.scenario_file)
         if config.scenario_file

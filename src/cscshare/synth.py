@@ -167,7 +167,7 @@ def synthesize_demo_data(profile: str, seed: int, out_dir: str | Path) -> dict[s
 
     # Static coefficients derived from this day's consumption, the same
     # derivation a year of history would get.
-    ingested = ingest_csv(io.StringIO(meters))
+    ingested = ingest_csv(io.BytesIO(meters.encode("utf-8")))
     assert not ingested.errors
     by_meter = readings_by_meter([ingested])
     history = [

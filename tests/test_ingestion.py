@@ -41,6 +41,11 @@ from conftest import DAY, paris_2024, slot_ts
 HEADER = "meter_id,meter_class,timestamp,quantity_kind,value\n"
 
 
+def _utf8(text: str) -> io.BytesIO:
+    """The binary stream of a text's UTF-8 bytes, as ingest_csv reads it."""
+    return io.BytesIO(text.encode("utf-8"))
+
+
 def ten_min_ts(slot: int, sample: int):
     from datetime import timedelta
 
@@ -59,7 +64,7 @@ def _readings(records) -> MeterReadings:
 
 class TestIngestCsv:
     def test_direct_parse(self):
-        result = ingest_csv(io.StringIO(
+        result = ingest_csv(_utf8(
             HEADER + "pv01,linky,2022-05-04T10:00:00+02:00,energy_wh,1250\n"
         ))
         assert result.ok
@@ -70,7 +75,7 @@ class TestIngestCsv:
         assert record.value == 1250
 
     def test_negative_energy_collected_as_row_error(self):
-        result = ingest_csv(io.StringIO(
+        result = ingest_csv(_utf8(
             HEADER + "pv01,linky,2022-05-04T10:00:00+02:00,energy_wh,-5\n"
         ))
         assert not result.records
@@ -79,22 +84,22 @@ class TestIngestCsv:
         assert "negative energy" in err.message
 
     def test_empty_file_with_header(self):
-        result = ingest_csv(io.StringIO(HEADER))
+        result = ingest_csv(_utf8(HEADER))
         assert result.ok and len(result.records) == 0 and list(result.records) == []
 
     def test_malformed_header_is_hard_error(self):
         with pytest.raises(ValueError, match="header"):
-            ingest_csv(io.StringIO("meter,when,value\n"))
+            ingest_csv(_utf8("meter,when,value\n"))
 
     def test_class_kind_mismatch_is_row_error(self):
-        result = ingest_csv(io.StringIO(
+        result = ingest_csv(_utf8(
             HEADER + "m1,linky,2022-05-04T10:00:00+02:00,power_kw_10min,6\n"
         ))
         assert not result.records
         assert "do not report" in result.errors[0].message
 
     def test_bad_rows_reported_with_line_numbers(self):
-        result = ingest_csv(io.StringIO(
+        result = ingest_csv(_utf8(
             HEADER
             + "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,100\n"
             + "m1,linky,not-a-time,energy_wh,100\n"
@@ -111,7 +116,7 @@ class TestIngestCsv:
             "m1,linky,2022-05-04T10:30:00+02:00,energy_wh,3",
             "m2,sme_smi,2022-05-04T10:30:00+02:00,energy_kwh_index,9",
         ]
-        result = ingest_csv(io.StringIO(HEADER + "\n".join(rows) + "\n"))
+        result = ingest_csv(_utf8(HEADER + "\n".join(rows) + "\n"))
         m1, m2 = result.meters
         assert (m1.meter_id, m1.values, len(m1)) == ("m1", [1, 3], 2)
         assert (m2.meter_id, m2.values) == ("m2", [7, 9])
@@ -127,7 +132,7 @@ class TestIngestCsv:
 
     @pytest.mark.parametrize("text", ["NaN", "sNaN", "Infinity", "-Infinity", "inf", "-nan"])
     def test_non_finite_power_is_row_error(self, text):
-        result = ingest_csv(io.StringIO(
+        result = ingest_csv(_utf8(
             HEADER
             + "m1,sme_smi,2022-05-04T10:00:00+02:00,power_kw_10min,6\n"
             + f"m1,sme_smi,2022-05-04T10:10:00+02:00,power_kw_10min,{text}\n"
@@ -148,7 +153,7 @@ class TestIngestCsv:
         )
         path = tmp_path / "big.csv"
         path.write_text(text, encoding="utf-8")
-        result = ingest_csv(path if source == "path" else io.StringIO(text))
+        result = ingest_csv(path if source == "path" else _utf8(text))
         assert [str(e) for e in result.errors] == ["line 3: field larger than field limit (131072)"]
         (m1,) = result.meters
         assert m1.values == [1, 3]
@@ -159,7 +164,7 @@ class TestIngestCsv:
         path = tmp_path / "big.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=r"^malformed header: field larger than field limit \(131072\)$"):
-            ingest_csv(path if source == "path" else io.StringIO(text))
+            ingest_csv(path if source == "path" else _utf8(text))
 
     @pytest.mark.parametrize("source", ["path", "stream"])
     def test_a_byte_order_mark_before_the_header_is_read_past(self, tmp_path, source):
@@ -176,13 +181,55 @@ class TestIngestCsv:
         if source == "path":
             result = ingest_csv(path)
         else:
-            with open(path, encoding="utf-8", newline="") as stream:
+            with open(path, "rb") as stream:
                 result = ingest_csv(stream)
-        plain = ingest_csv(io.StringIO(text))
+        plain = ingest_csv(_utf8(text))
         assert [str(e) for e in result.errors] == [str(e) for e in plain.errors]
         assert [e.line for e in result.errors] == [3]
         (m1,) = result.meters
         assert (m1.meter_id, m1.timestamps, m1.values) == ("m1", plain.meters[0].timestamps, [1, 3])
+
+    def test_a_byte_that_is_not_utf8_reads_alike_from_a_path_and_a_binary_stream(self, tmp_path):
+        """A 0xff on line 3 is that row's error, and the rows around it
+        read, whether the file is named by its path or opened "rb"."""
+        path = tmp_path / "not_utf8.csv"
+        path.write_bytes(
+            HEADER.encode("utf-8")
+            + b"m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1\n"
+            + b"m1,linky,2022-05-04T10:30:00+02:00,energy_wh,2\xff\n"
+            + b"m1,linky,2022-05-04T11:00:00+02:00,energy_wh,3\n"
+        )
+        from_path = ingest_csv(path)
+        with open(path, "rb") as stream:
+            from_stream = ingest_csv(stream)
+        assert [str(e) for e in from_path.errors] == ["line 3: invalid UTF-8 byte 0xff"]
+        assert [(e.line, e.message) for e in from_stream.errors] == [
+            (e.line, e.message) for e in from_path.errors
+        ]
+        assert [_view(r) for r in from_stream.records] == [_view(r) for r in from_path.records]
+        assert [r.value for r in from_stream.records] == [1, 3]
+
+    def test_the_callers_stream_is_left_open(self):
+        """ingest_csv reads a stream to its end and leaves it open, after
+        a refused header too."""
+        stream = _utf8(HEADER + "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1\n")
+        assert len(ingest_csv(stream).records) == 1
+        refused = _utf8("meter,when,value\n")
+        with pytest.raises(ValueError, match="header"):
+            ingest_csv(refused)
+        gc.collect()
+        assert not stream.closed and stream.read() == b""
+        assert not refused.closed
+
+    def test_a_text_stream_is_a_type_error_before_anything_is_read(self, tmp_path):
+        text = HEADER + "m1,linky,2022-05-04T10:00:00+02:00,energy_wh,1\n"
+        path = tmp_path / "meters.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as opened:
+            for stream in (opened, io.StringIO(text)):
+                with pytest.raises(TypeError, match="^ingest_csv reads a path or a binary stream"):
+                    ingest_csv(stream)
+                assert stream.tell() == 0
 
 
 class TestNormalize:
@@ -980,7 +1027,7 @@ def test_power_texts_parse_once_per_file_as_each_row_alone(rows):
         f"{meter_id},sme_smi,{(_BASE + k * timedelta(minutes=10)).isoformat()},power_kw_10min,{text}\n"
         for k, ((meter_id, _, _), text) in enumerate(zip(rows, texts))
     )
-    result = ingest_csv(io.StringIO(HEADER + body))
+    result = ingest_csv(_utf8(HEADER + body))
 
     expected, errors = {}, []
     for line, ((meter_id, _, _), text) in enumerate(zip(rows, texts), start=2):
@@ -1052,7 +1099,7 @@ class TestAgainstReferenceNormalizer:
     # every triple distinct, half-way energies among them
     @example(text=_power_csv([(f"{k}", f"{k}.5", f"{k + 1}.25") for k in range(12)]))
     def test_same_records_slots_and_messages(self, text):
-        result = ingest_csv(io.StringIO(text))
+        result = ingest_csv(_utf8(text))
         records, errors = _reference_ingest(text)
         assert [str(e) for e in result.errors] == errors
 
@@ -1191,7 +1238,7 @@ class TestAgainstReferenceNormalizer:
         # each row twice: once as written, once with every cell padded
         padded = [",".join(f"{pad}{cell}{pad}" for cell in row.split(",")) for row in rows]
         text = HEADER + "".join(row + "\n" for pair in zip(rows, padded) for row in pair)
-        result = ingest_csv(io.StringIO(text))
+        result = ingest_csv(_utf8(text))
         records, errors = _reference_ingest(text)
         assert [str(e) for e in result.errors] == errors
         assert [(r.meter_id, r.timestamp, type(r.value), r.value) for r in result.records] == [
@@ -1279,7 +1326,7 @@ class TestSharedGrids:
         one file share one grid, and a meter joined across files holds no
         file's grids."""
         texts = _grid_files(first, n, meters)
-        by_meter = readings_by_meter([ingest_csv(io.StringIO(text)) for text in texts])
+        by_meter = readings_by_meter([ingest_csv(_utf8(text)) for text in texts])
         on_grids = {}
         for meter_id in sorted(by_meter):
             readings = by_meter[meter_id]
@@ -1315,7 +1362,7 @@ class TestSharedGrids:
         monkeypatch.setattr(
             ingestion, "_whole_starts", lambda stamps, *kinds: checked.append(kinds) or whole_starts(stamps, *kinds)
         )
-        by_meter = readings_by_meter([ingest_csv(io.StringIO(text))])
+        by_meter = readings_by_meter([ingest_csv(_utf8(text))])
         series = [normalize_to_slots(by_meter[m]) for m in sorted(by_meter)]
         assert len(checked) == 3
         assert len({id(s.starts) for s in series}) == 1
@@ -1335,7 +1382,7 @@ class TestSharedGrids:
         converted = []
         power_wh = ingestion._power_wh
         monkeypatch.setattr(ingestion, "_power_wh", lambda samples: converted.append(samples) or power_wh(samples))
-        meters = ingest_csv(io.StringIO(HEADER + "\n".join(rows) + "\n")).meters
+        meters = ingest_csv(_utf8(HEADER + "\n".join(rows) + "\n")).meters
         series = [normalize_to_slots(readings) for readings in meters]
         assert len(converted) == 2
         alone = [
@@ -1349,7 +1396,7 @@ class TestSharedGrids:
         """Two files of the same text give equal series on two grids, and
         a file's grids are freed with its readings."""
         text, _ = _grid_files(0, 4, [(QuantityKind.ENERGY_WH, 0, None, 0), (QuantityKind.ENERGY_WH, 0, None, 0)])
-        results = [ingest_csv(io.StringIO(text)) for _ in range(2)]
+        results = [ingest_csv(_utf8(text)) for _ in range(2)]
         series = [normalize_to_slots(readings) for result in results for readings in result.meters]
         assert series[0] == series[2] and series[1] == series[3]
         assert series[0].starts is series[1].starts

@@ -77,7 +77,12 @@ def _records_of(ledger):
 
 def _reread(records):
     """The ledger read back from the lines the reference writer renders."""
-    return read_ledger(io.StringIO(_written(_reference_write_ledger, records), newline="\n"))
+    return read_ledger(_utf8(_written(_reference_write_ledger, records)))
+
+
+def _utf8(text):
+    """The binary stream of a log text's UTF-8 bytes, as read_ledger reads it."""
+    return io.BytesIO(text.encode("utf-8"))
 
 
 def _chain_state(ledger):
@@ -94,7 +99,7 @@ def _assert_continues(seed, segment, ledger, whole):
     appended after reading it, is the text ``whole``, which reads back
     with the head, count and report ``ledger`` holds."""
     assert seed + segment == whole
-    assert _chain_state(read_ledger(io.StringIO(whole, newline="\n"))) == _chain_state(ledger)
+    assert _chain_state(read_ledger(_utf8(whole))) == _chain_state(ledger)
 
 
 class TestAppend:
@@ -257,12 +262,14 @@ class TestSerialization:
             read_ledger(path)
 
     def test_read_from_stream(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_ledger(build_ledger(5), buf)
         buf.seek(0)
         ledger = build_ledger(8, read_ledger(buf))
         whole = build_ledger(8)
-        _assert_continues(buf.getvalue(), _written(write_ledger, ledger), ledger, _written(write_ledger, whole))
+        _assert_continues(
+            buf.getvalue().decode("utf-8"), _written(write_ledger, ledger), ledger, _written(write_ledger, whole)
+        )
         assert _chain_state(ledger) == _chain_state(whole)
 
     @pytest.mark.parametrize("source", ["path", "stream"])
@@ -272,7 +279,7 @@ class TestSerialization:
         if source == "path":
             ledger = read_ledger(path)
         else:
-            with open(path, encoding="utf-8") as stream:
+            with open(path, "rb") as stream:
                 ledger = read_ledger(stream)
         assert _chain_state(ledger) == _chain_state(build_ledger(5))
         assert _written(write_ledger, ledger) == ""
@@ -593,7 +600,7 @@ def test_hash_and_line_bytes_equal_the_json_dumps_formulas(entries):
     # the log of the first half, read and continued with the rest
     cut = len(entries) // 2
     seed = _written(_reference_write_ledger, direct[:cut])
-    continued = read_ledger(io.StringIO(seed, newline="\n"))
+    continued = read_ledger(_utf8(seed))
     for key, payload in entries[cut:]:
         continued.append(payload, key, timestamp)
     _assert_continues(seed, _written(write_ledger, continued), continued, whole)
@@ -772,7 +779,7 @@ def _mutated_logs(draw):
 def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
     """read_ledger accepts exactly the lines the reference accepts, and
     rejects the others with the same line number and message, reading
-    from a file or from a text stream. An accepted text, ended in a
+    from a file or from a binary stream. An accepted text, ended in a
     newline and followed by the segment the just-read ledger writes, is
     the reference writer's bytes of its records, so nothing is rewritten,
     and the head hash and count are the reference's."""
@@ -791,30 +798,47 @@ def test_reader_agrees_with_the_reference_reader(text, tmp_path_factory):
         return _ended(text) + _written(write_ledger, ledger)
 
     assert _outcome(lambda: read_ledger(path), continued) == expected
-    assert _outcome(lambda: read_ledger(io.StringIO(text, newline="\n")), continued) == expected
+    assert _outcome(lambda: read_ledger(_utf8(text)), continued) == expected
 
 
-def test_crlf_log_rejected_through_a_text_stream(tmp_path):
-    """A stream with universal newlines turns "\\r\\n" into "\\n" before the
-    checker sees a line; the line ends it translated are refused after."""
+def test_crlf_log_rejected_from_a_path_and_a_binary_stream(tmp_path):
+    """A "\\r\\n" line end is not canonical: a log holding one is refused
+    at that line, from its path and from a binary stream alike. A text
+    stream, which could translate it to "\\n" first, is not read."""
     path = tmp_path / "audit.log"
     write_ledger(build_ledger(2), path)
     crlf = tmp_path / "crlf.log"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    with open(crlf, encoding="utf-8") as stream:
-        with pytest.raises(ValueError, match=r"^non-canonical line end '\\r\\n': ledger lines end in '\\n'$"):
-            read_ledger(stream)
-    with pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
-        read_ledger(crlf)
-    with pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
-        read_ledger(io.StringIO(crlf.read_bytes().decode("utf-8"), newline="\n"))
     mixed = tmp_path / "mixed.log"
     mixed.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 1))
-    with open(mixed, encoding="utf-8") as stream:
-        with pytest.raises(ValueError, match=r"^non-canonical line end '\\r\\n': "):
+    for log in (crlf, mixed):
+        with pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
+            read_ledger(log)
+        with open(log, "rb") as stream, pytest.raises(ValueError, match=r"^ledger line 1: malformed record"):
             read_ledger(stream)
-    with open(path, encoding="utf-8") as stream:
+        with open(log, encoding="utf-8") as stream, pytest.raises(TypeError):
+            read_ledger(stream)
+    with open(path, "rb") as stream:
         assert verify_chain(read_ledger(stream)).intact
+
+
+def test_a_text_stream_is_a_type_error_before_anything_is_read_or_written(tmp_path):
+    """read_ledger reads nothing of a text stream and write_ledger writes
+    nothing to one, a file opened "w" or an io.StringIO."""
+    path = tmp_path / "audit.log"
+    write_ledger(build_ledger(2), path)
+    with open(path, encoding="utf-8") as opened:
+        for stream in (opened, io.StringIO(path.read_text(encoding="utf-8"))):
+            with pytest.raises(TypeError, match="^read_ledger reads a path or a binary stream"):
+                read_ledger(stream)
+            assert stream.tell() == 0
+    out = tmp_path / "text.log"
+    with open(out, "w", encoding="utf-8") as opened:
+        for stream in (opened, io.StringIO()):
+            with pytest.raises(TypeError):
+                write_ledger(build_ledger(2), stream)
+            assert stream.tell() == 0
+    assert out.read_bytes() == b""
 
 
 # Reference writer and verifier: the record-based Ledger.append,
@@ -935,9 +959,15 @@ def _reference_write_ledger(ledger, target):
 
 
 def _written(write, ledger):
-    buf = io.StringIO()
+    """The text of the lines ``write`` writes: write_ledger writes UTF-8
+    bytes to a binary stream, the reference writer text to a text stream."""
+    if write is _reference_write_ledger:
+        buf = io.StringIO()
+        write(ledger, buf)
+        return buf.getvalue()
+    buf = io.BytesIO()
     write(ledger, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("utf-8")
 
 
 def _appended(ledger, payload, key, timestamp):
@@ -1000,7 +1030,7 @@ def test_line_ledger_agrees_with_the_record_ledger(entries, forged, data):
     r = dataclasses.replace(records[i], **{field: value})
     records[i] = _record(r.counting_point_key, r.timestamp, r.payload, r.prev_hash, r.hash)
     text = _written(_reference_write_ledger, records)
-    reread = read_ledger(io.StringIO(text, newline="\n"))
+    reread = read_ledger(_utf8(text))
     expected = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(text, newline="\n"))))
     assert verify_chain(reread) == expected == _reference_verify_chain(records)
 
@@ -1053,7 +1083,7 @@ def test_single_byte_mutation_reads_and_verifies_as_the_reference(at, byte, tmp_
     else:
         expected = "report", _reference_verify_chain(records)
     assert outcome == expected
-    assert _read_and_verified(lambda: read_ledger(io.StringIO(text, newline="\n"))) == expected
+    assert _read_and_verified(lambda: read_ledger(_utf8(text))) == expected
 
 
 @given(
@@ -1076,13 +1106,13 @@ def test_report_survives_appends_and_a_continuation(text, appended):
         )
     except ValueError:
         return  # not a log; test_reader_agrees_with_the_reference_reader
-    ledger = read_ledger(io.StringIO(text, newline="\n"))
+    ledger = read_ledger(_utf8(text))
     assert verify_chain(ledger) == expected
     if text != _ended(text):
         for key, payload in appended[:1]:
             with pytest.raises(ValueError, match="^the ledger read does not end in a newline: "):
                 ledger.append(payload, key, slot_ts(0, DAY + timedelta(days=2)))
-        ledger = read_ledger(io.StringIO(_ended(text), newline="\n"))
+        ledger = read_ledger(_utf8(_ended(text)))
         assert verify_chain(ledger) == expected
     # a day later than any timestamp the log may hold, in any of its offsets
     day = DAY + timedelta(days=2)
@@ -1091,7 +1121,7 @@ def test_report_survives_appends_and_a_continuation(text, appended):
         assert verify_chain(ledger) == expected
     continued = _ended(text) + _written(write_ledger, ledger)
     fresh = _reference_verify_chain(list(_reference_parse_lines(io.StringIO(continued, newline="\n"))))
-    assert _chain_state(read_ledger(io.StringIO(continued, newline="\n"))) == _chain_state(ledger)
+    assert _chain_state(read_ledger(_utf8(continued))) == _chain_state(ledger)
     assert verify_chain(ledger) == expected == fresh
 
 
@@ -1340,7 +1370,7 @@ def test_templates_that_keep_missing_are_dropped(monkeypatch, new_shapes):
         return lambda text: tried.append(text) or match(text)
 
     monkeypatch.setattr(PayloadTemplate, "matcher", counted)
-    reread = read_ledger(io.StringIO(text, newline="\n"))
+    reread = read_ledger(_utf8(text))
     assert (len(reread), reread.head_hash, verify_chain(reread)) == (100, ledger.head_hash, ChainReport(True))
     shapes = ledger_mod._SHAPES
     if new_shapes:
@@ -1354,7 +1384,7 @@ def test_a_payload_too_deep_to_template_reads_as_the_reference():
     a template to be made of their shape where Python frames are few,
     read as the reference reads them."""
     text = _chained(['{"a":' * 900 + str(k) + "}" * 900 for k in range(3)])
-    ledger = read_ledger(io.StringIO(text, newline="\n"))
+    ledger = read_ledger(_utf8(text))
     assert ("ok", (ledger.head_hash, len(ledger), verify_chain(ledger))) == _reference_read(text)
     assert verify_chain(ledger).intact
 
@@ -1501,11 +1531,11 @@ def test_forked_workers_read_as_the_serial_read(tmp_path, ranged_on, cores, faul
     """Cut into one range per core, up to four, and walked by the caller
     and a forked worker for each other range, a log reads as it does
     serially, through its file and, but for the name the refusal to
-    append gives the log, through a text stream. No worker is left."""
+    append gives the log, through a binary stream. No worker is left."""
     path = tmp_path / "audit.log"
     path.write_bytes(b"".join(_LOG_FAULTS[fault](_long_log(path))))
     serial = _read_state(lambda: read_ledger(path))
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as stream:
+    with open(path, "rb") as stream:
         streamed = _read_state(lambda: read_ledger(stream))
     made = ranged_on(cores)
     assert _read_state(lambda: read_ledger(path)) == serial
@@ -1516,7 +1546,7 @@ def test_forked_workers_read_as_the_serial_read(tmp_path, ranged_on, cores, faul
         name = f"ledger {path}"
         assert streamed[1][:4] == serial[1][:4]
         assert (streamed[1][4] or "").replace("the ledger read", name) == (serial[1][4] or "")
-    elif "utf-8" not in serial[1]:
+    else:
         assert streamed == serial
 
 

@@ -890,6 +890,50 @@ class TestConfigValidation:
         config = load_run_config(demo / "run_config.json")
         assert config.kors == {"b1": 1.0, "b2": 0.0, "b4": 0.0}
 
+    @pytest.mark.parametrize("meter", ["b4", "pv1"], ids=["participant", "production"])
+    def test_the_kor_key_is_no_meter_id(self, demo, meter, monkeypatch):
+        """A meter renamed KOR everywhere would log its records under the
+        key of the coefficient records: run refuses it, naming the id,
+        before it reads any meter CSV."""
+        meters = demo / "meters.csv"
+        meters.write_text(meters.read_text(encoding="utf-8").replace(f"\n{meter},", "\nKOR,"), encoding="utf-8")
+
+        def rename(raw):
+            for participant in raw["participants"]:
+                if participant["id"] == meter:
+                    participant["id"] = "KOR"
+            for key in ("production_meter", "datacentre_meter"):
+                if raw[key] == meter:
+                    raw[key] = "KOR"
+
+        _edit_json(demo / "community.json", rename)
+        _edit_json(demo / "kors.json", lambda raw: raw.update({"KOR": raw.pop(meter)}) if meter in raw else None)
+        message = "meter id 'KOR' is reserved for the coefficient records of the audit log"
+        assert message in self._run(demo)
+        assert not (demo / "reports").exists()
+        monkeypatch.setattr(runner_mod, "ingest_csv", lambda path: pytest.fail(f"{path} was read"))
+        with pytest.raises(ValueError, match=f"^community file {re.escape(str(demo / 'community.json'))}: {message}$"):
+            run(load_run_config(demo / "run_config.json"))
+
+    @pytest.mark.parametrize("file", ["run_config.json", "community.json", "kors.json", "scenario.cfg"])
+    def test_a_byte_order_mark_before_an_input_file_is_read_past(self, demo, file):
+        """Each input file may start with a UTF-8 byte-order mark, as a
+        meter CSV may: the run gives the tree of the file without it. A
+        malformed file's error has the line and column it has without
+        the mark."""
+        plain = run(load_run_config(demo / "run_config.json", out_override=demo / "plain")).out_dir
+        path = demo / file
+        text = path.read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        marked = run(load_run_config(demo / "run_config.json", out_override=demo / "marked")).out_dir
+        assert _tree_bytes(marked) == _tree_bytes(plain)
+        bad = b"pv_gain = 1.1\nx\n" if file == "scenario.cfg" else b"{\n  \"b1\": x\n}\n"
+        path.write_bytes(bad)
+        unmarked = self._run(demo)
+        path.write_bytes(b"\xef\xbb\xbf" + bad)
+        assert self._run(demo) == unmarked
+        assert re.search(r"line 2( column 9)?: ", unmarked)
+
 
 class TestExactMoney:
     @pytest.mark.parametrize(

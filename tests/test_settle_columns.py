@@ -118,9 +118,9 @@ def _reference_reports(allocations, participants, community, window):
 
 
 def _ledger_text(ledger: Ledger) -> list[str]:
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_ledger(ledger, buffer)
-    return buffer.getvalue().splitlines()
+    return buffer.getvalue().decode("utf-8").splitlines()
 
 
 def _dst_day(first_utc: datetime, n: int) -> list[datetime]:
