@@ -784,6 +784,20 @@ def add_constant_load(series: SlotSeries, power_kw) -> SlotSeries:
     return series.replace_values([e + extra for e in series.energies])
 
 
+def read_text(path: str | Path, name: str) -> str:
+    """The text of the UTF-8 file ``path``, with universal newlines and
+    past one leading byte-order mark. Invalid UTF-8 is a ValueError that
+    names the file, as ``name`` and the path, and the byte's offset in it:
+    the mark is dropped only after the whole file is decoded, so the
+    offset counts the mark's bytes too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name} {path}: {exc}") from None
+    return text.removeprefix("\ufeff")
+
+
 class ScenarioConfig(Record):
     """Scenario transformations applied between ingestion and allocation."""
 
@@ -805,15 +819,11 @@ class ScenarioConfig(Record):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        """Load from a flat key=value file ('#' starts a comment), read past
-        a UTF-8 byte-order mark. An error names the file and the line it is
+        """Load from a flat key=value file ('#' starts a comment), read as
+        ``read_text`` reads it. An error names the file and the line it is
         on."""
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"scenario config {path}: {exc}") from None
         kwargs: dict = {}
-        for number, raw in enumerate(text.splitlines(), 1):
+        for number, raw in enumerate(read_text(path, "scenario config").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -21,7 +21,7 @@ import json
 import os
 import shutil
 import tempfile
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -43,6 +43,7 @@ from cscshare.ingestion import (
     apply_pv_gain,
     ingest_csv,
     normalize_to_slots,
+    read_text,
     readings_by_meter,
 )
 from cscshare.ledger import KOR_COUNTING_POINT, Ledger, PayloadTemplate, write_ledger
@@ -60,7 +61,6 @@ from cscshare.model import (
     SlotSeries,
     StaticPolicy,
     as_decimal,
-    parse_timestamp,
     validate_community,
 )
 
@@ -183,10 +183,19 @@ def load_run_config(
                 'run config: kor_window must be an object of "start" and "end" '
                 f"dates (YYYY-MM-DD), got {bounds!r}"
             )
-        kor_window = DateRange(
-            parse_timestamp(bounds["start"] + "T00:00:00+00:00").date(),
-            parse_timestamp(bounds["end"] + "T00:00:00+00:00").date(),
-        )
+        dates = []
+        for k in ("start", "end"):
+            try:
+                dates.append(date.fromisoformat(bounds[k]))
+            except ValueError:
+                raise ValueError(
+                    f"run config: kor_window {k} must be a date (YYYY-MM-DD), got {bounds[k]!r}"
+                ) from None
+        if dates[0] >= dates[1]:
+            raise ValueError(
+                f"run config: kor_window must end after its start (the end is exclusive), got {bounds!r}"
+            )
+        kor_window = DateRange(*dates)
 
     scenario = raw.get("scenario")
     return RunConfig(
@@ -202,16 +211,13 @@ def load_run_config(
 
 
 def _read_json(path: str | Path, name: str, **options):
-    """The JSON value in the file ``path``, read past a UTF-8 byte-order
-    mark; invalid JSON is a ValueError that names the file, as ``name``
-    and the path, and its line and column, and so is invalid UTF-8."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh, **options)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{name} {path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{name} {path}: {exc}") from None
+    """The JSON value in the file ``path``, read as ``read_text`` reads it;
+    invalid JSON is a ValueError that names the file, as ``name`` and the
+    path, and its line and column."""
+    try:
+        return json.loads(read_text(path, name), **options)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name} {path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
 def _is_str_list(value) -> bool:

@@ -556,6 +556,21 @@ def _reference_line(key, timestamp_iso, payload, prev_hash, record_hash):
     )
 
 
+def _render_line(key, hash_, payload_json, prev_hash, timestamp_iso):
+    """A record's line, with no newline, from its four string fields and
+    its payload text: json.dumps quotes each string, and the fields come
+    in sorted key order. A field that is not a string is a TypeError, as
+    it is when the ledger quotes one."""
+    for value in (key, hash_, prev_hash, timestamp_iso):
+        if not isinstance(value, str):
+            raise TypeError(f"first argument must be a string, not {type(value).__name__}")
+    return (
+        f'{{"counting_point_key":{json.dumps(key)},"hash":{json.dumps(hash_)},'
+        f'"payload":{payload_json},"prev_hash":{json.dumps(prev_hash)},'
+        f'"timestamp":{json.dumps(timestamp_iso)}}}'
+    )
+
+
 # quotes, backslashes, control, non-ASCII and astral characters
 _awkward_text = st.text(
     alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001f600')
@@ -618,7 +633,7 @@ def _reference_parse_record(line, timestamps):
         raise ValueError("non-canonical payload: not a JSON object")
     payload_json = ledger_mod._encode(payload)
     timestamp_text = obj["timestamp"]
-    canonical = ledger_mod._line(
+    canonical = _render_line(
         obj["counting_point_key"], obj["hash"], payload_json, obj["prev_hash"],
         timestamp_text,
     )
@@ -843,10 +858,9 @@ def test_a_text_stream_is_a_type_error_before_anything_is_read_or_written(tmp_pa
 
 # Reference writer and verifier: the record-based Ledger.append,
 # write_ledger and verify_chain from before a Ledger held its lines, kept
-# verbatim but for the names of the module helpers they call.
-_quote, _encode, _line, _check_payload = (
-    ledger_mod._quote, ledger_mod._encode, ledger_mod._line, ledger_mod._check_payload
-)
+# verbatim but for the names of the module helpers they call; the lines
+# are rendered by the test-local _render_line.
+_quote, _encode, _check_payload = ledger_mod._quote, ledger_mod._encode, ledger_mod._check_payload
 
 
 def _reference_record_hash(key_json, timestamp_json, payload_json, prev_hash):
@@ -948,7 +962,7 @@ def _reference_verify_chain(ledger):
 def _reference_write_ledger(ledger, target):
     """Write one canonical line per record, streaming."""
     lines = (
-        f"{_line(r.counting_point_key, r.hash, r.payload_json, r.prev_hash, iso)}\n"
+        f"{_render_line(r.counting_point_key, r.hash, r.payload_json, r.prev_hash, iso)}\n"
         for r, iso in _reference_with_iso(ledger)
     )
     if isinstance(target, (str, Path)):
@@ -1304,7 +1318,7 @@ def _chained(payloads):
     for k, payload in enumerate(payloads):
         iso = slot_ts(k).isoformat()
         hash_ = _reference_record_hash(_quote("KOR"), _quote(iso), payload, prev)
-        lines.append(f"{_line('KOR', hash_, payload, prev, iso)}\n")
+        lines.append(f"{_render_line('KOR', hash_, payload, prev, iso)}\n")
         prev = hash_
     return "".join(lines)
 

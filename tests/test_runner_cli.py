@@ -743,15 +743,19 @@ class TestConfigValidation:
             ("scenario.cfg", "pv_gain = 1.1\ndatacentre_load_kw = -3\n", "scenario config {} line 2: datacentre_load_kw must be >= 0"),
             ("kors.json", b'{"b1": "\xff"}\n', "kors file {}: 'utf-8' codec can't decode byte 0xff in position 8"),
             ("scenario.cfg", b"pv_gain = 1.1 \xff\n", "scenario config {}: 'utf-8' codec can't decode byte 0xff in position 14"),
+            # the byte's position counts the byte-order mark's 3 bytes
+            ("kors.json", b'\xef\xbb\xbf{"b1": "\xff"}\n', "kors file {}: 'utf-8' codec can't decode byte 0xff in position 11"),
+            ("scenario.cfg", b"\xef\xbb\xbfpv_gain = 1.1 \xff\n", "scenario config {}: 'utf-8' codec can't decode byte 0xff in position 17"),
         ],
         ids=[
             "run-config", "community", "kors", "scenario-line", "scenario-bool", "scenario-value",
-            "kors-not-utf8", "scenario-not-utf8",
+            "kors-not-utf8", "scenario-not-utf8", "kors-bom-not-utf8", "scenario-bom-not-utf8",
         ],
     )
     def test_a_malformed_file_is_named_with_its_line(self, demo, file, text, message):
         """Invalid JSON is named with its line and column, a bad scenario
-        line with its line, and invalid UTF-8 with its byte."""
+        line with its line, and invalid UTF-8 with its byte's offset in
+        the file."""
         (demo / file).write_bytes(text if isinstance(text, bytes) else text.encode())
         output = self._run(demo)
         assert message.format(demo / file) in output
@@ -829,19 +833,44 @@ class TestConfigValidation:
         assert message in self._run(demo)
 
     @pytest.mark.parametrize(
-        "window",
-        [5, None, "2024-06-12", {"start": "2024-06-12"}, {"start": 1, "end": 2}],
-        ids=["int", "null", "text", "no-end", "int-dates"],
+        "window, message",
+        [
+            *(
+                (window, "run config: kor_window must be an object")
+                for window in [5, None, "2024-06-12", {"start": "2024-06-12"}, {"start": 1, "end": 2}]
+            ),
+            (
+                {"start": "2024-6-12", "end": "2024-06-13"},
+                "run config: kor_window start must be a date (YYYY-MM-DD), got '2024-6-12'\n",
+            ),
+            (
+                {"start": "2024-06-12", "end": "June 13"},
+                "run config: kor_window end must be a date (YYYY-MM-DD), got 'June 13'\n",
+            ),
+            (
+                {"start": "2024-06-12", "end": "2024-06-12"},
+                "run config: kor_window must end after its start (the end is exclusive), "
+                "got {'start': '2024-06-12', 'end': '2024-06-12'}\n",
+            ),
+            (
+                {"start": "2024-06-13", "end": "2024-06-12"},
+                "run config: kor_window must end after its start (the end is exclusive), "
+                "got {'start': '2024-06-13', 'end': '2024-06-12'}\n",
+            ),
+        ],
+        ids=["int", "null", "text", "no-end", "int-dates", "bad-start", "bad-end", "empty", "reversed"],
     )
-    def test_bad_kor_window(self, demo, window):
+    def test_bad_kor_window(self, demo, window, message):
+        """A kor_window that is not an object of two dates, or that holds no
+        day, is a validation error of derive-kors and of run that names the
+        run config and the key, and quotes the window as written."""
         _edit_json(demo / "run_config.json", _set_run_key("kor_window", window))
-        r = CliRunner().invoke(
-            main,
-            ["derive-kors", "--config", str(demo / "run_config.json"), "--out", str(demo / "k.json")],
-        )
-        assert r.exit_code == 1, r.output
-        assert isinstance(r.exception, SystemExit), r.exception
-        assert "validation error: run config: kor_window must be an object" in r.output
+        config = ["--config", str(demo / "run_config.json")]
+        for args in (["derive-kors", *config, "--out", str(demo / "k.json")], ["run", *config]):
+            r = CliRunner().invoke(main, args)
+            assert r.exit_code == 1, r.output
+            assert isinstance(r.exception, SystemExit), r.exception
+            assert f"validation error: {message}" in r.output
 
     @pytest.mark.parametrize(
         "scenario, message",
